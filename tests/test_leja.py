@@ -128,6 +128,25 @@ class TestExtension:
         assert unweighted_800.separation > 0
         assert len(set(unweighted_800.points)) == 800
 
+    @pytest.mark.parametrize("case", ["segment", "circle", "uniform"])
+    def test_generate_equals_repeated_extension(self, case):
+        #  the cached-sum loop in generate and the one-step extensions
+        #  must pick the same points bit for bit
+        n = 30
+        if case == "circle":
+            grid, kw = circle_grid(1024), {"domain": CIRCLE}
+        else:
+            grid, kw = chebyshev_grid(1024), {}
+        target = target_uniform() if case == "uniform" else None
+        want = generate(n, target=target, grid=grid, **kw)
+        seq = new_sequence(target=target, grid=grid, **kw)
+        for _ in range(n - 1):
+            seq = (extend_unweighted(seq, grid) if target is None
+                   else extend_weighted(seq, target, grid))
+        assert seq.points == want.points
+        assert seq.log_products == want.log_products
+        assert seq.separations == want.separations
+
     def test_log_products_consistency(self, unweighted_800):
         pts = np.asarray(unweighted_800.points[:50])
         for n in (10, 30, 49):
