@@ -34,7 +34,7 @@ from . import leja as lj
 from . import orthopoly as op
 from . import svgplot
 from .measures import ks_distance
-from .potentials import target_arcsine, target_blend, target_uniform
+from .potentials import phi_np, target_arcsine, target_blend, target_uniform
 from .precision import PrecisionContext
 
 EXPERIMENTS = ("prop1", "stahl_circle", "stahl_segment", "leja_only",
@@ -68,14 +68,20 @@ class ExperimentConfig:
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}; "
                               f"choose from {EXPERIMENTS}")
-        if self.eps <= 0:
+        #  written as not-x-ok so that NaN is rejected too
+        if not self.eps > 0:
             raise ConfigError("eps must be positive")
-        if self.rho <= 1:
+        if not self.rho > 1:
             raise ConfigError("rho must exceed 1")
+        if len(self.scan_grid) != 2 or min(self.scan_grid) < 1:
+            raise ConfigError(f"scan_grid needs two sizes >= 1, "
+                              f"got {self.scan_grid}")
+        if self.fekete_n < 8:
+            raise ConfigError(f"fekete_n must be >= 8, got {self.fekete_n}")
         object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
+        if self.n_list and min(self.n_list) < 1:
+            raise ConfigError(f"n_list entries must be >= 1: {self.n_list}")
         if self.experiment == "prop1":
-            if not 0 < self.q < 0.5:
-                raise ConfigError(f"q must lie in (0, 1/2), got {self.q}")
             if not self.n_list:
                 object.__setattr__(self, "n_list", tuple(range(2, 11)))
             nm = self.n_max if self.n_max is not None else max(self.n_list)
@@ -83,6 +89,12 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"n_list contains {max(self.n_list)} beyond n_max={nm}")
             object.__setattr__(self, "n_max", nm)
+            try:
+                #  q range, cascade name and the precision floor
+                op.SigmaBuildConfig(q=self.q, n_max=nm, bits=self.bits,
+                                    cascade=self.cascade)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
         elif not self.n_list:
             object.__setattr__(self, "n_list", (8, 16, 32, 64))
 
@@ -198,7 +210,7 @@ def _sample_cheb_ovals(n, eps, theta_count=16, shrink=0.9):
     roots = np.cos((2 * np.arange(1, n + 1) - 1) * np.pi / (2 * n))
 
     def g(z):
-        p = _phi_np(np.atleast_1d(z))
+        p = phi_np(np.atleast_1d(z))
         return np.abs(p ** n + p ** (-float(n)))[0]
 
     pts = []
@@ -217,11 +229,6 @@ def _sample_cheb_ovals(n, eps, theta_count=16, shrink=0.9):
                     hi = mid
             pts.append(x0 + shrink * lo * d)
     return np.asarray(pts)
-
-
-def _phi_np(z):
-    from .potentials import phi_np
-    return phi_np(z)
 
 
 def _clustered(lo, hi, count):
@@ -317,7 +324,7 @@ def run_stahl_segment(cfg):
         bad_count = int(np.sum(np.abs(_vdiff_segment_w(W, n)) >= cfg.eps))
 
         samples = _sample_cheb_ovals(n, cfg.eps)
-        wphi = _phi_np(samples)
+        wphi = phi_np(samples)
         dev = _vdiff_segment_w(wphi, n)
         level = math.exp(-n * cfg.eps)
         inside = np.abs(wphi ** n + wphi ** (-float(n))) <= level
@@ -363,7 +370,7 @@ def _trace_cheb_lemniscate(n, eps, theta_count=64):
     roots = np.cos((2 * np.arange(1, n + 1) - 1) * np.pi / (2 * n))
 
     def g(z):
-        p = _phi_np(np.atleast_1d(z))
+        p = phi_np(np.atleast_1d(z))
         return np.abs(p ** n + p ** (-float(n)))[0]
 
     pts = []
@@ -460,12 +467,11 @@ def run_leja_only(cfg):
     seq = lj.generate(cfg.leja_n, target=target, grid=grid)
     seq.to_csv(os.path.join(cfg.out_dir, "leja.csv"))
     zs = [2.0, 2j, -3.0]
+    ks = None
     if target is None:
         resid = lj.verify_unweighted_asymptotics(seq, zs)
     else:
         resid = lj.verify_weighted_asymptotics(seq, target, zs)
-    ks = None
-    if target is not None:
         ks = lj.equidistribution_distance(seq, target)
     report = {"experiment": "leja_only", "config": cfg.describe(),
               "residuals": {str(z): r for z, r in zip(zs, resid)},

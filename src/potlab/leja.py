@@ -85,10 +85,6 @@ class LejaSequence:
         return len(self.points)
 
     @property
-    def weighted(self):
-        return self.target_name is not None
-
-    @property
     def separation(self):
         return self.separations[-1] if self.separations else math.inf
 
@@ -113,26 +109,18 @@ def _pair_dist(domain, radius, a, b):
     return abs(a - b)
 
 
-def _log_dist_grid(domain, radius, nodes, x):
+def _log_dist(domain, radius, ys, x):
+    """log of the distance from x to each y in ys (-inf where they meet)."""
     if domain == CIRCLE:
         with np.errstate(divide="ignore"):
-            return np.log(2 * radius * np.abs(np.sin((nodes - x) / 2)))
+            return np.log(2 * radius * np.abs(np.sin((ys - x) / 2)))
     with np.errstate(divide="ignore"):
-        return np.log(np.abs(nodes - x))
+        return np.log(np.abs(ys - x))
 
 
 def _objective_scalar(domain, radius, pts, vpot, n, x):
-    s = 0.0
-    if vpot is not None:
-        s += n * vpot(x)
-    arr = np.asarray(pts)
-    if domain == CIRCLE:
-        d = 2 * radius * np.abs(np.sin((x - arr) / 2))
-    else:
-        d = np.abs(x - arr)
-    if np.any(d == 0):
-        return -math.inf
-    return s + float(np.sum(np.log(d)))
+    s = 0.0 if vpot is None else n * vpot(x)
+    return s + float(np.sum(_log_dist(domain, radius, np.asarray(pts), x)))
 
 
 def _golden_refine(f, a, b, depth, tol=REFINE_TOL):
@@ -155,18 +143,33 @@ def _golden_refine(f, a, b, depth, tol=REFINE_TOL):
     return 0.5 * (a + b)
 
 
-def _select_next(seq, grid, vpot_grid, vpot_scalar):
-    """One greedy step; returns the chosen coordinate.
+def _weight(target, nodes):
+    """External potential on the grid nodes and as a scalar callable for
+    the refinement; both None for an unweighted sequence."""
+    if target is None:
+        return None, None
 
-    vpot_grid: external-potential values on the grid nodes (or None);
-    vpot_scalar: scalar callable for refinement (or None).
+    def vs(x):
+        return float(potential_on_grid(target, np.asarray([x]))[0])
+
+    return potential_on_grid(target, nodes), vs
+
+
+def _logsum(seq, nodes):
+    """sum_j log|node - x_j| over the sequence's points, per grid node."""
+    return sum(_log_dist(seq.domain, seq.radius, nodes, x)
+               for x in seq.points)
+
+
+def _step(seq, grid, vg, vs, logsum):
+    """One greedy step; returns seq with the chosen point appended.
+
+    logsum: _logsum(seq, grid.nodes), which generate keeps up to date
+    instead of recomputing; vg, vs: as returned by _weight.
     """
     nodes = grid.nodes
     n = len(seq.points)
-    logsum = np.zeros_like(nodes)
-    for x in seq.points:
-        logsum += _log_dist_grid(seq.domain, seq.radius, nodes, x)
-    obj = logsum if vpot_grid is None else n * vpot_grid + logsum
+    obj = logsum if vg is None else n * vg + logsum
     if not np.any(np.isfinite(obj)):
         raise DegenerateGrid("all candidate nodes collide with chosen points")
     i = int(np.argmax(obj))
@@ -174,19 +177,16 @@ def _select_next(seq, grid, vpot_grid, vpot_scalar):
     hi = nodes[min(i + 1, len(nodes) - 1)]
 
     def f(x):
-        return _objective_scalar(seq.domain, seq.radius, seq.points,
-                                 vpot_scalar, n, x)
+        return _objective_scalar(seq.domain, seq.radius, seq.points, vs, n, x)
 
     xg = _golden_refine(f, lo, hi, grid.refinement_depth)
     #  the refined point must also beat the bracket ends and the grid node
     cands = sorted({xg, lo, hi, float(nodes[i])})
     vals = [f(c) for c in cands]
     best = max(vals)
-    return next(c for c, v in zip(cands, vals) if v == best)
-
-
-def _appended(seq, x, objective_value):
-    x = float(x)
+    x = float(next(c for c, v in zip(cands, vals) if v == best))
+    #  log_products stores the bare distance product, without the weight
+    bare = _objective_scalar(seq.domain, seq.radius, seq.points, None, n, x)
     sep = seq.separation
     for p in seq.points:
         sep = min(sep, _pair_dist(seq.domain, seq.radius, x, p))
@@ -195,7 +195,7 @@ def _appended(seq, x, objective_value):
         domain=seq.domain,
         radius=seq.radius,
         target_name=seq.target_name,
-        log_products=seq.log_products + (objective_value,),
+        log_products=seq.log_products + (bare,),
         separations=seq.separations + (sep,),
     )
 
@@ -220,10 +220,7 @@ def extend_unweighted(seq, grid):
     """Append the point maximizing the distance log-product over the grid."""
     if not seq.points:
         raise ValueError("sequence must be nonempty")
-    x = _select_next(seq, grid, None, None)
-    val = _objective_scalar(seq.domain, seq.radius, seq.points, None,
-                            len(seq.points), x)
-    return _appended(seq, x, val)
+    return _step(seq, grid, None, None, _logsum(seq, grid.nodes))
 
 
 def extend_weighted(seq, target, grid):
@@ -232,48 +229,19 @@ def extend_weighted(seq, target, grid):
         raise ValueError("sequence must be nonempty")
     if seq.domain == CIRCLE:
         raise ValueError("weighted sequences are only defined on the segment")
-    vg = potential_on_grid(target, grid.nodes)
-
-    def vs(x):
-        return float(potential_on_grid(target, np.asarray([x]))[0])
-
-    x = _select_next(seq, grid, vg, vs)
-    #  log_products stores the bare distance product, without the weight
-    val = _objective_scalar(seq.domain, seq.radius, seq.points, None,
-                            len(seq.points), x)
-    return _appended(seq, x, val)
+    vg, vs = _weight(target, grid.nodes)
+    return _step(seq, grid, vg, vs, _logsum(seq, grid.nodes))
 
 
 def generate(n, domain=SEGMENT, radius=1.0, target=None, grid=None):
     """Generate the first n points (fast path with cached grid sums)."""
     grid = grid or (circle_grid() if domain == CIRCLE else chebyshev_grid())
     seq = new_sequence(domain=domain, radius=radius, target=target, grid=grid)
-    nodes = grid.nodes
-    vg = None if target is None else potential_on_grid(target, nodes)
-    vs = None
-    if target is not None:
-        def vs(x):
-            return float(potential_on_grid(target, np.asarray([x]))[0])
-
-    logsum = _log_dist_grid(seq.domain, seq.radius, nodes, seq.points[0])
+    vg, vs = _weight(target, grid.nodes)
+    logsum = _logsum(seq, grid.nodes)
     while len(seq) < n:
-        m = len(seq.points)
-        obj = logsum if vg is None else m * vg + logsum
-        if not np.any(np.isfinite(obj)):
-            raise DegenerateGrid("all candidate nodes collide with chosen points")
-        i = int(np.argmax(obj))
-        lo, hi = nodes[max(i - 1, 0)], nodes[min(i + 1, len(nodes) - 1)]
-
-        def f(x):
-            return _objective_scalar(seq.domain, seq.radius, seq.points, vs, m, x)
-
-        xg = _golden_refine(f, lo, hi, grid.refinement_depth)
-        cands = sorted({xg, lo, hi, float(nodes[i])})
-        vals = [f(c) for c in cands]
-        x = next(c for c, v in zip(cands, vals) if v == max(vals))
-        bare = _objective_scalar(seq.domain, seq.radius, seq.points, None, m, x)
-        seq = _appended(seq, x, bare)
-        logsum += _log_dist_grid(seq.domain, seq.radius, nodes, x)
+        seq = _step(seq, grid, vg, vs, logsum)
+        logsum += _log_dist(seq.domain, seq.radius, grid.nodes, seq.points[-1])
     return seq
 
 

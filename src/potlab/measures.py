@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-from mpmath import mp, mpf
+from mpmath import mp
 
 from .precision import PrecisionContext
 
@@ -25,16 +25,16 @@ class TargetMeasure:
 
     potential(z) returns the value of the potential at a real or complex
     point (a real number); cdf(x) is vectorized over numpy arrays and maps
-    [-1,1] into [0,1].
+    [-1,1] into [0,1].  grid_potential(x), when given, is a vectorized
+    float64 potential on real points of the support; without it grid
+    callers evaluate potential point by point.
     """
 
     name: str
     potential: Callable
     cdf: Callable
     support: Tuple[float, float] = SEGMENT
-
-    def cdf_scalar(self, x):
-        return float(np.asarray(self.cdf(np.asarray([x], dtype=float)))[0])
+    grid_potential: Optional[Callable] = None
 
 
 class AtomCollision(ValueError):
@@ -56,21 +56,15 @@ class DiscreteMeasure:
 
     def __post_init__(self):
         #  support=None admits planar (complex) atoms without a range check
-        if self.support is None:
-            atoms = tuple((self.ctx.mpc(x), self.ctx.mpf(w))
-                          for x, w in self.atoms)
-            for x, w in atoms:
-                if not w > 0:
-                    raise ValueError(f"nonpositive weight {w} at {x}")
-        else:
-            lo, hi = self.support
-            atoms = tuple((self.ctx.mpf(x), self.ctx.mpf(w))
-                          for x, w in self.atoms)
-            for x, w in atoms:
-                if not w > 0:
-                    raise ValueError(f"nonpositive weight {w} at {x}")
-                if not (lo <= x <= hi):
-                    raise ValueError(f"atom {x} outside support [{lo},{hi}]")
+        planar = self.support is None
+        loc = self.ctx.mpc if planar else self.ctx.mpf
+        atoms = tuple((loc(x), self.ctx.mpf(w)) for x, w in self.atoms)
+        lo, hi = self.support or (None, None)
+        for x, w in atoms:
+            if not w > 0:
+                raise ValueError(f"nonpositive weight {w} at {x}")
+            if not planar and not lo <= x <= hi:
+                raise ValueError(f"atom {x} outside support [{lo},{hi}]")
         object.__setattr__(self, "atoms", atoms)
 
     @property
@@ -98,15 +92,6 @@ class DiscreteMeasure:
                     max(self.support[1], other.support[1]))
         return DiscreteMeasure(self.atoms + other.atoms, ctx=self.ctx,
                                support=hull)
-
-    def scaled(self, c):
-        """Same atoms with all weights multiplied by c > 0."""
-        c = self.ctx.mpf(c)
-        return DiscreteMeasure(tuple((x, w * c) for x, w in self.atoms),
-                               ctx=self.ctx, support=self.support)
-
-    def distinct_locations(self):
-        return len(set(float(x) for x in self.locations))
 
 
 def ks_distance(points, cdf, weights=None):
@@ -145,16 +130,3 @@ def empirical_cdf(points):
         return np.asarray([bisect.bisect_right(xs, v) / n for v in t])
 
     return cdf
-
-
-def check_target(target, grid_n=10_000):
-    """Sanity checks for a TargetMeasure: CDF endpoints and monotonicity.
-
-    Returns the largest CDF decrease found (should be <= 0 up to rounding).
-    """
-    lo, hi = target.support
-    grid = np.linspace(lo, hi, grid_n)
-    c = np.asarray(target.cdf(grid), dtype=float)
-    if abs(c[0]) > 1e-12 or abs(c[-1] - 1) > 1e-12:
-        raise ValueError(f"cdf endpoints {c[0]}, {c[-1]} not (0, 1)")
-    return float(np.max(np.diff(c) * -1))

@@ -16,8 +16,10 @@ Cascades
                bound once n >= 3 (the perturbation of the degree-n zeros
                is of order eps_{n+1}/eps_n, which dwarfs q^(n^2)).
 ``stabilized`` eps_1 = q and eps_{n+1} chosen inside (0, q^(n^2) eps_n),
-               shrunk until recomputing the degree-n zeros under the
-               calibration perturbations moves them by at most
+               shrunk until it passes the stress audit
+               (epsilon_stress_test) with a two-member family, an atom at
+               the next Leja point and a 64-atom uniform grid, at half
+               the audit bound: every degree-n zero moves by at most
                min(q^(n^2), delta_n)/4.  This is the constructive version
                of "pick eps_{n+1} small enough"; the deviation is linear
                in eps_{n+1}, so a measured violation tells us directly
@@ -27,7 +29,6 @@ Cascades
 import csv
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 from mpmath import mp, mpf
 
@@ -69,7 +70,6 @@ class ZeroSet:
 
     roots: tuple
     degree: int
-    matched_to: Optional[tuple] = None
 
 
 def stieltjes_recurrence(m, n):
@@ -109,16 +109,21 @@ def stieltjes_recurrence(m, n):
     return RecurrenceCoeffs(a=tuple(a), b=tuple(b), ctx=ctx)
 
 
+def _monic_values(rc, k, x):
+    """[P_0(x), ..., P_k(x)] by the recurrence; run under rc.ctx."""
+    vals = [mpf(0), mpf(1)]
+    for j in range(k):
+        bj = rc.b[j] if j > 0 else 0
+        vals.append((x - rc.a[j]) * vals[-1] - bj * vals[-2])
+    return vals[1:]
+
+
 def evaluate_monic(rc, k, x):
     """Value of the monic orthogonal polynomial P_k at x (k <= len(rc))."""
     if k > len(rc):
         raise ValueError("recurrence too short")
     with rc.ctx.workprec():
-        p_prev, p_cur = mpf(0), mpf(1)
-        for j in range(k):
-            bj = rc.b[j] if j > 0 else 0
-            p_prev, p_cur = p_cur, (x - rc.a[j]) * p_cur - bj * p_prev
-        return p_cur
+        return _monic_values(rc, k, x)[-1]
 
 
 def orthogonality_residual(m, rc, n):
@@ -232,6 +237,15 @@ def precision_floor(q, n, cascade="stabilized"):
     return math.ceil(3 * span * lg) + 128
 
 
+def _min_separation(points, n, ctx):
+    """Minimal pairwise distance among the first n points (inf if n < 2);
+    run under ctx."""
+    pts = [ctx.mpf(x) for x in points[:n]]
+    return min((abs(pts[i] - pts[j])
+                for i in range(n) for j in range(i + 1, n)),
+               default=mpf("inf"))
+
+
 def _zero_deviations(measure, leja_points, n):
     """Max |x_k - root| after nearest-atom pairing; also whether bijective."""
     rc = stieltjes_recurrence(measure, n)
@@ -253,10 +267,11 @@ def build_sigma(cfg, seq):
     """Measure sum eps_n delta_{x_n} over the first n_max points of seq.
 
     The cascade depends on cfg.cascade (see module docstring).  For the
-    stabilized cascade the choice of eps_{n+1} is calibrated against two
-    perturbation directions: an atom at the next Leja point (the realized
-    continuation) and a 64-atom uniform grid (a spread-out worst case).
-    Tail sums are checked to stay below the preceding weight.
+    stabilized cascade each eps_{n+1} is calibrated by the stress audit
+    epsilon_stress_test with a two-member family, an atom at the next
+    Leja point (the realized continuation) and a 64-atom uniform grid (a
+    spread-out worst case), against half the audit bound.  Tail sums are
+    checked to stay below the preceding weight.
     """
     if len(seq) < cfg.n_max:
         raise ValueError(f"need {cfg.n_max} Leja points, have {len(seq)}")
@@ -268,25 +283,18 @@ def build_sigma(cfg, seq):
             eps = [q ** ((k + 1) ** 2) for k in range(cfg.n_max)]
         else:
             eps = [q]
-            grid64 = [ctx.mpf(-1) + ctx.mpf(2) * i / 63 for i in range(64)]
-            atoms = [(pts[0], eps[0])]
             for n in range(1, cfg.n_max):
-                if n >= 2:
-                    dn = min(abs(pts[i] - pts[j])
-                             for i in range(n) for j in range(i + 1, n))
-                    tgt = min(q ** (n * n), dn) / 4
-                else:
-                    tgt = q / 4
+                sigma_n = DiscreteMeasure(tuple(zip(pts, eps)), ctx=ctx)
+                #  the degree-(n+1) family ends with delta_leja_{n+1}, an
+                #  atom at the next Leja point, and uniform_grid_64
+                family = default_stress_family(seq, n + 1, ctx)[-2:]
                 cand = q ** (n * n) * eps[-1] * q
                 for _ in range(64):
-                    worst = mpf(0)
-                    for extra in (
-                            [(pts[n], 2 * cand)],
-                            [(g, 2 * cand / 64) for g in grid64]):
-                        beta = DiscreteMeasure(tuple(atoms) + tuple(extra),
-                                               ctx=ctx)
-                        _, _, w, _ = _zero_deviations(beta, seq.points, n)
-                        worst = max(worst, w)
+                    report = epsilon_stress_test(
+                        sigma_n, seq, n, cand, family=family, q=cfg.q,
+                        raise_on_violation=False)
+                    worst = report.worst[1]
+                    tgt = report.bound / 2
                     if worst <= tgt:
                         break
                     #  deviation is linear in cand: rescale with headroom
@@ -295,7 +303,6 @@ def build_sigma(cfg, seq):
                     raise PrecisionTooLow(
                         f"calibration of eps_{n + 1} did not converge")
                 eps.append(cand)
-                atoms.append((pts[n], cand))
         #  decay and tail-domination checks on the truncated cascade
         for k in range(1, cfg.n_max):
             if not eps[k] < eps[k - 1]:
@@ -339,12 +346,10 @@ def zero_stability_check(m, seq, n, q):
                 f"zeros of P_{n} do not pair bijectively with the Leja "
                 f"points (worst deviation {mp.nstr(worst, 8)})")
         bound = ctx.mpf(str(q)) ** (n * n)
-        sep = min(abs(ctx.mpf(seq.points[i]) - ctx.mpf(seq.points[j]))
-                  for i in range(n) for j in range(i + 1, n)) \
-            if n >= 2 else mpf("inf")
-    return StabilityReport(n=n, zeros=ZeroSet(zs.roots, n, tuple(j for j, _ in pairs)),
-                           deviations=tuple(pairs), max_deviation=worst,
-                           bound=bound, separation=float(sep))
+    return StabilityReport(n=n, zeros=zs, deviations=tuple(pairs),
+                           max_deviation=worst, bound=bound,
+                           separation=float(_min_separation(seq.points, n,
+                                                            ctx)))
 
 
 def default_stress_family(seq, n, ctx, grid_atoms=64):
@@ -396,10 +401,7 @@ def epsilon_stress_test(m, seq, n, eps_next, family=None, q=None,
             family = default_stress_family(seq, n, ctx)
         eps_next = ctx.mpf(eps_next)
         qq = ctx.mpf(str(q))
-        sep = min(abs(ctx.mpf(seq.points[i]) - ctx.mpf(seq.points[j]))
-                  for i in range(n) for j in range(i + 1, n)) \
-            if n >= 2 else mpf("inf")
-        bound = min(qq ** (n * n), sep) / 2
+        bound = min(qq ** (n * n), _min_separation(seq.points, n, ctx)) / 2
         results = []
         for name, nu_atoms in family:
             if nu_atoms is None:
@@ -439,13 +441,8 @@ def gauss_quadrature(m, n):
             norms.append(acc)
         weights = []
         for x in zs.roots:
-            s = mpf(0)
-            p_prev, p_cur = mpf(0), mpf(1)
-            for k in range(n):
-                s += p_cur * p_cur / norms[k]
-                bk = rc.b[k] if k > 0 else 0
-                p_prev, p_cur = p_cur, (x - rc.a[k]) * p_cur - bk * p_prev
-            weights.append(1 / s)
+            vals = _monic_values(rc, n - 1, x)
+            weights.append(1 / sum(p * p / nk for p, nk in zip(vals, norms)))
         return list(zs.roots), weights
 
 

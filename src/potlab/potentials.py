@@ -164,7 +164,11 @@ def target_arcsine(ctx=_D):
     def cdf(x):
         return 0.5 + np.arcsin(np.clip(np.asarray(x, dtype=float), -1, 1)) / np.pi
 
-    return TargetMeasure(name="arcsine", potential=potential, cdf=cdf)
+    def grid_potential(x):
+        return np.full_like(x, np.log(2.0))
+
+    return TargetMeasure(name="arcsine", potential=potential, cdf=cdf,
+                         grid_potential=grid_potential)
 
 
 def target_uniform(ctx=_D):
@@ -178,7 +182,8 @@ def target_uniform(ctx=_D):
     def cdf(x):
         return (np.clip(np.asarray(x, dtype=float), -1, 1) + 1) / 2
 
-    return TargetMeasure(name="uniform", potential=potential, cdf=cdf)
+    return TargetMeasure(name="uniform", potential=potential, cdf=cdf,
+                         grid_potential=_uniform_potential_grid)
 
 
 def target_blend(alpha, ctx=_D):
@@ -194,17 +199,18 @@ def target_blend(alpha, ctx=_D):
     def cdf(x):
         return alpha * arc.cdf(x) + (1 - alpha) * uni.cdf(x)
 
-    return TargetMeasure(name=f"blend({alpha})", potential=potential, cdf=cdf)
+    def grid_potential(x):
+        return (alpha * arc.grid_potential(x)
+                + (1 - alpha) * uni.grid_potential(x))
+
+    return TargetMeasure(name=f"blend({alpha})", potential=potential, cdf=cdf,
+                         grid_potential=grid_potential)
 
 
 def potential_on_grid(target, x):
-    """Float64 values of a target's potential on a real grid in [-1,1]."""
+    """Float64 values of a target's potential on a real grid in [-1,1]:
+    its grid_potential, else the scalar potential point by point."""
     x = np.asarray(x, dtype=float)
-    if target.name == "arcsine":
-        return np.full_like(x, np.log(2.0))
-    if target.name == "uniform":
-        return _uniform_potential_grid(x)
-    if target.name.startswith("blend("):
-        alpha = float(target.name[6:-1])
-        return alpha * np.log(2.0) + (1 - alpha) * _uniform_potential_grid(x)
+    if target.grid_potential is not None:
+        return target.grid_potential(x)
     return np.asarray([float(target.potential(v)) for v in x], dtype=float)

@@ -72,6 +72,3 @@ class PrecisionContext:
         with mp.workprec(self.bits):
             return mp.nstr(mpf(x) if not isinstance(x, (mpf, mpc)) else x,
                            digits, strip_zeros=False)
-
-
-DOUBLE = PrecisionContext(bits=64)

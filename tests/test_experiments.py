@@ -41,6 +41,20 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(experiment="prop1", n_list=(2, 9), n_max=4)
 
+    @pytest.mark.parametrize("kw", [
+        {"experiment": "stahl_circle", "eps": float("nan")},
+        {"experiment": "stahl_circle", "rho": float("nan")},
+        {"experiment": "stahl_circle", "scan_grid": (0, 0)},
+        {"experiment": "capacity_only", "fekete_n": 7},
+        {"experiment": "stahl_circle", "n_list": (0, 8)},
+        {"experiment": "prop1", "bits": 1024},
+        {"experiment": "prop1", "cascade": "geometric"},
+    ], ids=["eps_nan", "rho_nan", "scan_grid_zero", "fekete_n_below_8",
+            "n_list_zero", "bits_below_precision_floor", "unknown_cascade"])
+    def test_config_holes_rejected(self, kw):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(**kw)
+
     def test_flag_overrides(self):
         cfg = ExperimentConfig.from_json(
             {"experiment": "stahl_circle", "bits": 128}, bits=256, out_dir="x")
@@ -304,6 +318,13 @@ class TestCli:
         rc = cli_main(["leja", "--config", str(cfgfile)])
         assert rc == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_bits_below_precision_floor_exits_2(self, tmp_path, capsys):
+        #  default prop1 needs about 1659 bits at q = 0.4, n_max = 10
+        rc = cli_main(["prop1", "--bits", "1024", "--out", str(tmp_path)])
+        assert rc == 2
+        assert "config error" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_mismatched_experiment_exits_2(self, tmp_path):
         cfgfile = tmp_path / "cfg.json"

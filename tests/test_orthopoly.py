@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 from mpmath import mp, mpf
 
 from potlab import (BreakdownError, DiscreteMeasure, PairingFailure,
@@ -143,6 +144,27 @@ class TestGaussQuadrature:
         assert float(nodes[1]) == pytest.approx(1, abs=1e-60)
         for w in weights:
             assert float(w) == pytest.approx(0.5, abs=1e-60)
+
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_exact_to_degree_2n_minus_1(self, data):
+        #  atoms on a 1e-3 lattice keep the measure away from coincident
+        #  atoms, where no rule is well defined
+        ticks = data.draw(st.lists(st.integers(-1000, 1000), min_size=1,
+                                   max_size=8, unique=True))
+        masses = data.draw(st.lists(st.integers(1, 100), min_size=len(ticks),
+                                    max_size=len(ticks)))
+        n = data.draw(st.integers(1, len(ticks)))
+        ctx = PrecisionContext(data.draw(st.sampled_from([128, 256])))
+        m = DiscreteMeasure(tuple((mpf(t) / 1000, mpf(w) / 100)
+                                  for t, w in zip(ticks, masses)), ctx=ctx)
+        nodes, weights = gauss_quadrature(m, n)
+        with ctx.workprec():
+            for k in range(2 * n):
+                exact = mp.fsum(w * x ** k for x, w in m.atoms)
+                rule = mp.fsum(w * x ** k for x, w in zip(nodes, weights))
+                assert abs(rule - exact) <= ctx.orth_tol, (k, rule, exact)
 
 
 class TestBuildSigma:

@@ -9,7 +9,6 @@ from potlab import (AtomCollision, DiscreteMeasure, PrecisionContext,
                     equilibrium_potential_circle,
                     equilibrium_potential_segment, phi, potential_discrete,
                     target_arcsine, target_blend, target_uniform)
-from potlab.measures import check_target
 from potlab.potentials import phi_np, potential_on_grid
 
 CTX = PrecisionContext(256)
@@ -225,7 +224,9 @@ class TestTargets:
                                          lambda c: target_blend(0.5, c)])
     def test_cdf_monotone_and_normalized(self, factory):
         t = factory(CTX)
-        assert check_target(t, grid_n=10_000) <= 0
+        c = np.asarray(t.cdf(np.linspace(-1, 1, 10_000)), dtype=float)
+        assert abs(c[0]) <= 1e-12 and abs(c[-1] - 1) <= 1e-12
+        assert np.all(np.diff(c) >= 0)
 
     @pytest.mark.parametrize("factory", [target_arcsine, target_uniform,
                                          lambda c: target_blend(0.5, c)])
@@ -241,8 +242,10 @@ class TestTargets:
         if osc[0] > 0:
             assert osc[2] < osc[0]
 
-    def test_potential_grid_matches_scalar(self):
-        t = target_blend(0.5, CTX)
+    @pytest.mark.parametrize("factory", [target_arcsine, target_uniform,
+                                         lambda c: target_blend(0.5, c)])
+    def test_potential_grid_matches_scalar(self, factory):
+        t = factory(CTX)
         g = np.linspace(-0.95, 0.95, 7)
         v = potential_on_grid(t, g)
         for x, vx in zip(g, v):
