@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from potlab import (DegenerateRegion, RegionDescriptor, TracingFailure,
                     greedy_fekete_capacity, lune_capacity_bounds,
@@ -104,6 +105,18 @@ class TestPreimage:
                                         angles=64)
         vals = np.abs(np.polyval([1, 0, -1], pts))
         assert np.max(np.abs(vals - 0.81)) < 1e-9
+
+    @settings(max_examples=25, deadline=None)
+    @given(roots=st.lists(st.tuples(st.floats(0, 1), st.floats(0, 2 * math.pi)),
+                          min_size=2, max_size=4),
+           level=st.floats(0.5, 2))
+    def test_random_lemniscate_on_level_line(self, roots, level):
+        #  monic P with roots r e^{it} in the closed unit disk
+        coeffs = np.poly([r * complex(math.cos(t), math.sin(t))
+                          for r, t in roots])
+        pts = trace_lemniscate_boundary(coeffs, level, angles=32)
+        vals = np.abs(np.polyval(coeffs, pts))
+        assert np.max(np.abs(vals - level)) < 1e-9 * level
 
 
 class TestLune:

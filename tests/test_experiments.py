@@ -10,7 +10,8 @@ from potlab.cli import main as cli_main
 from potlab.experiments import (run_prop1, run_stahl_circle,
                                 run_stahl_segment, run_leja_only,
                                 run_capacity_only, _vdiff_circle,
-                                _vdiff_segment_w, _sample_lune_preimage)
+                                _vdiff_segment_w, _sample_lune_preimage,
+                                _sample_cheb_ovals, _trace_cheb_lemniscate)
 from potlab.potentials import phi_np
 
 
@@ -188,6 +189,19 @@ class TestStahlSegment:
         for e in report["per_n"]:
             assert e["cap_estimate"] == pytest.approx(math.exp(-0.1) / 2,
                                                       rel=0.10)
+
+    @pytest.mark.parametrize("n", [8, 33])
+    def test_cheb_tracers_against_level(self, n):
+        #  2^n |T_n| = |phi^n + phi^-n| is the value both tracers bisect
+        level = math.exp(-n * 0.1)
+
+        def g(z):
+            w = phi_np(z)
+            return np.abs(w ** n + w ** (-float(n)))
+
+        bdry = _trace_cheb_lemniscate(n, 0.1)
+        assert np.max(np.abs(g(bdry) - level)) < 1e-9 * level
+        assert np.all(g(_sample_cheb_ovals(n, 0.1)) < level)
 
 
 class TestProp1:
