@@ -11,6 +11,9 @@ roots of unity on the unit circle d_n = n^(1/(n-1)) instead of 1.  The
 reported value divides that factor out, which makes the disk exact and
 lands known answers (segment, ellipses, lemniscates) within a couple of
 percent at n = 64; the raw d_n is kept alongside.
+
+Level curves are traced by `trace_level_curve`, shared by the lemniscate
+sampler here and the Chebyshev lemniscates of the experiments.
 """
 
 import math
@@ -143,34 +146,55 @@ def _sample_ellipse(p, count):
     return 0.5 * (rho * np.exp(1j * t) + np.exp(-1j * t) / rho)
 
 
-def trace_lemniscate_boundary(coeffs, level, angles=512, max_reach=1e6):
+def trace_level_curve(g, centers, level, angles):
+    """First crossings of g = level along `angles` rays from each center.
+
+    g maps complex arrays elementwise to moduli below level at the
+    centers.  All rays are bracketed at once by doubling from length 1e-9
+    (TracingFailure past 1e6), then bisected 64 times down to adjacent
+    floats.  Returns center-major (z0, d, lo, hi): origins, unit
+    directions and brackets with g(z0 + lo*d) < level <= g(z0 + hi*d).
+    """
+    #  math.cos/math.sin round apart from np.cos/np.sin on arrays, and the
+    #  pinned runner outputs rest on the former
+    dirs = np.array([complex(math.cos(th), math.sin(th))
+                     for th in 2 * np.pi * np.arange(angles) / angles])
+    z0 = np.repeat(np.asarray(centers), angles)
+    d = np.tile(dirs, len(centers))
+    hi = np.full(len(z0), 1e-9)
+    below = g(z0 + hi * d) < level
+    while below.any():
+        hi[below] *= 2
+        if hi.max() > 1e6:
+            raise TracingFailure(f"no g = {level} crossing within 1e6 of "
+                                 f"{z0[np.argmax(hi)]}")
+        below[below] = g(z0[below] + hi[below] * d[below]) < level
+    lo = hi / 2
+    for _ in range(64):
+        mid = (lo + hi) / 2
+        below = g(z0 + mid * d) < level
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return z0, d, lo, hi
+
+
+def trace_lemniscate_boundary(coeffs, level, angles=512):
     """Points with |P(z)| = level, traced along rays from each root of P.
 
-    Along each ray the first crossing of the level is bracketed by
-    doubling and then bisected; the union over roots covers every
-    component of the sublevel set.
+    Each point is the midpoint of a final `trace_level_curve` bracket;
+    the union over roots covers every component of the sublevel set.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
-    roots = np.roots(coeffs)
-    pts = []
-    for r in roots:
-        for th in 2 * np.pi * np.arange(angles) / angles:
-            d = complex(math.cos(th), math.sin(th))
-            t = 1e-9
-            while abs(np.polyval(coeffs, r + t * d)) < level:
-                t *= 2
-                if t > max_reach:
-                    raise TracingFailure(
-                        f"no |P| = {level} crossing along ray {th} from {r}")
-            lo, hi = t / 2, t
-            for _ in range(64):
-                mid = (lo + hi) / 2
-                if abs(np.polyval(coeffs, r + mid * d)) < level:
-                    lo = mid
-                else:
-                    hi = mid
-            pts.append(r + 0.5 * (lo + hi) * d)
-    return np.asarray(pts)
+
+    def modulus(z):
+        #  np.hypot rounds as abs() of a complex scalar and np.abs on arrays
+        #  may not; the pinned capacity outputs rest on the former
+        v = np.polyval(coeffs, z)
+        return np.hypot(v.real, v.imag)
+
+    z0, d, lo, hi = trace_level_curve(modulus, np.roots(coeffs), level,
+                                      angles)
+    return z0 + 0.5 * (lo + hi) * d
 
 
 def _sample_lemniscate(p, count):

@@ -39,6 +39,7 @@ from .precision import PrecisionContext
 
 EXPERIMENTS = ("prop1", "stahl_circle", "stahl_segment", "leja_only",
                "capacity_only")
+LUNE_DEGREE = 20            # n of the lune whose capacity capacity_only checks
 
 
 class ConfigError(ValueError):
@@ -78,6 +79,10 @@ class ExperimentConfig:
                               f"got {self.scan_grid}")
         if self.fekete_n < 8:
             raise ConfigError(f"fekete_n must be >= 8, got {self.fekete_n}")
+        if self.grid_size < 2:
+            raise ConfigError(f"grid_size must be >= 2, got {self.grid_size}")
+        if self.experiment == "capacity_only" and LUNE_DEGREE * self.eps < 1:
+            raise ConfigError(f"capacity_only needs {LUNE_DEGREE} * eps >= 1")
         object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
         if self.n_list and min(self.n_list) < 1:
             raise ConfigError(f"n_list entries must be >= 1: {self.n_list}")
@@ -181,6 +186,13 @@ def _vdiff_segment_w(w, n):
         return -np.log(np.abs(1 + w ** (-2.0 * n))) / n
 
 
+def _nth_roots(w, n):
+    """All n branches of w^(1/n), branch-major."""
+    root = np.exp(np.log(w) / n)
+    return np.concatenate([root * np.exp(2j * np.pi * k / n)
+                           for k in range(n)])
+
+
 def _sample_lune_preimage(n, eps, rng, per_branch=40):
     """Interior points of the z^n-preimage of the lune, all n branches.
 
@@ -191,44 +203,28 @@ def _sample_lune_preimage(n, eps, rng, per_branch=40):
     psis = 2 * np.pi * (np.arange(per_branch) + rng.random(per_branch)) / per_branch
     rads = s * (0.1 + 0.899 * rng.random(per_branch))
     w = 1 + rads * np.exp(1j * psis)
-    w = w[np.abs(w) >= 1 + 1e-9]
-    zs = []
-    root = np.exp(np.log(w) / n)
-    for k in range(n):
-        zs.append(root * np.exp(2j * np.pi * k / n))
-    return np.concatenate(zs)
+    return _nth_roots(w[np.abs(w) >= 1 + 1e-9], n)
+
+
+def _cheb_level_set(n, eps):
+    """2^n |T_n| = |phi^n + phi^{-n}|, the zeros of T_n and e^{-n eps}."""
+    def g(z):
+        p = phi_np(z)
+        return np.abs(p ** n + p ** (-float(n)))
+
+    roots = np.cos((2 * np.arange(1, n + 1) - 1) * np.pi / (2 * n))
+    return g, roots, math.exp(-n * eps)
 
 
 def _sample_cheb_ovals(n, eps, theta_count=16, shrink=0.9):
     """Points inside {|T_n| <= 2^{-n} e^{-n eps}} near each Chebyshev zero.
 
-    The defining value 2^n |T_n| = |phi^n + phi^{-n}| is evaluated in the
-    stable phi form; each ray from a zero is bisected to the level line
-    and the sample sits at `shrink` times that radius.
+    Rays from the zeros go through `capacity.trace_level_curve`; each
+    sample sits at `shrink` times the inner end of its final bracket.
     """
-    level = math.exp(-n * eps)
-    roots = np.cos((2 * np.arange(1, n + 1) - 1) * np.pi / (2 * n))
-
-    def g(z):
-        p = phi_np(np.atleast_1d(z))
-        return np.abs(p ** n + p ** (-float(n)))[0]
-
-    pts = []
-    for x0 in roots:
-        for th in 2 * np.pi * np.arange(theta_count) / theta_count:
-            d = complex(math.cos(th), math.sin(th))
-            t = 1e-9
-            while g(x0 + t * d) < level and t < 1.0:
-                t *= 2
-            lo, hi = t / 2, t
-            for _ in range(50):
-                mid = (lo + hi) / 2
-                if g(x0 + mid * d) < level:
-                    lo = mid
-                else:
-                    hi = mid
-            pts.append(x0 + shrink * lo * d)
-    return np.asarray(pts)
+    z0, d, lo, _ = cap.trace_level_curve(*_cheb_level_set(n, eps),
+                                         theta_count)
+    return z0 + shrink * lo * d
 
 
 def _clustered(lo, hi, count):
@@ -265,11 +261,7 @@ def run_stahl_circle(cfg):
         certified = cert.inclusion_certificate == len(samples)
         bad_pts = [[z.real, z.imag] for z in cert.points[:50]]
 
-        w_bdry = 1 + math.exp(-n * cfg.eps) * cap.lune_rescaled_boundary(
-            math.exp(-n * cfg.eps), 1024)
-        z_bdry = np.concatenate([
-            np.exp(np.log(w_bdry) / n) * np.exp(2j * np.pi * k / n)
-            for k in range(n)])
+        z_bdry = _nth_roots(cap.lune(n, cfg.eps).boundary_sample(1024), n)
         in_krho = bool(np.all(np.abs(z_bdry) <= cfg.rho))
         est = cap.greedy_fekete_capacity(cap.point_cloud(z_bdry),
                                          n=cfg.fekete_n)
@@ -318,7 +310,7 @@ def run_stahl_segment(cfg):
     bound = math.exp(-cfg.eps) / 2
     per_n, rows, ok = [], [], True
     for n in cfg.n_list:
-        roots = np.cos((2 * np.arange(1, n + 1) - 1) * np.pi / (2 * n))
+        g, roots, level = _cheb_level_set(n, cfg.eps)
         ks = ks_distance(roots, arcsine_cdf)
 
         bad_count = int(np.sum(np.abs(_vdiff_segment_w(W, n)) >= cfg.eps))
@@ -326,8 +318,7 @@ def run_stahl_segment(cfg):
         samples = _sample_cheb_ovals(n, cfg.eps)
         wphi = phi_np(samples)
         dev = _vdiff_segment_w(wphi, n)
-        level = math.exp(-n * cfg.eps)
-        inside = np.abs(wphi ** n + wphi ** (-float(n))) <= level
+        inside = g(samples) <= level
         cert = BadSetSample.collect(n, samples, dev, cfg.eps, inside)
         certified = cert.inclusion_certificate == len(samples)
         in_krho = bool(np.all(np.abs(wphi) <= cfg.rho))
@@ -365,30 +356,14 @@ def run_stahl_segment(cfg):
 
 
 def _trace_cheb_lemniscate(n, eps, theta_count=64):
-    """Boundary of {2^n |T_n| = e^{-n eps}} through the stable phi form."""
-    level = math.exp(-n * eps)
-    roots = np.cos((2 * np.arange(1, n + 1) - 1) * np.pi / (2 * n))
+    """Boundary of {2^n |T_n| = e^{-n eps}} through the stable phi form.
 
-    def g(z):
-        p = phi_np(np.atleast_1d(z))
-        return np.abs(p ** n + p ** (-float(n)))[0]
-
-    pts = []
-    for x0 in roots:
-        for th in 2 * np.pi * np.arange(theta_count) / theta_count:
-            d = complex(math.cos(th), math.sin(th))
-            t = 1e-9
-            while g(x0 + t * d) < level and t < 4.0:
-                t *= 2
-            lo, hi = t / 2, t
-            for _ in range(60):
-                mid = (lo + hi) / 2
-                if g(x0 + mid * d) < level:
-                    lo = mid
-                else:
-                    hi = mid
-            pts.append(x0 + 0.5 * (lo + hi) * d)
-    return np.asarray(pts)
+    Rays from the Chebyshev zeros go through `capacity.trace_level_curve`;
+    each point is the midpoint of its final bracket.
+    """
+    z0, d, lo, hi = cap.trace_level_curve(*_cheb_level_set(n, eps),
+                                          theta_count)
+    return z0 + 0.5 * (lo + hi) * d
 
 
 def run_prop1(cfg):
@@ -494,7 +469,7 @@ def run_capacity_only(cfg):
     checks.append(("segment", est.value, 0.5))
     lem = cap.preimage_capacity_check([1, 0, -1], 0.9, n_points=cfg.fekete_n)
     checks.append(("lemniscate_z2_minus_1", lem.estimate, lem.analytic))
-    lu = cap.lune_capacity_bounds(20, cfg.eps, n_points=cfg.fekete_n)
+    lu = cap.lune_capacity_bounds(LUNE_DEGREE, cfg.eps, n_points=cfg.fekete_n)
     ok = all(abs(v - t) / t < 0.05 for _, v, t in checks) and lu.within_bounds
     report = {"experiment": "capacity_only", "config": cfg.describe(),
               "checks": [{"name": n, "estimate": v, "analytic": t}

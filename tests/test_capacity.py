@@ -8,7 +8,8 @@ from potlab import (DegenerateRegion, RegionDescriptor, TracingFailure,
                     greedy_fekete_capacity, lune_capacity_bounds,
                     preimage_capacity_check)
 from potlab.capacity import (disk, ellipse_closure, lemniscate, point_cloud,
-                             segment, trace_lemniscate_boundary)
+                             segment, trace_lemniscate_boundary,
+                             trace_level_curve)
 from potlab.potentials import chebyshev_monic_coeffs
 
 
@@ -97,8 +98,13 @@ class TestPreimage:
 
     def test_tracing_failure(self):
         with pytest.raises(TracingFailure):
-            trace_lemniscate_boundary(np.array([1.0, 0.0]), 1e12,
-                                      angles=4, max_reach=1e6)
+            trace_lemniscate_boundary(np.array([1.0, 0.0]), 1e12, angles=4)
+
+    def test_level_curve_never_reached(self):
+        #  g stays below the level on every ray: no bracket exists
+        with pytest.raises(TracingFailure):
+            trace_level_curve(lambda z: np.full(z.shape, 0.5), [0.0, 1j],
+                              1.0, 8)
 
     def test_boundary_points_sit_on_level_line(self):
         pts = trace_lemniscate_boundary(np.array([1.0, 0.0, -1.0]), 0.81,
@@ -107,7 +113,8 @@ class TestPreimage:
         assert np.max(np.abs(vals - 0.81)) < 1e-9
 
     @settings(max_examples=25, deadline=None)
-    @given(roots=st.lists(st.tuples(st.floats(0, 1), st.floats(0, 2 * math.pi)),
+    @given(roots=st.lists(st.tuples(st.floats(0, 1),
+                                    st.floats(0, 2 * math.pi)),
                           min_size=2, max_size=4),
            level=st.floats(0.5, 2))
     def test_random_lemniscate_on_level_line(self, roots, level):

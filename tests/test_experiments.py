@@ -50,8 +50,11 @@ class TestConfig:
         {"experiment": "stahl_circle", "n_list": (0, 8)},
         {"experiment": "prop1", "bits": 1024},
         {"experiment": "prop1", "cascade": "geometric"},
+        {"experiment": "capacity_only", "eps": 0.01},
+        {"experiment": "leja_only", "grid_size": 1},
     ], ids=["eps_nan", "rho_nan", "scan_grid_zero", "fekete_n_below_8",
-            "n_list_zero", "bits_below_precision_floor", "unknown_cascade"])
+            "n_list_zero", "bits_below_precision_floor", "unknown_cascade",
+            "capacity_eps_below_lune_floor", "grid_size_below_2"])
     def test_config_holes_rejected(self, kw):
         with pytest.raises(ConfigError):
             ExperimentConfig(**kw)
@@ -339,6 +342,16 @@ class TestCli:
         assert rc == 2
         assert "config error" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
+
+    def test_capacity_small_eps_exits_2(self, tmp_path, capsys):
+        #  the lune check needs LUNE_DEGREE * eps >= 1
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"eps": 0.01}))
+        rc = cli_main(["capacity", "--config", str(cfgfile),
+                       "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_mismatched_experiment_exits_2(self, tmp_path):
         cfgfile = tmp_path / "cfg.json"
