@@ -228,7 +228,7 @@ class CapacityEstimate:
     points: Optional[np.ndarray] = None
 
 
-def _greedy_select(samples, n, exchange_passes=1):
+def _greedy_select(samples, n):
     m = len(samples)
     if len(np.unique(samples)) < n:
         raise DegenerateRegion(f"only {len(np.unique(samples))} distinct "
@@ -247,22 +247,21 @@ def _greedy_select(samples, n, exchange_passes=1):
         logd += L[:, k]
     greedy_order = list(sel)
     rowsum = L.sum(axis=1)
-    for _ in range(exchange_passes):
-        for k in range(n):
-            zk = samples[sel[k]]
-            others = samples[[s for j, s in enumerate(sel) if j != k]]
-            val_k = float(np.sum(np.log(np.abs(zk - others))))
-            #  -inf - (-inf) at coincident samples: treat as unusable
-            with np.errstate(invalid="ignore"):
-                cand = rowsum - L[:, k]
-            cand[sel] = -np.inf
-            cand[np.isnan(cand)] = -np.inf
-            i = int(np.argmax(cand))
-            if cand[i] > val_k:
-                sel[k] = i
-                with np.errstate(divide="ignore"):
-                    L[:, k] = np.log(np.abs(samples - samples[i]))
-                rowsum = L.sum(axis=1)
+    for k in range(n):
+        zk = samples[sel[k]]
+        others = samples[[s for j, s in enumerate(sel) if j != k]]
+        val_k = float(np.sum(np.log(np.abs(zk - others))))
+        #  -inf - (-inf) at coincident samples: treat as unusable
+        with np.errstate(invalid="ignore"):
+            cand = rowsum - L[:, k]
+        cand[sel] = -np.inf
+        cand[np.isnan(cand)] = -np.inf
+        i = int(np.argmax(cand))
+        if cand[i] > val_k:
+            sel[k] = i
+            with np.errstate(divide="ignore"):
+                L[:, k] = np.log(np.abs(samples - samples[i]))
+            rowsum = L.sum(axis=1)
     return samples[sel], samples[greedy_order]
 
 
@@ -275,7 +274,7 @@ def _corrected_dn(pts):
     return raw, raw * n ** (-1.0 / (n - 1))
 
 
-def greedy_fekete_capacity(region, n=64, sample_count=2048, exchange_passes=1):
+def greedy_fekete_capacity(region, n=64, sample_count=2048):
     """Capacity estimate of a region from an n-point greedy Fekete set.
 
     Calibration: disk(r) -> r exactly, segment of length L -> L/4 within
@@ -285,7 +284,7 @@ def greedy_fekete_capacity(region, n=64, sample_count=2048, exchange_passes=1):
     if n < 8:
         raise ValueError("need n >= 8")
     samples = np.asarray(region.boundary_sample(sample_count), dtype=complex)
-    pts, greedy_pts = _greedy_select(samples, n, exchange_passes)
+    pts, greedy_pts = _greedy_select(samples, n)
     raw, value = _corrected_dn(pts)
     _, half = _corrected_dn(greedy_pts[:max(8, n // 2)])
     return CapacityEstimate(value=value, n_points=n,

@@ -386,7 +386,6 @@ def run_prop1(cfg):
                ["n", "ks"], [(m, "%.17g" % v) for m, v in ks_rows])
 
     sigma_cfg = op.SigmaBuildConfig(q=cfg.q, n_max=cfg.n_max,
-                                    target_name=target.name,
                                     bits=cfg.bits, cascade=cfg.cascade)
     sigma = op.build_sigma(sigma_cfg, seq)
     _write_csv(os.path.join(cfg.out_dir, "sigma.csv"),
@@ -398,17 +397,17 @@ def run_prop1(cfg):
     extra = 1.5 + 1.5 * rng.random(2) + 1j * (0.5 + rng.random(2))
     z_samples = [2.0] + [complex(z) for z in extra]
 
-    stab_reports, per_n, ok = [], [], True
-    res_rows = op.potential_asymptotics_check(sigma, target, cfg.n_list,
-                                              z_samples)
-    for n in cfg.n_list:
-        rep = op.zero_stability_check(sigma, seq, n, cfg.q)
-        stab_reports.append(rep)
+    stab_reports = [op.zero_stability_check(sigma, seq, n, cfg.q)
+                    for n in cfg.n_list]
+    res_rows = op.potential_asymptotics_check(
+        [rep.zeros for rep in stab_reports], target, z_samples, ctx)
+    per_n = []
+    for rep in stab_reports:
         cm = op.counting_measure(rep.zeros, ctx=ctx)
         ks_zeros = op.weak_star_distance(cm, target)
-        res_n = {str(z): r for (m, z, r) in res_rows if m == n}
+        res_n = {str(z): r for (m, z, r) in res_rows if m == rep.n}
         per_n.append({
-            "n": n,
+            "n": rep.n,
             "ks": ks_zeros,
             "bound_analytic": float(rep.bound),
             "max_zero_deviation": float(rep.max_deviation),
@@ -416,7 +415,6 @@ def run_prop1(cfg):
             "stability_pass": bool(rep.passed),
             "residuals": res_n,
         })
-        ok = ok and rep.passed
 
     op.stability_to_csv(stab_reports, seq, os.path.join(cfg.out_dir,
                                                         "stability.csv"), ctx)
@@ -424,7 +422,8 @@ def run_prop1(cfg):
 
     report = {"experiment": "prop1", "config": cfg.describe(),
               "ks_leja": {str(m): v for m, v in ks_rows},
-              "per_n": per_n, "pass": bool(ok)}
+              "per_n": per_n,
+              "pass": all(rep.passed for rep in stab_reports)}
     _write_json(os.path.join(cfg.out_dir, "summary.json"), report)
     if cfg.plot:
         emit_plots(report, cfg.out_dir,

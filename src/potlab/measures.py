@@ -33,7 +33,6 @@ class TargetMeasure:
     name: str
     potential: Callable
     cdf: Callable
-    support: Tuple[float, float] = SEGMENT
     grid_potential: Optional[Callable] = None
 
 

@@ -206,7 +206,6 @@ class SigmaBuildConfig:
 
     q: float
     n_max: int
-    target_name: str = "arcsine"
     bits: int = 2048
     cascade: str = "stabilized"
 
@@ -471,19 +470,18 @@ def weak_star_distance(m, target):
     return ks_distance(m.locations, target.cdf, weights=m.weights)
 
 
-def potential_asymptotics_check(m, target, n_list, z_samples):
-    """Rows (n, z, (1/n) log|P_n(z)| + V(z)) with P_n taken in product form
-    from its computed roots."""
-    ctx = m.ctx
+def potential_asymptotics_check(zero_sets, target, z_samples, ctx):
+    """Rows (n, z, (1/n) log|P_n(z)| + V(z)), one block per ZeroSet in
+    zero_sets (n = its degree, P_n in product form over its roots), in
+    input order; each z and V(z) are evaluated once, under ctx."""
     rows = []
     with ctx.workprec():
-        for n in n_list:
-            rc = stieltjes_recurrence(m, n)
-            zs = orthopoly_zeros(rc, n)
-            for z in z_samples:
-                zz = ctx.mpc(z)
+        zv = [(z, ctx.mpc(z), target.potential(z)) for z in z_samples]
+        for zs in zero_sets:
+            n = zs.degree
+            for z, zz, v in zv:
                 s = mp.fsum(mp.log(abs(zz - r)) for r in zs.roots) / n
-                rows.append((n, z, float(s + target.potential(z))))
+                rows.append((n, z, float(s + v)))
     return rows
 
 

@@ -69,15 +69,15 @@ def stability_reports(sigma10, arcsine_200):
 
 
 @pytest.fixture(scope="session")
-def sigma_residuals(sigma10):
-    """(1/n) log|P_n(2; sigma)| + V(2), in full precision, n = 2..10."""
+def sigma_residuals(sigma10, stability_reports):
+    """(1/n) log|P_n(2; sigma)| + V(2), in full precision, n = 2..10, over
+    the zeros the stability reports already hold."""
     ctx = sigma10.ctx
     out = {}
     with ctx.workprec():
         v2 = mp.log(2) - mp.log(2 + mp.sqrt(3))
         for n in range(2, 11):
-            rc = stieltjes_recurrence(sigma10, n)
-            zs = orthopoly_zeros(rc, n)
+            zs = stability_reports[n].zeros
             s = mp.fsum(mp.log(abs(mpf(2) - r)) for r in zs.roots) / n
             out[n] = s + v2
     return out

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from potlab import ConfigError, ExperimentConfig
+from potlab import orthopoly as op
 from potlab.cli import main as cli_main
 from potlab.experiments import (run_prop1, run_stahl_circle,
                                 run_stahl_segment, run_leja_only,
@@ -243,6 +244,23 @@ class TestProp1:
                                target="blend:0.5", out_dir=str(tmp_path))
         rep = run_prop1(cfg)
         assert rep["pass"]
+
+    def test_each_zero_set_computed_once(self, tmp_path, monkeypatch):
+        #  the power cascade finds no zeros in build_sigma, so every call
+        #  comes from the stability and residual stages
+        degrees = []
+        inner = op.orthopoly_zeros
+
+        def recording(rc, n):
+            degrees.append(n)
+            return inner(rc, n)
+
+        monkeypatch.setattr(op, "orthopoly_zeros", recording)
+        cfg = ExperimentConfig(experiment="prop1", n_list=(1, 2),
+                               cascade="power", bits=256, leja_n=20,
+                               out_dir=str(tmp_path))
+        run_prop1(cfg)
+        assert degrees == [1, 2]
 
 
 class TestDeterminism:

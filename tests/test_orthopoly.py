@@ -1,5 +1,7 @@
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from mpmath import mp, mpf
@@ -126,6 +128,32 @@ class TestZeros:
             for k in range(len(prev)):
                 assert cur[k] < prev[k] < cur[k + 1]
             prev = cur
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_random_measure_zeros_eigvalsh_and_interlace(self, data):
+        #  atoms on a 1e-3 lattice and weights in [0.1, 1] keep the
+        #  Jacobi matrix at moderate scales, where float64 eigvalsh is
+        #  accurate to a few ulps
+        ticks = data.draw(st.lists(st.integers(-1000, 1000), min_size=3,
+                                   max_size=12, unique=True))
+        masses = data.draw(st.lists(st.integers(10, 100), min_size=len(ticks),
+                                    max_size=len(ticks)))
+        n = data.draw(st.integers(2, len(ticks)))
+        ctx = PrecisionContext(128)
+        m = DiscreteMeasure(tuple((mpf(t) / 1000, mpf(w) / 100)
+                                  for t, w in zip(ticks, masses)), ctx=ctx)
+        rc = stieltjes_recurrence(m, n)
+        roots = orthopoly_zeros(rc, n).roots
+        off = [math.sqrt(float(b)) for b in rc.b[1:n]]
+        jac = (np.diag([float(a) for a in rc.a[:n]])
+               + np.diag(off, 1) + np.diag(off, -1))
+        want = np.linalg.eigvalsh(jac)
+        assert np.max(np.abs(np.array([float(r) for r in roots]) - want)) \
+            <= 1e-12
+        prev = orthopoly_zeros(rc, n - 1).roots
+        for k in range(n - 1):
+            assert roots[k] < prev[k] < roots[k + 1]
 
     def test_zero_evaluation_consistency(self, sigma6):
         #  P_n vanishes at the bisection roots to root-tolerance scale
@@ -334,9 +362,10 @@ class TestCountingMeasure:
 class TestPotentialAsymptotics:
     def test_degree_one_identity(self, sigma6):
         arc = target_arcsine(sigma6.ctx)
-        rows = potential_asymptotics_check(sigma6, arc, [1], [2.0])
         rc = stieltjes_recurrence(sigma6, 1)
-        root = orthopoly_zeros(rc, 1).roots[0]
+        zs = orthopoly_zeros(rc, 1)
+        rows = potential_asymptotics_check([zs], arc, [2.0], sigma6.ctx)
+        root = zs.roots[0]
         with sigma6.ctx.workprec():
             want = float(mp.log(abs(mpf(2) - root)) + arc.potential(2.0))
         assert rows[0][2] == pytest.approx(want, abs=1e-14)
@@ -348,7 +377,8 @@ class TestPotentialAsymptotics:
         from potlab.leja import LejaSequence
         arc = target_arcsine(sigma6.ctx)
         n = 4
-        rows = potential_asymptotics_check(sigma6, arc, [n], [2.0])
+        zs = orthopoly_zeros(stieltjes_recurrence(sigma6, n), n)
+        rows = potential_asymptotics_check([zs], arc, [2.0], sigma6.ctx)
         seq = LejaSequence(points=tuple(float(x)
                                         for x in sigma6.locations[:n]),
                            target_name="arcsine")
@@ -368,6 +398,26 @@ class TestPotentialAsymptotics:
                                target_name="arcsine")
             res[n] = verify_weighted_asymptotics(sub, arc, [2.0])[0]
         assert abs(res[12]) < abs(res[6])
+
+    def test_target_potential_once_per_z(self, sigma6):
+        #  V(z) does not depend on n, so two zero sets share one
+        #  evaluation per z sample
+        arc = target_arcsine(sigma6.ctx)
+        calls = []
+
+        def counting(z):
+            calls.append(z)
+            return arc.potential(z)
+
+        target = dataclasses.replace(arc, potential=counting)
+        rc = stieltjes_recurrence(sigma6, 3)
+        zero_sets = [orthopoly_zeros(rc, n) for n in (2, 3)]
+        z_samples = [2.0, 1.5 + 0.5j, -3.0]
+        rows = potential_asymptotics_check(zero_sets, target, z_samples,
+                                           sigma6.ctx)
+        assert calls == z_samples
+        assert [(n, z) for n, z, _ in rows] == [
+            (n, z) for n in (2, 3) for z in z_samples]
 
 
 class TestCsv:
