@@ -1,23 +1,21 @@
-"""potlab: weighted Leja points, orthogonal polynomials of discrete
-measures, and logarithmic capacity estimation on the segment, the circle,
-and planar lune/lemniscate regions."""
+"""potlab: weighted Leja points on [-1,1], orthogonal polynomials of
+discrete measures, and logarithmic capacity estimation for the
+roots-of-unity and Chebyshev-zero demonstrations."""
 
 from .precision import PrecisionContext, PrecisionTooLow
 from .measures import (AtomCollision, DiscreteMeasure, TargetMeasure,
-                       empirical_cdf, ks_distance)
-from .potentials import (chebyshev_monic, chebyshev_monic_recurrence,
-                         equilibrium_potential_circle,
-                         equilibrium_potential_segment, phi,
+                       ks_distance)
+from .potentials import (equilibrium_potential_segment, phi,
                          potential_discrete, target_arcsine, target_blend,
                          target_uniform)
 from .leja import (CandidateGrid, DegenerateGrid, LejaSequence,
-                   chebyshev_grid, circle_grid, equidistribution_distance,
+                   chebyshev_grid, equidistribution_distance,
                    extend_unweighted, extend_weighted, generate,
                    verify_unweighted_asymptotics, verify_weighted_asymptotics)
 from .orthopoly import (BreakdownError, PairingFailure, RecurrenceCoeffs,
                         SigmaBuildConfig, StressFailure, ZeroSet, build_sigma,
                         counting_measure, epsilon_stress_test,
-                        gauss_quadrature, orthopoly_zeros, precision_floor,
+                        orthopoly_zeros, precision_floor,
                         stieltjes_recurrence, weak_star_distance,
                         zero_stability_check)
 from .capacity import (CapacityEstimate, DegenerateRegion, RegionDescriptor,

@@ -12,8 +12,10 @@ reported value divides that factor out, which makes the disk exact and
 lands known answers (segment, ellipses, lemniscates) within a couple of
 percent at n = 64; the raw d_n is kept alongside.
 
+A region is a disk, a segment, a lune or a point cloud (RegionDescriptor);
+other sets, such as traced lemniscate boundaries, enter as point clouds.
 Level curves are traced by `trace_level_curve`, shared by the lemniscate
-sampler here and the Chebyshev lemniscates of the experiments.
+tracer here and the Chebyshev lemniscates of the experiments.
 """
 
 import math
@@ -41,38 +43,9 @@ class RegionDescriptor:
     def boundary_sample(self, count=2048):
         return _SAMPLERS[self.kind](self.params, count)
 
-    @staticmethod
-    def from_json(obj):
-        if not isinstance(obj, dict) or "kind" not in obj:
-            raise ValueError("region must be an object with a 'kind' key")
-        kind = obj["kind"]
-        if kind not in _SCHEMAS:
-            raise ValueError(f"unknown region kind {kind!r}")
-        keys = set(obj) - {"kind"}
-        if keys != set(_SCHEMAS[kind]):
-            raise ValueError(
-                f"region {kind!r} needs keys {sorted(_SCHEMAS[kind])}, "
-                f"got {sorted(keys)}")
-        return RegionDescriptor(kind=kind, params={k: obj[k] for k in keys})
-
-
-_SCHEMAS = {
-    "disk": ("center", "r"),
-    "circle": ("r",),
-    "segment": ("a", "b"),
-    "lune": ("n", "eps"),
-    "ellipse": ("rho",),
-    "lemniscate": ("coeffs", "level"),
-    "point_cloud": ("points",),
-}
-
 
 def disk(center=0.0, r=1.0):
     return RegionDescriptor("disk", {"center": complex(center), "r": float(r)})
-
-
-def circle(r=1.0):
-    return RegionDescriptor("circle", {"r": float(r)})
 
 
 def segment(a=-1.0, b=1.0):
@@ -83,18 +56,6 @@ def lune(n, eps):
     return RegionDescriptor("lune", {"n": int(n), "eps": float(eps)})
 
 
-def ellipse_closure(rho):
-    if rho <= 1:
-        raise ValueError("rho must exceed 1")
-    return RegionDescriptor("ellipse", {"rho": float(rho)})
-
-
-def lemniscate(coeffs, level):
-    return RegionDescriptor("lemniscate",
-                            {"coeffs": tuple(map(complex, coeffs)),
-                             "level": float(level)})
-
-
 def point_cloud(points):
     return RegionDescriptor("point_cloud",
                             {"points": tuple(map(complex, points))})
@@ -103,10 +64,6 @@ def point_cloud(points):
 def _sample_disk(p, count):
     t = 2 * np.pi * np.arange(count) / count
     return complex(p["center"]) + p["r"] * np.exp(1j * t)
-
-
-def _sample_circle(p, count):
-    return _sample_disk({"center": 0.0, "r": p["r"]}, count)
 
 
 def _sample_segment(p, count):
@@ -138,12 +95,6 @@ def lune_rescaled_boundary(s, count=2048):
 def _sample_lune(p, count):
     s = math.exp(-p["n"] * p["eps"])
     return 1 + s * lune_rescaled_boundary(s, count)
-
-
-def _sample_ellipse(p, count):
-    rho = p["rho"]
-    t = 2 * np.pi * np.arange(count) / count
-    return 0.5 * (rho * np.exp(1j * t) + np.exp(-1j * t) / rho)
 
 
 def trace_level_curve(g, centers, level, angles):
@@ -197,23 +148,14 @@ def trace_lemniscate_boundary(coeffs, level, angles=512):
     return z0 + 0.5 * (lo + hi) * d
 
 
-def _sample_lemniscate(p, count):
-    angles = max(32, count // max(1, len(p["coeffs"]) - 1))
-    return trace_lemniscate_boundary(np.asarray(p["coeffs"]), p["level"],
-                                     angles=angles)
-
-
 def _sample_point_cloud(p, count):
     return np.asarray(p["points"], dtype=complex)
 
 
 _SAMPLERS = {
     "disk": _sample_disk,
-    "circle": _sample_circle,
     "segment": _sample_segment,
     "lune": _sample_lune,
-    "ellipse": _sample_ellipse,
-    "lemniscate": _sample_lemniscate,
     "point_cloud": _sample_point_cloud,
 }
 

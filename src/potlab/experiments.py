@@ -379,8 +379,7 @@ def run_prop1(cfg):
     ks_rows = []
     for m in sorted({cfg.n_max, cfg.leja_n // 2, cfg.leja_n}):
         if 1 <= m <= len(seq):
-            sub = lj.LejaSequence(points=seq.points[:m],
-                                  target_name=seq.target_name)
+            sub = lj.LejaSequence(points=seq.points[:m])
             ks_rows.append((m, lj.equidistribution_distance(sub, target)))
     _write_csv(os.path.join(cfg.out_dir, "equidistribution.csv"),
                ["n", "ks"], [(m, "%.17g" % v) for m, v in ks_rows])
@@ -397,7 +396,8 @@ def run_prop1(cfg):
     extra = 1.5 + 1.5 * rng.random(2) + 1j * (0.5 + rng.random(2))
     z_samples = [2.0] + [complex(z) for z in extra]
 
-    stab_reports = [op.zero_stability_check(sigma, seq, n, cfg.q)
+    rc = op.stieltjes_recurrence(sigma, max(cfg.n_list))
+    stab_reports = [op.zero_stability_check(rc, seq, n, cfg.q)
                     for n in cfg.n_list]
     res_rows = op.potential_asymptotics_check(
         [rep.zeros for rep in stab_reports], target, z_samples, ctx)

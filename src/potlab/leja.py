@@ -1,4 +1,4 @@
-"""Greedy extremal (Leja) sequences on the segment [-1,1] and on circles.
+"""Greedy extremal (Leja) sequences on the segment [-1,1].
 
 Each new point maximizes the log-product of distances to the points
 already chosen, optionally tilted by n times an external potential.  The
@@ -15,7 +15,7 @@ diagnostics, far below their tolerances.
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -26,9 +26,6 @@ from .potentials import phi_np, potential_on_grid
 #  2^(-bits/4) at the 53-bit generation precision
 REFINE_TOL = 2.0 ** (-53 / 4)
 _INV_GOLDEN = (math.sqrt(5) - 1) / 2
-
-SEGMENT = "segment"
-CIRCLE = "circle"
 
 
 class DegenerateGrid(ValueError):
@@ -58,26 +55,17 @@ def chebyshev_grid(m=4096):
     return CandidateGrid(-np.cos(np.pi * j / (m - 1)))
 
 
-def circle_grid(m=4096):
-    """Equispaced angle grid on [0, 2*pi)."""
-    return CandidateGrid(2 * np.pi * np.arange(m) / m)
-
-
 @dataclass(frozen=True)
 class LejaSequence:
     """Ordered extremal points with running log-products and separation.
 
-    points : for the segment, x coordinates; for a circle, angles in
-        [0, 2*pi).  log_products[n] is sum_{j<n} log|x_n - x_j| (the
-        value of the maximized log-product when point n was added) and
-        separations[n] is the minimal pairwise distance among the first
-        n+1 points.
+    points : x coordinates.  log_products[n] is sum_{j<n} log|x_n - x_j|
+        (the value of the maximized log-product when point n was added)
+        and separations[n] is the minimal pairwise distance among the
+        first n+1 points.
     """
 
     points: Tuple[float, ...]
-    domain: str = SEGMENT
-    radius: float = 1.0
-    target_name: Optional[str] = None
     log_products: Tuple[float, ...] = field(default=())
     separations: Tuple[float, ...] = field(default=())
 
@@ -88,39 +76,23 @@ class LejaSequence:
     def separation(self):
         return self.separations[-1] if self.separations else math.inf
 
-    def locations(self):
-        """Points as complex numbers in the plane."""
-        if self.domain == CIRCLE:
-            return self.radius * np.exp(1j * np.asarray(self.points))
-        return np.asarray(self.points, dtype=complex)
-
     def to_csv(self, path):
-        col = "theta" if self.domain == CIRCLE else "x"
         with open(path, "w", newline="") as f:
             w = csv.writer(f)
-            w.writerow(["index", col])
+            w.writerow(["index", "x"])
             for i, x in enumerate(self.points):
                 w.writerow([i, "%.17g" % x])
 
 
-def _pair_dist(domain, radius, a, b):
-    if domain == CIRCLE:
-        return 2 * radius * abs(math.sin((a - b) / 2))
-    return abs(a - b)
-
-
-def _log_dist(domain, radius, ys, x):
+def _log_dist(ys, x):
     """log of the distance from x to each y in ys (-inf where they meet)."""
-    if domain == CIRCLE:
-        with np.errstate(divide="ignore"):
-            return np.log(2 * radius * np.abs(np.sin((ys - x) / 2)))
     with np.errstate(divide="ignore"):
         return np.log(np.abs(ys - x))
 
 
-def _objective_scalar(domain, radius, pts, vpot, n, x):
+def _objective_scalar(pts, vpot, n, x):
     s = 0.0 if vpot is None else n * vpot(x)
-    return s + float(np.sum(_log_dist(domain, radius, np.asarray(pts), x)))
+    return s + float(np.sum(_log_dist(np.asarray(pts), x)))
 
 
 def _golden_refine(f, a, b, depth, tol=REFINE_TOL):
@@ -157,8 +129,7 @@ def _weight(target, nodes):
 
 def _logsum(seq, nodes):
     """sum_j log|node - x_j| over the sequence's points, per grid node."""
-    return sum(_log_dist(seq.domain, seq.radius, nodes, x)
-               for x in seq.points)
+    return sum(_log_dist(nodes, x) for x in seq.points)
 
 
 def _step(seq, grid, vg, vs, logsum):
@@ -177,7 +148,7 @@ def _step(seq, grid, vg, vs, logsum):
     hi = nodes[min(i + 1, len(nodes) - 1)]
 
     def f(x):
-        return _objective_scalar(seq.domain, seq.radius, seq.points, vs, n, x)
+        return _objective_scalar(seq.points, vs, n, x)
 
     xg = _golden_refine(f, lo, hi, grid.refinement_depth)
     #  the refined point must also beat the bracket ends and the grid node
@@ -186,34 +157,28 @@ def _step(seq, grid, vg, vs, logsum):
     best = max(vals)
     x = float(next(c for c, v in zip(cands, vals) if v == best))
     #  log_products stores the bare distance product, without the weight
-    bare = _objective_scalar(seq.domain, seq.radius, seq.points, None, n, x)
+    bare = _objective_scalar(seq.points, None, n, x)
     sep = seq.separation
     for p in seq.points:
-        sep = min(sep, _pair_dist(seq.domain, seq.radius, x, p))
+        sep = min(sep, abs(x - p))
     return LejaSequence(
         points=seq.points + (x,),
-        domain=seq.domain,
-        radius=seq.radius,
-        target_name=seq.target_name,
         log_products=seq.log_products + (bare,),
         separations=seq.separations + (sep,),
     )
 
 
-def new_sequence(domain=SEGMENT, radius=1.0, target=None, grid=None):
-    """Start a sequence: x1 = 1 (angle 0) unweighted, argmax of the
-    potential (leftmost on ties) when a target weight is given."""
+def new_sequence(target=None, grid=None):
+    """Start a sequence: x1 = 1 unweighted, argmax of the potential
+    (leftmost on ties) when a target weight is given."""
     if target is None:
-        x0 = 0.0 if domain == CIRCLE else 1.0
+        x0 = 1.0
     else:
-        if domain == CIRCLE:
-            raise ValueError("weighted sequences are only defined on the segment")
         grid = grid or chebyshev_grid()
         vg = potential_on_grid(target, grid.nodes)
         x0 = float(grid.nodes[int(np.argmax(vg))])
-    return LejaSequence(points=(x0,), domain=domain, radius=radius,
-                        target_name=None if target is None else target.name,
-                        log_products=(0.0,), separations=(math.inf,))
+    return LejaSequence(points=(x0,), log_products=(0.0,),
+                        separations=(math.inf,))
 
 
 def extend_unweighted(seq, grid):
@@ -227,46 +192,40 @@ def extend_weighted(seq, target, grid):
     """Append the maximizer of n*V(x) + sum log|x - x_j| over the grid."""
     if not seq.points:
         raise ValueError("sequence must be nonempty")
-    if seq.domain == CIRCLE:
-        raise ValueError("weighted sequences are only defined on the segment")
     vg, vs = _weight(target, grid.nodes)
     return _step(seq, grid, vg, vs, _logsum(seq, grid.nodes))
 
 
-def generate(n, domain=SEGMENT, radius=1.0, target=None, grid=None):
+def generate(n, target=None, grid=None):
     """Generate the first n points (fast path with cached grid sums)."""
-    grid = grid or (circle_grid() if domain == CIRCLE else chebyshev_grid())
-    seq = new_sequence(domain=domain, radius=radius, target=target, grid=grid)
+    grid = grid or chebyshev_grid()
+    seq = new_sequence(target=target, grid=grid)
     vg, vs = _weight(target, grid.nodes)
     logsum = _logsum(seq, grid.nodes)
     while len(seq) < n:
         seq = _step(seq, grid, vg, vs, logsum)
-        logsum += _log_dist(seq.domain, seq.radius, grid.nodes, seq.points[-1])
+        logsum += _log_dist(grid.nodes, seq.points[-1])
     return seq
 
 
 def verify_unweighted_asymptotics(seq, z_samples):
-    """Residuals (1/n) sum log|z - x_j| - (g(z) - Robin constant).
-
-    For the segment the target is log|phi(z)| - log 2; for a circle of
-    radius r it is log|z|.  Callers assert the decay.
+    """Residuals (1/n) sum log|z - x_j| - (log|phi(z)| - log 2), the
+    Green function of [-1,1] minus its Robin constant.  Callers assert
+    the decay.
     """
-    pts = seq.locations()
+    pts = np.asarray(seq.points, dtype=complex)
     n = len(pts)
     out = []
     for z in z_samples:
         s = float(np.sum(np.log(np.abs(complex(z) - pts)))) / n
-        if seq.domain == CIRCLE:
-            g = math.log(abs(complex(z)))
-        else:
-            g = math.log(abs(phi_np(np.asarray([z]))[0])) - math.log(2)
+        g = math.log(abs(phi_np(np.asarray([z]))[0])) - math.log(2)
         out.append(s - g)
     return out
 
 
 def verify_weighted_asymptotics(seq, target, z_samples):
     """Residuals (1/n) sum log|z - x_j| + V(z) for samples off the segment."""
-    pts = seq.locations()
+    pts = np.asarray(seq.points, dtype=complex)
     n = len(pts)
     out = []
     for z in z_samples:
@@ -277,6 +236,4 @@ def verify_weighted_asymptotics(seq, target, z_samples):
 
 def equidistribution_distance(seq, target):
     """KS distance between the point-counting measure and the target CDF."""
-    if seq.domain == CIRCLE:
-        return ks_distance(np.asarray(seq.points) / (2 * np.pi), lambda t: t)
     return ks_distance(seq.points, target.cdf)

@@ -7,7 +7,6 @@ finite list of weighted atoms in a precision context; orthogonal
 polynomials are built with respect to these.
 """
 
-import bisect
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple
 
@@ -82,16 +81,6 @@ class DiscreteMeasure:
     def __len__(self):
         return len(self.atoms)
 
-    def combine(self, other):
-        """Sum of two measures (atom lists concatenated, no merging)."""
-        if self.support is None or other.support is None:
-            hull = None
-        else:
-            hull = (min(self.support[0], other.support[0]),
-                    max(self.support[1], other.support[1]))
-        return DiscreteMeasure(self.atoms + other.atoms, ctx=self.ctx,
-                               support=hull)
-
 
 def ks_distance(points, cdf, weights=None):
     """Kolmogorov-Smirnov distance between an atomic measure and a CDF.
@@ -117,15 +106,3 @@ def ks_distance(points, cdf, weights=None):
         cm = np.asarray(cdf(mids), dtype=float)
         d = max(d, np.max(np.abs(cum[:-1] - cm)))
     return float(d)
-
-
-def empirical_cdf(points):
-    """CDF callable of the uniform empirical measure on the given points."""
-    xs = sorted(float(x) for x in points)
-    n = len(xs)
-
-    def cdf(t):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        return np.asarray([bisect.bisect_right(xs, v) / n for v in t])
-
-    return cdf

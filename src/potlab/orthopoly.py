@@ -109,40 +109,6 @@ def stieltjes_recurrence(m, n):
     return RecurrenceCoeffs(a=tuple(a), b=tuple(b), ctx=ctx)
 
 
-def _monic_values(rc, k, x):
-    """[P_0(x), ..., P_k(x)] by the recurrence; run under rc.ctx."""
-    vals = [mpf(0), mpf(1)]
-    for j in range(k):
-        bj = rc.b[j] if j > 0 else 0
-        vals.append((x - rc.a[j]) * vals[-1] - bj * vals[-2])
-    return vals[1:]
-
-
-def evaluate_monic(rc, k, x):
-    """Value of the monic orthogonal polynomial P_k at x (k <= len(rc))."""
-    if k > len(rc):
-        raise ValueError("recurrence too short")
-    with rc.ctx.workprec():
-        return _monic_values(rc, k, x)[-1]
-
-
-def orthogonality_residual(m, rc, n):
-    """max_{k<n} |<P_n, x^k>| / (|P_n| * |x^k|) under the measure m."""
-    ctx = m.ctx
-    with ctx.workprec():
-        vals = [evaluate_monic(rc, n, x) for x in m.locations]
-        norm_p = mp.sqrt(mp.fsum(w * v * v for w, v in zip(m.weights, vals)))
-        worst = mpf(0)
-        for k in range(n):
-            ip = mp.fsum(w * v * x ** k
-                         for w, v, x in zip(m.weights, vals, m.locations))
-            scale = mp.sqrt(mp.fsum(w * x ** (2 * k)
-                                    for w, x in zip(m.weights, m.locations)))
-            if norm_p > 0 and scale > 0:
-                worst = max(worst, abs(ip) / (norm_p * scale))
-        return worst
-
-
 def _sturm_count(a, b, n, x, tiny):
     """Number of eigenvalues below x of the order-n Jacobi matrix."""
     cnt = 0
@@ -245,11 +211,11 @@ def _min_separation(points, n, ctx):
                default=mpf("inf"))
 
 
-def _zero_deviations(measure, leja_points, n):
-    """Max |x_k - root| after nearest-atom pairing; also whether bijective."""
-    rc = stieltjes_recurrence(measure, n)
+def _zero_deviations(rc, leja_points, n):
+    """Zeros of P_n from the recurrence rc, paired with the nearest of the
+    first n Leja points: max |x_k - root| and whether the map is bijective."""
     zs = orthopoly_zeros(rc, n)
-    ctx = measure.ctx
+    ctx = rc.ctx
     with ctx.workprec():
         pts = [ctx.mpf(x) for x in leja_points[:n]]
         pairs = []
@@ -331,15 +297,18 @@ class StabilityReport:
         return self.max_deviation < self.bound
 
 
-def zero_stability_check(m, seq, n, q):
-    """Pair zeros of P_n( . ; m) with the first n Leja points.
+def zero_stability_check(rc, seq, n, q):
+    """Pair zeros of P_n with the first n Leja points.
 
-    Raises PairingFailure when the nearest-atom map is not a bijection;
-    otherwise reports the worst |x_k - x_{n,k}| next to the bound q^(n^2).
+    rc is the measure's recurrence, of length n or more; its first n
+    pairs are exactly those of a length-n recurrence, so one recurrence
+    serves every degree up to its length.  Raises PairingFailure when the
+    nearest-atom map is not a bijection; otherwise reports the worst
+    |x_k - x_{n,k}| next to the bound q^(n^2).
     """
-    ctx = m.ctx
+    ctx = rc.ctx
     with ctx.workprec():
-        zs, pairs, worst, bij = _zero_deviations(m, seq.points, n)
+        zs, pairs, worst, bij = _zero_deviations(rc, seq.points, n)
         if not bij:
             raise PairingFailure(
                 f"zeros of P_{n} do not pair bijectively with the Leja "
@@ -411,7 +380,8 @@ def epsilon_stress_test(m, seq, n, eps_next, family=None, q=None,
                     raise ValueError(f"family member {name} has mass {mass} > 1")
                 scaled = tuple((x, 2 * eps_next * w) for x, w in nu_atoms)
                 beta = DiscreteMeasure(sigma_n.atoms + scaled, ctx=ctx)
-            _, _, worst, _ = _zero_deviations(beta, seq.points, n)
+            _, _, worst, _ = _zero_deviations(stieltjes_recurrence(beta, n),
+                                              seq.points, n)
             results.append((name, worst))
         report = StressReport(n=n, eps_next=eps_next, bound=bound,
                               results=tuple(results))
@@ -421,28 +391,6 @@ def epsilon_stress_test(m, seq, n, eps_next, family=None, q=None,
                 f"perturbation {name!r} moved a zero of P_{n} by "
                 f"{mp.nstr(d, 8)}, bound {mp.nstr(bound, 8)}")
         return report
-
-
-def gauss_quadrature(m, n):
-    """n-point Gauss rule of the measure m: nodes and Christoffel weights.
-
-    The rule integrates polynomials up to degree 2n-1 exactly against m,
-    so its n-atom measure matches the first 2n moments of m.
-    """
-    rc = stieltjes_recurrence(m, n)
-    zs = orthopoly_zeros(rc, n)
-    ctx = m.ctx
-    with ctx.workprec():
-        norms = []
-        acc = mpf(1)
-        for k in range(n):
-            acc *= rc.b[k]
-            norms.append(acc)
-        weights = []
-        for x in zs.roots:
-            vals = _monic_values(rc, n - 1, x)
-            weights.append(1 / sum(p * p / nk for p, nk in zip(vals, norms)))
-        return list(zs.roots), weights
 
 
 # ---------------------------------------------------------------------------
@@ -487,15 +435,6 @@ def potential_asymptotics_check(zero_sets, target, z_samples, ctx):
 
 # ---------------------------------------------------------------------------
 #  CSV emission
-
-
-def recurrence_to_csv(rc, path):
-    digits = max(rc.ctx.bits // 3, 17)
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["n", "a", "b"])
-        for k, (ak, bk) in enumerate(zip(rc.a, rc.b)):
-            w.writerow([k, rc.ctx.nstr(ak, digits), rc.ctx.nstr(bk, digits)])
 
 
 def stability_to_csv(reports, seq, path, ctx):

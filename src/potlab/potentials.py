@@ -1,9 +1,12 @@
-"""Logarithmic potentials, the exterior map phi, and monic Chebyshev values.
+"""Logarithmic potentials, the exterior map phi, and the target measures.
 
 The map phi(z) = z + (z^2-1)^(1/2) sends the outside of [-1,1] onto the
 outside of the unit disk; the branch is fixed so that |phi| >= 1
 everywhere, which matches (z^2-1)^(1/2)/z -> 1 at infinity.  On the open
-segment the boundary value from the upper half plane is used.
+segment |phi| = 1 and the boundary values from the two half planes are
+conjugate; which of them comes back is left to rounding (a computed
+|w| < 1 triggers the flip to 1/w), so callers there read only |phi| or
+conjugation-symmetric forms such as phi^n + phi^(-n).
 
 All scalar routines run under a PrecisionContext; *_np variants are
 vectorized float64 companions for the grid-heavy callers.
@@ -40,53 +43,6 @@ def phi_np(z):
     return np.where(flip, np.divide(1.0, w, out=np.ones_like(w), where=w != 0), w)
 
 
-def chebyshev_monic(n, z, ctx=_D):
-    """Monic Chebyshev value T_n(z) = 2^(-n) (phi^n + phi^(-n)), n >= 1."""
-    if n < 1:
-        raise ValueError("degree must be >= 1")
-    with ctx.workprec():
-        p = phi(z, ctx)
-        return (p ** n + p ** (-n)) / mpf(2) ** n
-
-
-def chebyshev_monic_recurrence(n, z, ctx=_D):
-    """Monic Chebyshev by the three-term recurrence (independent route).
-
-    T_1 = z, T_2 = z^2 - 1/2, then T_{k+1} = z*T_k - T_{k-1}/4.
-    """
-    if n < 1:
-        raise ValueError("degree must be >= 1")
-    with ctx.workprec():
-        z = mpc(z)
-        if n == 1:
-            return z
-        prev, cur = mpc(1), z
-        for k in range(1, n):
-            b = mpf(1) / 2 if k == 1 else mpf(1) / 4
-            prev, cur = cur, z * cur - b * prev
-        return cur
-
-
-def chebyshev_monic_np(n, z):
-    """Vectorized monic Chebyshev via phi; fine off the zeros' scale."""
-    p = phi_np(z)
-    return (p ** n + p ** (-float(n))) / 2.0 ** n
-
-
-def chebyshev_monic_coeffs(n):
-    """Float64 coefficients of the monic Chebyshev polynomial, leading first."""
-    if n < 1:
-        raise ValueError("degree must be >= 1")
-    prev = np.array([1.0])           # T_0
-    cur = np.array([1.0, 0.0])       # T_1 = x
-    for k in range(1, n):
-        b = 0.5 if k == 1 else 0.25
-        nxt = np.append(cur, 0.0)
-        nxt[2:] -= b * prev
-        prev, cur = cur, nxt
-    return cur
-
-
 def potential_discrete(m, z):
     """Logarithmic potential sum(w_k * log 1/|z - x_k|) of a DiscreteMeasure.
 
@@ -109,15 +65,6 @@ def equilibrium_potential_segment(z, ctx=_D):
     """Equilibrium potential of [-1,1]: log 2 - log|phi(z)| (log 2 on the cut)."""
     with ctx.workprec():
         return mp.log(2) - mp.log(abs(phi(z, ctx)))
-
-
-def equilibrium_potential_circle(z, ctx=_D):
-    """Equilibrium potential of the unit circle: -log|z| outside, 0 inside."""
-    with ctx.workprec():
-        a = abs(mpc(z))
-        if a >= 1:
-            return -mp.log(a)
-        return mpf(0)
 
 
 def _is_on_segment(z):

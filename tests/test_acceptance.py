@@ -26,7 +26,8 @@ from potlab.capacity import disk, segment
 from potlab.cli import main as cli_main
 from potlab.experiments import run_stahl_circle, run_stahl_segment
 from potlab.leja import LejaSequence, equidistribution_distance
-from potlab.potentials import chebyshev_monic_coeffs
+
+from conftest import chebyshev_monic_coeffs
 
 Q = 0.4
 BITS = 2048
@@ -64,7 +65,8 @@ def sigma10(arcsine_200):
 
 @pytest.fixture(scope="session")
 def stability_reports(sigma10, arcsine_200):
-    return {n: zero_stability_check(sigma10, arcsine_200, n, Q)
+    rc = stieltjes_recurrence(sigma10, 10)
+    return {n: zero_stability_check(rc, arcsine_200, n, Q)
             for n in range(2, 11)}
 
 
@@ -106,8 +108,7 @@ def test_c02_weighted_equidistribution(arcsine_200, blend_200):
             ("blend(0.5)", blend_200, target_blend(0.5))):
         ks200 = equidistribution_distance(seq, target)
         ks100 = equidistribution_distance(
-            LejaSequence(points=seq.points[:100],
-                         target_name=seq.target_name), target)
+            LejaSequence(points=seq.points[:100]), target)
         assert ks200 < 0.05, f"criterion 2 {name}: KS(200)={ks200}"
         assert ks200 < ks100, \
             f"criterion 2 {name}: KS(100)={ks100} -> KS(200)={ks200}"
@@ -145,7 +146,7 @@ def test_c04a_potential_asymptotics_agreement(sigma10, arcsine_200,
                 f"{mp.nstr(diff, 4)} >= 10*q^(n^2) = {mp.nstr(tol, 4)}")
     #  and the public float64 route sees the same agreement at n = 4
     arc = target_arcsine(ctx)
-    sub = LejaSequence(points=arcsine_200.points[:4], target_name="arcsine")
+    sub = LejaSequence(points=arcsine_200.points[:4])
     f64 = verify_weighted_asymptotics(sub, arc, [2.0])[0]
     assert abs(f64 - float(sigma_residuals[4])) < 10 * Q ** 16
     _verdict("4a", True, "agreement within 10*q^(n^2) for n=2..10")

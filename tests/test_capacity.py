@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from potlab import (DegenerateRegion, RegionDescriptor, TracingFailure,
+from potlab import (DegenerateRegion, TracingFailure,
                     greedy_fekete_capacity, lune_capacity_bounds,
                     preimage_capacity_check)
-from potlab.capacity import (disk, ellipse_closure, lemniscate, point_cloud,
-                             segment, trace_lemniscate_boundary,
-                             trace_level_curve)
-from potlab.potentials import chebyshev_monic_coeffs
+from potlab.capacity import (disk, lune, point_cloud, segment,
+                             trace_lemniscate_boundary, trace_level_curve)
+
+from conftest import chebyshev_monic_coeffs
 
 
 class TestCalibration:
@@ -27,8 +27,11 @@ class TestCalibration:
         assert est.value == pytest.approx(2.0, abs=0.1)
 
     def test_ellipse(self):
-        #  {|phi(z)| <= rho} has capacity rho / 2
-        est = greedy_fekete_capacity(ellipse_closure(1.5), n=64)
+        #  {|phi(z)| <= rho} has capacity rho / 2; its boundary is the
+        #  image of |w| = rho under the Joukowski map (w + 1/w) / 2
+        t = 2 * np.pi * np.arange(2048) / 2048
+        bdry = 0.5 * (1.5 * np.exp(1j * t) + np.exp(-1j * t) / 1.5)
+        est = greedy_fekete_capacity(point_cloud(bdry), n=64)
         assert est.value == pytest.approx(0.75, rel=0.05)
 
     def test_uncertainty_positive_and_small(self):
@@ -38,13 +41,18 @@ class TestCalibration:
 
 class TestEstimatorProperties:
     def test_scale_equivariance_exact(self):
+        #  cap(c*K + t) = c*cap(K); the greedy set starts from the point
+        #  farthest from the sample centroid, so it moves with the cloud
+        #  and the estimate follows to rounding (a start farthest from
+        #  the origin lands 2.7e-5 off at t = 30)
         rng = np.random.default_rng(2)
         pts = rng.random(300) * 2 - 1 + 1j * (rng.random(300) * 2 - 1)
         c = 3.7
         a = greedy_fekete_capacity(point_cloud(pts), n=32)
-        b = greedy_fekete_capacity(point_cloud(c * pts), n=32)
-        assert b.value == pytest.approx(c * a.value, rel=1e-12)
-        assert b.raw_dn == pytest.approx(c * a.raw_dn, rel=1e-12)
+        for t in (0, 30):
+            b = greedy_fekete_capacity(point_cloud(c * pts + t), n=32)
+            assert b.value == pytest.approx(c * a.value, rel=1e-12)
+            assert b.raw_dn == pytest.approx(c * a.raw_dn, rel=1e-12)
 
     def test_monotone_under_inclusion(self):
         small = greedy_fekete_capacity(disk(0, 0.8), n=48)
@@ -156,7 +164,7 @@ class TestLune:
 
 class TestRegionParsing:
     def test_lune_roundtrip(self):
-        r = RegionDescriptor.from_json({"kind": "lune", "n": 20, "eps": 0.1})
+        r = lune(20, 0.1)
         assert r.kind == "lune"
         pts = r.boundary_sample(256)
         s = math.exp(-2)
@@ -164,24 +172,6 @@ class TestRegionParsing:
         assert np.all(np.abs(pts - 1) <= s * (1 + 1e-9))
         assert np.all(np.abs(pts) >= 1 - 1e-9)
 
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            RegionDescriptor.from_json({"kind": "banana", "r": 1})
-
-    def test_wrong_keys(self):
-        with pytest.raises(ValueError):
-            RegionDescriptor.from_json({"kind": "disk", "r": 1})
-        with pytest.raises(ValueError):
-            RegionDescriptor.from_json({"kind": "disk", "center": 0, "r": 1,
-                                        "extra": 2})
-
     def test_segment_sampler_includes_endpoints(self):
-        r = RegionDescriptor.from_json({"kind": "segment", "a": -1, "b": 1})
-        pts = r.boundary_sample(101)
+        pts = segment(-1, 1).boundary_sample(101)
         assert pts[0] == -1 and pts[-1] == 1
-
-    def test_lemniscate_json(self):
-        r = RegionDescriptor.from_json(
-            {"kind": "lemniscate", "coeffs": [1, 0, -1], "level": 0.81})
-        pts = r.boundary_sample(256)
-        assert len(pts) >= 256

@@ -1,10 +1,12 @@
 import json
 import math
 import os
+import types
 
 import numpy as np
 import pytest
 
+import potlab
 from potlab import ConfigError, ExperimentConfig
 from potlab import orthopoly as op
 from potlab.cli import main as cli_main
@@ -77,10 +79,11 @@ class TestVdiffFormulas:
                     == pytest.approx(direct, rel=1e-10)
 
     def test_segment_log_domain_identity(self):
-        from potlab.potentials import chebyshev_monic_np
         for z in (1.4 + 0.3j, -2.0 + 0.1j):
             n = 9
-            tm = abs(chebyshev_monic_np(n, np.array([z]))[0])
+            #  monic Chebyshev |T_n(z)| = |phi^n + phi^-n| / 2^n
+            p = phi_np(np.array([z]))[0]
+            tm = abs((p ** n + p ** (-float(n))) / 2.0 ** n)
             direct = -math.log(tm) / n - (math.log(2)
                                           - math.log(abs(phi_np(np.array([z]))[0])))
             w = phi_np(np.array([z]))
@@ -262,6 +265,25 @@ class TestProp1:
         run_prop1(cfg)
         assert degrees == [1, 2]
 
+    def test_one_recurrence_for_the_stability_stage(self, tmp_path,
+                                                    monkeypatch):
+        #  the power cascade builds no recurrence in build_sigma, so every
+        #  call comes from the stability stage, which reads each degree
+        #  from prefixes of one recurrence
+        lengths = []
+        inner = op.stieltjes_recurrence
+
+        def recording(m, n):
+            lengths.append(n)
+            return inner(m, n)
+
+        monkeypatch.setattr(op, "stieltjes_recurrence", recording)
+        cfg = ExperimentConfig(experiment="prop1", n_list=(1, 2, 3),
+                               cascade="power", bits=256, leja_n=20,
+                               out_dir=str(tmp_path))
+        run_prop1(cfg)
+        assert lengths == [3]
+
 
 class TestDeterminism:
     #  identical config means identical out_dir too: run twice into the
@@ -330,6 +352,32 @@ class TestRunners:
                                out_dir=str(tmp_path))
         rep = run_capacity_only(cfg)
         assert rep["pass"]
+
+
+class TestPublicApi:
+    def test_exported_names(self):
+        #  a change to the public surface is a deliberate edit of this set
+        names = {n for n in potlab.__all__
+                 if not isinstance(getattr(potlab, n), types.ModuleType)}
+        assert names == {
+            "PrecisionContext", "PrecisionTooLow",
+            "AtomCollision", "DiscreteMeasure", "TargetMeasure",
+            "ks_distance",
+            "equilibrium_potential_segment", "phi", "potential_discrete",
+            "target_arcsine", "target_blend", "target_uniform",
+            "CandidateGrid", "DegenerateGrid", "LejaSequence",
+            "chebyshev_grid", "equidistribution_distance",
+            "extend_unweighted", "extend_weighted", "generate",
+            "verify_unweighted_asymptotics", "verify_weighted_asymptotics",
+            "BreakdownError", "PairingFailure", "RecurrenceCoeffs",
+            "SigmaBuildConfig", "StressFailure", "ZeroSet", "build_sigma",
+            "counting_measure", "epsilon_stress_test", "orthopoly_zeros",
+            "precision_floor", "stieltjes_recurrence", "weak_star_distance",
+            "zero_stability_check",
+            "CapacityEstimate", "DegenerateRegion", "RegionDescriptor",
+            "TracingFailure", "greedy_fekete_capacity",
+            "lune_capacity_bounds", "preimage_capacity_check",
+            "ConfigError", "ExperimentConfig", "run"}
 
 
 class TestCli:

@@ -1,20 +1,34 @@
+import bisect
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from potlab import (CandidateGrid, DegenerateGrid, PrecisionContext,
-                    chebyshev_grid, circle_grid, equidistribution_distance,
+                    chebyshev_grid, equidistribution_distance,
                     extend_unweighted, extend_weighted, generate,
                     target_arcsine, target_blend, target_uniform,
                     verify_unweighted_asymptotics, verify_weighted_asymptotics)
-from potlab.leja import CIRCLE, LejaSequence, new_sequence
-from potlab.measures import TargetMeasure, empirical_cdf
+from potlab.leja import LejaSequence, new_sequence
+from potlab.measures import TargetMeasure, ks_distance
 
 LOCALIZE_TOL = 2e-4          # grid spacing + golden-section stopping width
 
 
-def _seq(points, target_name=None):
+def empirical_cdf(points):
+    """CDF callable of the uniform empirical measure on the given points."""
+    xs = sorted(float(x) for x in points)
+    n = len(xs)
+
+    def cdf(t):
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        return np.asarray([bisect.bisect_right(xs, v) / n for v in t])
+
+    return cdf
+
+
+def _seq(points):
     pts = tuple(float(p) for p in points)
     seps = []
     s = math.inf
@@ -22,8 +36,7 @@ def _seq(points, target_name=None):
         for y in pts[:i]:
             s = min(s, abs(x - y))
         seps.append(s)
-    return LejaSequence(points=pts, target_name=target_name,
-                        log_products=tuple(0.0 for _ in pts),
+    return LejaSequence(points=pts, log_products=tuple(0.0 for _ in pts),
                         separations=tuple(seps))
 
 
@@ -79,7 +92,7 @@ class TestExtension:
         grid = CandidateGrid(chebyshev_grid(1024).nodes, refinement_depth=0)
         arc = target_arcsine()
         a = _seq([1.0])
-        b = _seq([1.0], target_name="arcsine")
+        b = _seq([1.0])
         for _ in range(25):
             a = extend_unweighted(a, grid)
             b = extend_weighted(b, arc, grid)
@@ -89,13 +102,13 @@ class TestExtension:
         grid = chebyshev_grid(1024)
         arc = target_arcsine()
         a = extend_unweighted(_seq([1.0, -1.0]), grid)
-        b = extend_weighted(_seq([1.0, -1.0], "arcsine"), arc, grid)
+        b = extend_weighted(_seq([1.0, -1.0]), arc, grid)
         assert a.points[-1] == pytest.approx(b.points[-1], abs=1e-6)
 
     def test_weighted_uniform_golden_value(self):
         #  argmax of 2 V(x) + log(1 - x^2) for the uniform target is 0
         uni = target_uniform()
-        seq = extend_weighted(_seq([1.0, -1.0], "uniform"), uni,
+        seq = extend_weighted(_seq([1.0, -1.0]), uni,
                               chebyshev_grid())
         assert abs(seq.points[2]) < LOCALIZE_TOL
         from potlab.potentials import potential_on_grid
@@ -128,18 +141,15 @@ class TestExtension:
         assert unweighted_800.separation > 0
         assert len(set(unweighted_800.points)) == 800
 
-    @pytest.mark.parametrize("case", ["segment", "circle", "uniform"])
+    @pytest.mark.parametrize("case", ["segment", "uniform"])
     def test_generate_equals_repeated_extension(self, case):
         #  the cached-sum loop in generate and the one-step extensions
         #  must pick the same points bit for bit
         n = 30
-        if case == "circle":
-            grid, kw = circle_grid(1024), {"domain": CIRCLE}
-        else:
-            grid, kw = chebyshev_grid(1024), {}
+        grid = chebyshev_grid(1024)
         target = target_uniform() if case == "uniform" else None
-        want = generate(n, target=target, grid=grid, **kw)
-        seq = new_sequence(target=target, grid=grid, **kw)
+        want = generate(n, target=target, grid=grid)
+        seq = new_sequence(target=target, grid=grid)
         for _ in range(n - 1):
             seq = (extend_unweighted(seq, grid) if target is None
                    else extend_weighted(seq, target, grid))
@@ -207,7 +217,7 @@ class TestAsymptotics:
 
     def test_single_point_weighted_identity(self):
         uni = target_uniform(PrecisionContext(128))
-        r = verify_weighted_asymptotics(_seq([1.0], "uniform"), uni, [2.0])[0]
+        r = verify_weighted_asymptotics(_seq([1.0]), uni, [2.0])[0]
         want = math.log(abs(2.0 - 1.0)) + float(uni.potential(2.0))
         assert r == pytest.approx(want, abs=1e-14)
 
@@ -218,7 +228,7 @@ class TestEquidistribution:
         seq = generate(200, target=arc)
         ks200 = equidistribution_distance(seq, arc)
         ks100 = equidistribution_distance(
-            LejaSequence(points=seq.points[:100], target_name="arcsine"), arc)
+            LejaSequence(points=seq.points[:100]), arc)
         assert ks200 < 0.05
         assert ks200 < ks100
 
@@ -239,30 +249,41 @@ class TestEquidistribution:
         assert equidistribution_distance(_seq(pts), t) == 0.0
 
 
-class TestCircle:
-    def test_generate_on_circle(self):
-        seq = generate(32, domain=CIRCLE)
-        assert len(set(seq.points)) == 32
-        assert all(0 <= t < 2 * np.pi for t in seq.points)
-        assert seq.separation > 0
+class TestKsDistance:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_matches_brute_force_supremum(self, data):
+        #  distinct atoms on a 1e-3 lattice inside (-1, 1), where the
+        #  arcsine CDF moves by less than 1e-14 over one ulp
+        ticks = data.draw(st.lists(st.integers(-999, 999), min_size=1,
+                                   max_size=30, unique=True))
+        xs = np.array(ticks) / 1000
+        masses = data.draw(st.one_of(
+            st.none(), st.lists(st.integers(1, 100), min_size=len(xs),
+                                max_size=len(xs))))
+        ws = np.ones(len(xs)) if masses is None else np.array(masses, float)
+        kind = data.draw(st.sampled_from(["arcsine", "uniform", "empirical"]))
+        if kind == "empirical":
+            #  jumps only at atoms, where the evaluated limits see them
+            sub = sorted(data.draw(st.lists(st.sampled_from(list(xs)),
+                                            min_size=1)))
+            cdf = empirical_cdf(sub)
+            cx_left = [bisect.bisect_left(sub, x) / len(sub) for x in xs]
+        else:
+            cdf = (target_arcsine() if kind == "arcsine"
+                   else target_uniform()).cdf
+            cx_left = cdf(xs)
 
-    def test_unweighted_residual_on_circle(self):
-        seq = generate(64, domain=CIRCLE)
-        (r,) = verify_unweighted_asymptotics(seq, [3.0 + 0j])
-        assert abs(r) < 0.02
+        def measure(mask):
+            return ws[mask].sum() / ws.sum()
 
-    def test_circle_radius_two(self):
-        #  the growth target log|z| is radius-independent (cap cancels the
-        #  Robin constant)
-        seq = generate(64, domain=CIRCLE, radius=2.0)
-        (r,) = verify_unweighted_asymptotics(seq, [5.0 + 0j])
-        assert abs(r) < 0.02
-        assert seq.separation > 0
-
-    def test_weighted_circle_rejected(self):
-        arc = target_arcsine()
-        with pytest.raises(ValueError):
-            extend_weighted(new_sequence(domain=CIRCLE), arc, circle_grid(64))
+        grid = np.linspace(-1.5, 1.5, 3001)
+        #  right and left limits at every atom, then a dense grid
+        vals = [abs(measure(xs <= x) - c) for x, c in zip(xs, cdf(xs))]
+        vals += [abs(measure(xs < x) - c) for x, c in zip(xs, cx_left)]
+        vals += [abs(measure(xs <= t) - c) for t, c in zip(grid, cdf(grid))]
+        assert ks_distance(xs, cdf, weights=masses) == pytest.approx(
+            max(vals), abs=1e-12)
 
 
 class TestSerialization:
@@ -274,9 +295,3 @@ class TestSerialization:
         assert p1.read_bytes() == p2.read_bytes()
         header = p1.read_text().splitlines()[0]
         assert header == "index,x"
-
-    def test_circle_csv_header(self, tmp_path):
-        seq = generate(8, domain=CIRCLE)
-        f = tmp_path / "c.csv"
-        seq.to_csv(f)
-        assert f.read_text().splitlines()[0] == "index,theta"

@@ -9,14 +9,69 @@ from mpmath import mp, mpf
 from potlab import (BreakdownError, DiscreteMeasure, PairingFailure,
                     PrecisionContext, PrecisionTooLow, SigmaBuildConfig,
                     StressFailure, build_sigma, counting_measure,
-                    epsilon_stress_test, gauss_quadrature, generate,
-                    orthopoly_zeros, precision_floor, stieltjes_recurrence,
-                    target_arcsine, weak_star_distance, zero_stability_check)
-from potlab.orthopoly import (ZeroSet, evaluate_monic, orthogonality_residual,
-                              recurrence_to_csv, residuals_to_csv,
+                    epsilon_stress_test, generate, orthopoly_zeros,
+                    precision_floor, stieltjes_recurrence, target_arcsine,
+                    weak_star_distance, zero_stability_check)
+from potlab.orthopoly import (ZeroSet, residuals_to_csv,
                               potential_asymptotics_check)
 
 CTX = PrecisionContext(256)
+
+
+def _monic_values(rc, k, x):
+    """[P_0(x), ..., P_k(x)] by the recurrence; run under rc.ctx."""
+    vals = [mpf(0), mpf(1)]
+    for j in range(k):
+        bj = rc.b[j] if j > 0 else 0
+        vals.append((x - rc.a[j]) * vals[-1] - bj * vals[-2])
+    return vals[1:]
+
+
+def evaluate_monic(rc, k, x):
+    """Value of the monic orthogonal polynomial P_k at x (k <= len(rc))."""
+    if k > len(rc):
+        raise ValueError("recurrence too short")
+    with rc.ctx.workprec():
+        return _monic_values(rc, k, x)[-1]
+
+
+def orthogonality_residual(m, rc, n):
+    """max_{k<n} |<P_n, x^k>| / (|P_n| * |x^k|) under the measure m."""
+    ctx = m.ctx
+    with ctx.workprec():
+        vals = [evaluate_monic(rc, n, x) for x in m.locations]
+        norm_p = mp.sqrt(mp.fsum(w * v * v for w, v in zip(m.weights, vals)))
+        worst = mpf(0)
+        for k in range(n):
+            ip = mp.fsum(w * v * x ** k
+                         for w, v, x in zip(m.weights, vals, m.locations))
+            scale = mp.sqrt(mp.fsum(w * x ** (2 * k)
+                                    for w, x in zip(m.weights, m.locations)))
+            if norm_p > 0 and scale > 0:
+                worst = max(worst, abs(ip) / (norm_p * scale))
+        return worst
+
+
+def gauss_quadrature(m, n):
+    """n-point Gauss rule of the measure m: nodes and Christoffel weights.
+
+    The rule integrates polynomials up to degree 2n-1 exactly against m,
+    so its n-atom measure matches the first 2n moments of m.
+    """
+    rc = stieltjes_recurrence(m, n)
+    zs = orthopoly_zeros(rc, n)
+    ctx = m.ctx
+    with ctx.workprec():
+        norms = []
+        acc = mpf(1)
+        for k in range(n):
+            acc *= rc.b[k]
+            norms.append(acc)
+        weights = []
+        for x in zs.roots:
+            vals = _monic_values(rc, n - 1, x)
+            weights.append(1 / sum(p * p / nk for p, nk in zip(vals, norms)))
+        return list(zs.roots), weights
 
 
 def two_atom():
@@ -240,15 +295,17 @@ class TestBuildSigma:
         for q in (0.3, 0.45):
             cfg = SigmaBuildConfig(q=q, n_max=6, bits=1024)
             sigma = build_sigma(cfg, arcsine_seq)
+            rc = stieltjes_recurrence(sigma, 6)
             for n in range(2, 7):
-                rep = zero_stability_check(sigma, arcsine_seq, n, q)
+                rep = zero_stability_check(rc, arcsine_seq, n, q)
                 assert rep.margin >= 2
 
 
 class TestZeroStability:
     def test_degree_one_closed_form(self, sigma6):
         #  the single zero of P_1 is the mean of the measure
-        rep = zero_stability_check(sigma6, _seq_of(sigma6), 1, 0.4)
+        rep = zero_stability_check(stieltjes_recurrence(sigma6, 1),
+                                   _seq_of(sigma6), 1, 0.4)
         with sigma6.ctx.workprec():
             mean = mp.fsum(w * x for x, w in sigma6.atoms) / sigma6.total_mass
             assert abs(rep.zeros.roots[0] - mean) < mpf(2) ** -400
@@ -256,20 +313,23 @@ class TestZeroStability:
 
     def test_stabilized_sigma_passes_with_margin(self, sigma6):
         seq = _seq_of(sigma6)
+        rc = stieltjes_recurrence(sigma6, 6)
         for n in range(2, 7):
-            rep = zero_stability_check(sigma6, seq, n, 0.4)
+            rep = zero_stability_check(rc, seq, n, 0.4)
             assert rep.passed
             assert rep.margin >= 2
 
     def test_power_cascade_violates_bound_at_three(self, sigma6_power):
         #  eps_n = q^(n^2) decays too slowly: the measured deviation of the
         #  degree-3 zeros exceeds q^9 (the bound fails from n = 3 on)
-        rep = zero_stability_check(sigma6_power, _seq_of(sigma6_power), 3, 0.4)
+        rep = zero_stability_check(stieltjes_recurrence(sigma6_power, 3),
+                                   _seq_of(sigma6_power), 3, 0.4)
         assert rep.max_deviation > rep.bound
 
     def test_power_cascade_top_degree_is_exact(self, sigma6_power):
         #  P_6 of the 6-atom measure vanishes at the atoms themselves
-        rep = zero_stability_check(sigma6_power, _seq_of(sigma6_power), 6, 0.4)
+        rep = zero_stability_check(stieltjes_recurrence(sigma6_power, 6),
+                                   _seq_of(sigma6_power), 6, 0.4)
         assert rep.passed
         assert float(rep.max_deviation) < 1e-100
 
@@ -283,13 +343,13 @@ class TestZeroStability:
         bad = DiscreteMeasure(atoms, ctx=ctx)
         with pytest.raises((PairingFailure, BreakdownError)):
             for n in range(2, 11):
-                zero_stability_check(bad, arcsine_seq, n, 0.4)
+                zero_stability_check(stieltjes_recurrence(bad, n),
+                                     arcsine_seq, n, 0.4)
 
 
 def _seq_of(sigma):
     from potlab.leja import LejaSequence
-    return LejaSequence(points=tuple(float(x) for x in sigma.locations),
-                        target_name="arcsine")
+    return LejaSequence(points=tuple(float(x) for x in sigma.locations))
 
 
 class TestStressAudit:
@@ -297,8 +357,9 @@ class TestStressAudit:
         seq = _seq_of(sigma6)
         rep = epsilon_stress_test(sigma6, seq, 4, sigma6.weights[4],
                                   family=[("zero", None)], q=0.4)
-        base = zero_stability_check(
-            DiscreteMeasure(sigma6.atoms[:4], ctx=sigma6.ctx), seq, 4, 0.4)
+        sigma4 = DiscreteMeasure(sigma6.atoms[:4], ctx=sigma6.ctx)
+        base = zero_stability_check(stieltjes_recurrence(sigma4, 4), seq, 4,
+                                    0.4)
         assert abs(rep.results[0][1] - base.max_deviation) < mpf(2) ** -300
 
     def test_calibrated_eps_passes_documented_family(self, sigma6):
@@ -380,8 +441,7 @@ class TestPotentialAsymptotics:
         zs = orthopoly_zeros(stieltjes_recurrence(sigma6, n), n)
         rows = potential_asymptotics_check([zs], arc, [2.0], sigma6.ctx)
         seq = LejaSequence(points=tuple(float(x)
-                                        for x in sigma6.locations[:n]),
-                           target_name="arcsine")
+                                        for x in sigma6.locations[:n]))
         leja_res = verify_weighted_asymptotics(seq, arc, [2.0])[0]
         assert abs(rows[0][2] - leja_res) < 10 * 0.4 ** (n * n)
 
@@ -394,8 +454,7 @@ class TestPotentialAsymptotics:
         arc = target_arcsine()
         res = {}
         for n in (6, 12):
-            sub = LejaSequence(points=arcsine_seq.points[:n],
-                               target_name="arcsine")
+            sub = LejaSequence(points=arcsine_seq.points[:n])
             res[n] = verify_weighted_asymptotics(sub, arc, [2.0])[0]
         assert abs(res[12]) < abs(res[6])
 
@@ -421,16 +480,6 @@ class TestPotentialAsymptotics:
 
 
 class TestCsv:
-    def test_recurrence_csv(self, tmp_path, sigma6):
-        rc = stieltjes_recurrence(sigma6, 4)
-        p1, p2 = tmp_path / "r1.csv", tmp_path / "r2.csv"
-        recurrence_to_csv(rc, p1)
-        recurrence_to_csv(rc, p2)
-        assert p1.read_bytes() == p2.read_bytes()
-        lines = p1.read_text().splitlines()
-        assert lines[0] == "n,a,b"
-        assert len(lines) == 5
-
     def test_residuals_csv(self, tmp_path):
         rows = [(2, 2.0, 0.5), (4, 2.0, 0.25), (6, 2.0, 0.1)]
         f = tmp_path / "res.csv"

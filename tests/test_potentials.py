@@ -2,16 +2,42 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf, mpc
 
 from potlab import (AtomCollision, DiscreteMeasure, PrecisionContext,
-                    chebyshev_monic, chebyshev_monic_recurrence,
-                    equilibrium_potential_circle,
                     equilibrium_potential_segment, phi, potential_discrete,
                     target_arcsine, target_blend, target_uniform)
 from potlab.potentials import phi_np, potential_on_grid
 
 CTX = PrecisionContext(256)
+
+
+def chebyshev_monic(n, z, ctx):
+    """Monic Chebyshev value T_n(z) = 2^(-n) (phi^n + phi^(-n)), n >= 1."""
+    if n < 1:
+        raise ValueError("degree must be >= 1")
+    with ctx.workprec():
+        p = phi(z, ctx)
+        return (p ** n + p ** (-n)) / mpf(2) ** n
+
+
+def chebyshev_monic_recurrence(n, z, ctx):
+    """Monic Chebyshev by the three-term recurrence (independent route).
+
+    T_1 = z, T_2 = z^2 - 1/2, then T_{k+1} = z*T_k - T_{k-1}/4.
+    """
+    if n < 1:
+        raise ValueError("degree must be >= 1")
+    with ctx.workprec():
+        z = mpc(z)
+        if n == 1:
+            return z
+        prev, cur = mpc(1), z
+        for k in range(1, n):
+            b = mpf(1) / 2 if k == 1 else mpf(1) / 4
+            prev, cur = cur, z * cur - b * prev
+        return cur
 
 
 class TestPrecisionContext:
@@ -68,6 +94,26 @@ class TestPhi:
         # (z^2-1)^(1/2)/z -> 1 means phi(z) ~ 2z far out
         z = mpc(1e8, 1e8)
         assert abs(phi(z, CTX) / (2 * z) - 1) < 1e-15
+
+    @settings(max_examples=50, deadline=None)
+    @given(z=st.one_of(
+        st.builds(complex, st.floats(-3, 3), st.floats(1e-6, 3)),
+        st.builds(complex, st.floats(-3, 3), st.floats(-3, -1e-6)),
+        #  within 1e-6 of +-1, at least 0.1*pi away from the cut's direction
+        st.builds(lambda s, r, t: s * (1 + r * complex(math.cos(t),
+                                                       math.sin(t))),
+                  st.sampled_from([-1.0, 1.0]), st.floats(1e-9, 1e-6),
+                  st.floats(-0.9 * math.pi, 0.9 * math.pi))),
+        x=st.floats(-1, 1))
+    def test_phi_np_matches_phi(self, z, x):
+        want = phi(z, PrecisionContext(256))
+        got = complex(phi_np(np.array([z]))[0])
+        assert abs(got - complex(want)) <= 1e-13 * abs(complex(want))
+        assert abs(want) > 1 and abs(got) > 1
+        #  on the segment either conjugate boundary value may come back,
+        #  and both have modulus one
+        assert abs(abs(phi_np(np.array([x]))[0]) - 1) <= 4e-16
+        assert abs(abs(phi(x, CTX)) - 1) <= mpf(2) ** -240
 
 
 class TestChebyshevMonic:
@@ -133,7 +179,8 @@ class TestDiscretePotential:
         m1 = DiscreteMeasure(tuple(zip(xs, w1)), ctx=CTX)
         m2 = DiscreteMeasure(tuple(zip(xs, w2)), ctx=CTX)
         z = 1.7 + 0.3j
-        v = potential_discrete(m1.combine(m2), z)
+        both = DiscreteMeasure(m1.atoms + m2.atoms, ctx=CTX)
+        v = potential_discrete(both, z)
         assert abs(v - (potential_discrete(m1, z) + potential_discrete(m2, z))) \
             < mpf(2) ** (-CTX.bits + 16)
 
@@ -173,19 +220,6 @@ class TestEquilibriumPotentials:
         z = 1e6
         assert float(equilibrium_potential_segment(z, CTX)) == pytest.approx(
             -math.log(z), abs=1e-6)
-
-    def test_circle_values(self):
-        assert equilibrium_potential_circle(1, CTX) == 0
-        assert abs(equilibrium_potential_circle(2, CTX) + mp.log(2)) < 1e-70
-        assert equilibrium_potential_circle(0.5, CTX) == 0
-
-    def test_circle_interior_mean_value_oracle(self):
-        # average of log 1/|z - e^(i t)| over the circle is 0 inside
-        z = mpc(0.3, 0.2)
-        with CTX.workprec():
-            oracle = mp.quad(lambda t: -mp.log(abs(z - mp.exp(1j * t))),
-                             [0, 2 * mp.pi]) / (2 * mp.pi)
-        assert abs(oracle - equilibrium_potential_circle(z, CTX)) < 1e-50
 
 
 class TestTargets:
