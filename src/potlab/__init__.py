@@ -3,21 +3,17 @@ discrete measures, and logarithmic capacity estimation for the
 roots-of-unity and Chebyshev-zero demonstrations."""
 
 from .precision import PrecisionContext, PrecisionTooLow
-from .measures import (AtomCollision, DiscreteMeasure, TargetMeasure,
-                       ks_distance)
-from .potentials import (equilibrium_potential_segment, phi,
-                         potential_discrete, target_arcsine, target_blend,
-                         target_uniform)
+from .measures import DiscreteMeasure, TargetMeasure, ks_distance
+from .potentials import (equilibrium_potential_segment, phi, target_arcsine,
+                         target_blend, target_uniform)
 from .leja import (CandidateGrid, DegenerateGrid, LejaSequence,
                    chebyshev_grid, equidistribution_distance,
                    extend_unweighted, extend_weighted, generate,
                    verify_unweighted_asymptotics, verify_weighted_asymptotics)
 from .orthopoly import (BreakdownError, PairingFailure, RecurrenceCoeffs,
                         SigmaBuildConfig, StressFailure, ZeroSet, build_sigma,
-                        counting_measure, epsilon_stress_test,
-                        orthopoly_zeros, precision_floor,
-                        stieltjes_recurrence, weak_star_distance,
-                        zero_stability_check)
+                        epsilon_stress_test, orthopoly_zeros, precision_floor,
+                        stieltjes_recurrence, zero_stability_check)
 from .capacity import (CapacityEstimate, DegenerateRegion, RegionDescriptor,
                        TracingFailure, greedy_fekete_capacity,
                        lune_capacity_bounds, preimage_capacity_check)

@@ -20,7 +20,6 @@ tracer here and the Chebyshev lemniscates of the experiments.
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -129,8 +128,8 @@ def trace_level_curve(g, centers, level, angles):
     return z0, d, lo, hi
 
 
-def trace_lemniscate_boundary(coeffs, level, angles=512):
-    """Points with |P(z)| = level, traced along rays from each root of P.
+def trace_lemniscate_boundary(coeffs, level):
+    """Points with |P(z)| = level, traced along 512 rays from each root of P.
 
     Each point is the midpoint of a final `trace_level_curve` bracket;
     the union over roots covers every component of the sublevel set.
@@ -143,8 +142,7 @@ def trace_lemniscate_boundary(coeffs, level, angles=512):
         v = np.polyval(coeffs, z)
         return np.hypot(v.real, v.imag)
 
-    z0, d, lo, hi = trace_level_curve(modulus, np.roots(coeffs), level,
-                                      angles)
+    z0, d, lo, hi = trace_level_curve(modulus, np.roots(coeffs), level, 512)
     return z0 + 0.5 * (lo + hi) * d
 
 
@@ -163,11 +161,7 @@ _SAMPLERS = {
 @dataclass(frozen=True)
 class CapacityEstimate:
     value: float               # bias-corrected d_n
-    n_points: int
-    method: str = "greedy_fekete"
-    uncertainty: float = 0.0
-    raw_dn: float = 0.0
-    points: Optional[np.ndarray] = None
+    raw_dn: float
 
 
 def _greedy_select(samples, n):
@@ -187,7 +181,6 @@ def _greedy_select(samples, n):
         with np.errstate(divide="ignore"):
             L[:, k] = np.log(np.abs(samples - samples[i]))
         logd += L[:, k]
-    greedy_order = list(sel)
     rowsum = L.sum(axis=1)
     for k in range(n):
         zk = samples[sel[k]]
@@ -204,7 +197,7 @@ def _greedy_select(samples, n):
             with np.errstate(divide="ignore"):
                 L[:, k] = np.log(np.abs(samples - samples[i]))
             rowsum = L.sum(axis=1)
-    return samples[sel], samples[greedy_order]
+    return samples[sel]
 
 
 def _corrected_dn(pts):
@@ -220,18 +213,14 @@ def greedy_fekete_capacity(region, n=64, sample_count=2048):
     """Capacity estimate of a region from an n-point greedy Fekete set.
 
     Calibration: disk(r) -> r exactly, segment of length L -> L/4 within
-    a few percent at n = 64.  The uncertainty field is the spread against
-    the half-size configuration.
+    a few percent at n = 64.  A point cloud is used whole; other regions
+    are sampled at sample_count boundary points.
     """
     if n < 8:
         raise ValueError("need n >= 8")
     samples = np.asarray(region.boundary_sample(sample_count), dtype=complex)
-    pts, greedy_pts = _greedy_select(samples, n)
-    raw, value = _corrected_dn(pts)
-    _, half = _corrected_dn(greedy_pts[:max(8, n // 2)])
-    return CapacityEstimate(value=value, n_points=n,
-                            uncertainty=abs(value - half),
-                            raw_dn=raw, points=pts)
+    raw, value = _corrected_dn(_greedy_select(samples, n))
+    return CapacityEstimate(value=value, raw_dn=raw)
 
 
 @dataclass(frozen=True)
@@ -239,15 +228,9 @@ class PreimageReport:
     estimate: float
     analytic: float
     rel_error: float
-    n_points: int
-
-    def to_json(self):
-        return {"estimate": self.estimate, "analytic": self.analytic,
-                "rel_error": self.rel_error, "n_points": self.n_points}
 
 
-def preimage_capacity_check(coeffs, rho, n_points=64, angles=512,
-                            sample_count=2048):
+def preimage_capacity_check(coeffs, rho, n_points=64):
     """Capacity of {z: |P(z)| <= rho^deg} versus the exact value rho.
 
     P must be monic; the boundary is traced from the roots of P and the
@@ -258,12 +241,10 @@ def preimage_capacity_check(coeffs, rho, n_points=64, angles=512,
         raise ValueError("polynomial must be monic")
     deg = len(coeffs) - 1
     level = float(rho) ** deg
-    bdry = trace_lemniscate_boundary(coeffs, level, angles=angles)
-    est = greedy_fekete_capacity(point_cloud(bdry), n=n_points,
-                                 sample_count=sample_count)
+    bdry = trace_lemniscate_boundary(coeffs, level)
+    est = greedy_fekete_capacity(point_cloud(bdry), n=n_points)
     return PreimageReport(estimate=est.value, analytic=float(rho),
-                          rel_error=abs(est.value - rho) / rho,
-                          n_points=n_points)
+                          rel_error=abs(est.value - rho) / rho)
 
 
 @dataclass(frozen=True)
@@ -288,7 +269,7 @@ class LuneReport:
                 "n_points": self.n_points}
 
 
-def lune_capacity_bounds(n, eps, n_points=64, sample_count=2048):
+def lune_capacity_bounds(n, eps, n_points=64):
     """Numerical capacity of the lune {|w| >= 1, |w-1| <= e^{-n eps}}.
 
     Capacity is scale equivariant, so the unit-size rescaled lune is
@@ -299,9 +280,8 @@ def lune_capacity_bounds(n, eps, n_points=64, sample_count=2048):
     if n * eps < 1:
         raise ValueError("need n*eps >= 1 for the rescaled computation")
     s = math.exp(-n * eps)
-    zeta = lune_rescaled_boundary(s, sample_count)
-    est = greedy_fekete_capacity(point_cloud(zeta), n=n_points,
-                                 sample_count=sample_count)
+    est = greedy_fekete_capacity(point_cloud(lune_rescaled_boundary(s)),
+                                 n=n_points)
     return LuneReport(n=n, eps=eps, estimate=est.value * s,
                       lower=s / 4, upper=s,
                       rescaled_estimate=est.value, n_points=n_points)

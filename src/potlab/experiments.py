@@ -37,8 +37,6 @@ from .measures import ks_distance
 from .potentials import phi_np, target_arcsine, target_blend, target_uniform
 from .precision import PrecisionContext
 
-EXPERIMENTS = ("prop1", "stahl_circle", "stahl_segment", "leja_only",
-               "capacity_only")
 LUNE_DEGREE = 20            # n of the lune whose capacity capacity_only checks
 
 
@@ -66,9 +64,9 @@ class ExperimentConfig:
     plot: bool = False
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENTS:
+        if self.experiment not in RUNNERS:
             raise ConfigError(f"unknown experiment {self.experiment!r}; "
-                              f"choose from {EXPERIMENTS}")
+                              f"choose from {tuple(RUNNERS)}")
         #  written as not-x-ok so that NaN is rejected too
         if not self.eps > 0:
             raise ConfigError("eps must be positive")
@@ -119,10 +117,7 @@ class ExperimentConfig:
         return ExperimentConfig(**merged)
 
     def describe(self):
-        d = asdict(self)
-        d["n_list"] = list(self.n_list)
-        d["scan_grid"] = list(self.scan_grid)
-        return d
+        return asdict(self)
 
 
 def target_from_name(name, ctx):
@@ -151,27 +146,21 @@ def _write_csv(path, header, rows):
 #  bad-set machinery shared by the two demos
 
 
-@dataclass(frozen=True)
-class BadSetSample:
-    """Sampled points where the potential deviation is at least eps."""
-
-    n: int
-    points: tuple
-    inclusion_certificate: int
-
-    @staticmethod
-    def collect(n, candidates, deviations, eps, member_flags):
-        pts, cert = [], 0
-        for z, d, ok in zip(candidates, deviations, member_flags):
-            if not ok:
-                continue
-            if not abs(d) >= eps:          # re-evaluated on store
-                raise AssertionError(
-                    f"certified point {z} has |deviation| {abs(d)} < {eps}")
-            cert += 1
-            if len(pts) < 200:
-                pts.append(complex(z))
-        return BadSetSample(n=n, points=tuple(pts), inclusion_certificate=cert)
+def _certify_bad_set(candidates, deviations, eps, member_flags):
+    """Count the member candidates, each of which must deviate by at least
+    eps, and return the count with the first 50 of them as [re, im]."""
+    pts, cert = [], 0
+    for z, d, ok in zip(candidates, deviations, member_flags):
+        if not ok:
+            continue
+        if not abs(d) >= eps:
+            raise AssertionError(
+                f"certified point {z} has |deviation| {abs(d)} < {eps}")
+        cert += 1
+        if len(pts) < 50:
+            z = complex(z)
+            pts.append([z.real, z.imag])
+    return cert, pts
 
 
 def _vdiff_circle(z, n):
@@ -193,15 +182,15 @@ def _nth_roots(w, n):
                            for k in range(n)])
 
 
-def _sample_lune_preimage(n, eps, rng, per_branch=40):
-    """Interior points of the z^n-preimage of the lune, all n branches.
+def _sample_lune_preimage(n, eps, rng):
+    """Interior points of the z^n-preimage of the lune, 40 per branch.
 
     Points are kept strictly inside (radius factor 0.999, |w| >= 1+1e-9)
     so the membership inequalities hold with slack well above rounding.
     """
     s = math.exp(-n * eps)
-    psis = 2 * np.pi * (np.arange(per_branch) + rng.random(per_branch)) / per_branch
-    rads = s * (0.1 + 0.899 * rng.random(per_branch))
+    psis = 2 * np.pi * (np.arange(40) + rng.random(40)) / 40
+    rads = s * (0.1 + 0.899 * rng.random(40))
     w = 1 + rads * np.exp(1j * psis)
     return _nth_roots(w[np.abs(w) >= 1 + 1e-9], n)
 
@@ -216,15 +205,14 @@ def _cheb_level_set(n, eps):
     return g, roots, math.exp(-n * eps)
 
 
-def _sample_cheb_ovals(n, eps, theta_count=16, shrink=0.9):
+def _sample_cheb_ovals(n, eps):
     """Points inside {|T_n| <= 2^{-n} e^{-n eps}} near each Chebyshev zero.
 
-    Rays from the zeros go through `capacity.trace_level_curve`; each
-    sample sits at `shrink` times the inner end of its final bracket.
+    16 rays from each zero go through `capacity.trace_level_curve`; each
+    sample sits at 0.9 times the inner end of its final bracket.
     """
-    z0, d, lo, _ = cap.trace_level_curve(*_cheb_level_set(n, eps),
-                                         theta_count)
-    return z0 + shrink * lo * d
+    z0, d, lo, _ = cap.trace_level_curve(*_cheb_level_set(n, eps), 16)
+    return z0 + 0.9 * lo * d
 
 
 def _clustered(lo, hi, count):
@@ -257,9 +245,7 @@ def run_stahl_circle(cfg):
         samples = _sample_lune_preimage(n, cfg.eps, rng)
         dev = _vdiff_circle(samples, n)
         member = np.abs(samples) >= 1
-        cert = BadSetSample.collect(n, samples, dev, cfg.eps, member)
-        certified = cert.inclusion_certificate == len(samples)
-        bad_pts = [[z.real, z.imag] for z in cert.points[:50]]
+        cert, bad_pts = _certify_bad_set(samples, dev, cfg.eps, member)
 
         z_bdry = _nth_roots(cap.lune(n, cfg.eps).boundary_sample(1024), n)
         in_krho = bool(np.all(np.abs(z_bdry) <= cfg.rho))
@@ -273,13 +259,14 @@ def run_stahl_circle(cfg):
                               math.exp(-cfg.eps)],
             "badset_grid_count": bad_count,
             "badset_points": bad_pts,
-            "certified_samples": cert.inclusion_certificate,
+            "certified_samples": cert,
             "sample_count": int(len(samples)),
             "preimage_in_K_rho": in_krho,
         })
         rows.append([n, "%.17g" % ks, "%.17g" % bound, "%.17g" % est.value,
-                     bad_count, cert.inclusion_certificate, len(samples)])
-        ok = ok and certified and in_krho and abs(ks - 1.0 / n) < 1e-12
+                     bad_count, cert, len(samples)])
+        ok = (ok and cert == len(samples) and in_krho
+              and abs(ks - 1.0 / n) < 1e-12)
 
     bounds = [e["bound_analytic"] for e in per_n]
     non_decay = all(b2 >= b1 for b1, b2 in zip(bounds, bounds[1:])) \
@@ -319,10 +306,8 @@ def run_stahl_segment(cfg):
         wphi = phi_np(samples)
         dev = _vdiff_segment_w(wphi, n)
         inside = g(samples) <= level
-        cert = BadSetSample.collect(n, samples, dev, cfg.eps, inside)
-        certified = cert.inclusion_certificate == len(samples)
+        cert, bad_pts = _certify_bad_set(samples, dev, cfg.eps, inside)
         in_krho = bool(np.all(np.abs(wphi) <= cfg.rho))
-        bad_pts = [[z.real, z.imag] for z in cert.points[:50]]
 
         bdry = _trace_cheb_lemniscate(n, cfg.eps)
         est = cap.greedy_fekete_capacity(cap.point_cloud(bdry), n=cfg.fekete_n)
@@ -330,15 +315,15 @@ def run_stahl_segment(cfg):
         per_n.append({
             "n": n, "ks": ks, "bound_analytic": bound,
             "cap_estimate": est.value,
-            "certified_samples": cert.inclusion_certificate,
+            "certified_samples": cert,
             "sample_count": int(len(samples)),
             "badset_grid_count": bad_count,
             "badset_points": bad_pts,
             "lemniscate_in_K_rho": in_krho,
         })
         rows.append([n, "%.17g" % ks, "%.17g" % bound, "%.17g" % est.value,
-                     bad_count, cert.inclusion_certificate, len(samples)])
-        ok = ok and certified and in_krho
+                     bad_count, cert, len(samples)])
+        ok = ok and cert == len(samples) and in_krho
 
     ks_seq = [e["ks"] for e in per_n]
     trend = all(k2 < k1 for k1, k2 in zip(ks_seq, ks_seq[1:]))
@@ -355,14 +340,14 @@ def run_stahl_segment(cfg):
     return report
 
 
-def _trace_cheb_lemniscate(n, eps, theta_count=64):
+def _trace_cheb_lemniscate(n, eps):
     """Boundary of {2^n |T_n| = e^{-n eps}} through the stable phi form.
 
-    Rays from the Chebyshev zeros go through `capacity.trace_level_curve`;
-    each point is the midpoint of its final bracket.
+    64 rays from each Chebyshev zero go through
+    `capacity.trace_level_curve`; each point is the midpoint of its final
+    bracket.
     """
-    z0, d, lo, hi = cap.trace_level_curve(*_cheb_level_set(n, eps),
-                                          theta_count)
+    z0, d, lo, hi = cap.trace_level_curve(*_cheb_level_set(n, eps), 64)
     return z0 + 0.5 * (lo + hi) * d
 
 
@@ -403,8 +388,8 @@ def run_prop1(cfg):
         [rep.zeros for rep in stab_reports], target, z_samples, ctx)
     per_n = []
     for rep in stab_reports:
-        cm = op.counting_measure(rep.zeros, ctx=ctx)
-        ks_zeros = op.weak_star_distance(cm, target)
+        ks_zeros = ks_distance(rep.zeros.roots, target.cdf,
+                               weights=[1 / rep.n] * rep.n)
         res_n = {str(z): r for (m, z, r) in res_rows if m == rep.n}
         per_n.append({
             "n": rep.n,

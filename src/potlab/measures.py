@@ -8,14 +8,11 @@ polynomials are built with respect to these.
 """
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional
 
 import numpy as np
-from mpmath import mp
 
 from .precision import PrecisionContext
-
-SEGMENT = (-1.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -35,34 +32,25 @@ class TargetMeasure:
     grid_potential: Optional[Callable] = None
 
 
-class AtomCollision(ValueError):
-    """Potential evaluated exactly at an atom location."""
-
-
 @dataclass(frozen=True)
 class DiscreteMeasure:
     """Atomic measure sum(w_k * delta_{x_k}) with big-float atoms.
 
     Locations and weights are mpf values created under `ctx`; weights are
-    strictly positive and locations lie in the declared support.  The
-    total mass is the exact stored sum of the weights.
+    strictly positive and locations lie in [-1,1].
     """
 
     atoms: tuple
     ctx: PrecisionContext = field(default_factory=PrecisionContext)
-    support: Optional[Tuple[float, float]] = SEGMENT
 
     def __post_init__(self):
-        #  support=None admits planar (complex) atoms without a range check
-        planar = self.support is None
-        loc = self.ctx.mpc if planar else self.ctx.mpf
-        atoms = tuple((loc(x), self.ctx.mpf(w)) for x, w in self.atoms)
-        lo, hi = self.support or (None, None)
+        mpf = self.ctx.mpf
+        atoms = tuple((mpf(x), mpf(w)) for x, w in self.atoms)
         for x, w in atoms:
             if not w > 0:
                 raise ValueError(f"nonpositive weight {w} at {x}")
-            if not planar and not lo <= x <= hi:
-                raise ValueError(f"atom {x} outside support [{lo},{hi}]")
+            if not -1 <= x <= 1:
+                raise ValueError(f"atom {x} outside [-1,1]")
         object.__setattr__(self, "atoms", atoms)
 
     @property
@@ -73,11 +61,6 @@ class DiscreteMeasure:
     def weights(self):
         return [w for _, w in self.atoms]
 
-    @property
-    def total_mass(self):
-        with self.ctx.workprec():
-            return mp.fsum(self.weights)
-
     def __len__(self):
         return len(self.atoms)
 
@@ -85,8 +68,10 @@ class DiscreteMeasure:
 def ks_distance(points, cdf, weights=None):
     """Kolmogorov-Smirnov distance between an atomic measure and a CDF.
 
-    Evaluates sup |F_n - cdf| over atom locations (both one-sided limits
-    of the empirical CDF) and over midpoints of consecutive atoms.
+    Evaluates sup |F_n - cdf| at the atom locations, taking both one-sided
+    limits of the empirical CDF.  For a continuous nondecreasing cdf that
+    is the supremum: between consecutive atoms F_n is constant, so the
+    gap is largest at one end of the interval.
     """
     xs = np.asarray([float(x) for x in points], dtype=float)
     order = np.argsort(xs, kind="stable")
@@ -100,9 +85,5 @@ def ks_distance(points, cdf, weights=None):
     #  left limits of both CDFs: sup over t < x_i is attained as t -> x_i
     cx_left = np.asarray(cdf(np.nextafter(xs, -np.inf)), dtype=float)
     left = np.concatenate(([0.0], cum[:-1]))
-    d = max(np.max(np.abs(cum - cx)), np.max(np.abs(left - cx_left)))
-    if len(xs) > 1:
-        mids = 0.5 * (xs[1:] + xs[:-1])
-        cm = np.asarray(cdf(mids), dtype=float)
-        d = max(d, np.max(np.abs(cum[:-1] - cm)))
-    return float(d)
+    return float(max(np.max(np.abs(cum - cx)),
+                     np.max(np.abs(left - cx_left))))

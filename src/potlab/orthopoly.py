@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 from mpmath import mp, mpf
 
-from .measures import DiscreteMeasure, ks_distance
+from .measures import DiscreteMeasure
 from .precision import PrecisionContext, PrecisionTooLow
 
 
@@ -82,8 +82,6 @@ def stieltjes_recurrence(m, n):
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if m.support is None:
-        raise ValueError("Stieltjes iteration needs real atom locations")
     ctx = m.ctx
     with ctx.workprec():
         xs = m.locations
@@ -285,7 +283,6 @@ class StabilityReport:
     deviations: tuple          # (leja index, distance) per root
     max_deviation: object      # mpf
     bound: object              # mpf, q^(n^2)
-    separation: float
 
     @property
     def margin(self):
@@ -315,24 +312,22 @@ def zero_stability_check(rc, seq, n, q):
                 f"points (worst deviation {mp.nstr(worst, 8)})")
         bound = ctx.mpf(str(q)) ** (n * n)
     return StabilityReport(n=n, zeros=zs, deviations=tuple(pairs),
-                           max_deviation=worst, bound=bound,
-                           separation=float(_min_separation(seq.points, n,
-                                                            ctx)))
+                           max_deviation=worst, bound=bound)
 
 
-def default_stress_family(seq, n, ctx, grid_atoms=64):
+def default_stress_family(seq, n, ctx):
     """The documented perturbation family: nothing, endpoint atoms, an atom
-    at each of the first n Leja points, and a uniform grid of mass one."""
+    at each of the first n Leja points, and a 64-atom uniform grid of mass
+    one."""
     fam = [("zero", None),
            ("delta_-1", ((ctx.mpf(-1), ctx.mpf(1)),)),
            ("delta_+1", ((ctx.mpf(1), ctx.mpf(1)),))]
     for k in range(n):
         fam.append((f"delta_leja_{k + 1}",
                     ((ctx.mpf(seq.points[k]), ctx.mpf(1)),)))
-    w = ctx.mpf(1) / grid_atoms
-    grid = tuple((ctx.mpf(-1) + ctx.mpf(2) * i / (grid_atoms - 1), w)
-                 for i in range(grid_atoms))
-    fam.append((f"uniform_grid_{grid_atoms}", grid))
+    w = ctx.mpf(1) / 64
+    grid = tuple((ctx.mpf(-1) + ctx.mpf(2) * i / 63, w) for i in range(64))
+    fam.append(("uniform_grid_64", grid))
     return fam
 
 
@@ -352,7 +347,7 @@ class StressReport:
         return tuple(name for name, d in self.results if not d < self.bound)
 
 
-def epsilon_stress_test(m, seq, n, eps_next, family=None, q=None,
+def epsilon_stress_test(m, seq, n, eps_next, q, family=None,
                         raise_on_violation=True):
     """Recompute the zeros of P_n under sigma_n + 2*eps_next*nu.
 
@@ -361,8 +356,6 @@ def epsilon_stress_test(m, seq, n, eps_next, family=None, q=None,
     StressFailure naming the offending perturbation (unless told not to).
     """
     ctx = m.ctx
-    if q is None:
-        raise ValueError("q is required for the deviation bound")
     with ctx.workprec():
         sigma_n = DiscreteMeasure(m.atoms[:n], ctx=ctx)
         if family is None:
@@ -394,28 +387,7 @@ def epsilon_stress_test(m, seq, n, eps_next, family=None, q=None,
 
 
 # ---------------------------------------------------------------------------
-#  zero-counting measures and potential asymptotics
-
-
-def counting_measure(zs, ctx=None):
-    """Normalized zero-counting measure: weight 1/n at each root."""
-    if not zs.roots:
-        raise ValueError("empty zero set")
-    ctx = ctx or PrecisionContext(64)
-    w = ctx.mpf(1) / zs.degree
-    #  bisection can leave a root a half-width past the hull; pad the
-    #  declared support accordingly
-    lo = min(float(r) for r in zs.roots)
-    hi = max(float(r) for r in zs.roots)
-    pad = 1e-12 * (1 + max(abs(lo), abs(hi)))
-    support = (min(lo - pad, -1.0), max(hi + pad, 1.0))
-    return DiscreteMeasure(tuple((r, w) for r in zs.roots), ctx=ctx,
-                           support=support)
-
-
-def weak_star_distance(m, target):
-    """KS distance between an atomic measure and the target CDF."""
-    return ks_distance(m.locations, target.cdf, weights=m.weights)
+#  potential asymptotics
 
 
 def potential_asymptotics_check(zero_sets, target, z_samples, ctx):

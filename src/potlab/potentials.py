@@ -16,7 +16,7 @@ import numpy as np
 from mpmath import mp, mpf, mpc
 
 from .precision import PrecisionContext
-from .measures import AtomCollision, TargetMeasure
+from .measures import TargetMeasure
 
 _D = PrecisionContext(bits=64)
 
@@ -41,24 +41,6 @@ def phi_np(z):
     w = z + np.sqrt(z - 1) * np.sqrt(z + 1)
     flip = np.abs(w) < 1
     return np.where(flip, np.divide(1.0, w, out=np.ones_like(w), where=w != 0), w)
-
-
-def potential_discrete(m, z):
-    """Logarithmic potential sum(w_k * log 1/|z - x_k|) of a DiscreteMeasure.
-
-    Computed as a compensated sum of log terms at the measure's precision.
-    Raises AtomCollision when z hits an atom exactly.
-    """
-    ctx = m.ctx
-    with ctx.workprec():
-        z = mpc(z)
-        terms = []
-        for x, w in m.atoms:
-            d = abs(z - x)
-            if d == 0:
-                raise AtomCollision(f"potential evaluated at atom {x}")
-            terms.append(-w * mp.log(d))
-        return mp.fsum(terms)
 
 
 def equilibrium_potential_segment(z, ctx=_D):

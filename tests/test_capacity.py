@@ -34,10 +34,6 @@ class TestCalibration:
         est = greedy_fekete_capacity(point_cloud(bdry), n=64)
         assert est.value == pytest.approx(0.75, rel=0.05)
 
-    def test_uncertainty_positive_and_small(self):
-        est = greedy_fekete_capacity(disk(0, 1), n=64)
-        assert 0 <= est.uncertainty < 0.1
-
 
 class TestEstimatorProperties:
     def test_scale_equivariance_exact(self):
@@ -99,14 +95,9 @@ class TestPreimage:
         with pytest.raises(ValueError):
             preimage_capacity_check([2, 0, -1], 0.9)
 
-    def test_report_json_fields(self):
-        rep = preimage_capacity_check([1, 0, -1], 0.9, n_points=32)
-        d = rep.to_json()
-        assert set(d) == {"estimate", "analytic", "rel_error", "n_points"}
-
     def test_tracing_failure(self):
         with pytest.raises(TracingFailure):
-            trace_lemniscate_boundary(np.array([1.0, 0.0]), 1e12, angles=4)
+            trace_lemniscate_boundary(np.array([1.0, 0.0]), 1e12)
 
     def test_level_curve_never_reached(self):
         #  g stays below the level on every ray: no bracket exists
@@ -115,8 +106,7 @@ class TestPreimage:
                               1.0, 8)
 
     def test_boundary_points_sit_on_level_line(self):
-        pts = trace_lemniscate_boundary(np.array([1.0, 0.0, -1.0]), 0.81,
-                                        angles=64)
+        pts = trace_lemniscate_boundary(np.array([1.0, 0.0, -1.0]), 0.81)
         vals = np.abs(np.polyval([1, 0, -1], pts))
         assert np.max(np.abs(vals - 0.81)) < 1e-9
 
@@ -129,7 +119,7 @@ class TestPreimage:
         #  monic P with roots r e^{it} in the closed unit disk
         coeffs = np.poly([r * complex(math.cos(t), math.sin(t))
                           for r, t in roots])
-        pts = trace_lemniscate_boundary(coeffs, level, angles=32)
+        pts = trace_lemniscate_boundary(coeffs, level)
         vals = np.abs(np.polyval(coeffs, pts))
         assert np.max(np.abs(vals - level)) < 1e-9 * level
 

@@ -361,9 +361,8 @@ class TestPublicApi:
                  if not isinstance(getattr(potlab, n), types.ModuleType)}
         assert names == {
             "PrecisionContext", "PrecisionTooLow",
-            "AtomCollision", "DiscreteMeasure", "TargetMeasure",
-            "ks_distance",
-            "equilibrium_potential_segment", "phi", "potential_discrete",
+            "DiscreteMeasure", "TargetMeasure", "ks_distance",
+            "equilibrium_potential_segment", "phi",
             "target_arcsine", "target_blend", "target_uniform",
             "CandidateGrid", "DegenerateGrid", "LejaSequence",
             "chebyshev_grid", "equidistribution_distance",
@@ -371,9 +370,8 @@ class TestPublicApi:
             "verify_unweighted_asymptotics", "verify_weighted_asymptotics",
             "BreakdownError", "PairingFailure", "RecurrenceCoeffs",
             "SigmaBuildConfig", "StressFailure", "ZeroSet", "build_sigma",
-            "counting_measure", "epsilon_stress_test", "orthopoly_zeros",
-            "precision_floor", "stieltjes_recurrence", "weak_star_distance",
-            "zero_stability_check",
+            "epsilon_stress_test", "orthopoly_zeros", "precision_floor",
+            "stieltjes_recurrence", "zero_stability_check",
             "CapacityEstimate", "DegenerateRegion", "RegionDescriptor",
             "TracingFailure", "greedy_fekete_capacity",
             "lune_capacity_bounds", "preimage_capacity_check",

@@ -8,12 +8,11 @@ from mpmath import mp, mpf
 
 from potlab import (BreakdownError, DiscreteMeasure, PairingFailure,
                     PrecisionContext, PrecisionTooLow, SigmaBuildConfig,
-                    StressFailure, build_sigma, counting_measure,
-                    epsilon_stress_test, generate, orthopoly_zeros,
-                    precision_floor, stieltjes_recurrence, target_arcsine,
-                    weak_star_distance, zero_stability_check)
-from potlab.orthopoly import (ZeroSet, residuals_to_csv,
-                              potential_asymptotics_check)
+                    StressFailure, build_sigma, chebyshev_grid,
+                    epsilon_stress_test, generate, ks_distance,
+                    orthopoly_zeros, precision_floor, stieltjes_recurrence,
+                    target_arcsine, zero_stability_check)
+from potlab.orthopoly import residuals_to_csv, potential_asymptotics_check
 
 CTX = PrecisionContext(256)
 
@@ -116,7 +115,8 @@ class TestStieltjes:
     def test_b0_is_total_mass_exactly(self):
         m = DiscreteMeasure(((-0.7, 0.25), (0.1, 0.5), (0.8, 0.125)), ctx=CTX)
         rc = stieltjes_recurrence(m, 1)
-        assert rc.b[0] == m.total_mass
+        with CTX.workprec():
+            assert rc.b[0] == mp.fsum(m.weights)
 
     def test_gauss_chebyshev_recurrence(self):
         rc = stieltjes_recurrence(gauss_chebyshev(64), 10)
@@ -289,6 +289,24 @@ class TestBuildSigma:
         for (x, _), p in zip(sigma6.atoms, arcsine_seq.points):
             assert float(x) == p
 
+    def test_zeros_agree_at_more_bits(self):
+        #  precision adequacy: the prop1 benchmark sigma (q = 0.4, n_max = 7,
+        #  200 arcsine Leja points on 4096 nodes) rebuilt at 1024 bits
+        #  moves no zero of P_1 ... P_7 by more than the 768-bit root_tol
+        seq = generate(200, target=target_arcsine(),
+                       grid=chebyshev_grid(4096))
+        zeros = {}
+        for bits in (768, 1024):
+            sigma = build_sigma(SigmaBuildConfig(q=0.4, n_max=7, bits=bits),
+                                seq)
+            rc = stieltjes_recurrence(sigma, 7)
+            zeros[bits] = [orthopoly_zeros(rc, n).roots for n in range(1, 8)]
+        tol = PrecisionContext(768).root_tol
+        with mp.workprec(1024):
+            gap = max(abs(a - b) for ra, rb in zip(zeros[768], zeros[1024])
+                      for a, b in zip(ra, rb))
+        assert gap < tol, (mp.nstr(gap, 4), mp.nstr(tol, 4))
+
     def test_stabilized_margins_across_q(self, arcsine_seq):
         #  the calibration is not tuned to one q: margins stay comfortable
         #  over the admissible range
@@ -307,7 +325,8 @@ class TestZeroStability:
         rep = zero_stability_check(stieltjes_recurrence(sigma6, 1),
                                    _seq_of(sigma6), 1, 0.4)
         with sigma6.ctx.workprec():
-            mean = mp.fsum(w * x for x, w in sigma6.atoms) / sigma6.total_mass
+            mean = (mp.fsum(w * x for x, w in sigma6.atoms)
+                    / mp.fsum(sigma6.weights))
             assert abs(rep.zeros.roots[0] - mean) < mpf(2) ** -400
         assert rep.max_deviation < mpf("0.4")
 
@@ -405,19 +424,13 @@ class TestCountingMeasure:
         n = 50
         roots = tuple(math.cos((2 * k - 1) * math.pi / (2 * n))
                       for k in range(1, n + 1))
-        cm = counting_measure(ZeroSet(roots=roots, degree=n), ctx=CTX)
-        ks = weak_star_distance(cm, target_arcsine())
+        ks = ks_distance(roots, target_arcsine().cdf, weights=[1 / n] * n)
         assert ks == pytest.approx(1 / (2 * n), abs=1e-12)
         assert ks < 0.03
 
     def test_single_root_at_center(self):
-        cm = counting_measure(ZeroSet(roots=(0.0,), degree=1), ctx=CTX)
-        assert weak_star_distance(cm, target_arcsine()) \
+        assert ks_distance((0.0,), target_arcsine().cdf, weights=[1.0]) \
             == pytest.approx(0.5, abs=1e-12)
-
-    def test_weights_are_uniform(self):
-        cm = counting_measure(ZeroSet(roots=(-0.5, 0.5), degree=2), ctx=CTX)
-        assert [float(w) for w in cm.weights] == [0.5, 0.5]
 
 
 class TestPotentialAsymptotics:

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf, mpc
 
-from potlab import (AtomCollision, DiscreteMeasure, PrecisionContext,
-                    equilibrium_potential_segment, phi, potential_discrete,
-                    target_arcsine, target_blend, target_uniform)
+from potlab import (DiscreteMeasure, PrecisionContext,
+                    equilibrium_potential_segment, phi, target_arcsine,
+                    target_blend, target_uniform)
 from potlab.potentials import phi_np, potential_on_grid
 
 CTX = PrecisionContext(256)
@@ -149,58 +149,22 @@ class TestChebyshevMonic:
                 assert abs(got.imag) < 1e-15
 
 
-class TestDiscretePotential:
-    def test_single_atom_at_e(self):
-        m = DiscreteMeasure(((0.0, 1.0),), ctx=CTX)
-        v = potential_discrete(m, mp.e)
-        assert abs(v + 1) < 1e-60
+class TestDiscreteMeasure:
+    @pytest.mark.parametrize("atoms", [
+        ((0.5, 0),),
+        ((0.5, -0.25),),
+        ((-1.5, 1),),
+        #  1 + 2^-200 as (mantissa, exponent): exact at CTX's 256 bits
+        (((2 ** 200 + 1, -200), 1),),
+    ], ids=["zero_weight", "negative_weight", "atom_at_-1.5",
+            "atom_just_past_1"])
+    def test_rejects_bad_atoms(self, atoms):
+        with pytest.raises(ValueError):
+            DiscreteMeasure(atoms, ctx=CTX)
 
-    def test_roots_of_unity(self):
-        # V(2) = (1/n) log(1/|2^n - 1|) for the degree-n unit roots, n = 4
-        atoms = tuple((z, 0.25) for z in (1, 1j, -1, -1j))
-        m = DiscreteMeasure(atoms, ctx=CTX, support=None)
-        v = potential_discrete(m, 2)
-        assert abs(v - mp.log(mpf(1) / 15) / 4) < 1e-60
-
-    def test_two_symmetric_atoms(self):
-        m = DiscreteMeasure(((-1.0, 0.5), (1.0, 0.5)), ctx=CTX)
-        assert abs(potential_discrete(m, 0)) < 1e-70
-
-    def test_atom_collision(self):
-        m = DiscreteMeasure(((0.25, 1.0),), ctx=CTX)
-        with pytest.raises(AtomCollision):
-            potential_discrete(m, 0.25)
-
-    def test_affine_in_weights(self):
-        rng = np.random.default_rng(11)
-        xs = np.sort(rng.random(6) * 1.8 - 0.9)
-        w1 = rng.random(6) + 0.1
-        w2 = rng.random(6) + 0.1
-        m1 = DiscreteMeasure(tuple(zip(xs, w1)), ctx=CTX)
-        m2 = DiscreteMeasure(tuple(zip(xs, w2)), ctx=CTX)
-        z = 1.7 + 0.3j
-        both = DiscreteMeasure(m1.atoms + m2.atoms, ctx=CTX)
-        v = potential_discrete(both, z)
-        assert abs(v - (potential_discrete(m1, z) + potential_discrete(m2, z))) \
-            < mpf(2) ** (-CTX.bits + 16)
-
-    def test_rotation_invariance_single_atom(self):
-        m = DiscreteMeasure(((0.0, 1.0),), ctx=CTX)
-        r = mpf(3) / 7
-        vals = {potential_discrete(m, z)
-                for z in (r, -r, mpc(0, r), mpc(0, -r))}
-        assert len(vals) == 1
-
-    def test_summation_order_independent(self):
-        #  the sum over 2000 log terms is compensated: reversing the atom
-        #  order must not change the rounded result at all
-        rng = np.random.default_rng(42)
-        xs = rng.random(2000) * 1.98 - 0.99
-        ws = rng.random(2000) * 1e-6 + 1e-9
-        fwd = DiscreteMeasure(tuple(zip(xs, ws)), ctx=CTX)
-        rev = DiscreteMeasure(tuple(zip(xs[::-1], ws[::-1])), ctx=CTX)
-        z = 1.25 + 0.5j
-        assert potential_discrete(fwd, z) == potential_discrete(rev, z)
+    def test_accepts_the_endpoints(self):
+        m = DiscreteMeasure(((-1, 0.5), (1, 0.5)), ctx=CTX)
+        assert m.locations == [-1, 1]
 
 
 class TestEquilibriumPotentials:
