@@ -81,6 +81,9 @@ class ExperimentConfig:
             raise ConfigError(f"grid_size must be >= 2, got {self.grid_size}")
         if self.experiment == "capacity_only" and LUNE_DEGREE * self.eps < 1:
             raise ConfigError(f"capacity_only needs {LUNE_DEGREE} * eps >= 1")
+        if self.experiment == "prop1" or (self.experiment == "leja_only"
+                                          and self.target != "none"):
+            target_from_name(self.target, PrecisionContext())
         object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
         if self.n_list and min(self.n_list) < 1:
             raise ConfigError(f"n_list entries must be >= 1: {self.n_list}")
@@ -116,9 +119,6 @@ class ExperimentConfig:
                 merged[key] = tuple(merged[key])
         return ExperimentConfig(**merged)
 
-    def describe(self):
-        return asdict(self)
-
 
 def target_from_name(name, ctx):
     if name == "arcsine":
@@ -126,7 +126,10 @@ def target_from_name(name, ctx):
     if name == "uniform":
         return target_uniform(ctx)
     if name.startswith("blend:"):
-        return target_blend(float(name.split(":", 1)[1]), ctx)
+        try:
+            return target_blend(float(name.split(":", 1)[1]), ctx)
+        except ValueError as exc:
+            raise ConfigError(f"bad target {name!r}: {exc}") from None
     raise ConfigError(f"unknown target {name!r}")
 
 
@@ -140,6 +143,11 @@ def _write_csv(path, header, rows):
         w = csv.writer(f)
         w.writerow(header)
         w.writerows(rows)
+
+
+def _write_leja_csv(out_dir, seq):
+    _write_csv(os.path.join(out_dir, "leja.csv"), ["index", "x"],
+               [(i, "%.17g" % x) for i, x in enumerate(seq.points)])
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +284,7 @@ def run_stahl_circle(cfg):
     _write_csv(os.path.join(cfg.out_dir, "stahl_circle.csv"),
                ["n", "ks", "bound_analytic", "cap_estimate",
                 "badset_grid_count", "certified", "samples"], rows)
-    report = {"experiment": "stahl_circle", "config": cfg.describe(),
+    report = {"experiment": "stahl_circle", "config": asdict(cfg),
               "per_n": per_n, "non_decay": non_decay, "pass": bool(ok)}
     _write_json(os.path.join(cfg.out_dir, "summary.json"), report)
     if cfg.plot:
@@ -332,7 +340,7 @@ def run_stahl_segment(cfg):
     _write_csv(os.path.join(cfg.out_dir, "stahl_segment.csv"),
                ["n", "ks", "bound_analytic", "cap_estimate",
                 "badset_grid_count", "certified", "samples"], rows)
-    report = {"experiment": "stahl_segment", "config": cfg.describe(),
+    report = {"experiment": "stahl_segment", "config": asdict(cfg),
               "per_n": per_n, "ks_decreasing": trend, "pass": bool(ok)}
     _write_json(os.path.join(cfg.out_dir, "summary.json"), report)
     if cfg.plot:
@@ -359,7 +367,7 @@ def run_prop1(cfg):
     grid = lj.chebyshev_grid(cfg.grid_size)
     n_pts = max(cfg.leja_n, cfg.n_max)
     seq = lj.generate(n_pts, target=target, grid=grid)
-    seq.to_csv(os.path.join(cfg.out_dir, "leja.csv"))
+    _write_leja_csv(cfg.out_dir, seq)
 
     ks_rows = []
     for m in sorted({cfg.n_max, cfg.leja_n // 2, cfg.leja_n}):
@@ -401,11 +409,17 @@ def run_prop1(cfg):
             "residuals": res_n,
         })
 
-    op.stability_to_csv(stab_reports, seq, os.path.join(cfg.out_dir,
-                                                        "stability.csv"), ctx)
-    op.residuals_to_csv(res_rows, os.path.join(cfg.out_dir, "residuals.csv"))
+    _write_csv(os.path.join(cfg.out_dir, "stability.csv"),
+               ["n", "k", "root", "paired_leja", "deviation", "bound"],
+               [(rep.n, j + 1, ctx.nstr(root), "%.17g" % seq.points[j],
+                 ctx.nstr(d), ctx.nstr(rep.bound))
+                for rep in stab_reports
+                for (j, d), root in zip(rep.deviations, rep.zeros.roots)])
+    _write_csv(os.path.join(cfg.out_dir, "residuals.csv"),
+               ["n", "z", "residual"],
+               [(n, str(z), "%.17g" % r) for n, z, r in res_rows])
 
-    report = {"experiment": "prop1", "config": cfg.describe(),
+    report = {"experiment": "prop1", "config": asdict(cfg),
               "ks_leja": {str(m): v for m, v in ks_rows},
               "per_n": per_n,
               "pass": all(rep.passed for rep in stab_reports)}
@@ -424,7 +438,7 @@ def run_leja_only(cfg):
         cfg.target, PrecisionContext(max(cfg.bits, 64)))
     grid = lj.chebyshev_grid(cfg.grid_size)
     seq = lj.generate(cfg.leja_n, target=target, grid=grid)
-    seq.to_csv(os.path.join(cfg.out_dir, "leja.csv"))
+    _write_leja_csv(cfg.out_dir, seq)
     zs = [2.0, 2j, -3.0]
     ks = None
     if target is None:
@@ -432,7 +446,7 @@ def run_leja_only(cfg):
     else:
         resid = lj.verify_weighted_asymptotics(seq, target, zs)
         ks = lj.equidistribution_distance(seq, target)
-    report = {"experiment": "leja_only", "config": cfg.describe(),
+    report = {"experiment": "leja_only", "config": asdict(cfg),
               "residuals": {str(z): r for z, r in zip(zs, resid)},
               "ks": ks, "separation": seq.separation,
               "pass": bool(all(abs(r) < 0.5 for r in resid))}
@@ -455,7 +469,7 @@ def run_capacity_only(cfg):
     checks.append(("lemniscate_z2_minus_1", lem.estimate, lem.analytic))
     lu = cap.lune_capacity_bounds(LUNE_DEGREE, cfg.eps, n_points=cfg.fekete_n)
     ok = all(abs(v - t) / t < 0.05 for _, v, t in checks) and lu.within_bounds
-    report = {"experiment": "capacity_only", "config": cfg.describe(),
+    report = {"experiment": "capacity_only", "config": asdict(cfg),
               "checks": [{"name": n, "estimate": v, "analytic": t}
                          for n, v, t in checks],
               "lune": lu.to_json(), "pass": bool(ok)}

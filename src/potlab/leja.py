@@ -12,7 +12,6 @@ exactly, so grid-localization error only enters equidistribution
 diagnostics, far below their tolerances.
 """
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import Tuple
@@ -75,13 +74,6 @@ class LejaSequence:
     @property
     def separation(self):
         return self.separations[-1] if self.separations else math.inf
-
-    def to_csv(self, path):
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["index", "x"])
-            for i, x in enumerate(self.points):
-                w.writerow([i, "%.17g" % x])
 
 
 def _log_dist(ys, x):
@@ -168,19 +160,6 @@ def _step(seq, grid, vg, vs, logsum):
     )
 
 
-def new_sequence(target=None, grid=None):
-    """Start a sequence: x1 = 1 unweighted, argmax of the potential
-    (leftmost on ties) when a target weight is given."""
-    if target is None:
-        x0 = 1.0
-    else:
-        grid = grid or chebyshev_grid()
-        vg = potential_on_grid(target, grid.nodes)
-        x0 = float(grid.nodes[int(np.argmax(vg))])
-    return LejaSequence(points=(x0,), log_products=(0.0,),
-                        separations=(math.inf,))
-
-
 def extend_unweighted(seq, grid):
     """Append the point maximizing the distance log-product over the grid."""
     if not seq.points:
@@ -197,10 +176,16 @@ def extend_weighted(seq, target, grid):
 
 
 def generate(n, target=None, grid=None):
-    """Generate the first n points (fast path with cached grid sums)."""
+    """Generate the first n points (fast path with cached grid sums).
+
+    x1 is 1 unweighted, and the grid node maximizing the potential
+    (leftmost on ties) when a target weight is given.
+    """
     grid = grid or chebyshev_grid()
-    seq = new_sequence(target=target, grid=grid)
     vg, vs = _weight(target, grid.nodes)
+    x0 = 1.0 if vg is None else float(grid.nodes[int(np.argmax(vg))])
+    seq = LejaSequence(points=(x0,), log_products=(0.0,),
+                       separations=(math.inf,))
     logsum = _logsum(seq, grid.nodes)
     while len(seq) < n:
         seq = _step(seq, grid, vg, vs, logsum)

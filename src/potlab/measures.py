@@ -8,7 +8,7 @@ polynomials are built with respect to these.
 """
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -19,17 +19,15 @@ from .precision import PrecisionContext
 class TargetMeasure:
     """Probability measure on [-1,1] with continuous logarithmic potential.
 
-    potential(z) returns the value of the potential at a real or complex
+    potential(z) returns the value of the potential at any real or complex
     point (a real number); cdf(x) is vectorized over numpy arrays and maps
-    [-1,1] into [0,1].  grid_potential(x), when given, is a vectorized
-    float64 potential on real points of the support; without it grid
-    callers evaluate potential point by point.
+    [-1,1] into [0,1]; grid_potential(x) is the same potential as
+    vectorized float64 on real points of the support.
     """
 
-    name: str
     potential: Callable
     cdf: Callable
-    grid_potential: Optional[Callable] = None
+    grid_potential: Callable
 
 
 @dataclass(frozen=True)

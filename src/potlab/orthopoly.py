@@ -26,7 +26,6 @@ Cascades
                how much to shrink.  Default.
 """
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -403,27 +402,3 @@ def potential_asymptotics_check(zero_sets, target, z_samples, ctx):
                 s = mp.fsum(mp.log(abs(zz - r)) for r in zs.roots) / n
                 rows.append((n, z, float(s + v)))
     return rows
-
-
-# ---------------------------------------------------------------------------
-#  CSV emission
-
-
-def stability_to_csv(reports, seq, path, ctx):
-    digits = max(ctx.bits // 3, 17)
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["n", "k", "root", "paired_leja", "deviation", "bound"])
-        for rep in reports:
-            for (j, d), root in zip(rep.deviations, rep.zeros.roots):
-                w.writerow([rep.n, j + 1, ctx.nstr(root, digits),
-                            "%.17g" % seq.points[j], ctx.nstr(d, digits),
-                            ctx.nstr(rep.bound, digits)])
-
-
-def residuals_to_csv(rows, path):
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["n", "z", "residual"])
-        for n, z, r in rows:
-            w.writerow([n, str(z), "%.17g" % r])

@@ -8,8 +8,11 @@ conjugate; which of them comes back is left to rounding (a computed
 |w| < 1 triggers the flip to 1/w), so callers there read only |phi| or
 conjugation-symmetric forms such as phi^n + phi^(-n).
 
-All scalar routines run under a PrecisionContext; *_np variants are
-vectorized float64 companions for the grid-heavy callers.
+Each target measure gives its potential V in closed form twice: a scalar
+formula valid at every real or complex z, evaluated under a
+PrecisionContext, and a vectorized float64 form on real grid points for
+the Leja objective.  The *_np variants are likewise float64 companions
+for the grid-heavy callers.
 """
 
 import numpy as np
@@ -49,28 +52,13 @@ def equilibrium_potential_segment(z, ctx=_D):
         return mp.log(2) - mp.log(abs(phi(z, ctx)))
 
 
-def _is_on_segment(z):
-    if isinstance(z, (mpc, complex)):
-        if mp.im(mpc(z)) != 0:
-            return False
-        z = mp.re(mpc(z))
-    return -1 <= z <= 1
+def _re_wlogw(w):
+    """Re(w log w), with 0 log 0 = 0.
 
-
-def _uniform_potential_on_segment(x, ctx):
-    #  1 - [(1+x)log(1+x) + (1-x)log(1-x)]/2, with 0*log0 = 0 at the ends
-    with ctx.workprec():
-        x = mpf(x)
-        t1 = (1 + x) * mp.log(1 + x) if x > -1 else mpf(0)
-        t2 = (1 - x) * mp.log(1 - x) if x < 1 else mpf(0)
-        return 1 - (t1 + t2) / 2
-
-
-def _uniform_potential_off_segment(z, ctx):
-    # no closed form is relied on: adaptive Gauss-Legendre quadrature
-    with ctx.workprec():
-        z = mpc(z)
-        return -mp.quad(lambda t: mp.log(abs(z - t)), [-1, 0, 1]) / 2
+    Re(w log w) = Re(w) log|w| - Im(w) arg(w), so for real w the branch
+    of the log drops out.
+    """
+    return mp.re(w * mp.log(w)) if w != 0 else mpf(0)
 
 
 def _uniform_potential_grid(x):
@@ -85,9 +73,6 @@ def target_arcsine(ctx=_D):
     """Arcsine (equilibrium) distribution dx / (pi sqrt(1-x^2))."""
 
     def potential(z):
-        if _is_on_segment(z):
-            with ctx.workprec():
-                return mp.log(2)
         return equilibrium_potential_segment(z, ctx)
 
     def cdf(x):
@@ -96,7 +81,7 @@ def target_arcsine(ctx=_D):
     def grid_potential(x):
         return np.full_like(x, np.log(2.0))
 
-    return TargetMeasure(name="arcsine", potential=potential, cdf=cdf,
+    return TargetMeasure(potential=potential, cdf=cdf,
                          grid_potential=grid_potential)
 
 
@@ -104,14 +89,15 @@ def target_uniform(ctx=_D):
     """Uniform distribution dx/2 on [-1,1]."""
 
     def potential(z):
-        if _is_on_segment(z):
-            return _uniform_potential_on_segment(mp.re(mpc(z)), ctx)
-        return _uniform_potential_off_segment(z, ctx)
+        #  -(1/2) int_{-1}^{1} log|z - t| dt in closed form (SaTo97)
+        with ctx.workprec():
+            z = mpc(z)
+            return 1 - (_re_wlogw(z + 1) - _re_wlogw(z - 1)) / 2
 
     def cdf(x):
         return (np.clip(np.asarray(x, dtype=float), -1, 1) + 1) / 2
 
-    return TargetMeasure(name="uniform", potential=potential, cdf=cdf,
+    return TargetMeasure(potential=potential, cdf=cdf,
                          grid_potential=_uniform_potential_grid)
 
 
@@ -132,14 +118,10 @@ def target_blend(alpha, ctx=_D):
         return (alpha * arc.grid_potential(x)
                 + (1 - alpha) * uni.grid_potential(x))
 
-    return TargetMeasure(name=f"blend({alpha})", potential=potential, cdf=cdf,
+    return TargetMeasure(potential=potential, cdf=cdf,
                          grid_potential=grid_potential)
 
 
 def potential_on_grid(target, x):
-    """Float64 values of a target's potential on a real grid in [-1,1]:
-    its grid_potential, else the scalar potential point by point."""
-    x = np.asarray(x, dtype=float)
-    if target.grid_potential is not None:
-        return target.grid_potential(x)
-    return np.asarray([float(target.potential(v)) for v in x], dtype=float)
+    """Float64 values of a target's potential on a real grid in [-1,1]."""
+    return target.grid_potential(np.asarray(x, dtype=float))

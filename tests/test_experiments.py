@@ -55,9 +55,15 @@ class TestConfig:
         {"experiment": "prop1", "cascade": "geometric"},
         {"experiment": "capacity_only", "eps": 0.01},
         {"experiment": "leja_only", "grid_size": 1},
+        {"experiment": "prop1", "target": "blend:abc"},
+        {"experiment": "leja_only", "target": "blend:1.5"},
+        {"experiment": "prop1", "target": "blend:nan"},
+        {"experiment": "prop1", "target": "none"},
     ], ids=["eps_nan", "rho_nan", "scan_grid_zero", "fekete_n_below_8",
             "n_list_zero", "bits_below_precision_floor", "unknown_cascade",
-            "capacity_eps_below_lune_floor", "grid_size_below_2"])
+            "capacity_eps_below_lune_floor", "grid_size_below_2",
+            "blend_weight_not_a_number", "blend_weight_above_1",
+            "blend_weight_nan", "target_none_for_prop1"])
     def test_config_holes_rejected(self, kw):
         with pytest.raises(ConfigError):
             ExperimentConfig(**kw)
@@ -234,6 +240,15 @@ class TestProp1:
         rep, _ = outcome
         assert "2.0" in rep["per_n"][0]["residuals"]
 
+    def test_csv_headers(self, outcome):
+        _, out = outcome
+        heads = {name: (out / name).read_text().splitlines()[0]
+                 for name in ("leja.csv", "stability.csv", "residuals.csv")}
+        assert heads == {"leja.csv": "index,x",
+                         "stability.csv":
+                             "n,k,root,paired_leja,deviation,bound",
+                         "residuals.csv": "n,z,residual"}
+
     def test_ks_of_zeros_close_to_leja_ks(self, outcome):
         #  zeros hug the atoms, so the empirical CDFs nearly coincide
         rep, _ = outcome
@@ -347,6 +362,18 @@ class TestRunners:
         assert rep["pass"]
         assert (tmp_path / "leja.csv").exists()
 
+    def test_leja_csv_deterministic(self, tmp_path):
+        cfg = ExperimentConfig(experiment="leja_only", leja_n=20,
+                               grid_size=512, target="none",
+                               out_dir=str(tmp_path))
+        run_leja_only(cfg)
+        first = (tmp_path / "leja.csv").read_bytes()
+        run_leja_only(cfg)
+        second = (tmp_path / "leja.csv").read_bytes()
+        assert first == second
+        lines = first.decode().splitlines()
+        assert lines[0] == "index,x" and len(lines) == 21
+
     def test_capacity_only(self, tmp_path):
         cfg = ExperimentConfig(experiment="capacity_only", fekete_n=48,
                                out_dir=str(tmp_path))
@@ -412,6 +439,15 @@ class TestCli:
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps({"eps": 0.01}))
         rc = cli_main(["capacity", "--config", str(cfgfile),
+                       "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_bad_blend_target_exits_2(self, tmp_path, capsys):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"target": "blend:1.5"}))
+        rc = cli_main(["leja", "--config", str(cfgfile),
                        "--out", str(tmp_path / "out")])
         assert rc == 2
         assert "config error" in capsys.readouterr().err

@@ -10,7 +10,8 @@ from potlab import (CandidateGrid, DegenerateGrid, PrecisionContext,
                     extend_unweighted, extend_weighted, generate,
                     target_arcsine, target_blend, target_uniform,
                     verify_unweighted_asymptotics, verify_weighted_asymptotics)
-from potlab.leja import LejaSequence, new_sequence
+from potlab import leja
+from potlab.leja import LejaSequence
 from potlab.measures import TargetMeasure, ks_distance
 
 LOCALIZE_TOL = 2e-4          # grid spacing + golden-section stopping width
@@ -149,13 +150,29 @@ class TestExtension:
         grid = chebyshev_grid(1024)
         target = target_uniform() if case == "uniform" else None
         want = generate(n, target=target, grid=grid)
-        seq = new_sequence(target=target, grid=grid)
+        seq = generate(1, target=target, grid=grid)
         for _ in range(n - 1):
             seq = (extend_unweighted(seq, grid) if target is None
                    else extend_weighted(seq, target, grid))
         assert seq.points == want.points
         assert seq.log_products == want.log_products
         assert seq.separations == want.separations
+
+    def test_grid_potential_once_per_generate(self, monkeypatch):
+        #  the first point and every step read one grid evaluation; the
+        #  refinement's scalar calls pass single points
+        sizes = []
+        inner = leja.potential_on_grid
+
+        def recording(target, x):
+            sizes.append(np.size(x))
+            return inner(target, x)
+
+        monkeypatch.setattr(leja, "potential_on_grid", recording)
+        grid = chebyshev_grid(256)
+        generate(10, target=target_uniform(), grid=grid)
+        assert sizes.count(len(grid)) == 1
+        assert set(sizes) == {1, len(grid)}
 
     def test_log_products_consistency(self, unweighted_800):
         pts = np.asarray(unweighted_800.points[:50])
@@ -244,8 +261,8 @@ class TestEquidistribution:
 
     def test_empirical_cdf_against_itself(self):
         pts = [-0.5, 0.1, 0.9]
-        t = TargetMeasure(name="emp", potential=lambda z: 0.0,
-                          cdf=empirical_cdf(pts))
+        t = TargetMeasure(potential=lambda z: 0.0, cdf=empirical_cdf(pts),
+                          grid_potential=np.zeros_like)
         assert equidistribution_distance(_seq(pts), t) == 0.0
 
 
@@ -287,13 +304,3 @@ class TestKsDistance:
         assert ks_distance(xs, cdf, weights=masses) == pytest.approx(
             max(vals), abs=1e-12)
 
-
-class TestSerialization:
-    def test_csv_deterministic(self, tmp_path, unweighted_800):
-        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        sub = LejaSequence(points=unweighted_800.points[:20])
-        sub.to_csv(p1)
-        sub.to_csv(p2)
-        assert p1.read_bytes() == p2.read_bytes()
-        header = p1.read_text().splitlines()[0]
-        assert header == "index,x"

@@ -12,7 +12,7 @@ from potlab import (BreakdownError, DiscreteMeasure, PairingFailure,
                     epsilon_stress_test, generate, ks_distance,
                     orthopoly_zeros, precision_floor, stieltjes_recurrence,
                     target_arcsine, zero_stability_check)
-from potlab.orthopoly import residuals_to_csv, potential_asymptotics_check
+from potlab.orthopoly import potential_asymptotics_check
 
 CTX = PrecisionContext(256)
 
@@ -491,10 +491,3 @@ class TestPotentialAsymptotics:
         assert [(n, z) for n, z, _ in rows] == [
             (n, z) for n in (2, 3) for z in z_samples]
 
-
-class TestCsv:
-    def test_residuals_csv(self, tmp_path):
-        rows = [(2, 2.0, 0.5), (4, 2.0, 0.25), (6, 2.0, 0.1)]
-        f = tmp_path / "res.csv"
-        residuals_to_csv(rows, f)
-        assert f.read_text().splitlines()[0] == "n,z,residual"

@@ -1,8 +1,9 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf, mpc
 
 from potlab import (DiscreteMeasure, PrecisionContext,
@@ -204,11 +205,34 @@ class TestTargets:
         with CTX.workprec():
             oracle = mp.quad(lambda t: -mp.log(abs(t)) / 2, [-1, 0, 1])
         assert abs(uni.potential(0.0) - oracle) < 1e-40
+        #  the endpoints, where 0 log 0 = 0: V(+-1) = 1 - log 2
+        for x in (1, -1, 1.0, mpc(-1)):
+            assert abs(uni.potential(x) - (1 - mp.log(2))) < 1e-70
 
-    def test_uniform_potential_off_segment_matches_quadrature(self):
-        uni = target_uniform(CTX)
-        got = float(uni.potential(2j))
-        assert got == pytest.approx(-0.732014174218662, abs=1e-12)
+    @settings(max_examples=30, deadline=None)
+    @example(z=2j, bits=128)
+    @given(z=st.one_of(
+        #  |Im z| >= 0.05, real points past the ends, and points within
+        #  1e-3 of +-1 on every side but the segment's
+        st.builds(complex, st.floats(-3, 3),
+                  st.floats(0.05, 3) | st.floats(-3, -0.05)),
+        st.floats(1.001, 3) | st.floats(-3, -1.001),
+        st.builds(lambda c, r, th: c * (1 + r * cmath.exp(1j * th)),
+                  st.sampled_from([-1.0, 1.0]), st.floats(1e-6, 1e-3),
+                  st.floats(-3, 3))),
+        bits=st.integers(128, 256))
+    def test_uniform_potential_off_segment_matches_quadrature(self, z, bits):
+        """The closed form against -(1/2) int_{-1}^{1} log|z - t| dt by
+        adaptive quadrature, split at Re z where that lies on the segment
+        so the near-singular peak of the integrand sits at a node."""
+        ctx = PrecisionContext(bits)
+        got = target_uniform(ctx).potential(z)
+        x = complex(z).real
+        nodes = sorted({-1, 0, 1} | ({x} if -1 < x < 1 else set()))
+        with ctx.workprec():
+            zz = mpc(z)
+            oracle = -mp.quad(lambda t: mp.log(abs(zz - t)), nodes) / 2
+            assert abs(got - oracle) < mpf(2) ** (16 - bits)
 
     def test_blend_reduces_to_arcsine(self):
         bl = target_blend(1.0, CTX)
