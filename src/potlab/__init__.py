@@ -6,9 +6,7 @@ from .precision import PrecisionContext, PrecisionTooLow
 from .measures import DiscreteMeasure, TargetMeasure, ks_distance
 from .potentials import (equilibrium_potential_segment, phi, target_arcsine,
                          target_blend, target_uniform)
-from .leja import (CandidateGrid, DegenerateGrid, LejaSequence,
-                   chebyshev_grid, equidistribution_distance,
-                   extend_unweighted, extend_weighted, generate,
+from .leja import (DegenerateGrid, LejaSequence, chebyshev_grid, generate,
                    verify_unweighted_asymptotics, verify_weighted_asymptotics)
 from .orthopoly import (BreakdownError, PairingFailure, RecurrenceCoeffs,
                         SigmaBuildConfig, StressFailure, ZeroSet, build_sigma,

@@ -79,6 +79,10 @@ class ExperimentConfig:
             raise ConfigError(f"fekete_n must be >= 8, got {self.fekete_n}")
         if self.grid_size < 2:
             raise ConfigError(f"grid_size must be >= 2, got {self.grid_size}")
+        if self.leja_n < 1:
+            raise ConfigError(f"leja_n must be >= 1, got {self.leja_n}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.experiment == "capacity_only" and LUNE_DEGREE * self.eps < 1:
             raise ConfigError(f"capacity_only needs {LUNE_DEGREE} * eps >= 1")
         if self.experiment == "prop1" or (self.experiment == "leja_only"
@@ -103,6 +107,12 @@ class ExperimentConfig:
                 raise ConfigError(str(exc)) from None
         elif not self.n_list:
             object.__setattr__(self, "n_list", (8, 16, 32, 64))
+        #  with a node per point, every greedy step has a free node
+        n_pts = (max(self.leja_n, self.n_max) if self.experiment == "prop1"
+                 else self.leja_n if self.experiment == "leja_only" else 0)
+        if self.grid_size < n_pts:
+            raise ConfigError(f"grid_size {self.grid_size} is below the "
+                              f"{n_pts} Leja points to generate")
 
     @staticmethod
     def from_json(obj, **overrides):
@@ -369,11 +379,9 @@ def run_prop1(cfg):
     seq = lj.generate(n_pts, target=target, grid=grid)
     _write_leja_csv(cfg.out_dir, seq)
 
-    ks_rows = []
-    for m in sorted({cfg.n_max, cfg.leja_n // 2, cfg.leja_n}):
-        if 1 <= m <= len(seq):
-            sub = lj.LejaSequence(points=seq.points[:m])
-            ks_rows.append((m, lj.equidistribution_distance(sub, target)))
+    ks_rows = [(m, ks_distance(seq.points[:m], target.cdf))
+               for m in sorted({cfg.n_max, cfg.leja_n // 2, cfg.leja_n})
+               if 1 <= m <= len(seq)]
     _write_csv(os.path.join(cfg.out_dir, "equidistribution.csv"),
                ["n", "ks"], [(m, "%.17g" % v) for m, v in ks_rows])
 
@@ -445,7 +453,7 @@ def run_leja_only(cfg):
         resid = lj.verify_unweighted_asymptotics(seq, zs)
     else:
         resid = lj.verify_weighted_asymptotics(seq, target, zs)
-        ks = lj.equidistribution_distance(seq, target)
+        ks = ks_distance(seq.points, target.cdf)
     report = {"experiment": "leja_only", "config": asdict(cfg),
               "residuals": {str(z): r for z, r in zip(zs, resid)},
               "ks": ks, "separation": seq.separation,

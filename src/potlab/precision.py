@@ -56,11 +56,6 @@ class PrecisionContext:
         return mpf(2) ** (-self.bits)
 
     @property
-    def orth_tol(self):
-        """Tolerance for orthogonality residuals: 2^(-bits/4)."""
-        return mpf(2) ** (-(self.bits // 4))
-
-    @property
     def root_tol(self):
         """Bisection width for polynomial roots: 2^(-bits/2)."""
         return mpf(2) ** (-(self.bits // 2))

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from mpmath import mp
+from mpmath import mp, mpf
 
 
 @pytest.fixture(autouse=True)
@@ -26,3 +26,8 @@ def chebyshev_monic_coeffs(n):
         nxt[2:] -= b * prev
         prev, cur = cur, nxt
     return cur
+
+
+def orth_tol(ctx):
+    """Tolerance for orthogonality residuals and moment matches: 2^(-bits/4)."""
+    return mpf(2) ** (-(ctx.bits // 4))

@@ -25,7 +25,7 @@ from potlab import (DiscreteMeasure, ExperimentConfig, PrecisionContext,
 from potlab.capacity import disk, segment
 from potlab.cli import main as cli_main
 from potlab.experiments import run_stahl_circle, run_stahl_segment
-from potlab.leja import LejaSequence, equidistribution_distance
+from potlab.leja import LejaSequence
 
 from conftest import chebyshev_monic_coeffs
 
@@ -106,9 +106,8 @@ def test_c02_weighted_equidistribution(arcsine_200, blend_200):
     for name, seq, target in (
             ("arcsine", arcsine_200, target_arcsine()),
             ("blend(0.5)", blend_200, target_blend(0.5))):
-        ks200 = equidistribution_distance(seq, target)
-        ks100 = equidistribution_distance(
-            LejaSequence(points=seq.points[:100]), target)
+        ks200 = ks_distance(seq.points, target.cdf)
+        ks100 = ks_distance(seq.points[:100], target.cdf)
         assert ks200 < 0.05, f"criterion 2 {name}: KS(200)={ks200}"
         assert ks200 < ks100, \
             f"criterion 2 {name}: KS(100)={ks100} -> KS(200)={ks200}"

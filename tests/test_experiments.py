@@ -59,11 +59,22 @@ class TestConfig:
         {"experiment": "leja_only", "target": "blend:1.5"},
         {"experiment": "prop1", "target": "blend:nan"},
         {"experiment": "prop1", "target": "none"},
+        {"experiment": "leja_only", "leja_n": 0},
+        {"experiment": "leja_only", "leja_n": -3},
+        {"experiment": "stahl_circle", "seed": -1},
+        {"experiment": "prop1", "seed": -1},
+        {"experiment": "leja_only", "grid_size": 3, "leja_n": 10},
+        {"experiment": "prop1", "grid_size": 100},
+        {"experiment": "prop1", "grid_size": 6, "leja_n": 4,
+         "n_list": (2, 7)},
     ], ids=["eps_nan", "rho_nan", "scan_grid_zero", "fekete_n_below_8",
             "n_list_zero", "bits_below_precision_floor", "unknown_cascade",
             "capacity_eps_below_lune_floor", "grid_size_below_2",
             "blend_weight_not_a_number", "blend_weight_above_1",
-            "blend_weight_nan", "target_none_for_prop1"])
+            "blend_weight_nan", "target_none_for_prop1", "leja_n_zero",
+            "leja_n_negative", "seed_negative", "seed_negative_prop1",
+            "grid_size_below_leja_n", "grid_size_below_prop1_leja_n",
+            "grid_size_below_n_max"])
     def test_config_holes_rejected(self, kw):
         with pytest.raises(ConfigError):
             ExperimentConfig(**kw)
@@ -391,9 +402,7 @@ class TestPublicApi:
             "DiscreteMeasure", "TargetMeasure", "ks_distance",
             "equilibrium_potential_segment", "phi",
             "target_arcsine", "target_blend", "target_uniform",
-            "CandidateGrid", "DegenerateGrid", "LejaSequence",
-            "chebyshev_grid", "equidistribution_distance",
-            "extend_unweighted", "extend_weighted", "generate",
+            "DegenerateGrid", "LejaSequence", "chebyshev_grid", "generate",
             "verify_unweighted_asymptotics", "verify_weighted_asymptotics",
             "BreakdownError", "PairingFailure", "RecurrenceCoeffs",
             "SigmaBuildConfig", "StressFailure", "ZeroSet", "build_sigma",
@@ -447,6 +456,15 @@ class TestCli:
     def test_bad_blend_target_exits_2(self, tmp_path, capsys):
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps({"target": "blend:1.5"}))
+        rc = cli_main(["leja", "--config", str(cfgfile),
+                       "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_no_leja_points_exits_2(self, tmp_path, capsys):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"leja_n": 0}))
         rc = cli_main(["leja", "--config", str(cfgfile),
                        "--out", str(tmp_path / "out")])
         assert rc == 2

@@ -5,14 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from potlab import (CandidateGrid, DegenerateGrid, PrecisionContext,
-                    chebyshev_grid, equidistribution_distance,
-                    extend_unweighted, extend_weighted, generate,
-                    target_arcsine, target_blend, target_uniform,
+from potlab import (DegenerateGrid, PrecisionContext, chebyshev_grid,
+                    generate, target_arcsine, target_blend, target_uniform,
                     verify_unweighted_asymptotics, verify_weighted_asymptotics)
 from potlab import leja
 from potlab.leja import LejaSequence
-from potlab.measures import TargetMeasure, ks_distance
+from potlab.measures import ks_distance
 
 LOCALIZE_TOL = 2e-4          # grid spacing + golden-section stopping width
 
@@ -29,16 +27,13 @@ def empirical_cdf(points):
     return cdf
 
 
-def _seq(points):
-    pts = tuple(float(p) for p in points)
-    seps = []
-    s = math.inf
-    for i, x in enumerate(pts):
-        for y in pts[:i]:
-            s = min(s, abs(x - y))
-        seps.append(s)
-    return LejaSequence(points=pts, log_products=tuple(0.0 for _ in pts),
-                        separations=tuple(seps))
+def _next(points, target=None, grid=None):
+    """The greedy point that follows points, through one leja._step."""
+    nodes = chebyshev_grid() if grid is None else grid
+    pts = np.asarray(points, dtype=float)
+    logsum = sum(leja._log_dist(nodes, x) for x in pts)
+    vg = None if target is None else target.grid_potential(nodes)
+    return leja._step(pts, nodes, logsum, vg, target)
 
 
 def _brute_argmax(points, vpot=None, m=100_001):
@@ -59,59 +54,45 @@ def unweighted_800():
 
 class TestExtension:
     def test_second_point_is_other_endpoint(self):
-        seq = extend_unweighted(_seq([1.0]), chebyshev_grid())
-        assert seq.points[1] == -1.0
+        assert generate(2).points == (1.0, -1.0)
         assert _brute_argmax([1.0]) == pytest.approx(-1.0)
 
     def test_third_point_is_center(self):
-        seq = extend_unweighted(_seq([1.0, -1.0]), chebyshev_grid())
-        assert abs(seq.points[2]) < LOCALIZE_TOL
+        assert abs(generate(3).points[2]) < LOCALIZE_TOL
         assert abs(_brute_argmax([1.0, -1.0])) < 1e-4
 
     def test_fourth_point_left_tiebreak(self):
         # argmax of |x||x-1||x+1| sits at x^2 = 1/3; exact tie -> leftmost
-        seq = extend_unweighted(_seq([1.0, -1.0, 0.0]), chebyshev_grid())
-        assert seq.points[3] == pytest.approx(-1 / math.sqrt(3),
-                                              abs=LOCALIZE_TOL)
+        x = _next([1.0, -1.0, 0.0])
+        assert x == pytest.approx(-1 / math.sqrt(3), abs=LOCALIZE_TOL)
         oracle = _brute_argmax([1.0, -1.0, 0.0])
         assert abs(abs(oracle) - 1 / math.sqrt(3)) < 1e-4
 
     def test_greedy_optimality_on_grid(self):
         grid = chebyshev_grid(512)
-        seq = _seq([1.0, -1.0, 0.3])
-        new = extend_unweighted(seq, grid)
-        x = new.points[-1]
-        vals = np.zeros(len(grid.nodes))
-        for p in seq.points:
+        pts = np.array([1.0, -1.0, 0.3])
+        x = _next(pts, grid=grid)
+        vals = np.zeros(len(grid))
+        for p in pts:
             with np.errstate(divide="ignore"):
-                vals += np.log(np.abs(grid.nodes - p))
-        best = float(np.sum(np.log(np.abs(x - np.asarray(seq.points)))))
+                vals += np.log(np.abs(grid - p))
+        best = float(np.sum(np.log(np.abs(x - pts))))
         assert best >= np.max(vals) - 1e-12
 
-    def test_weighted_arcsine_reduces_to_unweighted(self):
-        #  constant weight: identical choices on the same grid and seed
-        grid = CandidateGrid(chebyshev_grid(1024).nodes, refinement_depth=0)
-        arc = target_arcsine()
-        a = _seq([1.0])
-        b = _seq([1.0])
-        for _ in range(25):
-            a = extend_unweighted(a, grid)
-            b = extend_weighted(b, arc, grid)
-        assert a.points == b.points
-
     def test_weighted_arcsine_reduction_with_refinement(self):
+        #  constant weight: identical choices on the same grid
         grid = chebyshev_grid(1024)
         arc = target_arcsine()
-        a = extend_unweighted(_seq([1.0, -1.0]), grid)
-        b = extend_weighted(_seq([1.0, -1.0]), arc, grid)
-        assert a.points[-1] == pytest.approx(b.points[-1], abs=1e-6)
+        a, b = [1.0], [1.0]
+        for _ in range(25):
+            a.append(_next(a, grid=grid))
+            b.append(_next(b, arc, grid))
+        assert a == b
 
     def test_weighted_uniform_golden_value(self):
         #  argmax of 2 V(x) + log(1 - x^2) for the uniform target is 0
         uni = target_uniform()
-        seq = extend_weighted(_seq([1.0, -1.0]), uni,
-                              chebyshev_grid())
-        assert abs(seq.points[2]) < LOCALIZE_TOL
+        assert abs(_next([1.0, -1.0], uni)) < LOCALIZE_TOL
         from potlab.potentials import potential_on_grid
         oracle = _brute_argmax(
             [1.0, -1.0], vpot=lambda g: potential_on_grid(uni, g))
@@ -119,48 +100,38 @@ class TestExtension:
 
     def test_existing_point_never_selected(self):
         #  candidate equal to a chosen point scores -inf
-        grid = CandidateGrid(np.array([-1.0, -0.5, 0.5, 1.0]),
-                             refinement_depth=0)
-        seq = extend_unweighted(_seq([1.0, -1.0]), grid)
-        assert seq.points[-1] in (-0.5, 0.5)
+        x = _next([1.0, -1.0], grid=np.array([-1.0, -0.5, 0.5, 1.0]))
+        assert -1.0 < x < 1.0
 
     def test_degenerate_grid(self):
-        grid = CandidateGrid(np.array([-1.0, 1.0]), refinement_depth=0)
         with pytest.raises(DegenerateGrid):
-            extend_unweighted(_seq([1.0, -1.0]), grid)
+            _next([1.0, -1.0], grid=np.array([-1.0, 1.0]))
+        with pytest.raises(DegenerateGrid):
+            generate(3, grid=chebyshev_grid(2))
 
-    def test_grid_permutation_invariance(self):
-        nodes = chebyshev_grid(512).nodes
-        rng = np.random.default_rng(5)
-        shuffled = CandidateGrid(rng.permutation(nodes))
-        straight = CandidateGrid(nodes)
-        a = extend_unweighted(_seq([1.0, -0.3]), straight)
-        b = extend_unweighted(_seq([1.0, -0.3]), shuffled)
-        assert a.points == b.points
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_generate_needs_a_point(self, n):
+        with pytest.raises(ValueError):
+            generate(n)
 
     def test_distinctness(self, unweighted_800):
         assert unweighted_800.separation > 0
         assert len(set(unweighted_800.points)) == 800
 
-    @pytest.mark.parametrize("case", ["segment", "uniform"])
-    def test_generate_equals_repeated_extension(self, case):
-        #  the cached-sum loop in generate and the one-step extensions
-        #  must pick the same points bit for bit
-        n = 30
-        grid = chebyshev_grid(1024)
-        target = target_uniform() if case == "uniform" else None
-        want = generate(n, target=target, grid=grid)
-        seq = generate(1, target=target, grid=grid)
-        for _ in range(n - 1):
-            seq = (extend_unweighted(seq, grid) if target is None
-                   else extend_weighted(seq, target, grid))
-        assert seq.points == want.points
-        assert seq.log_products == want.log_products
-        assert seq.separations == want.separations
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_separation_is_min_pairwise_distance(self, data):
+        xs = data.draw(st.lists(st.floats(-1, 1), max_size=12))
+        if xs:
+            xs += data.draw(st.lists(st.sampled_from(xs), max_size=3))
+        pts = data.draw(st.permutations(xs))
+        want = min((abs(x - y) for i, x in enumerate(pts) for y in pts[:i]),
+                   default=math.inf)
+        assert LejaSequence(points=tuple(pts)).separation == want
 
     def test_grid_potential_once_per_generate(self, monkeypatch):
-        #  the first point and every step read one grid evaluation; the
-        #  refinement's scalar calls pass single points
+        #  one full-grid evaluation; the refinement reads the target's
+        #  grid_potential at single points directly
         sizes = []
         inner = leja.potential_on_grid
 
@@ -171,20 +142,12 @@ class TestExtension:
         monkeypatch.setattr(leja, "potential_on_grid", recording)
         grid = chebyshev_grid(256)
         generate(10, target=target_uniform(), grid=grid)
-        assert sizes.count(len(grid)) == 1
-        assert set(sizes) == {1, len(grid)}
-
-    def test_log_products_consistency(self, unweighted_800):
-        pts = np.asarray(unweighted_800.points[:50])
-        for n in (10, 30, 49):
-            want = float(np.sum(np.log(np.abs(pts[n] - pts[:n]))))
-            assert unweighted_800.log_products[n] == pytest.approx(want,
-                                                                   rel=1e-10)
+        assert sizes == [len(grid)]
 
 
 class TestAsymptotics:
     def test_unweighted_single_point_exact(self):
-        r = verify_unweighted_asymptotics(_seq([1.0]), [2.0])[0]
+        r = verify_unweighted_asymptotics(LejaSequence(points=(1.0,)), [2.0])[0]
         want = 0.0 - (math.log(2 + math.sqrt(3)) - math.log(2))
         assert r == pytest.approx(want, abs=1e-14)
 
@@ -234,7 +197,7 @@ class TestAsymptotics:
 
     def test_single_point_weighted_identity(self):
         uni = target_uniform(PrecisionContext(128))
-        r = verify_weighted_asymptotics(_seq([1.0]), uni, [2.0])[0]
+        r = verify_weighted_asymptotics(LejaSequence(points=(1.0,)), uni, [2.0])[0]
         want = math.log(abs(2.0 - 1.0)) + float(uni.potential(2.0))
         assert r == pytest.approx(want, abs=1e-14)
 
@@ -243,27 +206,22 @@ class TestEquidistribution:
     def test_ks_decreases_and_small(self):
         arc = target_arcsine()
         seq = generate(200, target=arc)
-        ks200 = equidistribution_distance(seq, arc)
-        ks100 = equidistribution_distance(
-            LejaSequence(points=seq.points[:100]), arc)
+        ks200 = ks_distance(seq.points, arc.cdf)
+        ks100 = ks_distance(seq.points[:100], arc.cdf)
         assert ks200 < 0.05
         assert ks200 < ks100
 
     def test_blend_ks(self):
         bl = target_blend(0.5)
         seq = generate(200, target=bl)
-        assert equidistribution_distance(seq, bl) < 0.05
+        assert ks_distance(seq.points, bl.cdf) < 0.05
 
     def test_single_atom_at_right_end(self):
-        arc = target_arcsine()
-        assert equidistribution_distance(_seq([1.0]), arc) \
-            == pytest.approx(1.0)
+        assert ks_distance([1.0], target_arcsine().cdf) == pytest.approx(1.0)
 
     def test_empirical_cdf_against_itself(self):
         pts = [-0.5, 0.1, 0.9]
-        t = TargetMeasure(potential=lambda z: 0.0, cdf=empirical_cdf(pts),
-                          grid_potential=np.zeros_like)
-        assert equidistribution_distance(_seq(pts), t) == 0.0
+        assert ks_distance(pts, empirical_cdf(pts)) == 0.0
 
 
 class TestKsDistance:

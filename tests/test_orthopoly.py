@@ -8,11 +8,13 @@ from mpmath import mp, mpf
 
 from potlab import (BreakdownError, DiscreteMeasure, PairingFailure,
                     PrecisionContext, PrecisionTooLow, SigmaBuildConfig,
-                    StressFailure, build_sigma, chebyshev_grid,
-                    epsilon_stress_test, generate, ks_distance,
-                    orthopoly_zeros, precision_floor, stieltjes_recurrence,
-                    target_arcsine, zero_stability_check)
+                    StressFailure, build_sigma, epsilon_stress_test,
+                    generate, ks_distance, orthopoly_zeros, precision_floor,
+                    stieltjes_recurrence, target_arcsine,
+                    zero_stability_check)
 from potlab.orthopoly import potential_asymptotics_check
+
+from conftest import orth_tol
 
 CTX = PrecisionContext(256)
 
@@ -130,7 +132,7 @@ class TestStieltjes:
         m = gauss_chebyshev(64)
         rc = stieltjes_recurrence(m, 12)
         res = orthogonality_residual(m, rc, 12)
-        assert res < CTX.orth_tol
+        assert res < orth_tol(CTX)
 
     def test_moment_matched_measures_agree(self):
         #  the n-point Gauss rule of m matches its first 2n moments, so
@@ -143,13 +145,13 @@ class TestStieltjes:
             for k in range(2 * n):
                 ma = mp.fsum(w * x ** k for x, w in m.atoms)
                 mb = mp.fsum(w * x ** k for x, w in g.atoms)
-                assert abs(ma - mb) < CTX.orth_tol
+                assert abs(ma - mb) < orth_tol(CTX)
         ra = stieltjes_recurrence(m, n)
         rb = stieltjes_recurrence(g, n)
         for x, y in zip(ra.a, rb.a):
-            assert abs(x - y) < CTX.orth_tol
+            assert abs(x - y) < orth_tol(CTX)
         for x, y in zip(ra.b, rb.b):
-            assert abs(x - y) < CTX.orth_tol
+            assert abs(x - y) < orth_tol(CTX)
 
 
 class TestZeros:
@@ -247,7 +249,7 @@ class TestGaussQuadrature:
             for k in range(2 * n):
                 exact = mp.fsum(w * x ** k for x, w in m.atoms)
                 rule = mp.fsum(w * x ** k for x, w in zip(nodes, weights))
-                assert abs(rule - exact) <= ctx.orth_tol, (k, rule, exact)
+                assert abs(rule - exact) <= orth_tol(ctx), (k, rule, exact)
 
 
 class TestBuildSigma:
@@ -293,8 +295,7 @@ class TestBuildSigma:
         #  precision adequacy: the prop1 benchmark sigma (q = 0.4, n_max = 7,
         #  200 arcsine Leja points on 4096 nodes) rebuilt at 1024 bits
         #  moves no zero of P_1 ... P_7 by more than the 768-bit root_tol
-        seq = generate(200, target=target_arcsine(),
-                       grid=chebyshev_grid(4096))
+        seq = generate(200, target=target_arcsine())
         zeros = {}
         for bits in (768, 1024):
             sigma = build_sigma(SigmaBuildConfig(q=0.4, n_max=7, bits=bits),

@@ -49,7 +49,6 @@ class TestPrecisionContext:
 
     def test_tolerances(self):
         ctx = PrecisionContext(256)
-        assert ctx.orth_tol == mpf(2) ** -64
         assert ctx.root_tol == mpf(2) ** -128
 
     def test_nstr_digits_deterministic(self):
