@@ -19,7 +19,7 @@ tracer here and the Chebyshev lemniscates of the experiments.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -262,11 +262,7 @@ class LuneReport:
         return self.lower < self.estimate < self.upper
 
     def to_json(self):
-        return {"n": self.n, "eps": self.eps, "estimate": self.estimate,
-                "lower": self.lower, "upper": self.upper,
-                "rescaled_estimate": self.rescaled_estimate,
-                "within_bounds": self.within_bounds,
-                "n_points": self.n_points}
+        return {**asdict(self), "within_bounds": self.within_bounds}
 
 
 def lune_capacity_bounds(n, eps, n_points=64):

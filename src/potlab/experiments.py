@@ -25,7 +25,7 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass, fields
-from typing import Optional, Tuple
+from typing import Optional, Tuple, Union, get_args, get_origin
 
 import numpy as np
 
@@ -64,6 +64,13 @@ class ExperimentConfig:
     plot: bool = False
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not _has_type(value, f.type):
+                raise ConfigError(f"{f.name} must be {_type_name(f.type)}, "
+                                  f"got {value!r}")
+        object.__setattr__(self, "n_list", tuple(self.n_list))
+        object.__setattr__(self, "scan_grid", tuple(self.scan_grid))
         if self.experiment not in RUNNERS:
             raise ConfigError(f"unknown experiment {self.experiment!r}; "
                               f"choose from {tuple(RUNNERS)}")
@@ -88,7 +95,6 @@ class ExperimentConfig:
         if self.experiment == "prop1" or (self.experiment == "leja_only"
                                           and self.target != "none"):
             target_from_name(self.target, PrecisionContext())
-        object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
         if self.n_list and min(self.n_list) < 1:
             raise ConfigError(f"n_list entries must be >= 1: {self.n_list}")
         if self.experiment == "prop1":
@@ -124,10 +130,25 @@ class ExperimentConfig:
         merged.update({k: v for k, v in overrides.items() if v is not None})
         if "experiment" not in merged:
             raise ConfigError("config needs an 'experiment' key")
-        for key in ("n_list", "scan_grid"):
-            if key in merged and merged[key] is not None:
-                merged[key] = tuple(merged[key])
         return ExperimentConfig(**merged)
+
+
+def _has_type(value, kind):
+    """Whether value fits the field annotation kind.  bool counts as no
+    number, an int as a float, and a list or tuple as a Tuple."""
+    if get_origin(kind) is Union:
+        return any(_has_type(value, k) for k in get_args(kind))
+    if get_origin(kind) is tuple:
+        return (isinstance(value, (tuple, list))
+                and all(_has_type(v, get_args(kind)[0]) for v in value))
+    if kind in (int, float) and isinstance(value, bool):
+        return False
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def _type_name(kind):
+    return (kind.__name__ if isinstance(kind, type)
+            else str(kind).replace("typing.", ""))
 
 
 def target_from_name(name, ctx):
@@ -164,21 +185,20 @@ def _write_leja_csv(out_dir, seq):
 #  bad-set machinery shared by the two demos
 
 
-def _certify_bad_set(candidates, deviations, eps, member_flags):
-    """Count the member candidates, each of which must deviate by at least
-    eps, and return the count with the first 50 of them as [re, im]."""
-    pts, cert = [], 0
-    for z, d, ok in zip(candidates, deviations, member_flags):
-        if not ok:
-            continue
-        if not abs(d) >= eps:
-            raise AssertionError(
-                f"certified point {z} has |deviation| {abs(d)} < {eps}")
-        cert += 1
-        if len(pts) < 50:
-            z = complex(z)
-            pts.append([z.real, z.imag])
-    return cert, pts
+def _certified(samples, dev, eps, members):
+    """Count the member samples that deviate by at least eps, and return
+    the count with the first 50 of them as [re, im]."""
+    hit = samples[members & (np.abs(dev) >= eps)]
+    return len(hit), [[z.real, z.imag] for z in hit[:50].tolist()]
+
+
+def _scan_grid(cfg):
+    """Polar grid over 1 <= |w| <= rho, radii clustered toward 1 as u^3."""
+    nr, nt = cfg.scan_grid
+    radii = 1 + (cfg.rho - 1) * ((np.arange(nr) + 1) / nr) ** 3
+    thetas = 2 * np.pi * np.arange(nt) / nt
+    R, T = np.meshgrid(radii, thetas, indexing="ij")
+    return (R * np.exp(1j * T)).ravel()
 
 
 def _vdiff_circle(z, n):
@@ -223,19 +243,35 @@ def _cheb_level_set(n, eps):
     return g, roots, math.exp(-n * eps)
 
 
-def _sample_cheb_ovals(n, eps):
-    """Points inside {|T_n| <= 2^{-n} e^{-n eps}} near each Chebyshev zero.
+def _trace_cheb_lemniscate(n, eps):
+    """Boundary of {2^n |T_n| = e^{-n eps}} and sample points inside it.
 
-    16 rays from each zero go through `capacity.trace_level_curve`; each
-    sample sits at 0.9 times the inner end of its final bracket.
+    64 rays from each Chebyshev zero go through
+    `capacity.trace_level_curve`.  Each boundary point is the midpoint of
+    its final bracket; each sample sits at 0.9 times the inner end of the
+    bracket of every fourth ray.  Rays are bracketed independently and
+    2 pi 4j/64 rounds to 2 pi j/16, so the samples are those of 16 rays.
     """
-    z0, d, lo, _ = cap.trace_level_curve(*_cheb_level_set(n, eps), 16)
-    return z0 + 0.9 * lo * d
+    z0, d, lo, hi = cap.trace_level_curve(*_cheb_level_set(n, eps), 64)
+    return z0 + 0.5 * (lo + hi) * d, (z0 + 0.9 * lo * d)[::4]
 
 
-def _clustered(lo, hi, count):
-    u = (np.arange(count) + 1) / count
-    return lo + (hi - lo) * u ** 3
+def _write_demo(cfg, name, per_n, ok, **checks):
+    """Write <name>.csv and summary.json (plus plots if asked) for a demo
+    runner and return its report, which passes when ok and every check
+    hold."""
+    _write_csv(os.path.join(cfg.out_dir, f"{name}.csv"),
+               ["n", "ks", "bound_analytic", "cap_estimate",
+                "badset_grid_count", "certified", "samples"],
+               [[e["n"], "%.17g" % e["ks"], "%.17g" % e["bound_analytic"],
+                 "%.17g" % e["cap_estimate"], e["badset_grid_count"],
+                 e["certified_samples"], e["sample_count"]] for e in per_n])
+    report = {"experiment": name, "config": asdict(cfg), "per_n": per_n,
+              **checks, "pass": bool(ok and all(checks.values()))}
+    _write_json(os.path.join(cfg.out_dir, "summary.json"), report)
+    if cfg.plot:
+        emit_plots(report, cfg.out_dir)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -246,24 +282,15 @@ def run_stahl_circle(cfg):
     """Roots-of-unity measures versus the circle equilibrium measure."""
     rng = np.random.default_rng(cfg.seed)
     os.makedirs(cfg.out_dir, exist_ok=True)
-    nr, nt = cfg.scan_grid
-    radii = 1 + _clustered(0.0, cfg.rho - 1, nr)
-    thetas = 2 * np.pi * np.arange(nt) / nt
-    R, T = np.meshgrid(radii, thetas, indexing="ij")
-    grid = (R * np.exp(1j * T)).ravel()
+    grid = _scan_grid(cfg)
 
-    per_n, rows, ok = [], [], True
+    per_n, ok = [], True
     for n in cfg.n_list:
         ks = ks_distance(np.arange(n) / n, lambda t: np.clip(t, 0, 1))
         bound = 0.25 ** (1.0 / n) * math.exp(-cfg.eps)
-
-        bad = np.abs(_vdiff_circle(grid, n)) >= cfg.eps
-        bad_count = int(np.sum(bad))
-
         samples = _sample_lune_preimage(n, cfg.eps, rng)
-        dev = _vdiff_circle(samples, n)
-        member = np.abs(samples) >= 1
-        cert, bad_pts = _certify_bad_set(samples, dev, cfg.eps, member)
+        cert, bad_pts = _certified(samples, _vdiff_circle(samples, n),
+                                   cfg.eps, np.abs(samples) >= 1)
 
         z_bdry = _nth_roots(cap.lune(n, cfg.eps).boundary_sample(1024), n)
         in_krho = bool(np.all(np.abs(z_bdry) <= cfg.rho))
@@ -273,100 +300,55 @@ def run_stahl_circle(cfg):
             "n": n, "ks": ks, "ks_expected": 1.0 / n,
             "bound_analytic": bound,
             "cap_estimate": est.value,
-            "cap_enclosure": [0.25 ** (1.0 / n) * math.exp(-cfg.eps),
-                              math.exp(-cfg.eps)],
-            "badset_grid_count": bad_count,
+            "cap_enclosure": [bound, math.exp(-cfg.eps)],
+            "badset_grid_count": int(np.sum(
+                np.abs(_vdiff_circle(grid, n)) >= cfg.eps)),
             "badset_points": bad_pts,
             "certified_samples": cert,
-            "sample_count": int(len(samples)),
+            "sample_count": len(samples),
             "preimage_in_K_rho": in_krho,
         })
-        rows.append([n, "%.17g" % ks, "%.17g" % bound, "%.17g" % est.value,
-                     bad_count, cert, len(samples)])
         ok = (ok and cert == len(samples) and in_krho
               and abs(ks - 1.0 / n) < 1e-12)
 
     bounds = [e["bound_analytic"] for e in per_n]
     non_decay = all(b2 >= b1 for b1, b2 in zip(bounds, bounds[1:])) \
         and min(bounds) >= math.exp(-cfg.eps) * 0.25 ** (1.0 / min(cfg.n_list))
-    ok = ok and non_decay
-
-    _write_csv(os.path.join(cfg.out_dir, "stahl_circle.csv"),
-               ["n", "ks", "bound_analytic", "cap_estimate",
-                "badset_grid_count", "certified", "samples"], rows)
-    report = {"experiment": "stahl_circle", "config": asdict(cfg),
-              "per_n": per_n, "non_decay": non_decay, "pass": bool(ok)}
-    _write_json(os.path.join(cfg.out_dir, "summary.json"), report)
-    if cfg.plot:
-        emit_plots(report, cfg.out_dir)
-    return report
+    return _write_demo(cfg, "stahl_circle", per_n, ok, non_decay=non_decay)
 
 
 def run_stahl_segment(cfg):
     """Chebyshev-zero measures versus the segment equilibrium measure."""
     os.makedirs(cfg.out_dir, exist_ok=True)
     arcsine_cdf = target_arcsine().cdf
-    ns, nt = cfg.scan_grid
-    svals = 1 + _clustered(0.0, cfg.rho - 1, ns)
-    thetas = 2 * np.pi * np.arange(nt) / nt
-    S, T = np.meshgrid(svals, thetas, indexing="ij")
-    W = (S * np.exp(1j * T)).ravel()
+    grid = _scan_grid(cfg)
 
-    bound = math.exp(-cfg.eps) / 2
-    per_n, rows, ok = [], [], True
+    per_n, ok = [], True
     for n in cfg.n_list:
         g, roots, level = _cheb_level_set(n, cfg.eps)
-        ks = ks_distance(roots, arcsine_cdf)
-
-        bad_count = int(np.sum(np.abs(_vdiff_segment_w(W, n)) >= cfg.eps))
-
-        samples = _sample_cheb_ovals(n, cfg.eps)
-        wphi = phi_np(samples)
-        dev = _vdiff_segment_w(wphi, n)
-        inside = g(samples) <= level
-        cert, bad_pts = _certify_bad_set(samples, dev, cfg.eps, inside)
-        in_krho = bool(np.all(np.abs(wphi) <= cfg.rho))
-
-        bdry = _trace_cheb_lemniscate(n, cfg.eps)
+        bdry, samples = _trace_cheb_lemniscate(n, cfg.eps)
+        cert, bad_pts = _certified(
+            samples, _vdiff_segment_w(phi_np(samples), n), cfg.eps,
+            g(samples) <= level)
+        in_krho = bool(np.all(np.abs(phi_np(bdry)) <= cfg.rho))
         est = cap.greedy_fekete_capacity(cap.point_cloud(bdry), n=cfg.fekete_n)
 
         per_n.append({
-            "n": n, "ks": ks, "bound_analytic": bound,
+            "n": n, "ks": ks_distance(roots, arcsine_cdf),
+            "bound_analytic": math.exp(-cfg.eps) / 2,
             "cap_estimate": est.value,
             "certified_samples": cert,
-            "sample_count": int(len(samples)),
-            "badset_grid_count": bad_count,
+            "sample_count": len(samples),
+            "badset_grid_count": int(np.sum(
+                np.abs(_vdiff_segment_w(grid, n)) >= cfg.eps)),
             "badset_points": bad_pts,
             "lemniscate_in_K_rho": in_krho,
         })
-        rows.append([n, "%.17g" % ks, "%.17g" % bound, "%.17g" % est.value,
-                     bad_count, cert, len(samples)])
         ok = ok and cert == len(samples) and in_krho
 
     ks_seq = [e["ks"] for e in per_n]
     trend = all(k2 < k1 for k1, k2 in zip(ks_seq, ks_seq[1:]))
-    ok = ok and trend
-
-    _write_csv(os.path.join(cfg.out_dir, "stahl_segment.csv"),
-               ["n", "ks", "bound_analytic", "cap_estimate",
-                "badset_grid_count", "certified", "samples"], rows)
-    report = {"experiment": "stahl_segment", "config": asdict(cfg),
-              "per_n": per_n, "ks_decreasing": trend, "pass": bool(ok)}
-    _write_json(os.path.join(cfg.out_dir, "summary.json"), report)
-    if cfg.plot:
-        emit_plots(report, cfg.out_dir)
-    return report
-
-
-def _trace_cheb_lemniscate(n, eps):
-    """Boundary of {2^n |T_n| = e^{-n eps}} through the stable phi form.
-
-    64 rays from each Chebyshev zero go through
-    `capacity.trace_level_curve`; each point is the midpoint of its final
-    bracket.
-    """
-    z0, d, lo, hi = cap.trace_level_curve(*_cheb_level_set(n, eps), 64)
-    return z0 + 0.5 * (lo + hi) * d
+    return _write_demo(cfg, "stahl_segment", per_n, ok, ks_decreasing=trend)
 
 
 def run_prop1(cfg):

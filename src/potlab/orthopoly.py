@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 from mpmath import mp, mpf
 
+from .leja import LejaSequence
 from .measures import DiscreteMeasure
 from .precision import PrecisionContext, PrecisionTooLow
 
@@ -199,15 +200,6 @@ def precision_floor(q, n, cascade="stabilized"):
     return math.ceil(3 * span * lg) + 128
 
 
-def _min_separation(points, n, ctx):
-    """Minimal pairwise distance among the first n points (inf if n < 2);
-    run under ctx."""
-    pts = [ctx.mpf(x) for x in points[:n]]
-    return min((abs(pts[i] - pts[j])
-                for i in range(n) for j in range(i + 1, n)),
-               default=mpf("inf"))
-
-
 def _zero_deviations(rc, leja_points, n):
     """Zeros of P_n from the recurrence rc, paired with the nearest of the
     first n Leja points: max |x_k - root| and whether the map is bijective."""
@@ -361,7 +353,8 @@ def epsilon_stress_test(m, seq, n, eps_next, q, family=None,
             family = default_stress_family(seq, n, ctx)
         eps_next = ctx.mpf(eps_next)
         qq = ctx.mpf(str(q))
-        bound = min(qq ** (n * n), _min_separation(seq.points, n, ctx)) / 2
+        bound = min(qq ** (n * n),
+                    ctx.mpf(LejaSequence(seq.points[:n]).separation)) / 2
         results = []
         for name, nu_atoms in family:
             if nu_atoms is None:

@@ -8,13 +8,15 @@ import pytest
 
 import potlab
 from potlab import ConfigError, ExperimentConfig
+from potlab import capacity as cap
 from potlab import orthopoly as op
 from potlab.cli import main as cli_main
 from potlab.experiments import (run_prop1, run_stahl_circle,
                                 run_stahl_segment, run_leja_only,
                                 run_capacity_only, _vdiff_circle,
                                 _vdiff_segment_w, _sample_lune_preimage,
-                                _sample_cheb_ovals, _trace_cheb_lemniscate)
+                                _cheb_level_set, _certified,
+                                _trace_cheb_lemniscate)
 from potlab.potentials import phi_np
 
 
@@ -67,6 +69,17 @@ class TestConfig:
         {"experiment": "prop1", "grid_size": 100},
         {"experiment": "prop1", "grid_size": 6, "leja_n": 4,
          "n_list": (2, 7)},
+        {"experiment": "stahl_circle", "seed": 1.5},
+        {"experiment": "leja_only", "leja_n": 2.5},
+        {"experiment": "leja_only", "leja_n": True},
+        {"experiment": "stahl_circle", "eps": "0.1"},
+        {"experiment": "capacity_only", "fekete_n": 64.5},
+        {"experiment": "stahl_segment", "n_list": 8},
+        {"experiment": "leja_only", "grid_size": 4096.5},
+        {"experiment": "stahl_segment", "n_list": (8.7,)},
+        {"experiment": "stahl_circle", "scan_grid": (100.5, 60)},
+        {"experiment": "stahl_circle", "bits": 100.5},
+        {"experiment": "stahl_circle", "plot": "no"},
     ], ids=["eps_nan", "rho_nan", "scan_grid_zero", "fekete_n_below_8",
             "n_list_zero", "bits_below_precision_floor", "unknown_cascade",
             "capacity_eps_below_lune_floor", "grid_size_below_2",
@@ -74,7 +87,10 @@ class TestConfig:
             "blend_weight_nan", "target_none_for_prop1", "leja_n_zero",
             "leja_n_negative", "seed_negative", "seed_negative_prop1",
             "grid_size_below_leja_n", "grid_size_below_prop1_leja_n",
-            "grid_size_below_n_max"])
+            "grid_size_below_n_max", "seed_float", "leja_n_float",
+            "leja_n_bool", "eps_string", "fekete_n_float", "n_list_scalar",
+            "grid_size_float", "n_list_float_entry", "scan_grid_float",
+            "bits_float", "plot_string"])
     def test_config_holes_rejected(self, kw):
         with pytest.raises(ConfigError):
             ExperimentConfig(**kw)
@@ -223,9 +239,45 @@ class TestStahlSegment:
             w = phi_np(z)
             return np.abs(w ** n + w ** (-float(n)))
 
-        bdry = _trace_cheb_lemniscate(n, 0.1)
+        bdry, samples = _trace_cheb_lemniscate(n, 0.1)
         assert np.max(np.abs(g(bdry) - level)) < 1e-9 * level
-        assert np.all(g(_sample_cheb_ovals(n, 0.1)) < level)
+        assert np.all(g(samples) < level)
+
+    @pytest.mark.parametrize("n", [8, 16, 33])
+    @pytest.mark.parametrize("eps", [0.05, 0.3])
+    def test_samples_are_the_16_ray_trace(self, n, eps):
+        z0, d, lo, _ = cap.trace_level_curve(*_cheb_level_set(n, eps), 16)
+        _, samples = _trace_cheb_lemniscate(n, eps)
+        assert np.array_equal(samples, z0 + 0.9 * lo * d)
+
+    def test_lemniscate_beyond_rho_fails(self, tmp_path):
+        #  the traced boundary reaches |phi| = 1.042 > rho, the interior
+        #  samples only 1.038
+        cfg = ExperimentConfig(experiment="stahl_segment", eps=0.05,
+                               rho=1.04, n_list=(8,), out_dir=str(tmp_path))
+        rep = run_stahl_segment(cfg)
+        assert not rep["per_n"][0]["lemniscate_in_K_rho"]
+        assert not rep["pass"]
+        assert not json.loads((tmp_path / "summary.json").read_text())["pass"]
+
+
+class TestCertified:
+    def test_counts_members_at_or_beyond_eps(self):
+        samples = np.array([1 + 1j, 2 + 0j, 3 - 1j, 4 + 2j])
+        dev = np.array([0.5, -0.2, 0.05, 0.1])
+        members = np.array([True, True, True, False])
+        cert, pts = _certified(samples, dev, 0.1, members)
+        #  3-1j misses eps and 4+2j is no member: neither counts, and
+        #  neither raises
+        assert cert == 2
+        assert pts == [[1.0, 1.0], [2.0, 0.0]]
+
+    def test_returns_at_most_50_points(self):
+        samples = np.arange(80) + 0.5j
+        cert, pts = _certified(samples, np.ones(80), 0.1,
+                               np.ones(80, dtype=bool))
+        assert cert == 80
+        assert pts == [[float(k), 0.5] for k in range(50)]
 
 
 class TestProp1:
@@ -457,6 +509,15 @@ class TestCli:
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps({"target": "blend:1.5"}))
         rc = cli_main(["leja", "--config", str(cfgfile),
+                       "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_float_seed_exits_2(self, tmp_path, capsys):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"seed": 1.5}))
+        rc = cli_main(["stahl-circle", "--config", str(cfgfile),
                        "--out", str(tmp_path / "out")])
         assert rc == 2
         assert "config error" in capsys.readouterr().err
