@@ -9,6 +9,16 @@ atoms, which is what makes the zero-counting measures follow the target.
 Everything here runs in a PrecisionContext (mpmath); weight ratios reach
 scales like q^300, far outside float64.
 
+Zeros
+-----
+The zeros of P_n are the eigenvalues of the Jacobi matrix J_n.
+orthopoly_zeros bisects each one with Sturm counts, and the walk is
+steered by an enclosure: a Newton-refined float64 eigenvalue that two
+counts prove to lie within root_tol/4 of the root.  The computed count
+is monotone in x, so midpoints outside the enclosure need no count and
+the roots are those of the plain bisection bit for bit.  The same pair
+of counts certifies Proposition 1's bound (enclosures_hold).
+
 Cascades
 --------
 ``power``      eps_n = q^(n^2).  The simple closed form; its consecutive
@@ -29,6 +39,7 @@ Cascades
 import math
 from dataclasses import dataclass
 
+import numpy as np
 from mpmath import mp, mpf
 
 from .leja import LejaSequence
@@ -70,6 +81,7 @@ class ZeroSet:
 
     roots: tuple
     degree: int
+    fallbacks: int             # roots bisected without a certified enclosure
 
 
 def stieltjes_recurrence(m, n):
@@ -126,12 +138,60 @@ def _sturm_count(a, b, n, x, tiny):
     return cnt
 
 
-def orthopoly_zeros(rc, n):
-    """Zeros of P_n by Sturm bisection on the tridiagonal recurrence.
+def _seeds(a, b, n):
+    """Eigenvalues of the float64 Jacobi matrix J_n, ascending: one
+    Newton seed per root, or NaNs where float64 cannot hold J_n."""
+    diag = np.array([float(v) for v in a[:n]])
+    off = np.sqrt(np.array([float(v) for v in b[1:n]]))
+    if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(off))):
+        return np.full(n, np.nan)
+    return np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1)
+                              + np.diag(off, -1))
 
-    Each root is isolated to width 2^(-bits/2).  Roots are the
-    eigenvalues of the n-by-n Jacobi matrix built from rc, so they are
-    real, simple, and interlace those of P_{n-1}.
+
+def _newton(a, b, n, x, stop):
+    """Newton's iteration for P_n from x, with P_n and P_n' run through
+    the three-term recurrence; ends once a step is at most stop."""
+    for _ in range(mp.prec.bit_length() + 2):
+        p0, p, d0, d = mpf(0), mpf(1), mpf(0), mpf(0)
+        for i in range(n):
+            t = x - a[i]
+            p0, p, d0, d = p, t * p - b[i] * p0, d, p + t * d - b[i] * d0
+        if not d:
+            break
+        step = p / d
+        x -= step
+        if abs(step) <= stop:
+            break
+    return x
+
+
+def _encloses(a, b, n, k, lo, hi, tiny):
+    """Whether the Sturm counts put the k-th eigenvalue of J_n in (lo, hi]."""
+    return (_sturm_count(a, b, n, lo, tiny) < k
+            <= _sturm_count(a, b, n, hi, tiny))
+
+
+def orthopoly_zeros(rc, n):
+    """Zeros of P_n by Sturm bisection, steered by certified enclosures.
+
+    Roots are the eigenvalues of the n-by-n Jacobi matrix J_n built from
+    rc, so they are real, simple, and interlace those of P_{n-1}.  The
+    k-th root is bisected from the Gershgorin interval down to width
+    2^(-bits/2), taking hi = mid when at least k eigenvalues lie below
+    mid by the Sturm count and lo = mid otherwise.
+
+    Most of those counts are known before they are made.  A float64
+    eigenvalue of J_n, refined by Newton's method, gives a point x;
+    when the counts at x - d and x + d (d = root_tol/4) put the k-th
+    eigenvalue in between, a midpoint at or below x - d takes lo = mid
+    and one at or above x + d takes hi = mid without a sweep.  That
+    holds because the computed count is monotone in x under correctly
+    rounded arithmetic (Kahan 1966; Demmel, Dhillon & Ren 1995), so the
+    walk, and every bit of the returned root, is that of the plain
+    bisection; only midpoints inside (x - d, x + d) are swept.  A root
+    whose enclosure fails to certify is bisected with a sweep at every
+    midpoint, and ZeroSet.fallbacks counts such roots.
     """
     if n < 1 or n > len(rc):
         raise ValueError(f"need 1 <= n <= {len(rc)}")
@@ -147,17 +207,28 @@ def orthopoly_zeros(rc, n):
         hi0 = max(a) + 2 * r + 1
         tol = ctx.root_tol
         tiny = mpf(2) ** (-4 * ctx.bits)
-        roots = []
-        for k in range(1, n + 1):
+        delta = tol / 4
+        roots, fallbacks = [], 0
+        for k, seed in enumerate(_seeds(a, b, n), 1):
+            below, above = mp.ninf, mp.inf
+            if math.isfinite(seed):
+                x = _newton(a, b, n, mpf(seed), delta / 4)
+                if _encloses(a, b, n, k, x - delta, x + delta, tiny):
+                    below, above = x - delta, x + delta
+            fallbacks += below == mp.ninf
             lo, hi = lo0, hi0
             while hi - lo > tol:
                 mid = (lo + hi) / 2
-                if _sturm_count(a, b, n, mid, tiny) >= k:
+                if mid <= below:
+                    lo = mid
+                elif mid >= above:
+                    hi = mid
+                elif _sturm_count(a, b, n, mid, tiny) >= k:
                     hi = mid
                 else:
                     lo = mid
             roots.append((lo + hi) / 2)
-    return ZeroSet(roots=tuple(roots), degree=n)
+    return ZeroSet(roots=tuple(roots), degree=n, fallbacks=fallbacks)
 
 
 # ---------------------------------------------------------------------------
@@ -274,15 +345,35 @@ class StabilityReport:
     deviations: tuple          # (leja index, distance) per root
     max_deviation: object      # mpf
     bound: object              # mpf, q^(n^2)
+    passed: bool               # enclosures_hold at radius bound
 
     @property
     def margin(self):
         return self.bound / self.max_deviation if self.max_deviation > 0 \
             else mpf("inf")
 
-    @property
-    def passed(self):
-        return self.max_deviation < self.bound
+
+def enclosures_hold(rc, n, centers, radius):
+    """Whether each zero of P_n lies within radius of a distinct center.
+
+    The intervals (c - radius, c + radius] around the first n centers,
+    sorted, must be disjoint, and the Sturm counts of J_n must put the
+    k-th eigenvalue in the k-th of them: then each holds exactly one.
+    That is two sweeps per center and no root finding; it certifies the
+    computed recurrence rc, of length n or more.
+    """
+    if len(centers) < n:
+        raise ValueError(f"need {n} centers, have {len(centers)}")
+    ctx = rc.ctx
+    with ctx.workprec():
+        radius = ctx.mpf(radius)
+        ends = [(c - radius, c + radius)
+                for c in sorted(ctx.mpf(c) for c in centers[:n])]
+        if any(not hi < lo for (_, hi), (lo, _) in zip(ends, ends[1:])):
+            return False
+        tiny = mpf(2) ** (-4 * ctx.bits)
+        return all(_encloses(rc.a, rc.b, n, k, lo, hi, tiny)
+                   for k, (lo, hi) in enumerate(ends, 1))
 
 
 def zero_stability_check(rc, seq, n, q):
@@ -292,7 +383,9 @@ def zero_stability_check(rc, seq, n, q):
     pairs are exactly those of a length-n recurrence, so one recurrence
     serves every degree up to its length.  Raises PairingFailure when the
     nearest-atom map is not a bijection; otherwise reports the worst
-    |x_k - x_{n,k}| next to the bound q^(n^2).
+    |x_k - x_{n,k}| next to the bound q^(n^2).  The report passes when
+    enclosures_hold proves each zero within the bound of a distinct
+    Leja point.
     """
     ctx = rc.ctx
     with ctx.workprec():
@@ -303,7 +396,8 @@ def zero_stability_check(rc, seq, n, q):
                 f"points (worst deviation {mp.nstr(worst, 8)})")
         bound = ctx.mpf(str(q)) ** (n * n)
     return StabilityReport(n=n, zeros=zs, deviations=tuple(pairs),
-                           max_deviation=worst, bound=bound)
+                           max_deviation=worst, bound=bound,
+                           passed=enclosures_hold(rc, n, seq.points, bound))
 
 
 def default_stress_family(seq, n, ctx):

@@ -80,6 +80,7 @@ class TestConfig:
         {"experiment": "stahl_circle", "scan_grid": (100.5, 60)},
         {"experiment": "stahl_circle", "bits": 100.5},
         {"experiment": "stahl_circle", "plot": "no"},
+        {"experiment": "prop1", "n_list": (3, 2)},
     ], ids=["eps_nan", "rho_nan", "scan_grid_zero", "fekete_n_below_8",
             "n_list_zero", "bits_below_precision_floor", "unknown_cascade",
             "capacity_eps_below_lune_floor", "grid_size_below_2",
@@ -90,7 +91,7 @@ class TestConfig:
             "grid_size_below_n_max", "seed_float", "leja_n_float",
             "leja_n_bool", "eps_string", "fekete_n_float", "n_list_scalar",
             "grid_size_float", "n_list_float_entry", "scan_grid_float",
-            "bits_float", "plot_string"])
+            "bits_float", "plot_string", "n_list_unordered"])
     def test_config_holes_rejected(self, kw):
         with pytest.raises(ConfigError):
             ExperimentConfig(**kw)
@@ -319,6 +320,13 @@ class TestProp1:
         ks_zero4 = next(e["ks"] for e in rep["per_n"] if e["n"] == 4)
         assert abs(ks_zero4 - ks_leja4) < 10 * 0.4 ** 16 + 1e-12
 
+    def test_zero_fallbacks_reported(self, outcome):
+        #  every stability-stage root had a certified enclosure
+        rep, out = outcome
+        written = json.loads((out / "summary.json").read_text())
+        for e in rep["per_n"] + written["per_n"]:
+            assert e["zero_fallbacks"] == 0
+
     def test_blend_target_pipeline(self, tmp_path):
         cfg = ExperimentConfig(experiment="prop1", q=0.4, n_list=(2, 3),
                                n_max=3, bits=512, leja_n=20, grid_size=512,
@@ -530,6 +538,21 @@ class TestCli:
                        "--out", str(tmp_path / "out")])
         assert rc == 2
         assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["stahl-segment", "stahl-circle"])
+    @pytest.mark.parametrize("n_list", [[16, 8], [8, 8]],
+                             ids=["descending", "repeated"])
+    def test_unordered_n_list_exits_2(self, tmp_path, capsys, command,
+                                      n_list):
+        #  the trend checks compare consecutive entries, so n_list must
+        #  increase strictly
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"n_list": n_list}))
+        rc = cli_main([command, "--config", str(cfgfile),
+                       "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "strictly increasing" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_mismatched_experiment_exits_2(self, tmp_path):

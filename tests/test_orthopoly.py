@@ -12,7 +12,8 @@ from potlab import (BreakdownError, DiscreteMeasure, PairingFailure,
                     generate, ks_distance, orthopoly_zeros, precision_floor,
                     stieltjes_recurrence, target_arcsine,
                     zero_stability_check)
-from potlab.orthopoly import potential_asymptotics_check
+from potlab import orthopoly as op
+from potlab.orthopoly import enclosures_hold, potential_asymptotics_check
 
 from conftest import orth_tol
 
@@ -75,6 +76,40 @@ def gauss_quadrature(m, n):
         return list(zs.roots), weights
 
 
+def bisect_zeros(rc, n):
+    """Zeros of P_n by plain Sturm bisection, a sweep at every midpoint:
+    the oracle orthopoly_zeros must match bit for bit."""
+    if n < 1 or n > len(rc):
+        raise ValueError(f"need 1 <= n <= {len(rc)}")
+    ctx = rc.ctx
+    with ctx.workprec():
+        a = [mpf(v) for v in rc.a[:n]]
+        b = [mpf(v) for v in rc.b[:n]]
+        for k in range(1, n):
+            if not b[k] > 0:
+                raise BreakdownError(f"b[{k}] = {b[k]} is not positive")
+        r = max((mp.sqrt(b[k]) for k in range(1, n)), default=mpf(0))
+        lo0 = min(a) - 2 * r - 1
+        hi0 = max(a) + 2 * r + 1
+        tol = ctx.root_tol
+        tiny = mpf(2) ** (-4 * ctx.bits)
+        roots = []
+        for k in range(1, n + 1):
+            lo, hi = lo0, hi0
+            while hi - lo > tol:
+                mid = (lo + hi) / 2
+                if op._sturm_count(a, b, n, mid, tiny) >= k:
+                    hi = mid
+                else:
+                    lo = mid
+            roots.append((lo + hi) / 2)
+    return tuple(roots)
+
+
+def bits_of(roots):
+    return [r._mpf_ for r in roots]
+
+
 def two_atom():
     return DiscreteMeasure(((-1.0, 0.5), (1.0, 0.5)), ctx=CTX)
 
@@ -95,6 +130,14 @@ def arcsine_seq():
 def sigma6(arcsine_seq):
     cfg = SigmaBuildConfig(q=0.4, n_max=6, bits=1024)
     return build_sigma(cfg, arcsine_seq)
+
+
+@pytest.fixture(scope="module")
+def bench_sigma():
+    #  the prop1 benchmark sigma: q = 0.4, n_max = 7, 768 bits, 200
+    #  arcsine Leja points on 4096 nodes
+    seq = generate(200, target=target_arcsine())
+    return build_sigma(SigmaBuildConfig(q=0.4, n_max=7, bits=768), seq)
 
 
 @pytest.fixture(scope="module")
@@ -211,6 +254,60 @@ class TestZeros:
         prev = orthopoly_zeros(rc, n - 1).roots
         for k in range(n - 1):
             assert roots[k] < prev[k] < roots[k + 1]
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_random_measure_roots_bit_equal_to_bisection(self, data):
+        #  flat weights, or a cascade q^(k^2+1) like sigma's; the
+        #  enclosures change which midpoints are swept, never a root bit
+        ticks = data.draw(st.lists(st.integers(-1000, 1000), min_size=1,
+                                   max_size=8, unique=True))
+        cascade = data.draw(st.booleans())
+        q = data.draw(st.sampled_from(["0.2", "0.3", "0.4"]))
+        ctx = PrecisionContext(data.draw(st.sampled_from([64, 128, 256,
+                                                          768])))
+        with ctx.workprec():
+            atoms = tuple((mpf(t) / 1000,
+                           mpf(q) ** (k * k + 1) if cascade else mpf(1))
+                          for k, t in enumerate(ticks))
+        rc = stieltjes_recurrence(DiscreteMeasure(atoms, ctx=ctx),
+                                  len(ticks))
+        for n in range(1, len(ticks) + 1):
+            zs = orthopoly_zeros(rc, n)
+            assert bits_of(zs.roots) == bits_of(bisect_zeros(rc, n)), n
+
+    @pytest.mark.parametrize("spoil", [
+        lambda s: np.where(np.arange(len(s)) == 2, s[1], s),
+        lambda s: np.where(np.arange(len(s)) == 2, np.nan, s),
+    ], ids=["seed_of_the_root_below", "nan_seed"])
+    def test_bad_seed_falls_back_to_the_same_bits(self, sigma6, monkeypatch,
+                                                   spoil):
+        #  Newton from the neighbouring root's seed lands on that root,
+        #  whose enclosure cannot hold the k-th eigenvalue; a NaN seed
+        #  gives no enclosure at all
+        rc = stieltjes_recurrence(sigma6, 5)
+        seeds = op._seeds
+        monkeypatch.setattr(op, "_seeds", lambda a, b, n: spoil(
+            seeds(a, b, n)))
+        zs = orthopoly_zeros(rc, 5)
+        assert zs.fallbacks == 1
+        assert bits_of(zs.roots) == bits_of(bisect_zeros(rc, 5))
+
+    def test_at_most_four_sweeps_per_root(self, bench_sigma, monkeypatch):
+        rc = stieltjes_recurrence(bench_sigma, 7)
+        calls = []
+        sweep = op._sturm_count
+
+        def counting(*args):
+            calls.append(1)
+            return sweep(*args)
+
+        monkeypatch.setattr(op, "_sturm_count", counting)
+        for n in range(1, 8):
+            calls.clear()
+            zs = orthopoly_zeros(rc, n)
+            assert zs.fallbacks == 0
+            assert len(calls) <= 4 * n, (n, len(calls))
 
     def test_zero_evaluation_consistency(self, sigma6):
         #  P_n vanishes at the bisection roots to root-tolerance scale
@@ -352,6 +449,26 @@ class TestZeroStability:
                                    _seq_of(sigma6_power), 6, 0.4)
         assert rep.passed
         assert float(rep.max_deviation) < 1e-100
+
+    def test_certificate_fails_below_the_true_deviation(self, sigma6):
+        #  each zero of P_4 lies within max_deviation of its Leja point:
+        #  radius 2d certifies that, d/2 cannot, and a radius reaching
+        #  half the separation makes the intervals overlap
+        seq = _seq_of(sigma6)
+        rc = stieltjes_recurrence(sigma6, 4)
+        d = zero_stability_check(rc, seq, 4, 0.4).max_deviation
+        assert enclosures_hold(rc, 4, seq.points, 2 * d)
+        assert not enclosures_hold(rc, 4, seq.points, d / 2)
+        gap = min(abs(x - y) for i, x in enumerate(seq.points[:4])
+                  for y in seq.points[:i])
+        assert not enclosures_hold(rc, 4, seq.points, gap / 2)
+        with pytest.raises(ValueError):
+            enclosures_hold(rc, 4, seq.points[:3], 2 * d)
+        #  the same through the report: q^16 = d/2 puts the bound below d
+        with sigma6.ctx.workprec():
+            q = float((d / 2) ** (mpf(1) / 16))
+        rep = zero_stability_check(rc, seq, 4, q)
+        assert rep.bound < rep.max_deviation and not rep.passed
 
     def test_low_precision_fails_loudly(self, arcsine_seq):
         #  64 bits cannot carry the q^100 weight span of ten atoms
