@@ -7,9 +7,9 @@ from .measures import DiscreteMeasure, TargetMeasure, ks_distance
 from .potentials import (equilibrium_potential_segment, phi, target_arcsine,
                          target_blend, target_uniform)
 from .leja import (DegenerateGrid, LejaSequence, chebyshev_grid, generate,
-                   verify_unweighted_asymptotics, verify_weighted_asymptotics)
+                   verify_weighted_asymptotics)
 from .orthopoly import (BreakdownError, PairingFailure, RecurrenceCoeffs,
-                        SigmaBuildConfig, StressFailure, ZeroSet, build_sigma,
+                        SigmaBuildConfig, ZeroSet, build_sigma,
                         epsilon_stress_test, orthopoly_zeros, precision_floor,
                         stieltjes_recurrence, zero_stability_check)
 from .capacity import (CapacityEstimate, DegenerateRegion, RegionDescriptor,

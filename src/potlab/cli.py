@@ -39,19 +39,28 @@ def _parser():
     return p
 
 
+def _read_config(path):
+    """The JSON object in the file at path."""
+    try:
+        with open(path) as f:
+            raw = json.load(f)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from None
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path} holds a {type(raw).__name__}, "
+                          f"not a JSON object")
+    return raw
+
+
 def main(argv=None):
     args = _parser().parse_args(argv)
     experiment = _SUBCOMMANDS[args.command]
-    raw = {}
-    if args.config:
-        with open(args.config) as f:
-            raw = json.load(f)
-    if raw.get("experiment", experiment) != experiment:
-        print(f"config is for {raw['experiment']!r}, not {experiment!r}",
-              file=sys.stderr)
-        return 2
-    raw["experiment"] = experiment
     try:
+        raw = _read_config(args.config) if args.config else {}
+        if raw.get("experiment", experiment) != experiment:
+            raise ConfigError(f"config is for {raw['experiment']!r}, "
+                              f"not {experiment!r}")
+        raw["experiment"] = experiment
         cfg = ExperimentConfig.from_json(raw, out_dir=args.out,
                                          bits=args.bits, plot=args.plot)
         report = run(cfg)

@@ -57,8 +57,6 @@ class ExperimentConfig:
     n_max: Optional[int] = None
     cascade: str = "stabilized"
     target: str = "arcsine"
-    scan_grid: Tuple[int, int] = (512, 256)
-    fekete_n: int = 64
     seed: int = 1
     out_dir: str = "out"
     plot: bool = False
@@ -70,7 +68,6 @@ class ExperimentConfig:
                 raise ConfigError(f"{f.name} must be {_type_name(f.type)}, "
                                   f"got {value!r}")
         object.__setattr__(self, "n_list", tuple(self.n_list))
-        object.__setattr__(self, "scan_grid", tuple(self.scan_grid))
         if self.experiment not in RUNNERS:
             raise ConfigError(f"unknown experiment {self.experiment!r}; "
                               f"choose from {tuple(RUNNERS)}")
@@ -79,11 +76,6 @@ class ExperimentConfig:
             raise ConfigError("eps must be positive")
         if not self.rho > 1:
             raise ConfigError("rho must exceed 1")
-        if len(self.scan_grid) != 2 or min(self.scan_grid) < 1:
-            raise ConfigError(f"scan_grid needs two sizes >= 1, "
-                              f"got {self.scan_grid}")
-        if self.fekete_n < 8:
-            raise ConfigError(f"fekete_n must be >= 8, got {self.fekete_n}")
         if self.grid_size < 2:
             raise ConfigError(f"grid_size must be >= 2, got {self.grid_size}")
         if self.leja_n < 1:
@@ -197,8 +189,9 @@ def _certified(samples, dev, eps, members):
 
 
 def _scan_grid(cfg):
-    """Polar grid over 1 <= |w| <= rho, radii clustered toward 1 as u^3."""
-    nr, nt = cfg.scan_grid
+    """Polar grid of 512 radii by 256 angles over 1 <= |w| <= rho, radii
+    clustered toward 1 as u^3."""
+    nr, nt = 512, 256
     radii = 1 + (cfg.rho - 1) * ((np.arange(nr) + 1) / nr) ** 3
     thetas = 2 * np.pi * np.arange(nt) / nt
     R, T = np.meshgrid(radii, thetas, indexing="ij")
@@ -298,8 +291,7 @@ def run_stahl_circle(cfg):
 
         z_bdry = _nth_roots(cap.lune(n, cfg.eps).boundary_sample(1024), n)
         in_krho = bool(np.all(np.abs(z_bdry) <= cfg.rho))
-        est = cap.greedy_fekete_capacity(cap.point_cloud(z_bdry),
-                                         n=cfg.fekete_n)
+        est = cap.greedy_fekete_capacity(cap.point_cloud(z_bdry))
         per_n.append({
             "n": n, "ks": ks, "ks_expected": 1.0 / n,
             "bound_analytic": bound,
@@ -334,7 +326,7 @@ def run_stahl_segment(cfg):
             samples, _vdiff_segment_w(phi_np(samples), n), cfg.eps,
             g(samples) <= level)
         in_krho = bool(np.all(np.abs(phi_np(bdry)) <= cfg.rho))
-        est = cap.greedy_fekete_capacity(cap.point_cloud(bdry), n=cfg.fekete_n)
+        est = cap.greedy_fekete_capacity(cap.point_cloud(bdry))
 
         per_n.append({
             "n": n, "ks": ks_distance(roots, arcsine_cdf),
@@ -434,12 +426,8 @@ def run_leja_only(cfg):
     seq = lj.generate(cfg.leja_n, target=target, grid=grid)
     _write_leja_csv(cfg.out_dir, seq)
     zs = [2.0, 2j, -3.0]
-    ks = None
-    if target is None:
-        resid = lj.verify_unweighted_asymptotics(seq, zs)
-    else:
-        resid = lj.verify_weighted_asymptotics(seq, target, zs)
-        ks = ks_distance(seq.points, target.cdf)
+    resid = lj.verify_weighted_asymptotics(seq, target, zs)
+    ks = None if target is None else ks_distance(seq.points, target.cdf)
     report = {"experiment": "leja_only", "config": asdict(cfg),
               "residuals": {str(z): r for z, r in zip(zs, resid)},
               "ks": ks, "separation": seq.separation,
@@ -455,13 +443,13 @@ def run_capacity_only(cfg):
     """Calibration battery for the capacity estimator."""
     os.makedirs(cfg.out_dir, exist_ok=True)
     checks = []
-    est = cap.greedy_fekete_capacity(cap.disk(0, 1), n=cfg.fekete_n)
+    est = cap.greedy_fekete_capacity(cap.disk(0, 1))
     checks.append(("disk_r1", est.value, 1.0))
-    est = cap.greedy_fekete_capacity(cap.segment(-1, 1), n=cfg.fekete_n)
+    est = cap.greedy_fekete_capacity(cap.segment(-1, 1))
     checks.append(("segment", est.value, 0.5))
-    lem = cap.preimage_capacity_check([1, 0, -1], 0.9, n_points=cfg.fekete_n)
+    lem = cap.preimage_capacity_check([1, 0, -1], 0.9)
     checks.append(("lemniscate_z2_minus_1", lem.estimate, lem.analytic))
-    lu = cap.lune_capacity_bounds(LUNE_DEGREE, cfg.eps, n_points=cfg.fekete_n)
+    lu = cap.lune_capacity_bounds(LUNE_DEGREE, cfg.eps)
     ok = all(abs(v - t) / t < 0.05 for _, v, t in checks) and lu.within_bounds
     report = {"experiment": "capacity_only", "config": asdict(cfg),
               "checks": [{"name": n, "estimate": v, "analytic": t}

@@ -129,27 +129,20 @@ def generate(n, target=None, grid=None):
     return LejaSequence(points=tuple(pts.tolist()))
 
 
-def verify_unweighted_asymptotics(seq, z_samples):
-    """Residuals (1/n) sum log|z - x_j| - (log|phi(z)| - log 2), the
-    Green function of [-1,1] minus its Robin constant.  Callers assert
-    the decay.
+def verify_weighted_asymptotics(seq, target, z_samples):
+    """Residuals (1/n) sum log|z - x_j| + V(z) for samples off the segment.
+
+    Without a target (None), V is log 2 - log|phi(z)|, the Robin constant
+    of [-1,1] minus its Green function.  Callers assert the decay.
     """
     pts = np.asarray(seq.points, dtype=complex)
     n = len(pts)
     out = []
     for z in z_samples:
         s = float(np.sum(np.log(np.abs(complex(z) - pts)))) / n
-        g = math.log(abs(phi_np(np.asarray([z]))[0])) - math.log(2)
-        out.append(s - g)
-    return out
-
-
-def verify_weighted_asymptotics(seq, target, z_samples):
-    """Residuals (1/n) sum log|z - x_j| + V(z) for samples off the segment."""
-    pts = np.asarray(seq.points, dtype=complex)
-    n = len(pts)
-    out = []
-    for z in z_samples:
-        s = float(np.sum(np.log(np.abs(complex(z) - pts)))) / n
-        out.append(s + float(target.potential(z)))
+        if target is None:
+            v = math.log(2) - math.log(abs(phi_np(np.asarray([z]))[0]))
+        else:
+            v = float(target.potential(z))
+        out.append(s + v)
     return out

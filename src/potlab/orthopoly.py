@@ -55,10 +55,6 @@ class PairingFailure(ValueError):
     """Nearest-neighbor matching of zeros to Leja points is not bijective."""
 
 
-class StressFailure(AssertionError):
-    """A perturbation in the stress family moved a zero past its bound."""
-
-
 @dataclass(frozen=True)
 class RecurrenceCoeffs:
     """Monic three-term recurrence data P_{k+1} = (x - a_k) P_k - b_k P_{k-1}.
@@ -316,8 +312,7 @@ def build_sigma(cfg, seq):
                 cand = q ** (n * n) * eps[-1] * q
                 for _ in range(64):
                     report = epsilon_stress_test(
-                        sigma_n, seq, n, cand, family=family, q=cfg.q,
-                        raise_on_violation=False)
+                        sigma_n, seq, n, cand, family=family, q=cfg.q)
                     worst = report.worst[1]
                     tgt = report.bound / 2
                     if worst <= tgt:
@@ -418,8 +413,6 @@ def default_stress_family(seq, n, ctx):
 
 @dataclass(frozen=True)
 class StressReport:
-    n: int
-    eps_next: object
     bound: object
     results: tuple             # (name, max deviation) per family member
 
@@ -432,13 +425,12 @@ class StressReport:
         return tuple(name for name, d in self.results if not d < self.bound)
 
 
-def epsilon_stress_test(m, seq, n, eps_next, q, family=None,
-                        raise_on_violation=True):
+def epsilon_stress_test(m, seq, n, eps_next, q, family=None):
     """Recompute the zeros of P_n under sigma_n + 2*eps_next*nu.
 
     Every nu in the family has support in [-1,1] and mass at most one;
-    the deviation bound is min(q^(n^2), delta_n)/2.  On violation raises
-    StressFailure naming the offending perturbation (unless told not to).
+    the deviation bound is min(q^(n^2), delta_n)/2.  The report's
+    violations name every member that moves a zero by the bound or more.
     """
     ctx = m.ctx
     with ctx.workprec():
@@ -462,14 +454,7 @@ def epsilon_stress_test(m, seq, n, eps_next, q, family=None,
             _, _, worst, _ = _zero_deviations(stieltjes_recurrence(beta, n),
                                               seq.points, n)
             results.append((name, worst))
-        report = StressReport(n=n, eps_next=eps_next, bound=bound,
-                              results=tuple(results))
-        if raise_on_violation and report.violations:
-            name, d = report.worst
-            raise StressFailure(
-                f"perturbation {name!r} moved a zero of P_{n} by "
-                f"{mp.nstr(d, 8)}, bound {mp.nstr(bound, 8)}")
-        return report
+        return StressReport(bound=bound, results=tuple(results))
 
 
 # ---------------------------------------------------------------------------

@@ -60,10 +60,8 @@ class PrecisionContext:
         """Bisection width for polynomial roots: 2^(-bits/2)."""
         return mpf(2) ** (-(self.bits // 2))
 
-    def nstr(self, x, digits=None):
-        """Decimal string with bits/3 significant digits by default."""
-        if digits is None:
-            digits = max(self.bits // 3, 17)
+    def nstr(self, x):
+        """Decimal string with max(bits/3, 17) significant digits."""
         with mp.workprec(self.bits):
             return mp.nstr(mpf(x) if not isinstance(x, (mpf, mpc)) else x,
-                           digits, strip_zeros=False)
+                           max(self.bits // 3, 17), strip_zeros=False)

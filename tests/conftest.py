@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from mpmath import mp, mpf
@@ -31,3 +33,54 @@ def chebyshev_monic_coeffs(n):
 def orth_tol(ctx):
     """Tolerance for orthogonality residuals and moment matches: 2^(-bits/4)."""
     return mpf(2) ** (-(ctx.bits // 4))
+
+
+def mpf_fraction(x):
+    """The mpf x as an exact Fraction.  The sign comes from _mpf_ because
+    man_exp drops it."""
+    sign, man, exp, _ = x._mpf_
+    v = Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
+    return -v if sign else v
+
+
+def exact_recurrence(m, n):
+    """First n monic recurrence pairs (a, b) of the discrete measure m in
+    exact rationals: the Stieltjes procedure of orthopoly, unrounded."""
+    xs = [mpf_fraction(x) for x in m.locations]
+    ws = [mpf_fraction(w) for w in m.weights]
+    p_prev, p_cur = [Fraction(0)] * len(xs), [Fraction(1)] * len(xs)
+    a, b, nu_prev = [], [], None
+    for k in range(n):
+        nu = sum(w * p * p for w, p in zip(ws, p_cur))
+        ak = sum(w * x * p * p for w, x, p in zip(ws, xs, p_cur)) / nu
+        bk = nu if k == 0 else nu / nu_prev
+        a.append(ak)
+        b.append(bk)
+        p_prev, p_cur = p_cur, [(x - ak) * pc - (bk if k else 0) * pp
+                                for x, pc, pp in zip(xs, p_cur, p_prev)]
+        nu_prev = nu
+    return a, b
+
+
+def exact_sturm_count(a, b, n, x):
+    """Number of eigenvalues of the order-n Jacobi matrix below x, or None
+    when a pivot is exactly zero (then x may be an eigenvalue)."""
+    cnt = 0
+    for i in range(n):
+        d = a[i] - x if i == 0 else (a[i] - x) - b[i] / d
+        if d == 0:
+            return None
+        cnt += d < 0
+    return cnt
+
+
+def exact_enclosures_hold(a, b, n, centers, radius):
+    """Whether the closed intervals of radius around the first n centers
+    are disjoint and exact Sturm counts put exactly one eigenvalue of J_n,
+    the k-th, in the k-th of them (sorted)."""
+    cs = sorted(Fraction(c) for c in centers[:n])
+    if any(not c2 - c1 > 2 * radius for c1, c2 in zip(cs, cs[1:])):
+        return False
+    return all((exact_sturm_count(a, b, n, c - radius),
+                exact_sturm_count(a, b, n, c + radius)) == (k - 1, k)
+               for k, c in enumerate(cs, 1))

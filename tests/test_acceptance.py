@@ -10,6 +10,7 @@ measured numbers.  Each test prints a one-line PASS/FAIL verdict
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,14 +21,14 @@ from potlab import (DiscreteMeasure, ExperimentConfig, PrecisionContext,
                     generate, greedy_fekete_capacity, ks_distance,
                     orthopoly_zeros, preimage_capacity_check,
                     stieltjes_recurrence, target_arcsine, target_blend,
-                    verify_unweighted_asymptotics, verify_weighted_asymptotics,
-                    zero_stability_check)
+                    verify_weighted_asymptotics, zero_stability_check)
 from potlab.capacity import disk, segment
 from potlab.cli import main as cli_main
 from potlab.experiments import run_stahl_circle, run_stahl_segment
 from potlab.leja import LejaSequence
 
-from conftest import chebyshev_monic_coeffs
+from conftest import (chebyshev_monic_coeffs, exact_enclosures_hold,
+                      exact_recurrence)
 
 Q = 0.4
 BITS = 2048
@@ -93,8 +94,8 @@ def test_c01_unweighted_product_residuals(unweighted_800):
     half = LejaSequence(points=unweighted_800.points[:400])
     details = []
     for z in (2.0, 2j, -3.0):
-        r400 = verify_unweighted_asymptotics(half, [z])[0]
-        r800 = verify_unweighted_asymptotics(unweighted_800, [z])[0]
+        r400 = verify_weighted_asymptotics(half, None, [z])[0]
+        r800 = verify_weighted_asymptotics(unweighted_800, None, [z])[0]
         details.append(f"z={z}: |r400|={abs(r400):.2e} |r800|={abs(r800):.2e}")
         assert abs(r400) < 0.02, f"criterion 1 at z={z}: {r400}"
         assert abs(r800) < abs(r400), \
@@ -125,6 +126,22 @@ def test_c03_zero_stability(stability_reports):
             f"{mp.nstr(rep.bound, 6)} (margin {float(rep.margin):.3g} < 2)")
         worst_margin = min(worst_margin, float(rep.margin))
     _verdict(3, True, f"worst margin {worst_margin:.3g}")
+
+
+def test_c03b_exact_zero_stability_proof(sigma10, arcsine_200):
+    """Criterion 3 as a proof for the README sigma, with no rounding.
+
+    The atoms are floats and the weights mpf, so sigma is exactly dyadic.
+    Its Stieltjes recurrence and Sturm counts in rationals show that the
+    intervals [x_k - q^(n^2), x_k + q^(n^2)] are disjoint and each holds
+    exactly one zero of P_n, for every n.
+    """
+    a, b = exact_recurrence(sigma10, 10)
+    unproved = [n for n in range(1, 11)
+                if not exact_enclosures_hold(a, b, n, arcsine_200.points,
+                                             Fraction(2, 5) ** (n * n))]
+    _verdict("3b", not unproved, f"unproved degrees {unproved}")
+    assert not unproved, f"criterion 3b: no exact proof at n = {unproved}"
 
 
 def test_c04a_potential_asymptotics_agreement(sigma10, arcsine_200,
@@ -205,8 +222,7 @@ def test_c05_stress_audit_with_pinned_eps(arcsine_200):
     assert not rep.violations, (
         f"criterion 5: eps_5 = q^17 eps_4 = {mp.nstr(eps5, 6)}: {name} "
         f"moved a zero by {mp.nstr(worst, 6)}, bound {mp.nstr(rep.bound, 6)}")
-    neg = epsilon_stress_test(sigma4, arcsine_200, 4, heavy, q=Q,
-                              raise_on_violation=False)
+    neg = epsilon_stress_test(sigma4, arcsine_200, 4, heavy, q=Q)
     assert "uniform_grid_64" in neg.violations, (
         f"criterion 5 negative case: eps_5 = q^25 is outside (0, q^32) "
         f"yet the audit reports no uniform-grid violation; worst "

@@ -93,8 +93,10 @@ class TestConfig:
             "grid_size_float", "n_list_float_entry", "scan_grid_float",
             "bits_float", "plot_string", "n_list_unordered"])
     def test_config_holes_rejected(self, kw):
+        #  the scan grid and the Fekete point count are constants, so
+        #  their keys are refused whatever their value
         with pytest.raises(ConfigError):
-            ExperimentConfig(**kw)
+            ExperimentConfig.from_json(kw)
 
     def test_flag_overrides(self):
         cfg = ExperimentConfig.from_json(
@@ -137,7 +139,7 @@ class TestVdiffFormulas:
 def circle_report(tmp_path_factory):
     out = tmp_path_factory.mktemp("circle")
     cfg = ExperimentConfig(experiment="stahl_circle", n_list=(4, 8, 16),
-                           scan_grid=(64, 32), fekete_n=32, out_dir=str(out))
+                           out_dir=str(out))
     return run_stahl_circle(cfg), out
 
 
@@ -145,7 +147,7 @@ def circle_report(tmp_path_factory):
 def segment_report(tmp_path_factory):
     out = tmp_path_factory.mktemp("segment")
     cfg = ExperimentConfig(experiment="stahl_segment", n_list=(8, 16),
-                           scan_grid=(64, 32), fekete_n=48, out_dir=str(out))
+                           out_dir=str(out))
     return run_stahl_segment(cfg)
 
 
@@ -389,7 +391,6 @@ class TestDeterminism:
 
     def test_stahl_circle_byte_identical(self, tmp_path):
         cfg = ExperimentConfig(experiment="stahl_circle", n_list=(4, 8),
-                               scan_grid=(32, 16), fekete_n=16,
                                out_dir=str(tmp_path))
         run_stahl_circle(cfg)
         first = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
@@ -446,7 +447,7 @@ class TestRunners:
         assert lines[0] == "index,x" and len(lines) == 21
 
     def test_capacity_only(self, tmp_path):
-        cfg = ExperimentConfig(experiment="capacity_only", fekete_n=48,
+        cfg = ExperimentConfig(experiment="capacity_only",
                                out_dir=str(tmp_path))
         rep = run_capacity_only(cfg)
         assert rep["pass"]
@@ -463,9 +464,9 @@ class TestPublicApi:
             "equilibrium_potential_segment", "phi",
             "target_arcsine", "target_blend", "target_uniform",
             "DegenerateGrid", "LejaSequence", "chebyshev_grid", "generate",
-            "verify_unweighted_asymptotics", "verify_weighted_asymptotics",
+            "verify_weighted_asymptotics",
             "BreakdownError", "PairingFailure", "RecurrenceCoeffs",
-            "SigmaBuildConfig", "StressFailure", "ZeroSet", "build_sigma",
+            "SigmaBuildConfig", "ZeroSet", "build_sigma",
             "epsilon_stress_test", "orthopoly_zeros", "precision_floor",
             "stieltjes_recurrence", "zero_stability_check",
             "CapacityEstimate", "DegenerateRegion", "RegionDescriptor",
@@ -560,3 +561,29 @@ class TestCli:
         cfgfile.write_text(json.dumps({"experiment": "prop1"}))
         rc = cli_main(["capacity", "--config", str(cfgfile)])
         assert rc == 2
+
+    @pytest.mark.parametrize("command,raw", [
+        ("capacity", {"fekete_n": 3000}),
+        ("stahl-segment", {"fekete_n": 5000, "n_list": [8]}),
+        ("stahl-circle", {"scan_grid": [512, 256]}),
+    ], ids=["fekete_n_capacity", "fekete_n_segment", "scan_grid"])
+    def test_removed_keys_exit_2(self, tmp_path, capsys, command, raw):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(raw))
+        rc = cli_main([command, "--config", str(cfgfile),
+                       "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "unknown config keys" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text", [None, '{"leja_n": 40,', "[1, 2]"],
+                             ids=["missing", "malformed_json", "non_object"])
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, text):
+        cfgfile = tmp_path / "cfg.json"
+        if text is not None:
+            cfgfile.write_text(text)
+        rc = cli_main(["leja", "--config", str(cfgfile),
+                       "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not (tmp_path / "out").exists()

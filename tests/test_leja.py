@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from potlab import (DegenerateGrid, PrecisionContext, chebyshev_grid,
                     generate, target_arcsine, target_blend, target_uniform,
-                    verify_unweighted_asymptotics, verify_weighted_asymptotics)
+                    verify_weighted_asymptotics)
 from potlab import leja
 from potlab.leja import LejaSequence
 from potlab.measures import ks_distance
@@ -147,21 +147,22 @@ class TestExtension:
 
 class TestAsymptotics:
     def test_unweighted_single_point_exact(self):
-        r = verify_unweighted_asymptotics(LejaSequence(points=(1.0,)), [2.0])[0]
+        r = verify_weighted_asymptotics(LejaSequence(points=(1.0,)), None,
+                                        [2.0])[0]
         want = 0.0 - (math.log(2 + math.sqrt(3)) - math.log(2))
         assert r == pytest.approx(want, abs=1e-14)
 
     def test_unweighted_residual_decay(self, unweighted_800):
         half = LejaSequence(points=unweighted_800.points[:400])
         for z in (2.0, 2j, -3.0):
-            r400 = verify_unweighted_asymptotics(half, [z])[0]
-            r800 = verify_unweighted_asymptotics(unweighted_800, [z])[0]
+            r400 = verify_weighted_asymptotics(half, None, [z])[0]
+            r800 = verify_weighted_asymptotics(unweighted_800, None, [z])[0]
             assert abs(r400) < 0.02
             assert abs(r800) < abs(r400)
 
     def test_residual_smaller_far_away(self, unweighted_800):
         half = LejaSequence(points=unweighted_800.points[:400])
-        r2, r10 = verify_unweighted_asymptotics(half, [2.0, 10.0])
+        r2, r10 = verify_weighted_asymptotics(half, None, [2.0, 10.0])
         assert abs(r10) < abs(r2)
 
     def test_median_trend_statistical(self, unweighted_800):
@@ -169,15 +170,17 @@ class TestAsymptotics:
         zs = (2.0, 2j, -3.0)
         wins = 0
         for n in (50, 100, 200, 400):
-            a = np.median(np.abs(verify_unweighted_asymptotics(
-                LejaSequence(points=unweighted_800.points[:n]), zs)))
-            b = np.median(np.abs(verify_unweighted_asymptotics(
-                LejaSequence(points=unweighted_800.points[:2 * n]), zs)))
+            a = np.median(np.abs(verify_weighted_asymptotics(
+                LejaSequence(points=unweighted_800.points[:n]), None, zs)))
+            b = np.median(np.abs(verify_weighted_asymptotics(
+                LejaSequence(points=unweighted_800.points[:2 * n]), None,
+                zs)))
             wins += b < a
         assert wins >= 3
-        first = np.median(np.abs(verify_unweighted_asymptotics(
-            LejaSequence(points=unweighted_800.points[:50]), zs)))
-        last = np.median(np.abs(verify_unweighted_asymptotics(unweighted_800, zs)))
+        first = np.median(np.abs(verify_weighted_asymptotics(
+            LejaSequence(points=unweighted_800.points[:50]), None, zs)))
+        last = np.median(np.abs(verify_weighted_asymptotics(
+            unweighted_800, None, zs)))
         assert last < first
 
     def test_weighted_arcsine_matches_unweighted_target(self,
@@ -186,7 +189,7 @@ class TestAsymptotics:
         arc = target_arcsine(PrecisionContext(128))
         half = LejaSequence(points=unweighted_800.points[:400])
         ra = verify_weighted_asymptotics(half, arc, [2.0])[0]
-        rt = verify_unweighted_asymptotics(half, [2.0])[0]
+        rt = verify_weighted_asymptotics(half, None, [2.0])[0]
         assert ra == pytest.approx(rt, abs=1e-12)
 
     def test_weighted_asymptotics_uniform(self):

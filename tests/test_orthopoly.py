@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,14 +9,15 @@ from mpmath import mp, mpf
 
 from potlab import (BreakdownError, DiscreteMeasure, PairingFailure,
                     PrecisionContext, PrecisionTooLow, SigmaBuildConfig,
-                    StressFailure, build_sigma, epsilon_stress_test,
+                    build_sigma, chebyshev_grid, epsilon_stress_test,
                     generate, ks_distance, orthopoly_zeros, precision_floor,
-                    stieltjes_recurrence, target_arcsine,
+                    stieltjes_recurrence, target_arcsine, target_blend,
                     zero_stability_check)
 from potlab import orthopoly as op
 from potlab.orthopoly import enclosures_hold, potential_asymptotics_check
 
-from conftest import orth_tol
+from conftest import (exact_enclosures_hold, exact_recurrence, mpf_fraction,
+                      orth_tol)
 
 CTX = PrecisionContext(256)
 
@@ -470,6 +472,35 @@ class TestZeroStability:
         rep = zero_stability_check(rc, seq, 4, q)
         assert rep.bound < rep.max_deviation and not rep.passed
 
+    def test_exact_proof_on_the_bench_sigma(self, bench_sigma):
+        #  sigma's atoms are floats and its weights mpf, so its recurrence
+        #  and Sturm counts in rationals carry no rounding: every degree's
+        #  bound q^(n^2) is proved for the measure itself
+        seq = _seq_of(bench_sigma)
+        a, b = exact_recurrence(bench_sigma, 7)
+        for n in range(1, 8):
+            assert exact_enclosures_hold(a, b, n, seq.points,
+                                         Fraction(2, 5) ** (n * n)), n
+        #  a radius below the true deviation cannot be proved
+        d = zero_stability_check(stieltjes_recurrence(bench_sigma, 4), seq,
+                                 4, 0.4).max_deviation
+        assert not exact_enclosures_hold(a, b, 4, seq.points,
+                                         mpf_fraction(d / 2))
+
+    @settings(max_examples=20, deadline=None)
+    @given(q=st.floats(0.2, 0.45), weight=st.floats(0, 1),
+           n_max=st.integers(2, 6))
+    def test_certificate_on_random_sigmas(self, q, weight, n_max):
+        bits = precision_floor(q, n_max) + 64
+        seq = generate(n_max, target=target_blend(weight,
+                                                  PrecisionContext(bits)),
+                       grid=chebyshev_grid(1024))
+        sigma = build_sigma(SigmaBuildConfig(q=q, n_max=n_max, bits=bits),
+                            seq)
+        rc = stieltjes_recurrence(sigma, n_max)
+        for n in range(1, n_max + 1):
+            assert zero_stability_check(rc, seq, n, q).passed, n
+
     def test_low_precision_fails_loudly(self, arcsine_seq):
         #  64 bits cannot carry the q^100 weight span of ten atoms
         ctx = PrecisionContext(64)
@@ -513,8 +544,8 @@ class TestStressAudit:
         seq = _seq_of(sigma6)
         with sigma6.ctx.workprec():
             eps5 = mpf("0.4") ** 25
-        with pytest.raises(StressFailure):
-            epsilon_stress_test(sigma6, seq, 4, eps5, q=0.4)
+        rep = epsilon_stress_test(sigma6, seq, 4, eps5, q=0.4)
+        assert rep.violations
 
     def test_atom_coincident_perturbations_are_harmless(self, sigma6_power):
         #  an extra atom on an existing location only reweights: P_4 of the
