@@ -67,14 +67,15 @@ class ExperimentConfig:
             if not _has_type(value, f.type):
                 raise ConfigError(f"{f.name} must be {_type_name(f.type)}, "
                                   f"got {value!r}")
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
         object.__setattr__(self, "n_list", tuple(self.n_list))
         if self.experiment not in RUNNERS:
             raise ConfigError(f"unknown experiment {self.experiment!r}; "
                               f"choose from {tuple(RUNNERS)}")
-        #  written as not-x-ok so that NaN is rejected too
-        if not self.eps > 0:
+        if self.eps <= 0:
             raise ConfigError("eps must be positive")
-        if not self.rho > 1:
+        if self.rho <= 1:
             raise ConfigError("rho must exceed 1")
         if self.grid_size < 2:
             raise ConfigError(f"grid_size must be >= 2, got {self.grid_size}")

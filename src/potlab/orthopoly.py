@@ -15,9 +15,10 @@ The zeros of P_n are the eigenvalues of the Jacobi matrix J_n.
 orthopoly_zeros bisects each one with Sturm counts, and the walk is
 steered by an enclosure: a Newton-refined float64 eigenvalue that two
 counts prove to lie within root_tol/4 of the root.  The computed count
-is monotone in x, so midpoints outside the enclosure need no count and
-the roots are those of the plain bisection bit for bit.  The same pair
-of counts certifies Proposition 1's bound (enclosures_hold).
+is monotone in x, so midpoints outside the enclosure need no count.
+The walk runs in Python ints with the roundings of mpf addition, so the
+roots are those of the plain bisection bit for bit.  The same pair of
+counts certifies Proposition 1's bound (enclosures_hold).
 
 Cascades
 --------
@@ -41,6 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from mpmath import mp, mpf
+from mpmath.libmp import from_man_exp
 
 from .leja import LejaSequence
 from .measures import DiscreteMeasure
@@ -168,6 +170,27 @@ def _encloses(a, b, n, k, lo, hi, tiny):
             <= _sturm_count(a, b, n, hi, tiny))
 
 
+def _round_prec(v, prec):
+    """The integer v rounded to prec significant bits, ties to even: the
+    rounding mpf_add(s, t, prec, round_nearest) applies to an exact sum."""
+    m = abs(v)
+    n = m.bit_length() - prec
+    if n <= 0:
+        return v
+    t = m >> (n - 1)            # the kept bits and the rounding bit
+    if t & 1 and (t & 2 or m & ((1 << (n - 1)) - 1)):
+        t += 1
+    t = t >> 1 << n
+    return t if v > 0 else -t
+
+
+def _to_grid(x, s):
+    """floor(x 2^s) for a finite mpf x."""
+    sign, man, exp, _ = x._mpf_
+    v = -man if sign else man
+    return v << exp + s if exp + s >= 0 else v >> -(exp + s)
+
+
 def orthopoly_zeros(rc, n):
     """Zeros of P_n by Sturm bisection, steered by certified enclosures.
 
@@ -188,6 +211,11 @@ def orthopoly_zeros(rc, n):
     bisection; only midpoints inside (x - d, x + d) are swept.  A root
     whose enclosure fails to certify is bisected with a sweep at every
     midpoint, and ZeroSet.fallbacks counts such roots.
+
+    The walk runs in Python ints on a dyadic grid that holds every end
+    it reaches, with the roundings of mpf arithmetic: lo + hi and hi - lo
+    are rounded to the working precision, ties to even, so every end and
+    every root bit is what the same walk in mpf gives.
     """
     if n < 1 or n > len(rc):
         raise ValueError(f"need 1 <= n <= {len(rc)}")
@@ -204,26 +232,43 @@ def orthopoly_zeros(rc, n):
         tol = ctx.root_tol
         tiny = mpf(2) ** (-4 * ctx.bits)
         delta = tol / 4
+        #  Grid 2^-s: with |lo0|, |hi0| < 2^top and tol = 2^te, a rounded
+        #  midpoint is at most 2^(top-bits) off, so after i steps the
+        #  width is below 2^(top+1-i) + 2^(top+1-bits) <= tol at i = steps
+        #  = top + 2 - te if bits >= steps.  A step adds at most one bit
+        #  below the lowest of lo0 and hi0, so through steps steps every
+        #  end is an integer and every rounded sum even; longer raises.
+        #  tol_s = 2^t has an even significand: a width rounds above it
+        #  iff it exceeds tol_s + 2^(t-bits), or tol_s if t < bits.
+        ends = (lo0._mpf_, hi0._mpf_)
+        steps = max(e + bc for _, _, e, bc in ends) + 2 - tol._mpf_[2]
+        s = steps + 1 - min(e for _, _, e, _ in ends)
+        lo_s, hi_s, tol_s = (_to_grid(v, s) for v in (lo0, hi0, tol))
+        stop = tol_s + (tol_s >> ctx.bits)
         roots, fallbacks = [], 0
         for k, seed in enumerate(_seeds(a, b, n), 1):
-            below, above = mp.ninf, mp.inf
+            enclosed = False
             if math.isfinite(seed):
                 x = _newton(a, b, n, mpf(seed), delta / 4)
-                if _encloses(a, b, n, k, x - delta, x + delta, tiny):
-                    below, above = x - delta, x + delta
-            fallbacks += below == mp.ninf
-            lo, hi = lo0, hi0
-            while hi - lo > tol:
-                mid = (lo + hi) / 2
-                if mid <= below:
+                enclosed = _encloses(a, b, n, k, x - delta, x + delta, tiny)
+            fallbacks += not enclosed
+            #  without an enclosure, every midpoint in [lo_s, hi_s] is swept
+            below, above = ((_to_grid(x - delta, s), -_to_grid(-x - delta, s))
+                            if enclosed else (lo_s - 1, hi_s + 1))
+            lo, hi = lo_s, hi_s
+            for _ in range(steps + 1):
+                if not hi - lo > stop:
+                    break
+                mid = _round_prec(lo + hi, ctx.bits) >> 1
+                if mid <= below or mid < above and _sturm_count(
+                        a, b, n, mp.make_mpf(from_man_exp(mid, -s)), tiny) < k:
                     lo = mid
-                elif mid >= above:
-                    hi = mid
-                elif _sturm_count(a, b, n, mid, tiny) >= k:
-                    hi = mid
                 else:
-                    lo = mid
-            roots.append((lo + hi) / 2)
+                    hi = mid
+            else:
+                raise ArithmeticError(f"root {k} of P_{n} took {steps}+ steps")
+            roots.append(mp.make_mpf(
+                from_man_exp(_round_prec(lo + hi, ctx.bits) >> 1, -s)))
     return ZeroSet(roots=tuple(roots), degree=n, fallbacks=fallbacks)
 
 

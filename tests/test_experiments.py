@@ -532,6 +532,20 @@ class TestCli:
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command, text", [
+        ("stahl-segment", '{"eps": Infinity, "n_list": [8]}'),
+        ("stahl-circle", '{"rho": Infinity, "n_list": [8]}'),
+        ("leja", '{"q": NaN}'),
+    ], ids=["eps_infinity", "rho_infinity", "q_nan"])
+    def test_non_finite_float_exits_2(self, tmp_path, capsys, command, text):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(text)
+        rc = cli_main([command, "--config", str(cfgfile),
+                       "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_no_leja_points_exits_2(self, tmp_path, capsys):
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps({"leja_n": 0}))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from mpmath import mp, mpf
+from mpmath.libmp import from_man_exp, mpf_add, round_nearest
 
 from potlab import (BreakdownError, DiscreteMeasure, PairingFailure,
                     PrecisionContext, PrecisionTooLow, SigmaBuildConfig,
@@ -199,6 +200,39 @@ class TestStieltjes:
             assert abs(x - y) < orth_tol(CTX)
 
 
+class TestRoundPrec:
+    @settings(max_examples=300, deadline=None)
+    @given(prec=st.integers(53, 2048), data=st.data())
+    def test_grid_sum_rounds_as_mpf_add(self, prec, data):
+        #  operands of at most prec bits, as every end of the walk is;
+        #  "far" puts them more than 100 binary places apart, where
+        #  mpf_add replaces the smaller by a sticky bit, and "tie" builds
+        #  a sum exactly halfway between two prec-bit neighbours
+        man = st.integers(1 - (1 << prec), (1 << prec) - 1)
+        sign = st.sampled_from([1, -1])
+        kind = data.draw(st.sampled_from(["near", "far", "tie", "zero",
+                                          "cancel"]))
+        es = data.draw(st.integers(-1500, 1500))
+        ms, mt, et = data.draw(man), data.draw(man), es
+        if kind == "near":
+            et = es + data.draw(st.integers(-100, 100))
+        elif kind == "far":
+            et = es + data.draw(sign) * data.draw(st.integers(101,
+                                                              3 * prec))
+        elif kind == "tie":
+            ms = 2 * data.draw(sign) * data.draw(
+                st.integers(1 << (prec - 1), (1 << prec) - 1))
+            mt = data.draw(sign)
+        elif kind == "zero":
+            ms = 0
+        else:
+            mt = -ms
+        g = -min(es, et)
+        v = (ms << es + g) + (mt << et + g)
+        assert from_man_exp(op._round_prec(v, prec), -g) == mpf_add(
+            from_man_exp(ms, es), from_man_exp(mt, et), prec, round_nearest)
+
+
 class TestZeros:
     def test_two_atom_degree_one(self):
         rc = stieltjes_recurrence(two_atom(), 1)
@@ -277,6 +311,51 @@ class TestZeros:
         for n in range(1, len(ticks) + 1):
             zs = orthopoly_zeros(rc, n)
             assert bits_of(zs.roots) == bits_of(bisect_zeros(rc, n)), n
+
+    @pytest.mark.parametrize("bits", [65, 1001, 2048])
+    @pytest.mark.parametrize("atoms, scale", [
+        (((-0.9, 1), (-0.2, 0.3), (0.35, 0.09), (0.8, 0.027), (0.05, 0.0081)),
+         1),
+        #  every a_k is exactly 0, so the walk to the middle root of an
+        #  odd degree starts at mid = 0 and halves toward it
+        (((-1, 1), (-0.5, 2), (0, 1), (0.5, 2), (1, 1)), 1),
+        #  atoms stretched to +-50: the Gershgorin interval of J_5 is
+        #  about (-77, 85), so the walk bound steps is the largest here
+        (((-1, 1), (-0.25, 0.5), (0.06, 1), (0.545, 0.25), (1, 1)), 50),
+    ], ids=["cascade", "symmetric", "spread_50"])
+    def test_roots_bit_equal_to_bisection_at_odd_precision_and_wide_span(
+            self, atoms, scale, bits):
+        ctx = PrecisionContext(bits)
+        rc = stieltjes_recurrence(DiscreteMeasure(atoms, ctx=ctx), len(atoms))
+        with ctx.workprec():
+            rc = op.RecurrenceCoeffs(
+                a=tuple(scale * a for a in rc.a),
+                b=rc.b[:1] + tuple(scale ** 2 * b for b in rc.b[1:]), ctx=ctx)
+        for n in range(1, len(atoms) + 1):
+            zs = orthopoly_zeros(rc, n)
+            assert bits_of(zs.roots) == bits_of(bisect_zeros(rc, n)), n
+            assert zs.fallbacks == 0
+
+    @pytest.mark.parametrize("bits", [65, 1001, 2048])
+    def test_root_within_tol_of_zero_bit_equal_to_bisection(self, bits):
+        #  the walk to this root reaches ends of very different size
+        #  whose width exceeds root_tol by at most half an ulp and so
+        #  rounds to it: the stop test has to round as mpf does
+        ctx = PrecisionContext(bits)
+        with ctx.workprec():
+            x0 = -mpf(420095) * mpf(2) ** -(bits + 13)
+        rc = stieltjes_recurrence(DiscreteMeasure(((x0, 1),), ctx=ctx), 1)
+        assert bits_of(orthopoly_zeros(rc, 1).roots) == bits_of(
+            bisect_zeros(rc, 1))
+
+    def test_middle_root_of_a_symmetric_measure_is_zero(self):
+        ctx = PrecisionContext(1001)
+        m = DiscreteMeasure(((-1, 1), (-0.5, 2), (0, 1), (0.5, 2), (1, 1)),
+                            ctx=ctx)
+        rc = stieltjes_recurrence(m, 5)
+        assert all(a == 0 for a in rc.a)
+        for n in (1, 3, 5):
+            assert abs(orthopoly_zeros(rc, n).roots[n // 2]) <= ctx.root_tol
 
     @pytest.mark.parametrize("spoil", [
         lambda s: np.where(np.arange(len(s)) == 2, s[1], s),
