@@ -164,39 +164,82 @@ class CapacityEstimate:
     raw_dn: float
 
 
+def _log_dist(samples, z, out):
+    """out = log|samples - z|, with -inf at samples equal to z."""
+    np.abs(samples - z, out=out)
+    with np.errstate(divide="ignore"):
+        np.log(out, out=out)
+
+
+def _row_sum(L, parts, k=-1, lo=0, hi=None):
+    """Sum of rows lo..hi-1 of L, rounded as numpy's pairwise sum of each
+    column taken as a contiguous vector rounds it.
+
+    Each block of at most 128 rows sums as 8 partial sums of every 8th
+    row, cached in parts under its first row; a block recomputes only
+    the partial sum holding row k, or all 8 the first time.
+    """
+    hi = len(L) if hi is None else hi
+    if hi - lo > 128:
+        mid = lo + (hi - lo) // 16 * 8
+        return (_row_sum(L, parts, k, lo, mid)
+                + _row_sum(L, parts, k, mid, hi))
+    full = hi - (hi - lo) % 8
+    if lo not in parts:
+        parts[lo] = [L[j:full:8].sum(axis=0) for j in range(lo, lo + 8)]
+    elif lo <= k < full:
+        j = lo + (k - lo) % 8
+        parts[lo][j - lo] = L[j:full:8].sum(axis=0)
+    p = parts[lo]
+    #  numpy's fixed combination order: the pinned capacity outputs rest
+    #  on these bits
+    s = ((p[0] + p[1]) + (p[2] + p[3])) + ((p[4] + p[5]) + (p[6] + p[7]))
+    for i in range(full, hi):
+        s += L[i]
+    return s
+
+
 def _greedy_select(samples, n):
+    """n of the samples picked greedily, then improved by one exchange pass.
+
+    Row k of the n x m float64 log table L holds log|samples - z_k| for
+    the k-th selected point z_k.  The greedy step raises DegenerateRegion
+    when every sample coincides with one of the k points picked so far,
+    which happens at some k < n exactly when the samples hold fewer than
+    n distinct points.
+    """
     m = len(samples)
-    if len(np.unique(samples)) < n:
-        raise DegenerateRegion(f"only {len(np.unique(samples))} distinct "
-                               f"boundary points for n={n}")
+    if m == 0:
+        raise DegenerateRegion(f"only 0 distinct boundary points for n={n}")
     centroid = samples.mean()
     sel = [int(np.argmax(np.abs(samples - centroid)))]
-    L = np.empty((m, n))
-    with np.errstate(divide="ignore"):
-        L[:, 0] = np.log(np.abs(samples - samples[sel[0]]))
-    logd = L[:, 0].copy()
+    L = np.empty((n, m))
+    _log_dist(samples, samples[sel[0]], L[0])
+    logd = L[0].copy()
     for k in range(1, n):
         i = int(np.argmax(logd))
+        if logd[i] == -np.inf:
+            raise DegenerateRegion(f"only {k} distinct boundary points "
+                                   f"for n={n}")
         sel.append(i)
-        with np.errstate(divide="ignore"):
-            L[:, k] = np.log(np.abs(samples - samples[i]))
-        logd += L[:, k]
-    rowsum = L.sum(axis=1)
+        _log_dist(samples, samples[i], L[k])
+        logd += L[k]
+    parts = {}
+    rowsum = _row_sum(L, parts)
     for k in range(n):
         zk = samples[sel[k]]
         others = samples[[s for j, s in enumerate(sel) if j != k]]
         val_k = float(np.sum(np.log(np.abs(zk - others))))
         #  -inf - (-inf) at coincident samples: treat as unusable
         with np.errstate(invalid="ignore"):
-            cand = rowsum - L[:, k]
+            cand = rowsum - L[k]
         cand[sel] = -np.inf
         cand[np.isnan(cand)] = -np.inf
         i = int(np.argmax(cand))
         if cand[i] > val_k:
             sel[k] = i
-            with np.errstate(divide="ignore"):
-                L[:, k] = np.log(np.abs(samples - samples[i]))
-            rowsum = L.sum(axis=1)
+            _log_dist(samples, samples[i], L[k])
+            rowsum = _row_sum(L, parts, k)
     return samples[sel]
 
 
@@ -214,7 +257,10 @@ def greedy_fekete_capacity(region, n=64, sample_count=2048):
 
     Calibration: disk(r) -> r exactly, segment of length L -> L/4 within
     a few percent at n = 64.  A point cloud is used whole; other regions
-    are sampled at sample_count boundary points.
+    are sampled at sample_count boundary points.  The selection holds an
+    n x m float64 log table over the m samples (33.5 MB at m = 65,536,
+    n = 64) and raises DegenerateRegion when the samples hold fewer than
+    n distinct points.
     """
     if n < 8:
         raise ValueError("need n >= 8")

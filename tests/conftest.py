@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from mpmath import mp, mpf
 
+from potlab import DegenerateRegion
+
 
 @pytest.fixture(autouse=True)
 def _high_ambient_precision():
@@ -84,3 +86,43 @@ def exact_enclosures_hold(a, b, n, centers, radius):
     return all((exact_sturm_count(a, b, n, c - radius),
                 exact_sturm_count(a, b, n, c + radius)) == (k - 1, k)
                for k, c in enumerate(cs, 1))
+
+
+def greedy_select_reference(samples, n):
+    """The greedy Fekete selection of capacity.py as it was before the log
+    table became n x m with cached partial row sums: a full (m, n) table
+    re-summed after every exchange swap.  The library must select the
+    same points bit for bit, or raise DegenerateRegion with it."""
+    m = len(samples)
+    if len(np.unique(samples)) < n:
+        raise DegenerateRegion(f"only {len(np.unique(samples))} distinct "
+                               f"boundary points for n={n}")
+    centroid = samples.mean()
+    sel = [int(np.argmax(np.abs(samples - centroid)))]
+    L = np.empty((m, n))
+    with np.errstate(divide="ignore"):
+        L[:, 0] = np.log(np.abs(samples - samples[sel[0]]))
+    logd = L[:, 0].copy()
+    for k in range(1, n):
+        i = int(np.argmax(logd))
+        sel.append(i)
+        with np.errstate(divide="ignore"):
+            L[:, k] = np.log(np.abs(samples - samples[i]))
+        logd += L[:, k]
+    rowsum = L.sum(axis=1)
+    for k in range(n):
+        zk = samples[sel[k]]
+        others = samples[[s for j, s in enumerate(sel) if j != k]]
+        val_k = float(np.sum(np.log(np.abs(zk - others))))
+        #  -inf - (-inf) at coincident samples: treat as unusable
+        with np.errstate(invalid="ignore"):
+            cand = rowsum - L[:, k]
+        cand[sel] = -np.inf
+        cand[np.isnan(cand)] = -np.inf
+        i = int(np.argmax(cand))
+        if cand[i] > val_k:
+            sel[k] = i
+            with np.errstate(divide="ignore"):
+                L[:, k] = np.log(np.abs(samples - samples[i]))
+            rowsum = L.sum(axis=1)
+    return samples[sel]

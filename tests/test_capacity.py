@@ -7,10 +7,12 @@ from hypothesis import given, settings, strategies as st
 from potlab import (DegenerateRegion, TracingFailure,
                     greedy_fekete_capacity, lune_capacity_bounds,
                     preimage_capacity_check)
-from potlab.capacity import (disk, lune, point_cloud, segment,
+from potlab.capacity import (_greedy_select, _row_sum, disk, lune,
+                             lune_rescaled_boundary, point_cloud, segment,
                              trace_lemniscate_boundary, trace_level_curve)
+from potlab.experiments import _nth_roots, _trace_cheb_lemniscate
 
-from conftest import chebyshev_monic_coeffs
+from conftest import chebyshev_monic_coeffs, greedy_select_reference
 
 
 class TestCalibration:
@@ -71,6 +73,84 @@ class TestEstimatorProperties:
     def test_degenerate_region(self):
         with pytest.raises(DegenerateRegion):
             greedy_fekete_capacity(point_cloud([0, 1, 1j, -1, -1j]), n=16)
+
+    @pytest.mark.parametrize("n", [8, 16, 33])
+    def test_exactly_n_distinct_points(self, n):
+        #  each point three times: n distinct points are just enough
+        pts = np.exp(2j * np.pi * np.arange(n) / n)
+        sel = _greedy_select(np.tile(pts, 3), n)
+        assert sorted(sel.tolist(), key=np.angle) \
+            == sorted(pts.tolist(), key=np.angle)
+        with pytest.raises(DegenerateRegion,
+                           match=f"only {n - 1} distinct .* n={n}$"):
+            greedy_fekete_capacity(point_cloud(np.tile(pts[1:], 3)), n=n)
+
+    def test_empty_cloud(self):
+        with pytest.raises(DegenerateRegion, match="only 0 distinct"):
+            greedy_fekete_capacity(point_cloud([]), n=8)
+
+
+@pytest.fixture(scope="module")
+def runner_clouds():
+    """The boundary samples the runners hand the estimator at their
+    default eps = 0.1: the stahl-circle clouds, the capacity runner's
+    disk, segment, lemniscate and lune, and two stahl-segment
+    boundaries."""
+    clouds = {f"circle_{n}": _nth_roots(lune(n, 0.1).boundary_sample(1024),
+                                        n)
+              for n in (8, 16, 32, 64)}
+    clouds["disk"] = disk(0, 1).boundary_sample(2048)
+    clouds["segment"] = segment(-1, 1).boundary_sample(2048)
+    clouds["lemniscate"] = trace_lemniscate_boundary([1, 0, -1], 0.9 ** 2)
+    clouds["lune"] = lune_rescaled_boundary(math.exp(-20 * 0.1))
+    for n in (8, 16):
+        clouds[f"cheb_{n}"] = _trace_cheb_lemniscate(n, 0.1)[0]
+    return clouds
+
+
+class TestGreedySelectOracle:
+    """The selection equals the pre-rewrite reference bit for bit."""
+
+    @pytest.mark.parametrize("name", ["circle_8", "circle_16", "circle_32",
+                                      "circle_64", "disk", "segment",
+                                      "lemniscate", "lune", "cheb_8",
+                                      "cheb_16"])
+    def test_runner_clouds(self, runner_clouds, name):
+        samples = np.asarray(runner_clouds[name], dtype=complex)
+        for n in (8, 12, 48, 64):
+            assert np.array_equal(_greedy_select(samples, n),
+                                  greedy_select_reference(samples, n)), n
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(8, 300), data=st.data())
+    def test_row_sum_is_numpy_pairwise(self, n, data):
+        #  the reference sums each sample's n logs as a contiguous row;
+        #  past 128 terms numpy's pairwise sum splits them in two
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        L = rng.standard_normal((n, 64)) * 10.0 ** rng.integers(-8, 9,
+                                                                (n, 64))
+        parts = {}
+        assert np.array_equal(_row_sum(L, parts), L.T.copy().sum(axis=1))
+        for k in data.draw(st.lists(st.integers(0, n - 1), max_size=6)):
+            L[k] = rng.standard_normal(64)
+            assert np.array_equal(_row_sum(L, parts, k),
+                                  L.T.copy().sum(axis=1))
+
+    @settings(max_examples=60, deadline=None)
+    @given(pts=st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+                        min_size=20, max_size=400),
+           n=st.integers(8, 40))
+    def test_lattice_clouds_with_ties(self, pts, n):
+        #  a 9 x 9 lattice: repeated points and exactly tied distances
+        samples = np.array([complex(x, y) / 4 for x, y in pts])
+        try:
+            want = greedy_select_reference(samples, n)
+        except DegenerateRegion as exc:
+            with pytest.raises(DegenerateRegion) as got:
+                _greedy_select(samples, n)
+            assert str(got.value) == str(exc)
+        else:
+            assert np.array_equal(_greedy_select(samples, n), want)
 
 
 class TestPreimage:
