@@ -56,8 +56,9 @@ def lune(n, eps):
 
 
 def point_cloud(points):
-    return RegionDescriptor("point_cloud",
-                            {"points": tuple(map(complex, points))})
+    points = np.array(points, dtype=complex)
+    points.setflags(write=False)
+    return RegionDescriptor("point_cloud", {"points": points})
 
 
 def _sample_disk(p, count):
@@ -147,7 +148,7 @@ def trace_lemniscate_boundary(coeffs, level):
 
 
 def _sample_point_cloud(p, count):
-    return np.asarray(p["points"], dtype=complex)
+    return p["points"]
 
 
 _SAMPLERS = {

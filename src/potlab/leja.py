@@ -22,8 +22,6 @@ from .potentials import phi_np, potential_on_grid
 #  width below which the bracketing interval is not refined further;
 #  2^(-bits/4) at the 53-bit generation precision
 REFINE_TOL = 2.0 ** (-53 / 4)
-#  cap on golden-section iterations; REFINE_TOL stops them far earlier
-REFINE_DEPTH = 200
 _INV_GOLDEN = (math.sqrt(5) - 1) / 2
 
 
@@ -65,20 +63,26 @@ def _log_dist(ys, x):
 
 
 def _golden_refine(f, a, b):
+    """Golden-section maximizer of f on [a, b]; f maps an array of probes
+    to their values.
+
+    The bracket spans at most two cells of a grid in [-1, 1], so at most
+    2 wide, and each step shrinks it by the golden factor 0.618: the loop
+    ends after at most log(2 / REFINE_TOL) / log(1 / 0.618), about 21,
+    steps.
+    """
     x1 = b - _INV_GOLDEN * (b - a)
     x2 = a + _INV_GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    k = 0
-    while b - a > REFINE_TOL and k < REFINE_DEPTH:
+    f1, f2 = f(np.array([x1, x2]))
+    while b - a > REFINE_TOL:
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
             x2 = a + _INV_GOLDEN * (b - a)
-            f2 = f(x2)
+            f2 = f(np.array([x2]))[0]
         else:
             b, x2, f2 = x2, x1, f1
             x1 = b - _INV_GOLDEN * (b - a)
-            f1 = f(x1)
-        k += 1
+            f1 = f(np.array([x1]))[0]
     return 0.5 * (a + b)
 
 
@@ -96,22 +100,24 @@ def _step(pts, nodes, logsum, vg, target):
     lo = nodes[max(i - 1, 0)]
     hi = nodes[min(i + 1, len(nodes) - 1)]
 
-    def f(x):
-        s = 0.0 if target is None else n * float(target.grid_potential(x))
-        return s + float(np.sum(_log_dist(pts, x)))
+    def f(xs):
+        #  each row sum is the pairwise sum a 1-D np.sum of that row gives
+        s = np.log(np.abs(pts - xs[:, None])).sum(axis=1)
+        return s if target is None else n * target.grid_potential(xs) + s
 
-    xg = _golden_refine(f, lo, hi)
-    #  the refined point must also beat the bracket ends and the grid node
-    cands = sorted({xg, lo, hi, float(nodes[i])})
-    vals = [f(c) for c in cands]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xg = _golden_refine(f, lo, hi)
+        #  the refined point must also beat the bracket ends and the grid node
+        cands = sorted({xg, lo, hi, float(nodes[i])})
+        vals = f(np.array(cands)).tolist()
     best = max(vals)
     return float(next(c for c, v in zip(cands, vals) if v == best))
 
 
 def generate(n, target=None, grid=None):
     """The first n points, maximizing n*V(x) + sum log|x - x_j| at each
-    step (V = 0 without a target) over grid, an ascending node array
-    (chebyshev_grid() by default).
+    step (V = 0 without a target) over grid, an ascending node array in
+    [-1, 1] (chebyshev_grid() by default).
 
     x1 is 1 unweighted, and the grid node maximizing the potential
     (leftmost on ties) when a target weight is given.

@@ -1,10 +1,13 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from mpmath import mp, mpf
 
-from potlab import DegenerateRegion
+from potlab import DegenerateGrid, DegenerateRegion, chebyshev_grid
+from potlab.leja import LejaSequence
+from potlab.potentials import potential_on_grid
 
 
 @pytest.fixture(autouse=True)
@@ -126,3 +129,70 @@ def greedy_select_reference(samples, n):
                 L[:, k] = np.log(np.abs(samples - samples[i]))
             rowsum = L.sum(axis=1)
     return samples[sel]
+
+
+def leja_generate_reference(n, target=None, grid=None):
+    """leja.generate as it was before the golden-section objective took
+    arrays of probes: one scalar objective call per probe and candidate,
+    each under its own warning guard, and a 200-step cap on the refine
+    loop.  The library must return the same points bit for bit, or raise
+    DegenerateGrid with the same message."""
+    REFINE_TOL = 2.0 ** (-53 / 4)
+    REFINE_DEPTH = 200
+    _INV_GOLDEN = (math.sqrt(5) - 1) / 2
+
+    def _log_dist(ys, x):
+        with np.errstate(divide="ignore"):
+            return np.log(np.abs(ys - x))
+
+    def _golden_refine(f, a, b):
+        x1 = b - _INV_GOLDEN * (b - a)
+        x2 = a + _INV_GOLDEN * (b - a)
+        f1, f2 = f(x1), f(x2)
+        k = 0
+        while b - a > REFINE_TOL and k < REFINE_DEPTH:
+            if f1 < f2:
+                a, x1, f1 = x1, x2, f2
+                x2 = a + _INV_GOLDEN * (b - a)
+                f2 = f(x2)
+            else:
+                b, x2, f2 = x2, x1, f1
+                x1 = b - _INV_GOLDEN * (b - a)
+                f1 = f(x1)
+            k += 1
+        return 0.5 * (a + b)
+
+    def _step(pts, nodes, logsum, vg, target):
+        n = len(pts)
+        obj = logsum if vg is None else n * vg + logsum
+        if not np.any(np.isfinite(obj)):
+            raise DegenerateGrid("all candidate nodes collide with chosen points")
+        i = int(np.argmax(obj))
+        lo = nodes[max(i - 1, 0)]
+        hi = nodes[min(i + 1, len(nodes) - 1)]
+
+        def f(x):
+            s = 0.0 if target is None else n * float(target.grid_potential(x))
+            return s + float(np.sum(_log_dist(pts, x)))
+
+        xg = _golden_refine(f, lo, hi)
+        #  the refined point must also beat the bracket ends and the grid node
+        cands = sorted({xg, lo, hi, float(nodes[i])})
+        vals = [f(c) for c in cands]
+        best = max(vals)
+        return float(next(c for c, v in zip(cands, vals) if v == best))
+
+    def generate(n, target=None, grid=None):
+        if n < 1:
+            raise ValueError(f"need at least one point, got n = {n}")
+        nodes = chebyshev_grid() if grid is None else grid
+        vg = None if target is None else potential_on_grid(target, nodes)
+        pts = np.empty(n)
+        pts[0] = 1.0 if vg is None else nodes[int(np.argmax(vg))]
+        logsum = _log_dist(nodes, pts[0])
+        for k in range(1, n):
+            pts[k] = _step(pts[:k], nodes, logsum, vg, target)
+            logsum += _log_dist(nodes, pts[k])
+        return LejaSequence(points=tuple(pts.tolist()))
+
+    return generate(n, target, grid)

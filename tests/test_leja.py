@@ -1,4 +1,5 @@
 import bisect
+import dataclasses
 import math
 
 import numpy as np
@@ -11,6 +12,8 @@ from potlab import (DegenerateGrid, PrecisionContext, chebyshev_grid,
 from potlab import leja
 from potlab.leja import LejaSequence
 from potlab.measures import ks_distance
+
+from conftest import leja_generate_reference
 
 LOCALIZE_TOL = 2e-4          # grid spacing + golden-section stopping width
 
@@ -131,7 +134,7 @@ class TestExtension:
 
     def test_grid_potential_once_per_generate(self, monkeypatch):
         #  one full-grid evaluation; the refinement reads the target's
-        #  grid_potential at single points directly
+        #  grid_potential on its probe arrays directly
         sizes = []
         inner = leja.potential_on_grid
 
@@ -143,6 +146,61 @@ class TestExtension:
         grid = chebyshev_grid(256)
         generate(10, target=target_uniform(), grid=grid)
         assert sizes == [len(grid)]
+
+    def test_refine_batches_its_probes(self):
+        #  the opening pair and the four final candidates take one call
+        #  each, about 7.5 calls a step; one probe a call makes 11.5
+        calls = []
+        uni = target_uniform()
+
+        def counting(x):
+            calls.append(x)
+            return uni.grid_potential(x)
+
+        n = 200
+        generate(n, target=dataclasses.replace(uni, grid_potential=counting))
+        assert len(calls) / (n - 1) < 9
+
+
+TARGETS = {"none": None, "arcsine": target_arcsine(),
+           "uniform": target_uniform(), "blend:0.3": target_blend(0.3)}
+
+
+def _outcome(gen, n, target, grid):
+    """The points gen returns, or the type and message of what it raises."""
+    try:
+        return gen(n, target=target, grid=grid).points
+    except DegenerateGrid as exc:
+        return type(exc), str(exc)
+
+
+class TestReference:
+    """generate against the one-probe-per-call code it replaced
+    (tests/conftest.py), compared with tuple ==."""
+
+    @pytest.mark.parametrize("m", [4096, 1024, 256, 5])
+    @pytest.mark.parametrize("name", TARGETS)
+    def test_bit_equal_on_chebyshev_grids(self, name, m):
+        target, grid = TARGETS[name], chebyshev_grid(m)
+        n = 200 if m > 5 else 12
+        assert (_outcome(generate, n, target, grid)
+                == _outcome(leja_generate_reference, n, target, grid))
+
+    def test_bit_equal_at_benchmark_size(self):
+        #  the leja-uniform benchmark run: 1000 points, 4096 nodes
+        uni, grid = target_uniform(), chebyshev_grid(4096)
+        assert (generate(1000, uni, grid).points
+                == leja_generate_reference(1000, uni, grid).points)
+
+    @settings(max_examples=80, deadline=None)
+    @given(xs=st.lists(st.floats(-1, 1), min_size=8, max_size=300,
+                       unique=True),
+           n=st.integers(2, 40),
+           name=st.sampled_from(list(TARGETS)))
+    def test_bit_equal_on_random_grids(self, xs, n, name):
+        target, grid = TARGETS[name], np.sort(np.array(xs))
+        assert (_outcome(generate, n, target, grid)
+                == _outcome(leja_generate_reference, n, target, grid))
 
 
 class TestAsymptotics:
