@@ -1,8 +1,8 @@
 """Logarithmic capacity estimation by greedy Fekete configurations.
 
-The estimator picks n points greedily from a dense boundary sample
-(capacity lives on the outer boundary), improves them with an exchange
-pass, and evaluates the n-point transfinite diameter
+The estimator picks n points greedily from a dense point cloud of
+boundary samples (capacity lives on the outer boundary), improves them
+with an exchange pass, and evaluates the n-point transfinite diameter
 
     d_n = (prod_{i<j} |z_i - z_j|)^(2 / (n (n-1))).
 
@@ -12,8 +12,6 @@ reported value divides that factor out, which makes the disk exact and
 lands known answers (segment, ellipses, lemniscates) within a couple of
 percent at n = 64; the raw d_n is kept alongside.
 
-A region is a disk, a segment, a lune or a point cloud (RegionDescriptor);
-other sets, such as traced lemniscate boundaries, enter as point clouds.
 Level curves are traced by `trace_level_curve`, shared by the lemniscate
 tracer here and the Chebyshev lemniscates of the experiments.
 """
@@ -32,27 +30,13 @@ class TracingFailure(RuntimeError):
     """Lemniscate boundary could not be resolved along some ray."""
 
 
+#  perfbench's Fekete hook reads kind and params["points"] to count samples
 @dataclass(frozen=True)
 class RegionDescriptor:
-    """Planar compact set with a deterministic boundary sampler."""
+    """Boundary point cloud handed to `greedy_fekete_capacity`."""
 
     kind: str
     params: dict
-
-    def boundary_sample(self, count=2048):
-        return _SAMPLERS[self.kind](self.params, count)
-
-
-def disk(center=0.0, r=1.0):
-    return RegionDescriptor("disk", {"center": complex(center), "r": float(r)})
-
-
-def segment(a=-1.0, b=1.0):
-    return RegionDescriptor("segment", {"a": float(a), "b": float(b)})
-
-
-def lune(n, eps):
-    return RegionDescriptor("lune", {"n": int(n), "eps": float(eps)})
 
 
 def point_cloud(points):
@@ -61,14 +45,15 @@ def point_cloud(points):
     return RegionDescriptor("point_cloud", {"points": points})
 
 
-def _sample_disk(p, count):
+def disk_boundary(center=0.0, r=1.0, count=2048):
+    """count equally spaced points on the circle |z - center| = r."""
     t = 2 * np.pi * np.arange(count) / count
-    return complex(p["center"]) + p["r"] * np.exp(1j * t)
+    return complex(center) + float(r) * np.exp(1j * t)
 
 
-def _sample_segment(p, count):
-    #  Chebyshev spacing: boundary density of the equilibrium measure
-    a, b = p["a"], p["b"]
+def segment_boundary(a=-1.0, b=1.0, count=2048):
+    """count points of [a, b] spaced as its equilibrium measure."""
+    a, b = float(a), float(b)
     j = np.arange(count)
     x = -np.cos(np.pi * j / (count - 1))
     return ((a + b) / 2 + (b - a) / 2 * x).astype(complex)
@@ -92,17 +77,13 @@ def lune_rescaled_boundary(s, count=2048):
     return np.concatenate([outer, inner])
 
 
-def _sample_lune(p, count):
-    s = math.exp(-p["n"] * p["eps"])
-    return 1 + s * lune_rescaled_boundary(s, count)
-
-
 def trace_level_curve(g, centers, level, angles):
     """First crossings of g = level along `angles` rays from each center.
 
     g maps complex arrays elementwise to moduli below level at the
-    centers.  All rays are bracketed at once by doubling from length 1e-9
-    (TracingFailure past 1e6), then bisected 64 times down to adjacent
+    centers.  Rays are bracketed from length 1e-9 by doubling
+    (TracingFailure past 1e6) or halving (TracingFailure once float64
+    cannot step off the center), then bisected 64 times to adjacent
     floats.  Returns center-major (z0, d, lo, hi): origins, unit
     directions and brackets with g(z0 + lo*d) < level <= g(z0 + hi*d).
     """
@@ -114,6 +95,14 @@ def trace_level_curve(g, centers, level, angles):
     d = np.tile(dirs, len(centers))
     hi = np.full(len(z0), 1e-9)
     below = g(z0 + hi * d) < level
+    near = ~below
+    while near.any():
+        z = z0[near] + hi[near] / 2 * d[near]
+        if np.any(z == z0[near]):
+            raise TracingFailure(f"g = {level} crossing too near "
+                                 f"{z[z == z0[near]][0]} for float64")
+        near[near] = g(z) >= level
+        hi[near] /= 2
     while below.any():
         hi[below] *= 2
         if hi.max() > 1e6:
@@ -145,18 +134,6 @@ def trace_lemniscate_boundary(coeffs, level):
 
     z0, d, lo, hi = trace_level_curve(modulus, np.roots(coeffs), level, 512)
     return z0 + 0.5 * (lo + hi) * d
-
-
-def _sample_point_cloud(p, count):
-    return p["points"]
-
-
-_SAMPLERS = {
-    "disk": _sample_disk,
-    "segment": _sample_segment,
-    "lune": _sample_lune,
-    "point_cloud": _sample_point_cloud,
-}
 
 
 @dataclass(frozen=True)
@@ -253,20 +230,18 @@ def _corrected_dn(pts):
     return raw, raw * n ** (-1.0 / (n - 1))
 
 
-def greedy_fekete_capacity(region, n=64, sample_count=2048):
-    """Capacity estimate of a region from an n-point greedy Fekete set.
+def greedy_fekete_capacity(region, n=64):
+    """Capacity from an n-point greedy Fekete subset of a `point_cloud`.
 
-    Calibration: disk(r) -> r exactly, segment of length L -> L/4 within
-    a few percent at n = 64.  A point cloud is used whole; other regions
-    are sampled at sample_count boundary points.  The selection holds an
-    n x m float64 log table over the m samples (33.5 MB at m = 65,536,
+    Calibration: disk_boundary(r) -> r exactly, segment_boundary of
+    length L -> L/4 within a few percent at n = 64.  The selection holds
+    an n x m float64 log table over the m samples (33.5 MB at m = 65,536,
     n = 64) and raises DegenerateRegion when the samples hold fewer than
     n distinct points.
     """
     if n < 8:
         raise ValueError("need n >= 8")
-    samples = np.asarray(region.boundary_sample(sample_count), dtype=complex)
-    raw, value = _corrected_dn(_greedy_select(samples, n))
+    raw, value = _corrected_dn(_greedy_select(region.params["points"], n))
     return CapacityEstimate(value=value, raw_dn=raw)
 
 

@@ -4,14 +4,18 @@
 
 Subcommands: prop1, stahl-circle, stahl-segment, leja, capacity.
 Flags override the JSON config; unknown config keys are rejected.
-Exit code is 0 exactly when every asserted invariant of the run passed.
+Exit code is 0 exactly when every asserted invariant of the run passed,
+and 2 for a config error or a run that the working precision cannot
+resolve.
 """
 
 import argparse
 import json
 import sys
 
+from .capacity import DegenerateRegion, TracingFailure
 from .experiments import ConfigError, ExperimentConfig, run
+from .precision import PrecisionTooLow
 
 _SUBCOMMANDS = {
     "prop1": "prop1",
@@ -66,6 +70,9 @@ def main(argv=None):
         report = run(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except (DegenerateRegion, TracingFailure, PrecisionTooLow) as exc:
+        print(f"precision error: {exc}", file=sys.stderr)
         return 2
     status = "PASS" if report["pass"] else "FAIL"
     print(f"{experiment}: {status} (outputs in {cfg.out_dir})")

@@ -290,7 +290,11 @@ def run_stahl_circle(cfg):
         cert, bad_pts = _certified(samples, _vdiff_circle(samples, n),
                                    cfg.eps, np.abs(samples) >= 1)
 
-        z_bdry = _nth_roots(cap.lune(n, cfg.eps).boundary_sample(1024), n)
+        s = math.exp(-n * cfg.eps)
+        if s == 0:
+            raise cap.DegenerateRegion(f"lune radius e^-{n * cfg.eps:g} "
+                                       f"underflows float64")
+        z_bdry = _nth_roots(1 + s * cap.lune_rescaled_boundary(s, 1024), n)
         in_krho = bool(np.all(np.abs(z_bdry) <= cfg.rho))
         est = cap.greedy_fekete_capacity(cap.point_cloud(z_bdry))
         per_n.append({
@@ -305,7 +309,8 @@ def run_stahl_circle(cfg):
             "sample_count": len(samples),
             "preimage_in_K_rho": in_krho,
         })
-        ok = (ok and cert == len(samples) and in_krho
+        #  a degree whose lune keeps no sample certifies nothing
+        ok = (ok and 0 < cert == len(samples) and in_krho
               and abs(ks - 1.0 / n) < 1e-12)
 
     bounds = [e["bound_analytic"] for e in per_n]
@@ -444,9 +449,11 @@ def run_capacity_only(cfg):
     """Calibration battery for the capacity estimator."""
     os.makedirs(cfg.out_dir, exist_ok=True)
     checks = []
-    est = cap.greedy_fekete_capacity(cap.disk(0, 1))
+    est = cap.greedy_fekete_capacity(
+        cap.point_cloud(cap.disk_boundary(0, 1)))
     checks.append(("disk_r1", est.value, 1.0))
-    est = cap.greedy_fekete_capacity(cap.segment(-1, 1))
+    est = cap.greedy_fekete_capacity(
+        cap.point_cloud(cap.segment_boundary(-1, 1)))
     checks.append(("segment", est.value, 0.5))
     lem = cap.preimage_capacity_check([1, 0, -1], 0.9)
     checks.append(("lemniscate_z2_minus_1", lem.estimate, lem.analytic))

@@ -40,19 +40,20 @@ def _map(v, lo, hi, out_lo, out_hi):
     return out_lo + (v - lo) / (hi - lo) * (out_hi - out_lo)
 
 
+def _span(values):
+    """(min, max) of values, widened by 1 each way when they are equal;
+    (-1, 1) when there are none."""
+    lo, hi = min(values, default=-1.0), max(values, default=1.0)
+    return (lo - 1, hi + 1) if lo == hi else (lo, hi)
+
+
 def scatter_svg(path, points, title="", xlim=None, ylim=None):
     """Scatter of (x, y) pairs as circle glyphs, affinely mapped to canvas."""
     pts = [(float(x), float(y)) for x, y in points]
     if xlim is None:
-        xlim = (min((p[0] for p in pts), default=-1.0),
-                max((p[0] for p in pts), default=1.0))
-        if xlim[0] == xlim[1]:
-            xlim = (xlim[0] - 1, xlim[1] + 1)
+        xlim = _span([x for x, _ in pts])
     if ylim is None:
-        ylim = (min((p[1] for p in pts), default=-1.0),
-                max((p[1] for p in pts), default=1.0))
-        if ylim[0] == ylim[1]:
-            ylim = (ylim[0] - 1, ylim[1] + 1)
+        ylim = _span([y for _, y in pts])
     out = _header(title) + _axes()
     for x, y in pts:
         cx = _map(x, xlim[0], xlim[1], MARGIN, W - MARGIN)
@@ -72,12 +73,7 @@ def line_chart_svg(path, xs, ys, title="", logy=False):
         ys = [float(y) for y in ys]
     out = _header(title) + _axes()
     if xs:
-        xlo, xhi = min(xs), max(xs)
-        ylo, yhi = min(ys), max(ys)
-        if xlo == xhi:
-            xlo, xhi = xlo - 1, xhi + 1
-        if ylo == yhi:
-            ylo, yhi = ylo - 1, yhi + 1
+        (xlo, xhi), (ylo, yhi) = _span(xs), _span(ys)
         coords = " ".join(
             f"{_fmt(_map(x, xlo, xhi, MARGIN, W - MARGIN))},"
             f"{_fmt(_map(y, ylo, yhi, H - MARGIN, MARGIN))}"

@@ -22,7 +22,7 @@ from potlab import (DiscreteMeasure, ExperimentConfig, PrecisionContext,
                     orthopoly_zeros, preimage_capacity_check,
                     stieltjes_recurrence, target_arcsine, target_blend,
                     verify_weighted_asymptotics, zero_stability_check)
-from potlab.capacity import disk, segment
+from potlab.capacity import disk_boundary, point_cloud, segment_boundary
 from potlab.cli import main as cli_main
 from potlab.experiments import run_stahl_circle, run_stahl_segment
 from potlab.leja import LejaSequence
@@ -246,8 +246,8 @@ def test_c06_legendre_discretization_sanity():
 
 
 def test_c07_capacity_calibration():
-    d = greedy_fekete_capacity(disk(0, 1), n=64)
-    s = greedy_fekete_capacity(segment(-1, 1), n=64)
+    d = greedy_fekete_capacity(point_cloud(disk_boundary(0, 1)), n=64)
+    s = greedy_fekete_capacity(point_cloud(segment_boundary(-1, 1)), n=64)
     assert abs(d.value - 1.0) <= 0.05, f"criterion 7 disk: {d.value}"
     assert abs(s.value - 0.5) <= 0.03, f"criterion 7 segment: {s.value}"
     _verdict(7, True, f"disk={d.value:.4f} segment={s.value:.4f}")

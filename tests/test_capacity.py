@@ -7,9 +7,10 @@ from hypothesis import given, settings, strategies as st
 from potlab import (DegenerateRegion, TracingFailure,
                     greedy_fekete_capacity, lune_capacity_bounds,
                     preimage_capacity_check)
-from potlab.capacity import (_greedy_select, _row_sum, disk, lune,
-                             lune_rescaled_boundary, point_cloud, segment,
-                             trace_lemniscate_boundary, trace_level_curve)
+from potlab.capacity import (_greedy_select, _row_sum, disk_boundary,
+                             lune_rescaled_boundary, point_cloud,
+                             segment_boundary, trace_lemniscate_boundary,
+                             trace_level_curve)
 from potlab.experiments import _nth_roots, _trace_cheb_lemniscate
 
 from conftest import chebyshev_monic_coeffs, greedy_select_reference
@@ -17,15 +18,16 @@ from conftest import chebyshev_monic_coeffs, greedy_select_reference
 
 class TestCalibration:
     def test_unit_disk(self):
-        est = greedy_fekete_capacity(disk(0, 1), n=64)
+        est = greedy_fekete_capacity(point_cloud(disk_boundary(0, 1)), n=64)
         assert est.value == pytest.approx(1.0, abs=0.05)
 
     def test_segment(self):
-        est = greedy_fekete_capacity(segment(-1, 1), n=64)
+        est = greedy_fekete_capacity(point_cloud(segment_boundary(-1, 1)),
+                                     n=64)
         assert est.value == pytest.approx(0.5, abs=0.03)
 
     def test_scaled_disk(self):
-        est = greedy_fekete_capacity(disk(0, 2), n=64)
+        est = greedy_fekete_capacity(point_cloud(disk_boundary(0, 2)), n=64)
         assert est.value == pytest.approx(2.0, abs=0.1)
 
     def test_ellipse(self):
@@ -53,22 +55,26 @@ class TestEstimatorProperties:
             assert b.raw_dn == pytest.approx(c * a.raw_dn, rel=1e-12)
 
     def test_monotone_under_inclusion(self):
-        small = greedy_fekete_capacity(disk(0, 0.8), n=48)
-        big = greedy_fekete_capacity(disk(0, 1.0), n=48)
+        small = greedy_fekete_capacity(point_cloud(disk_boundary(0, 0.8)),
+                                       n=48)
+        big = greedy_fekete_capacity(point_cloud(disk_boundary(0, 1.0)), n=48)
         assert small.value <= big.value * 1.02
-        s1 = greedy_fekete_capacity(segment(-0.5, 0.5), n=48)
-        s2 = greedy_fekete_capacity(segment(-1, 1), n=48)
+        s1 = greedy_fekete_capacity(point_cloud(segment_boundary(-0.5, 0.5)),
+                                    n=48)
+        s2 = greedy_fekete_capacity(point_cloud(segment_boundary(-1, 1)),
+                                    n=48)
         assert s1.value <= s2.value * 1.02
 
     def test_raw_dn_decreasing_in_n(self):
-        vals = [greedy_fekete_capacity(segment(-1, 1), n=n).raw_dn
+        cloud = point_cloud(segment_boundary(-1, 1))
+        vals = [greedy_fekete_capacity(cloud, n=n).raw_dn
                 for n in (16, 32, 64)]
         assert vals[1] < vals[0] * 1.02
         assert vals[2] < vals[1] * 1.02
 
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):
-            greedy_fekete_capacity(disk(0, 1), n=4)
+            greedy_fekete_capacity(point_cloud(disk_boundary(0, 1)), n=4)
 
     def test_degenerate_region(self):
         with pytest.raises(DegenerateRegion):
@@ -96,11 +102,13 @@ def runner_clouds():
     default eps = 0.1: the stahl-circle clouds, the capacity runner's
     disk, segment, lemniscate and lune, and two stahl-segment
     boundaries."""
-    clouds = {f"circle_{n}": _nth_roots(lune(n, 0.1).boundary_sample(1024),
-                                        n)
-              for n in (8, 16, 32, 64)}
-    clouds["disk"] = disk(0, 1).boundary_sample(2048)
-    clouds["segment"] = segment(-1, 1).boundary_sample(2048)
+    clouds = {}
+    for n in (8, 16, 32, 64):
+        s = math.exp(-n * 0.1)
+        clouds[f"circle_{n}"] = _nth_roots(
+            1 + s * lune_rescaled_boundary(s, 1024), n)
+    clouds["disk"] = disk_boundary(0, 1)
+    clouds["segment"] = segment_boundary(-1, 1)
     clouds["lemniscate"] = trace_lemniscate_boundary([1, 0, -1], 0.9 ** 2)
     clouds["lune"] = lune_rescaled_boundary(math.exp(-20 * 0.1))
     for n in (8, 16):
@@ -185,6 +193,23 @@ class TestPreimage:
             trace_level_curve(lambda z: np.full(z.shape, 0.5), [0.0, 1j],
                               1.0, 8)
 
+    def test_level_curve_crossing_near_center(self):
+        #  g = level at 1e-12 from the center, far inside the first probe
+        c = 0.3 + 0.2j
+
+        def g(z):
+            return np.abs(z - c) * 1e12
+
+        z0, d, lo, hi = trace_level_curve(g, [c], 1.0, 8)
+        assert np.all(g(z0 + lo * d) < 1.0)
+        assert np.all(g(z0 + hi * d) >= 1.0)
+        assert np.allclose(hi, 1e-12, rtol=1e-3)
+
+    def test_level_curve_crossing_below_float64_resolution(self):
+        #  1e-20 from the center 1 is below its spacing of 2.2e-16
+        with pytest.raises(TracingFailure, match="too near"):
+            trace_level_curve(lambda z: np.abs(z - 1) * 1e20, [1.0], 1.0, 8)
+
     def test_boundary_points_sit_on_level_line(self):
         pts = trace_lemniscate_boundary(np.array([1.0, 0.0, -1.0]), 0.81)
         vals = np.abs(np.polyval([1, 0, -1], pts))
@@ -234,14 +259,12 @@ class TestLune:
 
 class TestRegionParsing:
     def test_lune_roundtrip(self):
-        r = lune(20, 0.1)
-        assert r.kind == "lune"
-        pts = r.boundary_sample(256)
         s = math.exp(-2)
+        pts = 1 + s * lune_rescaled_boundary(s, 256)
         #  every boundary point obeys both lune constraints (to rounding)
         assert np.all(np.abs(pts - 1) <= s * (1 + 1e-9))
         assert np.all(np.abs(pts) >= 1 - 1e-9)
 
     def test_segment_sampler_includes_endpoints(self):
-        pts = segment(-1, 1).boundary_sample(101)
+        pts = segment_boundary(-1, 1, 101)
         assert pts[0] == -1 and pts[-1] == 1

@@ -205,6 +205,15 @@ class TestStahlCircle:
         assert (out / "summary.json").exists()
         assert (out / "stahl_circle.csv").exists()
 
+    def test_empty_sample_fails(self, tmp_path):
+        #  at n = 32 the lune of radius e^-32 lies inside the |w| >= 1 + 1e-9
+        #  margin of the sampler, which keeps no point
+        cfg = ExperimentConfig(experiment="stahl_circle", eps=1.0,
+                               n_list=(8, 32), out_dir=str(tmp_path))
+        rep = run_stahl_circle(cfg)
+        assert [e["sample_count"] for e in rep["per_n"]] == [160, 0]
+        assert not rep["pass"]
+
 
 class TestStahlSegment:
     @pytest.fixture
@@ -252,6 +261,15 @@ class TestStahlSegment:
         z0, d, lo, _ = cap.trace_level_curve(*_cheb_level_set(n, eps), 16)
         _, samples = _trace_cheb_lemniscate(n, eps)
         assert np.array_equal(samples, z0 + 0.9 * lo * d)
+
+    def test_crossings_nearer_than_1e9_are_certified(self, tmp_path):
+        #  at eps = 1 some n = 16 crossings lie within 1e-9 of their zero
+        cfg = ExperimentConfig(experiment="stahl_segment", eps=1.0,
+                               n_list=(8, 16), out_dir=str(tmp_path))
+        rep = run_stahl_segment(cfg)
+        assert [(e["certified_samples"], e["sample_count"])
+                for e in rep["per_n"]] == [(128, 128), (256, 256)]
+        assert rep["pass"]
 
     def test_lemniscate_beyond_rho_fails(self, tmp_path):
         #  the traced boundary reaches |phi| = 1.042 > rho, the interior
@@ -569,6 +587,34 @@ class TestCli:
         assert rc == 2
         assert "strictly increasing" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, raw, text", [
+        ("stahl-circle", {"eps": 50}, "underflows float64"),
+        ("stahl-segment", {"eps": 1}, "for float64"),
+    ], ids=["degenerate_lune", "unresolved_crossing"])
+    def test_unresolvable_run_exits_2(self, tmp_path, capsys, command, raw,
+                                      text):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(raw))
+        rc = cli_main([command, "--config", str(cfgfile),
+                       "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("precision error: ") and text in err
+        assert "Traceback" not in err
+
+    def test_calibration_failure_exits_2(self, tmp_path, capsys,
+                                         monkeypatch):
+        def fail(cfg):
+            raise potlab.PrecisionTooLow("calibration of eps_5 did not "
+                                         "converge")
+
+        monkeypatch.setattr("potlab.cli.run", fail)
+        rc = cli_main(["prop1", "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == ("precision error: calibration of eps_5 did not "
+                       "converge\n")
 
     def test_mismatched_experiment_exits_2(self, tmp_path):
         cfgfile = tmp_path / "cfg.json"
