@@ -63,8 +63,11 @@ def lune_rescaled_boundary(s, count=2048):
     """Boundary of {zeta: |zeta| <= 1, |1 + s*zeta| >= 1} (unit-size lune).
 
     Both arcs are covered: the |zeta| = 1 portion and the image of the
-    unit circle |1 + s*zeta| = 1.
+    unit circle |1 + s*zeta| = 1.  Raises DegenerateRegion when the lune
+    radius s has underflowed to 0, where that image is undefined.
     """
+    if s == 0:
+        raise DegenerateRegion("lune radius underflows float64 to 0")
     n_outer = (2 * count) // 3
     n_inner = count - n_outer
     tstar = math.acos(max(-1.0, -s / 2))

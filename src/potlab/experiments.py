@@ -291,9 +291,6 @@ def run_stahl_circle(cfg):
                                    cfg.eps, np.abs(samples) >= 1)
 
         s = math.exp(-n * cfg.eps)
-        if s == 0:
-            raise cap.DegenerateRegion(f"lune radius e^-{n * cfg.eps:g} "
-                                       f"underflows float64")
         z_bdry = _nth_roots(1 + s * cap.lune_rescaled_boundary(s, 1024), n)
         in_krho = bool(np.all(np.abs(z_bdry) <= cfg.rho))
         est = cap.greedy_fekete_capacity(cap.point_cloud(z_bdry))
@@ -447,7 +444,6 @@ def run_leja_only(cfg):
 
 def run_capacity_only(cfg):
     """Calibration battery for the capacity estimator."""
-    os.makedirs(cfg.out_dir, exist_ok=True)
     checks = []
     est = cap.greedy_fekete_capacity(
         cap.point_cloud(cap.disk_boundary(0, 1)))
@@ -463,6 +459,7 @@ def run_capacity_only(cfg):
               "checks": [{"name": n, "estimate": v, "analytic": t}
                          for n, v, t in checks],
               "lune": lu.to_json(), "pass": bool(ok)}
+    os.makedirs(cfg.out_dir, exist_ok=True)
     _write_json(os.path.join(cfg.out_dir, "summary.json"), report)
     return report
 

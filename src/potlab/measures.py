@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+from mpmath import mpf
 
 from .precision import PrecisionContext
 
@@ -42,8 +43,8 @@ class DiscreteMeasure:
     ctx: PrecisionContext = field(default_factory=PrecisionContext)
 
     def __post_init__(self):
-        mpf = self.ctx.mpf
-        atoms = tuple((mpf(x), mpf(w)) for x, w in self.atoms)
+        with self.ctx.workprec():
+            atoms = tuple((mpf(x), mpf(w)) for x, w in self.atoms)
         for x, w in atoms:
             if not w > 0:
                 raise ValueError(f"nonpositive weight {w} at {x}")

@@ -20,6 +20,17 @@ The walk runs in Python ints with the roundings of mpf addition, so the
 roots are those of the plain bisection bit for bit.  The same pair of
 counts certifies Proposition 1's bound (enclosures_hold).
 
+Newton's point only steers the walk, so its steps climb a precision
+ladder: the precision about doubles per step from the seed's 53 bits
+and stops at about bits/2 plus a guard, never above bits, where the
+point is fine enough for the enclosure.  The two counts that certify
+the enclosure run at the full precision; a point they reject sends its
+root to the full bisection, as before.
+
+The Stieltjes recurrence, the Sturm counts and Newton's iteration run
+on raw mpf values (mpmath.libmp), with the roundings and association
+order of the mpf arithmetic they replace.
+
 Cascades
 --------
 ``power``      eps_n = q^(n^2).  The simple closed form; its consecutive
@@ -42,7 +53,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from mpmath import mp, mpf
-from mpmath.libmp import from_man_exp
+from mpmath.libmp import (fone, from_float, from_man_exp, fzero, mpf_abs,
+                          mpf_add, mpf_div, mpf_le, mpf_mul, mpf_neg, mpf_sub,
+                          mpf_sum, round_nearest)
 
 from .leja import LejaSequence
 from .measures import DiscreteMeasure
@@ -89,49 +102,71 @@ def stieltjes_recurrence(m, n):
     value vectors on the atoms and coefficients come from the inner
     products <p, q> = sum w_k p(x_k) q(x_k).  Needs at least n distinct
     atom locations; raises BreakdownError otherwise.
+
+    The loop runs on raw mpf values with the calls, roundings and
+    association order of mpf arithmetic and mp.fsum: (w p) p and
+    ((w x) p) p, summed by mpf_sum, then (x - a_k) p_k - b_k p_{k-1}.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     ctx = m.ctx
     with ctx.workprec():
-        xs = m.locations
-        ws = m.weights
-        p_prev = [mpf(0)] * len(xs)
-        p_cur = [mpf(1)] * len(xs)
+        prec, rnd = mp._prec_rounding
+        xs = [x._mpf_ for x in m.locations]
+        ws = [w._mpf_ for w in m.weights]
+        p_prev, p_cur = None, [fone] * len(xs)
         a, b = [], []
-        nu_prev = None
         for k in range(n):
-            nu = mp.fsum(w * p * p for w, p in zip(ws, p_cur))
-            if nu <= 0:
+            nu = mpf_sum([mpf_mul(mpf_mul(w, p, prec, rnd), p, prec, rnd)
+                          for w, p in zip(ws, p_cur)], prec, rnd)
+            if mpf_le(nu, fzero):
                 raise BreakdownError(
-                    f"norm of degree-{k} polynomial is {nu}; the measure has "
-                    f"fewer than {k + 1} atoms of support or bits are too low")
-            ak = mp.fsum(w * x * p * p for w, x, p in zip(ws, xs, p_cur)) / nu
-            bk = nu if k == 0 else nu / nu_prev
+                    f"norm of degree-{k} polynomial is {mp.make_mpf(nu)}; "
+                    f"the measure has fewer than {k + 1} atoms of support "
+                    f"or bits are too low")
+            ak = mpf_div(mpf_sum([
+                mpf_mul(mpf_mul(mpf_mul(w, x, prec, rnd), p, prec, rnd), p,
+                        prec, rnd)
+                for w, x, p in zip(ws, xs, p_cur)], prec, rnd), nu, prec, rnd)
+            bk = nu if k == 0 else mpf_div(nu, nu_prev, prec, rnd)
             a.append(ak)
             b.append(bk)
-            p_prev, p_cur = p_cur, [
-                (x - ak) * pc - (bk if k > 0 else 0) * pp
-                for x, pc, pp in zip(xs, p_cur, p_prev)]
             nu_prev = nu
-    return RecurrenceCoeffs(a=tuple(a), b=tuple(b), ctx=ctx)
+            if k + 1 == n:
+                break       # the degree-n values are never read
+            t = [mpf_mul(mpf_sub(x, ak, prec, rnd), pc, prec, rnd)
+                 for x, pc in zip(xs, p_cur)]
+            #  P_{-1} = 0, so P_1 is t itself
+            p_prev, p_cur = p_cur, t if k == 0 else [
+                mpf_sub(v, mpf_mul(bk, pp, prec, rnd), prec, rnd)
+                for v, pp in zip(t, p_prev)]
+        make = mp.make_mpf
+        return RecurrenceCoeffs(a=tuple(map(make, a)), b=tuple(map(make, b)),
+                                ctx=ctx)
 
 
 def _sturm_count(a, b, n, x, tiny):
-    """Number of eigenvalues below x of the order-n Jacobi matrix."""
+    """Number of eigenvalues below x of the order-n Jacobi matrix.
+
+    a, b, x and tiny are raw mpf values; the pivots d_i = (a_i - x) -
+    b_i / d_{i-1} round at mpmath's working precision, and an exactly
+    zero pivot is replaced by -tiny and counted.
+    """
+    prec, rnd = mp._prec_rounding
     cnt = 0
-    d = a[0] - x
-    if d < 0:
+    d = mpf_sub(a[0], x, prec, rnd)
+    if d[0]:
         cnt += 1
-    elif d == 0:
-        d = -tiny
+    elif d == fzero:
+        d = mpf_neg(tiny)
         cnt += 1
     for i in range(1, n):
-        d = (a[i] - x) - b[i] / d
-        if d < 0:
+        d = mpf_sub(mpf_sub(a[i], x, prec, rnd), mpf_div(b[i], d, prec, rnd),
+                    prec, rnd)
+        if d[0]:
             cnt += 1
-        elif d == 0:
-            d = -tiny
+        elif d == fzero:
+            d = mpf_neg(tiny)
             cnt += 1
     return cnt
 
@@ -147,19 +182,36 @@ def _seeds(a, b, n):
                               + np.diag(off, -1))
 
 
-def _newton(a, b, n, x, stop):
-    """Newton's iteration for P_n from x, with P_n and P_n' run through
-    the three-term recurrence; ends once a step is at most stop."""
-    for _ in range(mp.prec.bit_length() + 2):
-        p0, p, d0, d = mpf(0), mpf(1), mpf(0), mpf(0)
+def _newton(a, b, n, seed, stop, bits):
+    """Newton's iteration for P_n from the float64 seed, with P_n and P_n'
+    run through the three-term recurrence on raw mpf values.
+
+    The precision about doubles per step from the seed's 53 bits up to
+    top = bits/2 + 32, plus the bits of |seed| above 1, but at most bits;
+    the iteration ends once a step at top is at most stop.  The point
+    only steers the walk, and stop = root_tol/16 is absolute, so top
+    needs bits/2 plus a guard for the 4 bits of stop and the rounding of
+    P_n near the root, not the full precision.
+    """
+    rnd = round_nearest
+    top = min(bits, bits // 2 + 32 + max(math.frexp(seed)[1], 0))
+    x, prec = from_float(seed), 53
+    for _ in range(bits.bit_length() + 2):
+        prec = min(2 * prec, top)
+        p0, p, d0, d = fzero, fone, fzero, fzero
         for i in range(n):
-            t = x - a[i]
-            p0, p, d0, d = p, t * p - b[i] * p0, d, p + t * d - b[i] * d0
-        if not d:
+            t = mpf_sub(x, a[i], prec, rnd)
+            bi = b[i]
+            p0, p, d0, d = p, mpf_sub(
+                mpf_mul(t, p, prec, rnd), mpf_mul(bi, p0, prec, rnd),
+                prec, rnd), d, mpf_sub(
+                mpf_add(p, mpf_mul(t, d, prec, rnd), prec, rnd),
+                mpf_mul(bi, d0, prec, rnd), prec, rnd)
+        if d == fzero:
             break
-        step = p / d
-        x -= step
-        if abs(step) <= stop:
+        step = mpf_div(p, d, prec, rnd)
+        x = mpf_sub(x, step, prec, rnd)
+        if prec == top and mpf_le(mpf_abs(step), stop):
             break
     return x
 
@@ -230,7 +282,7 @@ def orthopoly_zeros(rc, n):
         lo0 = min(a) - 2 * r - 1
         hi0 = max(a) + 2 * r + 1
         tol = ctx.root_tol
-        tiny = mpf(2) ** (-4 * ctx.bits)
+        tiny = from_man_exp(1, -4 * ctx.bits)
         delta = tol / 4
         #  Grid 2^-s: with |lo0|, |hi0| < 2^top and tol = 2^te, a rounded
         #  midpoint is at most 2^(top-bits) off, so after i steps the
@@ -245,12 +297,17 @@ def orthopoly_zeros(rc, n):
         s = steps + 1 - min(e for _, _, e, _ in ends)
         lo_s, hi_s, tol_s = (_to_grid(v, s) for v in (lo0, hi0, tol))
         stop = tol_s + (tol_s >> ctx.bits)
+        seeds = _seeds(a, b, n)
+        a = [v._mpf_ for v in a]
+        b = [v._mpf_ for v in b]
         roots, fallbacks = [], 0
-        for k, seed in enumerate(_seeds(a, b, n), 1):
+        for k, seed in enumerate(seeds, 1):
             enclosed = False
             if math.isfinite(seed):
-                x = _newton(a, b, n, mpf(seed), delta / 4)
-                enclosed = _encloses(a, b, n, k, x - delta, x + delta, tiny)
+                x = mp.make_mpf(_newton(a, b, n, float(seed),
+                                        (delta / 4)._mpf_, ctx.bits))
+                enclosed = _encloses(a, b, n, k, (x - delta)._mpf_,
+                                     (x + delta)._mpf_, tiny)
             fallbacks += not enclosed
             #  without an enclosure, every midpoint in [lo_s, hi_s] is swept
             below, above = ((_to_grid(x - delta, s), -_to_grid(-x - delta, s))
@@ -261,7 +318,7 @@ def orthopoly_zeros(rc, n):
                     break
                 mid = _round_prec(lo + hi, ctx.bits) >> 1
                 if mid <= below or mid < above and _sturm_count(
-                        a, b, n, mp.make_mpf(from_man_exp(mid, -s)), tiny) < k:
+                        a, b, n, from_man_exp(mid, -s), tiny) < k:
                     lo = mid
                 else:
                     hi = mid
@@ -349,11 +406,13 @@ def build_sigma(cfg, seq):
             eps = [q ** ((k + 1) ** 2) for k in range(cfg.n_max)]
         else:
             eps = [q]
+            grid = _uniform_grid_64(ctx)
             for n in range(1, cfg.n_max):
                 sigma_n = DiscreteMeasure(tuple(zip(pts, eps)), ctx=ctx)
-                #  the degree-(n+1) family ends with delta_leja_{n+1}, an
-                #  atom at the next Leja point, and uniform_grid_64
-                family = default_stress_family(seq, n + 1, ctx)[-2:]
+                #  the last two members of the degree-(n+1) default family
+                family = [(f"delta_leja_{n + 1}",
+                           ((ctx.mpf(seq.points[n]), ctx.mpf(1)),)),
+                          ("uniform_grid_64", grid)]
                 cand = q ** (n * n) * eps[-1] * q
                 for _ in range(64):
                     report = epsilon_stress_test(
@@ -411,8 +470,10 @@ def enclosures_hold(rc, n, centers, radius):
                 for c in sorted(ctx.mpf(c) for c in centers[:n])]
         if any(not hi < lo for (_, hi), (lo, _) in zip(ends, ends[1:])):
             return False
-        tiny = mpf(2) ** (-4 * ctx.bits)
-        return all(_encloses(rc.a, rc.b, n, k, lo, hi, tiny)
+        a = [v._mpf_ for v in rc.a]
+        b = [v._mpf_ for v in rc.b]
+        tiny = from_man_exp(1, -4 * ctx.bits)
+        return all(_encloses(a, b, n, k, lo._mpf_, hi._mpf_, tiny)
                    for k, (lo, hi) in enumerate(ends, 1))
 
 
@@ -450,10 +511,14 @@ def default_stress_family(seq, n, ctx):
     for k in range(n):
         fam.append((f"delta_leja_{k + 1}",
                     ((ctx.mpf(seq.points[k]), ctx.mpf(1)),)))
-    w = ctx.mpf(1) / 64
-    grid = tuple((ctx.mpf(-1) + ctx.mpf(2) * i / 63, w) for i in range(64))
-    fam.append(("uniform_grid_64", grid))
+    fam.append(("uniform_grid_64", _uniform_grid_64(ctx)))
     return fam
+
+
+def _uniform_grid_64(ctx):
+    """64 equally spaced atoms on [-1, 1], of mass 1/64 each."""
+    w = ctx.mpf(1) / 64
+    return tuple((ctx.mpf(-1) + ctx.mpf(2) * i / 63, w) for i in range(64))
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ from mpmath import mp, mpf
 
 from potlab import DegenerateGrid, DegenerateRegion, chebyshev_grid
 from potlab.leja import LejaSequence
+from potlab.orthopoly import BreakdownError, RecurrenceCoeffs
 from potlab.potentials import potential_on_grid
 
 
@@ -89,6 +90,60 @@ def exact_enclosures_hold(a, b, n, centers, radius):
     return all((exact_sturm_count(a, b, n, c - radius),
                 exact_sturm_count(a, b, n, c + radius)) == (k - 1, k)
                for k, c in enumerate(cs, 1))
+
+
+def stieltjes_recurrence_reference(m, n):
+    """orthopoly.stieltjes_recurrence as it was on mpf objects, before its
+    loop ran on raw values: mpf arithmetic and mp.fsum under m.ctx, and
+    an update to the degree-n values at the last step.  The library must
+    return the same a and b tuple for tuple."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    ctx = m.ctx
+    with ctx.workprec():
+        xs = m.locations
+        ws = m.weights
+        p_prev = [mpf(0)] * len(xs)
+        p_cur = [mpf(1)] * len(xs)
+        a, b = [], []
+        nu_prev = None
+        for k in range(n):
+            nu = mp.fsum(w * p * p for w, p in zip(ws, p_cur))
+            if nu <= 0:
+                raise BreakdownError(
+                    f"norm of degree-{k} polynomial is {nu}; the measure has "
+                    f"fewer than {k + 1} atoms of support or bits are too low")
+            ak = mp.fsum(w * x * p * p for w, x, p in zip(ws, xs, p_cur)) / nu
+            bk = nu if k == 0 else nu / nu_prev
+            a.append(ak)
+            b.append(bk)
+            p_prev, p_cur = p_cur, [
+                (x - ak) * pc - (bk if k > 0 else 0) * pp
+                for x, pc, pp in zip(xs, p_cur, p_prev)]
+            nu_prev = nu
+    return RecurrenceCoeffs(a=tuple(a), b=tuple(b), ctx=ctx)
+
+
+def sturm_count_reference(a, b, n, x, tiny):
+    """orthopoly._sturm_count as it was on mpf objects: the number of
+    eigenvalues below x of the order-n Jacobi matrix, with an exactly
+    zero pivot replaced by -tiny and counted.  Run it under the working
+    precision; the library must return the same count."""
+    cnt = 0
+    d = a[0] - x
+    if d < 0:
+        cnt += 1
+    elif d == 0:
+        d = -tiny
+        cnt += 1
+    for i in range(1, n):
+        d = (a[i] - x) - b[i] / d
+        if d < 0:
+            cnt += 1
+        elif d == 0:
+            d = -tiny
+            cnt += 1
+    return cnt
 
 
 def greedy_select_reference(samples, n):

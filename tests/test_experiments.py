@@ -603,6 +603,19 @@ class TestCli:
         assert err.startswith("precision error: ") and text in err
         assert "Traceback" not in err
 
+    def test_capacity_underflowed_lune_exits_2(self, tmp_path, capsys):
+        #  20 * eps = 800 underflows the lune radius e^(-20 eps) to 0, where
+        #  the rescaled boundary would divide 0/0; the run is refused
+        #  before it writes anything
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"eps": 40}))
+        rc = cli_main(["capacity", "--config", str(cfgfile),
+                       "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "precision error: lune radius underflows float64 to 0\n"
+        assert not (tmp_path / "out").exists()
+
     def test_calibration_failure_exits_2(self, tmp_path, capsys,
                                          monkeypatch):
         def fail(cfg):

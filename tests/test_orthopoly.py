@@ -18,7 +18,8 @@ from potlab import orthopoly as op
 from potlab.orthopoly import enclosures_hold, potential_asymptotics_check
 
 from conftest import (exact_enclosures_hold, exact_recurrence, mpf_fraction,
-                      orth_tol)
+                      orth_tol, stieltjes_recurrence_reference,
+                      sturm_count_reference)
 
 CTX = PrecisionContext(256)
 
@@ -95,13 +96,15 @@ def bisect_zeros(rc, n):
         lo0 = min(a) - 2 * r - 1
         hi0 = max(a) + 2 * r + 1
         tol = ctx.root_tol
-        tiny = mpf(2) ** (-4 * ctx.bits)
+        tiny = from_man_exp(1, -4 * ctx.bits)
+        a = [v._mpf_ for v in a]
+        b = [v._mpf_ for v in b]
         roots = []
         for k in range(1, n + 1):
             lo, hi = lo0, hi0
             while hi - lo > tol:
                 mid = (lo + hi) / 2
-                if op._sturm_count(a, b, n, mid, tiny) >= k:
+                if op._sturm_count(a, b, n, mid._mpf_, tiny) >= k:
                     hi = mid
                 else:
                     lo = mid
@@ -136,11 +139,16 @@ def sigma6(arcsine_seq):
 
 
 @pytest.fixture(scope="module")
-def bench_sigma():
-    #  the prop1 benchmark sigma: q = 0.4, n_max = 7, 768 bits, 200
-    #  arcsine Leja points on 4096 nodes
-    seq = generate(200, target=target_arcsine())
-    return build_sigma(SigmaBuildConfig(q=0.4, n_max=7, bits=768), seq)
+def arcsine_200():
+    #  the prop1 runners' sequence: 200 arcsine Leja points on 4096 nodes
+    return generate(200, target=target_arcsine())
+
+
+@pytest.fixture(scope="module")
+def bench_sigma(arcsine_200):
+    #  the prop1 benchmark sigma: q = 0.4, n_max = 7, 768 bits
+    return build_sigma(SigmaBuildConfig(q=0.4, n_max=7, bits=768),
+                       arcsine_200)
 
 
 @pytest.fixture(scope="module")
@@ -198,6 +206,79 @@ class TestStieltjes:
             assert abs(x - y) < orth_tol(CTX)
         for x, y in zip(ra.b, rb.b):
             assert abs(x - y) < orth_tol(CTX)
+
+
+def _random_measure(data):
+    """Atoms on a 1e-3 lattice, weights m/100 q^(e^2) with the exponents e
+    spread over the atoms' count, and a precision of 64 to 4096 bits."""
+    ticks = data.draw(st.lists(st.integers(-1000, 1000), min_size=1,
+                               max_size=10, unique=True))
+    q = data.draw(st.sampled_from(["0.2", "0.3", "0.4", "0.45"]))
+    bits = data.draw(st.one_of(st.sampled_from([64, 65, 768, 1001, 2048,
+                                                4095, 4096]),
+                               st.integers(64, 4096)))
+    ctx = PrecisionContext(bits)
+    with ctx.workprec():
+        atoms = tuple((mpf(t) / 1000,
+                       mpf(data.draw(st.integers(1, 100))) / 100
+                       * mpf(q) ** data.draw(st.integers(0, len(ticks))) ** 2)
+                      for t in ticks)
+    return DiscreteMeasure(atoms, ctx=ctx)
+
+
+def _raw(values):
+    return [v._mpf_ for v in values]
+
+
+class TestRawKernels:
+    """The raw-value kernels against the mpf-object loops they replace."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_stieltjes_equals_mpf_object_version(self, data):
+        m = _random_measure(data)
+        n = data.draw(st.integers(0, len(m) + 1))
+        try:
+            want = stieltjes_recurrence_reference(m, n)
+        except BreakdownError as exc:
+            with pytest.raises(BreakdownError) as got:
+                stieltjes_recurrence(m, n)
+            assert str(got.value) == str(exc)
+            return
+        got = stieltjes_recurrence(m, n)
+        assert _raw(got.a) == _raw(want.a)
+        assert _raw(got.b) == _raw(want.b)
+
+    def test_stieltjes_breakdown_message(self):
+        with pytest.raises(BreakdownError) as want:
+            stieltjes_recurrence_reference(two_atom(), 3)
+        with pytest.raises(BreakdownError) as got:
+            stieltjes_recurrence(two_atom(), 3)
+        assert str(got.value) == str(want.value)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_sturm_count_equals_mpf_object_version(self, data):
+        #  "pivot" puts x at a[0], so the first pivot is exactly zero and
+        #  the tiny substitute carries the count on
+        m = _random_measure(data)
+        n = data.draw(st.integers(1, len(m)))
+        rc = stieltjes_recurrence(m, n)
+        ctx = m.ctx
+        kind = data.draw(st.sampled_from(["pivot", "lattice", "atom"]))
+        with ctx.workprec():
+            if kind == "pivot":
+                x = rc.a[0]
+            elif kind == "lattice":
+                x = mpf(data.draw(st.integers(-1100, 1100))) / 1000
+            else:
+                x = data.draw(st.sampled_from(m.locations))
+            tiny = mpf(2) ** (-4 * ctx.bits)
+            want = sturm_count_reference(rc.a, rc.b, n, x, tiny)
+            got = op._sturm_count(_raw(rc.a), _raw(rc.b), n, x._mpf_,
+                                  tiny._mpf_)
+            assert kind != "pivot" or rc.a[0] - x == 0
+        assert got == want
 
 
 class TestRoundPrec:
@@ -389,6 +470,36 @@ class TestZeros:
             zs = orthopoly_zeros(rc, n)
             assert zs.fallbacks == 0
             assert len(calls) <= 4 * n, (n, len(calls))
+
+    @pytest.mark.parametrize("n_max, bits, compared", [
+        (10, 2048, range(1, 11)),
+        (13, 3380, (13,)),
+    ], ids=["readme_sigma", "n_max_13"])
+    def test_newton_ladder_certifies_every_root(self, arcsine_200,
+                                                monkeypatch, n_max, bits,
+                                                compared):
+        #  Newton stops at bits/2 + 32 bits, plus one for a root of modulus
+        #  in [1, 2); its points still certify every enclosure, so the
+        #  walk, and every root bit, is the plain bisection's.  At 3380
+        #  bits that bisection takes seconds per degree near the top, so
+        #  only degree 13 is compared there.
+        sigma = build_sigma(SigmaBuildConfig(q=0.4, n_max=n_max, bits=bits),
+                            arcsine_200)
+        rc = stieltjes_recurrence(sigma, n_max)
+        newton, points = op._newton, []
+
+        def recording(*args):
+            points.append(newton(*args))
+            return points[-1]
+
+        monkeypatch.setattr(op, "_newton", recording)
+        for n in range(1, n_max + 1):
+            zs = orthopoly_zeros(rc, n)
+            assert zs.fallbacks == 0, n
+            if n in compared:
+                assert bits_of(zs.roots) == bits_of(bisect_zeros(rc, n)), n
+        assert len(points) == n_max * (n_max + 1) // 2
+        assert max(bc for _, _, _, bc in points) <= bits // 2 + 33
 
     def test_zero_evaluation_consistency(self, sigma6):
         #  P_n vanishes at the bisection roots to root-tolerance scale
