@@ -258,6 +258,7 @@ def _write_demo(cfg, name, per_n, ok, **checks):
     """Write <name>.csv and summary.json (plus plots if asked) for a demo
     runner and return its report, which passes when ok and every check
     hold."""
+    os.makedirs(cfg.out_dir, exist_ok=True)
     _write_csv(os.path.join(cfg.out_dir, f"{name}.csv"),
                ["n", "ks", "bound_analytic", "cap_estimate",
                 "badset_grid_count", "certified", "samples"],
@@ -279,7 +280,6 @@ def _write_demo(cfg, name, per_n, ok, **checks):
 def run_stahl_circle(cfg):
     """Roots-of-unity measures versus the circle equilibrium measure."""
     rng = np.random.default_rng(cfg.seed)
-    os.makedirs(cfg.out_dir, exist_ok=True)
     grid = _scan_grid(cfg)
 
     per_n, ok = [], True
@@ -317,7 +317,6 @@ def run_stahl_circle(cfg):
 
 def run_stahl_segment(cfg):
     """Chebyshev-zero measures versus the segment equilibrium measure."""
-    os.makedirs(cfg.out_dir, exist_ok=True)
     arcsine_cdf = target_arcsine().cdf
     grid = _scan_grid(cfg)
 

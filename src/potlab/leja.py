@@ -63,8 +63,8 @@ def _log_dist(ys, x):
 
 
 def _golden_refine(f, a, b):
-    """Golden-section maximizer of f on [a, b]; f maps an array of probes
-    to their values.
+    """Golden-section maximizer of f on [a, b]; f maps a float or an array
+    of probes to their values, and each in-loop probe goes in as a float.
 
     The bracket spans at most two cells of a grid in [-1, 1], so at most
     2 wide, and each step shrinks it by the golden factor 0.618: the loop
@@ -78,11 +78,11 @@ def _golden_refine(f, a, b):
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
             x2 = a + _INV_GOLDEN * (b - a)
-            f2 = f(np.array([x2]))[0]
+            f2 = f(x2)
         else:
             b, x2, f2 = x2, x1, f1
             x1 = b - _INV_GOLDEN * (b - a)
-            f1 = f(np.array([x1]))[0]
+            f1 = f(x1)
     return 0.5 * (a + b)
 
 
@@ -97,12 +97,12 @@ def _step(pts, nodes, logsum, vg, target):
     if not np.any(np.isfinite(obj)):
         raise DegenerateGrid("all candidate nodes collide with chosen points")
     i = int(np.argmax(obj))
-    lo = nodes[max(i - 1, 0)]
-    hi = nodes[min(i + 1, len(nodes) - 1)]
+    lo = float(nodes[max(i - 1, 0)])
+    hi = float(nodes[min(i + 1, len(nodes) - 1)])
 
     def f(xs):
-        #  each row sum is the pairwise sum a 1-D np.sum of that row gives
-        s = np.log(np.abs(pts - xs[:, None])).sum(axis=1)
+        #  each sum is the pairwise sum a 1-D np.sum of its row gives
+        s = np.log(np.abs(np.subtract.outer(xs, pts))).sum(axis=-1)
         return s if target is None else n * target.grid_potential(xs) + s
 
     with np.errstate(divide="ignore", invalid="ignore"):

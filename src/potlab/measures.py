@@ -22,8 +22,8 @@ class TargetMeasure:
 
     potential(z) returns the value of the potential at any real or complex
     point (a real number); cdf(x) is vectorized over numpy arrays and maps
-    [-1,1] into [0,1]; grid_potential(x) is the same potential as
-    vectorized float64 on real points of the support.
+    [-1,1] into [0,1]; grid_potential(x) is the same potential in float64
+    on a float or an array of real points in [-1,1].
     """
 
     potential: Callable

@@ -10,9 +10,9 @@ conjugation-symmetric forms such as phi^n + phi^(-n).
 
 Each target measure gives its potential V in closed form twice: a scalar
 formula valid at every real or complex z, evaluated under a
-PrecisionContext, and a vectorized float64 form on real grid points for
-the Leja objective.  The *_np variants are likewise float64 companions
-for the grid-heavy callers.
+PrecisionContext, and a float64 form on a float or an array of real
+points in [-1,1] for the Leja objective.  The *_np variants are likewise
+float64 companions for the grid-heavy callers.
 """
 
 import numpy as np
@@ -22,6 +22,7 @@ from .precision import PrecisionContext
 from .measures import TargetMeasure
 
 _D = PrecisionContext(bits=64)
+_ABOVE_M1 = np.nextafter(-1.0, 0.0)
 
 
 def phi(z, ctx=_D):
@@ -62,11 +63,10 @@ def _re_wlogw(w):
 
 
 def _uniform_potential_grid(x):
-    x = np.asarray(x, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t1 = np.where(x > -1, (1 + x) * np.log1p(x), 0.0)
-        t2 = np.where(x < 1, (1 - x) * np.log1p(-x), 0.0)
-    return 1 - 0.5 * (t1 + t2)
+    #  log1p's argument is clamped to the float after -1: no value inside
+    #  (-1, 1) moves, and at x = +-1 the clamped term is 0 * finite = -0.0
+    return 1 - 0.5 * ((1 + x) * np.log1p(np.maximum(x, _ABOVE_M1))
+                      + (1 - x) * np.log1p(np.maximum(-x, _ABOVE_M1)))
 
 
 def target_arcsine(ctx=_D):

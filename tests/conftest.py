@@ -186,6 +186,17 @@ def greedy_select_reference(samples, n):
     return samples[sel]
 
 
+def uniform_potential_grid_reference(x):
+    """The uniform target's float64 potential as it was before it took
+    floats: 0 log 0 = 0 at the endpoints through np.where branches under a
+    warning guard.  The library form must give the same bits."""
+    x = np.asarray(x, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t1 = np.where(x > -1, (1 + x) * np.log1p(x), 0.0)
+        t2 = np.where(x < 1, (1 - x) * np.log1p(-x), 0.0)
+    return 1 - 0.5 * (t1 + t2)
+
+
 def leja_generate_reference(n, target=None, grid=None):
     """leja.generate as it was before the golden-section objective took
     arrays of probes: one scalar objective call per probe and candidate,

@@ -602,6 +602,8 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("precision error: ") and text in err
         assert "Traceback" not in err
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
 
     def test_capacity_underflowed_lune_exits_2(self, tmp_path, capsys):
         #  20 * eps = 800 underflows the lune radius e^(-20 eps) to 0, where

@@ -134,7 +134,7 @@ class TestExtension:
 
     def test_grid_potential_once_per_generate(self, monkeypatch):
         #  one full-grid evaluation; the refinement reads the target's
-        #  grid_potential on its probe arrays directly
+        #  grid_potential on its probe floats and candidate arrays directly
         sizes = []
         inner = leja.potential_on_grid
 
@@ -148,8 +148,10 @@ class TestExtension:
         assert sizes == [len(grid)]
 
     def test_refine_batches_its_probes(self):
-        #  the opening pair and the four final candidates take one call
-        #  each, about 7.5 calls a step; one probe a call makes 11.5
+        #  the opening pair and the four final candidates take one array
+        #  call each, about 7.5 calls a step; one probe a call makes 11.5.
+        #  Past the full grid, every other call is an in-loop probe, which
+        #  goes in as a plain float
         calls = []
         uni = target_uniform()
 
@@ -160,6 +162,11 @@ class TestExtension:
         n = 200
         generate(n, target=dataclasses.replace(uni, grid_potential=counting))
         assert len(calls) / (n - 1) < 9
+        arrays = [x for x in calls if isinstance(x, np.ndarray)]
+        assert len(arrays) <= 1 + 2 * (n - 1)
+        assert all(type(x) is float for x in calls
+                   if not isinstance(x, np.ndarray))
+        assert len(calls) > len(arrays)
 
 
 TARGETS = {"none": None, "arcsine": target_arcsine(),

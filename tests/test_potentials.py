@@ -6,10 +6,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf, mpc
 
-from potlab import (DiscreteMeasure, PrecisionContext,
+from potlab import (DiscreteMeasure, PrecisionContext, chebyshev_grid,
                     equilibrium_potential_segment, phi, target_arcsine,
                     target_blend, target_uniform)
 from potlab.potentials import phi_np, potential_on_grid
+
+from conftest import uniform_potential_grid_reference
 
 CTX = PrecisionContext(256)
 
@@ -271,3 +273,49 @@ class TestTargets:
         v = potential_on_grid(t, g)
         for x, vx in zip(g, v):
             assert vx == pytest.approx(float(t.potential(float(x))), abs=1e-12)
+
+
+#  the endpoints, both zeros and the floats next to the endpoints
+GRID_EDGES = [1.0, -1.0, 0.0, -0.0, math.nextafter(1.0, 0.0),
+              math.nextafter(-1.0, 0.0)]
+
+
+def _grid_oracle(name, x):
+    """The float64 grid potential of target name in its np.where form."""
+    arcsine = np.full_like(np.asarray(x, dtype=float), np.log(2.0))
+    if name == "arcsine":
+        return arcsine
+    uniform = uniform_potential_grid_reference(x)
+    if name == "uniform":
+        return uniform
+    return 0.3 * arcsine + (1 - 0.3) * uniform
+
+
+def _bits(v):
+    v = np.asarray(v)
+    assert v.dtype == np.float64
+    return v.view(np.uint64)
+
+
+class TestGridPotentialOracle:
+    """Each target's grid_potential on a float, a 0-d array and an array
+    against the np.where form, bit for bit (sign bit included)."""
+
+    TARGETS = {"uniform": target_uniform(), "arcsine": target_arcsine(),
+               "blend:0.3": target_blend(0.3)}
+
+    @pytest.mark.parametrize("name", TARGETS)
+    @settings(max_examples=150, deadline=None)
+    @given(xs=st.lists(st.one_of(st.floats(-1, 1),
+                                 st.sampled_from(GRID_EDGES)),
+                       min_size=1, max_size=60))
+    @example(xs=GRID_EDGES)
+    @example(xs=chebyshev_grid(4096).tolist())
+    def test_float_and_array_bits_equal_oracle(self, name, xs):
+        grid_potential = self.TARGETS[name].grid_potential
+        want = _grid_oracle(name, np.array(xs))
+        assert np.array_equal(_bits(grid_potential(np.array(xs))),
+                              _bits(want))
+        for x, w in zip(xs, want):
+            assert _bits(grid_potential(x)) == _bits(w)
+            assert _bits(grid_potential(np.array(x))) == _bits(w)
