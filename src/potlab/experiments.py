@@ -1,7 +1,8 @@
 """Experiment runners: the sigma pipeline and the two non-convergence demos.
 
-Each runner takes an ExperimentConfig, writes CSV stages plus a summary
-JSON into the output directory, and returns the summary as a dict with a
+Each runner takes an ExperimentConfig and ends by handing its CSV tables
+and summary to _write_run, the one writer of the output directory, so a
+refused run writes nothing.  It returns the summary as a dict with a
 "pass" flag.  Outputs are byte-deterministic for a fixed config.
 
 The two demo families push discrete root measures that converge weak-*
@@ -35,7 +36,7 @@ from . import orthopoly as op
 from . import svgplot
 from .measures import ks_distance
 from .potentials import phi_np, target_arcsine, target_blend, target_uniform
-from .precision import PrecisionContext
+from .precision import MIN_BITS, PrecisionContext
 
 LUNE_DEGREE = 20            # n of the lune whose capacity capacity_only checks
 
@@ -73,6 +74,8 @@ class ExperimentConfig:
         if self.experiment not in RUNNERS:
             raise ConfigError(f"unknown experiment {self.experiment!r}; "
                               f"choose from {tuple(RUNNERS)}")
+        if self.bits < MIN_BITS:
+            raise ConfigError(f"bits must be >= {MIN_BITS}, got {self.bits}")
         if self.eps <= 0:
             raise ConfigError("eps must be positive")
         if self.rho <= 1:
@@ -161,21 +164,29 @@ def target_from_name(name, ctx):
     raise ConfigError(f"unknown target {name!r}")
 
 
-def _write_json(path, obj):
-    with open(path, "w", newline="\n") as f:
-        f.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+def _write_run(cfg, report, tables=(), **plot_data):
+    """Make cfg.out_dir and write into it each (name, header, rows) table
+    as CSV, the report with the run's experiment and config as
+    summary.json, and the plots of plot_data when cfg.plot is set.
+    Return the completed report."""
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    for name, header, rows in tables:
+        with open(os.path.join(cfg.out_dir, name), "w", newline="") as f:
+            w = csv.writer(f)
+            w.writerow(header)
+            w.writerows(rows)
+    report = {"experiment": cfg.experiment, "config": asdict(cfg), **report}
+    with open(os.path.join(cfg.out_dir, "summary.json"), "w",
+              newline="\n") as f:
+        f.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    if cfg.plot:
+        emit_plots(report, cfg.out_dir, **plot_data)
+    return report
 
 
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(header)
-        w.writerows(rows)
-
-
-def _write_leja_csv(out_dir, seq):
-    _write_csv(os.path.join(out_dir, "leja.csv"), ["index", "x"],
-               [(i, "%.17g" % x) for i, x in enumerate(seq.points)])
+def _leja_table(seq):
+    return ("leja.csv", ["index", "x"],
+            [(i, "%.17g" % x) for i, x in enumerate(seq.points)])
 
 
 # ---------------------------------------------------------------------------
@@ -254,23 +265,18 @@ def _trace_cheb_lemniscate(n, eps):
     return z0 + 0.5 * (lo + hi) * d, (z0 + 0.9 * lo * d)[::4]
 
 
-def _write_demo(cfg, name, per_n, ok, **checks):
-    """Write <name>.csv and summary.json (plus plots if asked) for a demo
-    runner and return its report, which passes when ok and every check
-    hold."""
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    _write_csv(os.path.join(cfg.out_dir, f"{name}.csv"),
-               ["n", "ks", "bound_analytic", "cap_estimate",
-                "badset_grid_count", "certified", "samples"],
-               [[e["n"], "%.17g" % e["ks"], "%.17g" % e["bound_analytic"],
-                 "%.17g" % e["cap_estimate"], e["badset_grid_count"],
-                 e["certified_samples"], e["sample_count"]] for e in per_n])
-    report = {"experiment": name, "config": asdict(cfg), "per_n": per_n,
-              **checks, "pass": bool(ok and all(checks.values()))}
-    _write_json(os.path.join(cfg.out_dir, "summary.json"), report)
-    if cfg.plot:
-        emit_plots(report, cfg.out_dir)
-    return report
+def _write_demo(cfg, per_n, ok, **checks):
+    """Write a demo's per-n table as <experiment>.csv with its report,
+    which passes when ok and every check hold."""
+    table = (f"{cfg.experiment}.csv",
+             ["n", "ks", "bound_analytic", "cap_estimate",
+              "badset_grid_count", "certified", "samples"],
+             [[e["n"], "%.17g" % e["ks"], "%.17g" % e["bound_analytic"],
+               "%.17g" % e["cap_estimate"], e["badset_grid_count"],
+               e["certified_samples"], e["sample_count"]] for e in per_n])
+    return _write_run(cfg, {"per_n": per_n, **checks,
+                            "pass": bool(ok and all(checks.values()))},
+                      [table])
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +318,7 @@ def run_stahl_circle(cfg):
 
     bounds = [e["bound_analytic"] for e in per_n]
     non_decay = all(b2 >= b1 for b1, b2 in zip(bounds, bounds[1:]))
-    return _write_demo(cfg, "stahl_circle", per_n, ok, non_decay=non_decay)
+    return _write_demo(cfg, per_n, ok, non_decay=non_decay)
 
 
 def run_stahl_segment(cfg):
@@ -345,32 +351,24 @@ def run_stahl_segment(cfg):
 
     ks_seq = [e["ks"] for e in per_n]
     trend = all(k2 < k1 for k1, k2 in zip(ks_seq, ks_seq[1:]))
-    return _write_demo(cfg, "stahl_segment", per_n, ok, ks_decreasing=trend)
+    return _write_demo(cfg, per_n, ok, ks_decreasing=trend)
 
 
 def run_prop1(cfg):
     """Weighted Leja -> sigma -> orthogonal polynomial zeros pipeline."""
-    os.makedirs(cfg.out_dir, exist_ok=True)
     ctx = PrecisionContext(cfg.bits)
     target = target_from_name(cfg.target, ctx)
     grid = lj.chebyshev_grid(cfg.grid_size)
     n_pts = max(cfg.leja_n, cfg.n_max)
     seq = lj.generate(n_pts, target=target, grid=grid)
-    _write_leja_csv(cfg.out_dir, seq)
 
     ks_rows = [(m, ks_distance(seq.points[:m], target.cdf))
                for m in sorted({cfg.n_max, cfg.leja_n // 2, cfg.leja_n})
                if 1 <= m <= len(seq)]
-    _write_csv(os.path.join(cfg.out_dir, "equidistribution.csv"),
-               ["n", "ks"], [(m, "%.17g" % v) for m, v in ks_rows])
 
     sigma_cfg = op.SigmaBuildConfig(q=cfg.q, n_max=cfg.n_max,
                                     bits=cfg.bits, cascade=cfg.cascade)
     sigma = op.build_sigma(sigma_cfg, seq)
-    _write_csv(os.path.join(cfg.out_dir, "sigma.csv"),
-               ["n", "x", "eps"],
-               [(k + 1, "%.17g" % float(x), ctx.nstr(w))
-                for k, (x, w) in enumerate(sigma.atoms)])
 
     rng = np.random.default_rng(cfg.seed)
     extra = 1.5 + 1.5 * rng.random(2) + 1j * (0.5 + rng.random(2))
@@ -397,48 +395,44 @@ def run_prop1(cfg):
             "residuals": res_n,
         })
 
-    _write_csv(os.path.join(cfg.out_dir, "stability.csv"),
-               ["n", "k", "root", "paired_leja", "deviation", "bound"],
-               [(rep.n, j + 1, ctx.nstr(root), "%.17g" % seq.points[j],
-                 ctx.nstr(d), ctx.nstr(rep.bound))
-                for rep in stab_reports
-                for (j, d), root in zip(rep.deviations, rep.zeros.roots)])
-    _write_csv(os.path.join(cfg.out_dir, "residuals.csv"),
-               ["n", "z", "residual"],
-               [(n, str(z), "%.17g" % r) for n, z, r in res_rows])
-
-    report = {"experiment": "prop1", "config": asdict(cfg),
-              "ks_leja": {str(m): v for m, v in ks_rows},
+    tables = [
+        _leja_table(seq),
+        ("equidistribution.csv", ["n", "ks"],
+         [(m, "%.17g" % v) for m, v in ks_rows]),
+        ("sigma.csv", ["n", "x", "eps"],
+         [(k + 1, "%.17g" % float(x), ctx.nstr(w))
+          for k, (x, w) in enumerate(sigma.atoms)]),
+        ("stability.csv",
+         ["n", "k", "root", "paired_leja", "deviation", "bound"],
+         [(rep.n, j + 1, ctx.nstr(root), "%.17g" % seq.points[j],
+           ctx.nstr(d), ctx.nstr(rep.bound))
+          for rep in stab_reports
+          for (j, d), root in zip(rep.deviations, rep.zeros.roots)]),
+        ("residuals.csv", ["n", "z", "residual"],
+         [(n, str(z), "%.17g" % r) for n, z, r in res_rows]),
+    ]
+    report = {"ks_leja": {str(m): v for m, v in ks_rows},
               "per_n": per_n,
               "pass": all(rep.passed for rep in stab_reports)}
-    _write_json(os.path.join(cfg.out_dir, "summary.json"), report)
-    if cfg.plot:
-        emit_plots(report, cfg.out_dir,
-                   points=[(x, 0.0) for x in seq.points],
-                   zeros=[(float(r), 0.0) for r in stab_reports[-1].zeros.roots])
-    return report
+    return _write_run(
+        cfg, report, tables, points=[(x, 0.0) for x in seq.points],
+        zeros=[(float(r), 0.0) for r in stab_reports[-1].zeros.roots])
 
 
 def run_leja_only(cfg):
     """Generate a Leja sequence and report its diagnostics."""
-    os.makedirs(cfg.out_dir, exist_ok=True)
     target = None if cfg.target == "none" else target_from_name(
-        cfg.target, PrecisionContext(max(cfg.bits, 64)))
+        cfg.target, PrecisionContext(cfg.bits))
     grid = lj.chebyshev_grid(cfg.grid_size)
     seq = lj.generate(cfg.leja_n, target=target, grid=grid)
-    _write_leja_csv(cfg.out_dir, seq)
     zs = [2.0, 2j, -3.0]
     resid = lj.verify_weighted_asymptotics(seq, target, zs)
     ks = None if target is None else ks_distance(seq.points, target.cdf)
-    report = {"experiment": "leja_only", "config": asdict(cfg),
-              "residuals": {str(z): r for z, r in zip(zs, resid)},
+    report = {"residuals": {str(z): r for z, r in zip(zs, resid)},
               "ks": ks, "separation": seq.separation,
               "pass": bool(all(abs(r) < 0.5 for r in resid))}
-    _write_json(os.path.join(cfg.out_dir, "summary.json"), report)
-    if cfg.plot:
-        emit_plots(report, cfg.out_dir,
-                   points=[(x, 0.0) for x in seq.points])
-    return report
+    return _write_run(cfg, report, [_leja_table(seq)],
+                      points=[(x, 0.0) for x in seq.points])
 
 
 def run_capacity_only(cfg):
@@ -454,13 +448,10 @@ def run_capacity_only(cfg):
     checks.append(("lemniscate_z2_minus_1", lem.estimate, lem.analytic))
     lu = cap.lune_capacity_bounds(LUNE_DEGREE, cfg.eps)
     ok = all(abs(v - t) / t < 0.05 for _, v, t in checks) and lu.within_bounds
-    report = {"experiment": "capacity_only", "config": asdict(cfg),
-              "checks": [{"name": n, "estimate": v, "analytic": t}
+    report = {"checks": [{"name": n, "estimate": v, "analytic": t}
                          for n, v, t in checks],
               "lune": lu.to_json(), "pass": bool(ok)}
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    _write_json(os.path.join(cfg.out_dir, "summary.json"), report)
-    return report
+    return _write_run(cfg, report)
 
 
 RUNNERS = {
@@ -490,9 +481,10 @@ def emit_plots(report, out_dir, points=None, zeros=None):
     if per_n:
         ns = [e["n"] for e in per_n]
         if "max_zero_deviation" in per_n[0]:
-            ys = [max(e["max_zero_deviation"], 1e-300) for e in per_n]
             svgplot.line_chart_svg(os.path.join(out_dir, "deviation.svg"),
-                                   ns, ys, title="max zero deviation (log10)",
+                                   ns, [e["max_zero_deviation"]
+                                        for e in per_n],
+                                   title="max zero deviation (log10)",
                                    logy=True)
         if "ks" in per_n[0]:
             svgplot.line_chart_svg(os.path.join(out_dir, "ks.svg"),

@@ -91,7 +91,6 @@ class ZeroSet:
     """Sorted real simple zeros of a degree-n orthogonal polynomial."""
 
     roots: tuple
-    degree: int
     fallbacks: int             # roots bisected without a certified enclosure
 
 
@@ -326,7 +325,7 @@ def orthopoly_zeros(rc, n):
                 raise ArithmeticError(f"root {k} of P_{n} took {steps}+ steps")
             roots.append(mp.make_mpf(
                 from_man_exp(_round_prec(lo + hi, ctx.bits) >> 1, -s)))
-    return ZeroSet(roots=tuple(roots), degree=n, fallbacks=fallbacks)
+    return ZeroSet(roots=tuple(roots), fallbacks=fallbacks)
 
 
 # ---------------------------------------------------------------------------
@@ -573,13 +572,13 @@ def epsilon_stress_test(m, seq, n, eps_next, q, family=None):
 
 def potential_asymptotics_check(zero_sets, target, z_samples, ctx):
     """Rows (n, z, (1/n) log|P_n(z)| + V(z)), one block per ZeroSet in
-    zero_sets (n = its degree, P_n in product form over its roots), in
-    input order; each z and V(z) are evaluated once, under ctx."""
+    zero_sets (n = its number of roots, P_n in product form over them),
+    in input order; each z and V(z) are evaluated once, under ctx."""
     rows = []
     with ctx.workprec():
         zv = [(z, ctx.mpc(z), target.potential(z)) for z in z_samples]
         for zs in zero_sets:
-            n = zs.degree
+            n = len(zs.roots)
             for z, zz, v in zv:
                 s = mp.fsum(mp.log(abs(zz - r)) for r in zs.roots) / n
                 rows.append((n, z, float(s + v)))

@@ -81,6 +81,9 @@ class TestConfig:
         {"experiment": "stahl_circle", "bits": 100.5},
         {"experiment": "stahl_circle", "plot": "no"},
         {"experiment": "prop1", "n_list": (3, 2)},
+        {"experiment": "leja_only", "bits": -5, "leja_n": 20},
+        {"experiment": "leja_only", "bits": 10, "target": "uniform"},
+        {"experiment": "stahl_circle", "bits": 63},
     ], ids=["eps_nan", "rho_nan", "scan_grid_zero", "fekete_n_below_8",
             "n_list_zero", "bits_below_precision_floor", "unknown_cascade",
             "capacity_eps_below_lune_floor", "grid_size_below_2",
@@ -91,7 +94,9 @@ class TestConfig:
             "grid_size_below_n_max", "seed_float", "leja_n_float",
             "leja_n_bool", "eps_string", "fekete_n_float", "n_list_scalar",
             "grid_size_float", "n_list_float_entry", "scan_grid_float",
-            "bits_float", "plot_string", "n_list_unordered"])
+            "bits_float", "plot_string", "n_list_unordered",
+            "bits_negative_leja", "bits_below_64_leja",
+            "bits_below_64_circle"])
     def test_config_holes_rejected(self, kw):
         #  the scan grid and the Fekete point count are constants, so
         #  their keys are refused whatever their value
@@ -591,9 +596,17 @@ class TestCli:
     @pytest.mark.parametrize("command, raw, text", [
         ("stahl-circle", {"eps": 50}, "underflows float64"),
         ("stahl-segment", {"eps": 1}, "for float64"),
-    ], ids=["degenerate_lune", "unresolved_crossing"])
-    def test_unresolvable_run_exits_2(self, tmp_path, capsys, command, raw,
-                                      text):
+        ("prop1", {"n_list": [2, 3], "bits": 512, "leja_n": 20,
+                   "grid_size": 512}, "sigma refused"),
+    ], ids=["degenerate_lune", "unresolved_crossing", "refused_sigma"])
+    def test_unresolvable_run_exits_2(self, tmp_path, capsys, monkeypatch,
+                                      command, raw, text):
+        #  prop1 is refused after its Leja points, which it must not have
+        #  written by then
+        def refuse(*args):
+            raise potlab.PrecisionTooLow("sigma refused")
+
+        monkeypatch.setattr("potlab.orthopoly.build_sigma", refuse)
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps(raw))
         rc = cli_main([command, "--config", str(cfgfile),
@@ -604,6 +617,32 @@ class TestCli:
         assert "Traceback" not in err
         assert len(err.splitlines()) == 1
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("plot", [False, True], ids=["bare", "plot"])
+    @pytest.mark.parametrize("command, raw, files, plots", [
+        ("prop1", {"n_list": [2, 3], "bits": 512, "leja_n": 20,
+                   "grid_size": 512},
+         {"leja.csv", "equidistribution.csv", "sigma.csv", "stability.csv",
+          "residuals.csv"},
+         {"points.svg", "zeros.svg", "deviation.svg", "ks.svg"}),
+        ("stahl-circle", {"n_list": [4, 8]}, {"stahl_circle.csv"},
+         {"ks.svg", "badset.svg"}),
+        ("stahl-segment", {"n_list": [8, 16]}, {"stahl_segment.csv"},
+         {"ks.svg", "badset.svg"}),
+        ("leja", {"leja_n": 20, "grid_size": 512, "target": "none"},
+         {"leja.csv"}, {"points.svg"}),
+        ("capacity", {}, set(), set()),
+    ], ids=["prop1", "stahl_circle", "stahl_segment", "leja", "capacity"])
+    def test_output_file_set(self, tmp_path, capsys, command, raw, files,
+                             plots, plot):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        rc = cli_main([command, "--config", str(cfgfile), "--out", str(out)]
+                      + ["--plot"] * plot)
+        assert rc == 0
+        want = {"summary.json"} | files | (plots if plot else set())
+        assert {p.name for p in out.iterdir()} == want
 
     def test_capacity_underflowed_lune_exits_2(self, tmp_path, capsys):
         #  20 * eps = 800 underflows the lune radius e^(-20 eps) to 0, where
