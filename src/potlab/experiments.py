@@ -1,9 +1,9 @@
 """Experiment runners: the sigma pipeline and the two non-convergence demos.
 
-Each runner takes an ExperimentConfig and ends by handing its CSV tables
-and summary to _write_run, the one writer of the output directory, so a
-refused run writes nothing.  It returns the summary as a dict with a
-"pass" flag.  Outputs are byte-deterministic for a fixed config.
+Each runner takes an ExperimentConfig and ends by handing its CSV tables,
+summary and named SVG plots to _write_run, the one writer of the output
+directory, so a refused run writes nothing.  It returns the summary as a
+dict with a "pass" flag.  Outputs are byte-deterministic for a fixed config.
 
 The two demo families push discrete root measures that converge weak-*
 to an equilibrium measure while their potentials stay eps-far from the
@@ -164,24 +164,34 @@ def target_from_name(name, ctx):
     raise ConfigError(f"unknown target {name!r}")
 
 
-def _write_run(cfg, report, tables=(), **plot_data):
+def _write_run(cfg, report, tables=(), plots=()):
     """Make cfg.out_dir and write into it each (name, header, rows) table
     as CSV, the report with the run's experiment and config as
-    summary.json, and the plots of plot_data when cfg.plot is set.
-    Return the completed report."""
+    summary.json and, when cfg.plot is set, the SVG text draw() returns
+    for each (name, draw) plot.  The config echo leaves out out_dir, so
+    no file depends on where it goes.  Return the completed report."""
     os.makedirs(cfg.out_dir, exist_ok=True)
     for name, header, rows in tables:
         with open(os.path.join(cfg.out_dir, name), "w", newline="") as f:
             w = csv.writer(f)
             w.writerow(header)
             w.writerows(rows)
-    report = {"experiment": cfg.experiment, "config": asdict(cfg), **report}
-    with open(os.path.join(cfg.out_dir, "summary.json"), "w",
-              newline="\n") as f:
-        f.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    config = {k: v for k, v in asdict(cfg).items() if k != "out_dir"}
+    report = {"experiment": cfg.experiment, "config": config, **report}
+    texts = [("summary.json",
+              lambda: json.dumps(report, indent=2, sort_keys=True) + "\n")]
     if cfg.plot:
-        emit_plots(report, cfg.out_dir, **plot_data)
+        texts += plots
+    for name, draw in texts:
+        with open(os.path.join(cfg.out_dir, name), "w", newline="\n") as f:
+            f.write(draw())
     return report
+
+
+def _interval_scatter(name, xs, title):
+    """The (name, draw) plot of the points xs of [-1, 1] on the real axis."""
+    return name, lambda: svgplot.scatter_svg(
+        [(x, 0.0) for x in xs], title, xlim=(-1.05, 1.05), ylim=(-1, 1))
 
 
 def _leja_table(seq):
@@ -229,13 +239,12 @@ def _nth_roots(w, n):
                            for k in range(n)])
 
 
-def _sample_lune_preimage(n, eps, rng):
-    """Interior points of the z^n-preimage of the lune, 40 per branch.
+def _sample_lune_preimage(n, s, rng):
+    """Interior points of the z^n-preimage of the radius-s lune, 40 per branch.
 
     Points are kept strictly inside (radius factor 0.999, |w| >= 1+1e-9)
     so the membership inequalities hold with slack well above rounding.
     """
-    s = math.exp(-n * eps)
     psis = 2 * np.pi * (np.arange(40) + rng.random(40)) / 40
     rads = s * (0.1 + 0.899 * rng.random(40))
     w = 1 + rads * np.exp(1j * psis)
@@ -266,17 +275,25 @@ def _trace_cheb_lemniscate(n, eps):
 
 
 def _write_demo(cfg, per_n, ok, **checks):
-    """Write a demo's per-n table as <experiment>.csv with its report,
-    which passes when ok and every check hold."""
+    """Write a demo's per-n table as <experiment>.csv, its KS and bad-set
+    plots and its report, which passes when ok and every check hold."""
     table = (f"{cfg.experiment}.csv",
              ["n", "ks", "bound_analytic", "cap_estimate",
               "badset_grid_count", "certified", "samples"],
              [[e["n"], "%.17g" % e["ks"], "%.17g" % e["bound_analytic"],
                "%.17g" % e["cap_estimate"], e["badset_grid_count"],
                e["certified_samples"], e["sample_count"]] for e in per_n])
+    plots = [
+        ("ks.svg", lambda: svgplot.line_chart_svg(
+            [e["n"] for e in per_n], [e["ks"] for e in per_n],
+            "KS distance")),
+        ("badset.svg", lambda: svgplot.scatter_svg(
+            [p for e in per_n for p in e["badset_points"]],
+            "sampled potential-deviation points")),
+    ]
     return _write_run(cfg, {"per_n": per_n, **checks,
                             "pass": bool(ok and all(checks.values()))},
-                      [table])
+                      [table], plots)
 
 
 # ---------------------------------------------------------------------------
@@ -292,11 +309,14 @@ def run_stahl_circle(cfg):
     for n in cfg.n_list:
         ks = ks_distance(np.arange(n) / n, lambda t: np.clip(t, 0, 1))
         bound = 0.25 ** (1.0 / n) * math.exp(-cfg.eps)
-        samples = _sample_lune_preimage(n, cfg.eps, rng)
+        s = math.exp(-n * cfg.eps)
+        if 1 + s == 1:
+            raise cap.DegenerateRegion(f"lune radius {s:.3g} at n = {n} "
+                                       "underflows float64 next to 1")
+        samples = _sample_lune_preimage(n, s, rng)
         cert, bad_pts = _certified(samples, _vdiff_circle(samples, n),
                                    cfg.eps, np.abs(samples) >= 1)
 
-        s = math.exp(-n * cfg.eps)
         z_bdry = _nth_roots(1 + s * cap.lune_rescaled_boundary(s, 1024), n)
         in_krho = bool(np.all(np.abs(z_bdry) <= cfg.rho))
         est = cap.greedy_fekete_capacity(cap.point_cloud(z_bdry))
@@ -414,9 +434,18 @@ def run_prop1(cfg):
     report = {"ks_leja": {str(m): v for m, v in ks_rows},
               "per_n": per_n,
               "pass": all(rep.passed for rep in stab_reports)}
-    return _write_run(
-        cfg, report, tables, points=[(x, 0.0) for x in seq.points],
-        zeros=[(float(r), 0.0) for r in stab_reports[-1].zeros.roots])
+    ns = [e["n"] for e in per_n]
+    plots = [
+        _interval_scatter("points.svg", seq.points, "generated points"),
+        _interval_scatter("zeros.svg", stab_reports[-1].zeros.roots,
+                          "polynomial zeros"),
+        ("deviation.svg", lambda: svgplot.line_chart_svg(
+            ns, [e["max_zero_deviation"] for e in per_n],
+            "max zero deviation (log10)", logy=True)),
+        ("ks.svg", lambda: svgplot.line_chart_svg(
+            ns, [e["ks"] for e in per_n], "KS distance")),
+    ]
+    return _write_run(cfg, report, tables, plots)
 
 
 def run_leja_only(cfg):
@@ -432,7 +461,8 @@ def run_leja_only(cfg):
               "ks": ks, "separation": seq.separation,
               "pass": bool(all(abs(r) < 0.5 for r in resid))}
     return _write_run(cfg, report, [_leja_table(seq)],
-                      points=[(x, 0.0) for x in seq.points])
+                      [_interval_scatter("points.svg", seq.points,
+                                         "generated points")])
 
 
 def run_capacity_only(cfg):
@@ -466,31 +496,3 @@ RUNNERS = {
 def run(cfg):
     return RUNNERS[cfg.experiment](cfg)
 
-
-def emit_plots(report, out_dir, points=None, zeros=None):
-    """Deterministic SVG companions for a runner report."""
-    if points is not None:
-        svgplot.scatter_svg(os.path.join(out_dir, "points.svg"), points,
-                            title="generated points", xlim=(-1.05, 1.05),
-                            ylim=(-1, 1))
-    if zeros is not None:
-        svgplot.scatter_svg(os.path.join(out_dir, "zeros.svg"), zeros,
-                            title="polynomial zeros", xlim=(-1.05, 1.05),
-                            ylim=(-1, 1))
-    per_n = report.get("per_n")
-    if per_n:
-        ns = [e["n"] for e in per_n]
-        if "max_zero_deviation" in per_n[0]:
-            svgplot.line_chart_svg(os.path.join(out_dir, "deviation.svg"),
-                                   ns, [e["max_zero_deviation"]
-                                        for e in per_n],
-                                   title="max zero deviation (log10)",
-                                   logy=True)
-        if "ks" in per_n[0]:
-            svgplot.line_chart_svg(os.path.join(out_dir, "ks.svg"),
-                                   ns, [e["ks"] for e in per_n],
-                                   title="KS distance")
-        if "badset_points" in per_n[0]:
-            bad = [p for e in per_n for p in e["badset_points"]]
-            svgplot.scatter_svg(os.path.join(out_dir, "badset.svg"), bad,
-                                title="sampled potential-deviation points")

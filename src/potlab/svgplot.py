@@ -1,8 +1,9 @@
-"""Tiny deterministic SVG emitters (scatter and line charts).
+"""Tiny deterministic SVG drawers (scatter and line charts).
 
-Output bytes depend only on the input data: fixed canvas, fixed float
-formatting, no timestamps or generator metadata, so identical runs give
-identical files.
+Each returns the SVG document as text and writes no file.  The text
+depends only on the input data: fixed canvas, fixed float formatting,
+no timestamps or generator metadata, so identical runs give identical
+files.
 """
 
 import math
@@ -47,7 +48,7 @@ def _span(values):
     return (lo - 1, hi + 1) if lo == hi else (lo, hi)
 
 
-def scatter_svg(path, points, title="", xlim=None, ylim=None):
+def scatter_svg(points, title="", xlim=None, ylim=None):
     """Scatter of (x, y) pairs as circle glyphs, affinely mapped to canvas."""
     pts = [(float(x), float(y)) for x, y in points]
     if xlim is None:
@@ -61,10 +62,10 @@ def scatter_svg(path, points, title="", xlim=None, ylim=None):
         out.append(f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="2" '
                    f'fill="steelblue"/>')
     out.append("</svg>")
-    _write(path, out)
+    return "\n".join(out) + "\n"
 
 
-def line_chart_svg(path, xs, ys, title="", logy=False):
+def line_chart_svg(xs, ys, title="", logy=False):
     """Single polyline through (xs, ys); log-scale y on request."""
     xs = [float(x) for x in xs]
     if logy:
@@ -81,9 +82,5 @@ def line_chart_svg(path, xs, ys, title="", logy=False):
         out.append(f'<polyline points="{coords}" fill="none" '
                    f'stroke="firebrick" stroke-width="1.5"/>')
     out.append("</svg>")
-    _write(path, out)
+    return "\n".join(out) + "\n"
 
-
-def _write(path, lines):
-    with open(path, "w", newline="\n") as f:
-        f.write("\n".join(lines) + "\n")

@@ -134,7 +134,7 @@ class TestVdiffFormulas:
     def test_lune_preimage_members_satisfy_inequality(self):
         rng = np.random.default_rng(0)
         for n in (8, 32):
-            zs = _sample_lune_preimage(n, 0.1, rng)
+            zs = _sample_lune_preimage(n, math.exp(-n * 0.1), rng)
             d = _vdiff_circle(zs, n)
             assert np.all(np.abs(d) >= 0.1)
             assert np.all(np.abs(zs) >= 1)
@@ -397,52 +397,49 @@ class TestProp1:
 
 
 class TestDeterminism:
-    #  identical config means identical out_dir too: run twice into the
-    #  same directory and require byte-identical files
+    #  the same config gives the same bytes whatever the output directory:
+    #  run twice into two directories and require byte-identical files
+
+    @staticmethod
+    def _two_runs(runner, tmp_path, **config):
+        files = []
+        for name in ("first", "second_run"):
+            runner(ExperimentConfig(**config, out_dir=str(tmp_path / name)))
+            files.append({p.name: p.read_bytes()
+                          for p in (tmp_path / name).iterdir()})
+        return files
 
     def test_prop1_byte_identical(self, tmp_path):
-        cfg = ExperimentConfig(experiment="prop1", q=0.4, n_list=(2, 3),
-                               n_max=3, bits=512, leja_n=20, grid_size=512,
-                               out_dir=str(tmp_path), plot=True)
-        run_prop1(cfg)
-        first = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-        run_prop1(cfg)
-        second = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        first, second = self._two_runs(
+            run_prop1, tmp_path, experiment="prop1", q=0.4, n_list=(2, 3),
+            n_max=3, bits=512, leja_n=20, grid_size=512, plot=True)
         assert first.keys() == second.keys()
         for k in first:
             assert first[k] == second[k], f"{k} differs between runs"
 
     def test_stahl_circle_byte_identical(self, tmp_path):
-        cfg = ExperimentConfig(experiment="stahl_circle", n_list=(4, 8),
-                               out_dir=str(tmp_path))
-        run_stahl_circle(cfg)
-        first = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-        run_stahl_circle(cfg)
-        second = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        first, second = self._two_runs(
+            run_stahl_circle, tmp_path, experiment="stahl_circle",
+            n_list=(4, 8))
         assert first == second
 
 
 class TestPlots:
-    def test_empty_scatter_is_valid_svg(self, tmp_path):
+    def test_empty_scatter_is_valid_svg(self):
         from potlab.svgplot import scatter_svg
-        f = tmp_path / "empty.svg"
-        scatter_svg(f, [], title="nothing")
-        text = f.read_text()
+        text = scatter_svg([], title="nothing")
         assert text.startswith("<?xml") and "</svg>" in text
         assert "<circle" not in text
 
-    def test_scatter_glyph_count(self, tmp_path):
+    def test_scatter_glyph_count(self):
         from potlab.svgplot import scatter_svg
         pts = [(x, 0.0) for x in np.linspace(-1, 1, 200)]
-        f = tmp_path / "s.svg"
-        scatter_svg(f, pts, xlim=(-1, 1), ylim=(-1, 1))
-        assert f.read_text().count("<circle") == 200
+        text = scatter_svg(pts, xlim=(-1, 1), ylim=(-1, 1))
+        assert text.count("<circle") == 200
 
-    def test_polyline_vertices(self, tmp_path):
+    def test_polyline_vertices(self):
         from potlab.svgplot import line_chart_svg
-        f = tmp_path / "l.svg"
-        line_chart_svg(f, [2, 4, 6], [0.5, 0.25, 0.1])
-        text = f.read_text()
+        text = line_chart_svg([2, 4, 6], [0.5, 0.25, 0.1])
         assert text.count("<polyline") == 1
         coords = text.split('points="')[1].split('"')[0]
         assert len(coords.split()) == 3
@@ -595,10 +592,13 @@ class TestCli:
 
     @pytest.mark.parametrize("command, raw, text", [
         ("stahl-circle", {"eps": 50}, "underflows float64"),
+        #  1 + e^(-40) rounds to 1, so the lune has no float64 width
+        ("stahl-circle", {"eps": 5, "n_list": [8]}, "underflows float64"),
         ("stahl-segment", {"eps": 1}, "for float64"),
         ("prop1", {"n_list": [2, 3], "bits": 512, "leja_n": 20,
                    "grid_size": 512}, "sigma refused"),
-    ], ids=["degenerate_lune", "unresolved_crossing", "refused_sigma"])
+    ], ids=["degenerate_lune", "lune_below_float64_spacing",
+            "unresolved_crossing", "refused_sigma"])
     def test_unresolvable_run_exits_2(self, tmp_path, capsys, monkeypatch,
                                       command, raw, text):
         #  prop1 is refused after its Leja points, which it must not have
@@ -633,8 +633,15 @@ class TestCli:
          {"leja.csv"}, {"points.svg"}),
         ("capacity", {}, set(), set()),
     ], ids=["prop1", "stahl_circle", "stahl_segment", "leja", "capacity"])
-    def test_output_file_set(self, tmp_path, capsys, command, raw, files,
-                             plots, plot):
+    def test_output_file_set(self, tmp_path, capsys, monkeypatch, command,
+                             raw, files, plots, plot):
+        #  without --plot no plot is even drawn
+        def refuse(*args, **kwargs):
+            raise AssertionError("plot drawn without --plot")
+
+        if not plot:
+            monkeypatch.setattr("potlab.svgplot.scatter_svg", refuse)
+            monkeypatch.setattr("potlab.svgplot.line_chart_svg", refuse)
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps(raw))
         out = tmp_path / "out"
