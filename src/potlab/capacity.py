@@ -10,7 +10,9 @@ d_n carries a universal finite-n excess: already for the ideal case of n
 roots of unity on the unit circle d_n = n^(1/(n-1)) instead of 1.  The
 reported value divides that factor out, which makes the disk exact and
 lands known answers (segment, ellipses, lemniscates) within a couple of
-percent at n = 64; the raw d_n is kept alongside.
+percent at n = 64; the raw d_n is kept alongside.  The exchange pass
+sums exactly only the samples a proved rounding bound cannot rule out,
+and so picks the points of exact column sums bit for bit (`_exchange`).
 
 Level curves are traced by `trace_level_curve`, shared by the lemniscate
 tracer here and the Chebyshev lemniscates of the experiments.
@@ -145,57 +147,29 @@ class CapacityEstimate:
     raw_dn: float
 
 
-def _log_dist(samples, z, out):
-    """out = log|samples - z|, with -inf at samples equal to z."""
-    np.abs(samples - z, out=out)
+def _log_dist(samples, z, out, buf):
+    """out = log|samples - z|, -inf where equal, through the complex buf."""
+    np.abs(np.subtract(samples, z, out=buf), out=out)
     with np.errstate(divide="ignore"):
         np.log(out, out=out)
 
 
-def _row_sum(L, parts, k=-1, lo=0, hi=None):
-    """Sum of rows lo..hi-1 of L, rounded as numpy's pairwise sum of each
-    column taken as a contiguous vector rounds it.
-
-    Each block of at most 128 rows sums as 8 partial sums of every 8th
-    row, cached in parts under its first row; a block recomputes only
-    the partial sum holding row k, or all 8 the first time.
-    """
-    hi = len(L) if hi is None else hi
-    if hi - lo > 128:
-        mid = lo + (hi - lo) // 16 * 8
-        return (_row_sum(L, parts, k, lo, mid)
-                + _row_sum(L, parts, k, mid, hi))
-    full = hi - (hi - lo) % 8
-    if lo not in parts:
-        parts[lo] = [L[j:full:8].sum(axis=0) for j in range(lo, lo + 8)]
-    elif lo <= k < full:
-        j = lo + (k - lo) % 8
-        parts[lo][j - lo] = L[j:full:8].sum(axis=0)
-    p = parts[lo]
-    #  numpy's fixed combination order: the pinned capacity outputs rest
-    #  on these bits
-    s = ((p[0] + p[1]) + (p[2] + p[3])) + ((p[4] + p[5]) + (p[6] + p[7]))
-    for i in range(full, hi):
-        s += L[i]
-    return s
-
-
 def _greedy_select(samples, n):
-    """n of the samples picked greedily, then improved by one exchange pass.
+    """n of the samples, picked greedily, then improved by `_exchange`.
 
     Row k of the n x m float64 log table L holds log|samples - z_k| for
-    the k-th selected point z_k.  The greedy step raises DegenerateRegion
-    when every sample coincides with one of the k points picked so far,
-    which happens at some k < n exactly when the samples hold fewer than
-    n distinct points.
+    the k-th selected point z_k, and logd holds the running sums of its
+    columns.  The greedy step raises DegenerateRegion when every sample
+    coincides with one of the k points picked so far, which happens at
+    some k < n exactly when the samples hold fewer than n distinct points.
     """
     m = len(samples)
     if m == 0:
         raise DegenerateRegion(f"only 0 distinct boundary points for n={n}")
-    centroid = samples.mean()
-    sel = [int(np.argmax(np.abs(samples - centroid)))]
-    L = np.empty((n, m))
-    _log_dist(samples, samples[sel[0]], L[0])
+    dist = np.abs(samples - samples.mean())
+    sel = [int(np.argmax(dist))]
+    L, buf = np.empty((n, m)), np.empty(m, dtype=complex)
+    _log_dist(samples, samples[sel[0]], L[0], buf)
     logd = L[0].copy()
     for k in range(1, n):
         i = int(np.argmax(logd))
@@ -203,25 +177,56 @@ def _greedy_select(samples, n):
             raise DegenerateRegion(f"only {k} distinct boundary points "
                                    f"for n={n}")
         sel.append(i)
-        _log_dist(samples, samples[i], L[k])
+        _log_dist(samples, samples[i], L[k], buf)
         logd += L[k]
-    parts = {}
-    rowsum = _row_sum(L, parts)
+    #  no two samples lie over 2 max|x - centroid| apart, and no two
+    #  distinct floats closer than the smallest subnormal, e^-744.4
+    with np.errstate(divide="ignore", over="ignore"):
+        lmax = np.maximum(745.0, np.log(2 * dist[sel[0]]))
+    _exchange(samples, sel, L, logd, buf, lmax)
+    return samples[sel]
+
+
+def _exchange(samples, sel, L, logd, buf, lmax):
+    """One exchange pass over sel, keeping L and logd; returns tau.
+
+    Pass k swaps z_k for the sample j of largest exact value
+    rowsum_j - L[k, j] when that beats z_k's own, rowsum_j being numpy's
+    pairwise sum of column j of L, as the reference selection takes it.
+    S = n lmax bounds each column's absolute sum, and any summation order
+    rounds within (n-1) u S of the exact sum (Higham 2002, section 4.2),
+    so tau = (n + 2 + 2 swaps) eps S, eps = 2u, bounds |logd - rowsum|
+    after the two roundings of each swap, and the two candidate values
+    apart.  Only the columns within 2 tau of the best logd - L[k] can
+    hold the exact maximiser, and only they are summed exactly; a tau
+    that is not finite keeps every column.
+    """
+    n = len(sel)
+    unit = n * lmax * np.finfo(float).eps
+    tau = (n + 2) * unit
     for k in range(n):
         zk = samples[sel[k]]
         others = samples[[s for j, s in enumerate(sel) if j != k]]
         val_k = float(np.sum(np.log(np.abs(zk - others))))
-        #  -inf - (-inf) at coincident samples: treat as unusable
+        #  -inf - (-inf) at coincident samples is nan: such columns, and
+        #  all columns when the threshold is nan, are summed exactly
         with np.errstate(invalid="ignore"):
-            cand = rowsum - L[k]
-        cand[sel] = -np.inf
+            approx = logd - L[k]
+            cols = np.flatnonzero(~(approx < np.fmax.reduce(approx) - 2 * tau))
+            cand = L[:, cols].T.copy().sum(axis=1) - L[k, cols]
         cand[np.isnan(cand)] = -np.inf
-        i = int(np.argmax(cand))
-        if cand[i] > val_k:
-            sel[k] = i
-            _log_dist(samples, samples[i], L[k])
-            rowsum = _row_sum(L, parts, k)
-    return samples[sel]
+        j = int(np.argmax(cand))
+        if cand[j] > val_k:
+            sel[k] = int(cols[j])
+            with np.errstate(invalid="ignore"):
+                logd -= L[k]
+                _log_dist(samples, samples[sel[k]], L[k], buf)
+                logd += L[k]
+            #  the columns of samples equal to the swapped-out point
+            stale = np.flatnonzero(np.isnan(logd))
+            logd[stale] = L[:, stale].sum(axis=0)
+            tau += 2 * unit
+    return tau
 
 
 def _corrected_dn(pts):
@@ -239,8 +244,9 @@ def greedy_fekete_capacity(region, n=64):
     Calibration: disk_boundary(r) -> r exactly, segment_boundary of
     length L -> L/4 within a few percent at n = 64.  The selection holds
     an n x m float64 log table over the m samples (33.5 MB at m = 65,536,
-    n = 64) and raises DegenerateRegion when the samples hold fewer than
-    n distinct points.
+    n = 64), prunes its exchange by a certified rounding bound without
+    changing a bit, and raises DegenerateRegion when the samples hold
+    fewer than n distinct points.
     """
     if n < 8:
         raise ValueError("need n >= 8")

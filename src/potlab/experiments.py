@@ -211,13 +211,21 @@ def _certified(samples, dev, eps, members):
 
 
 def _scan_grid(cfg):
-    """Polar grid of 512 radii by 256 angles over 1 <= |w| <= rho, radii
-    clustered toward 1 as u^3."""
+    """Polar grid over 1 <= |w| <= rho, one row of 256 angles for each of
+    512 radii clustered toward 1 as u^3."""
     nr, nt = 512, 256
     radii = 1 + (cfg.rho - 1) * ((np.arange(nr) + 1) / nr) ** 3
-    thetas = 2 * np.pi * np.arange(nt) / nt
-    R, T = np.meshgrid(radii, thetas, indexing="ij")
-    return (R * np.exp(1j * T)).ravel()
+    return radii[:, None] * np.exp(1j * (2 * np.pi * np.arange(nt) / nt))
+
+
+def _badset_grid_count(grid, vdiff, n, p, eps):
+    """Grid points with |vdiff(w, n)| >= eps, vdiff = -log|1 -+ w^-p| / n.
+    Only rows (one radius each, angle 0 first) with |w|^-p at least
+    1 - e^(-n eps), below e^(n eps) - 1, can hold one; they are taken
+    with a slack above the rounding of the computed w^-p and vdiff."""
+    floor = -math.expm1(-n * eps) - 1e-9 - 32 * p * np.finfo(float).eps
+    rows = grid[grid[:, 0].real ** -float(p) >= floor]
+    return int(np.sum(np.abs(vdiff(rows, n)) >= eps))
 
 
 def _vdiff_circle(z, n):
@@ -325,8 +333,8 @@ def run_stahl_circle(cfg):
             "bound_analytic": bound,
             "cap_estimate": est.value,
             "cap_enclosure": [bound, math.exp(-cfg.eps)],
-            "badset_grid_count": int(np.sum(
-                np.abs(_vdiff_circle(grid, n)) >= cfg.eps)),
+            "badset_grid_count": _badset_grid_count(
+                grid, _vdiff_circle, n, n, cfg.eps),
             "badset_points": bad_pts,
             "certified_samples": cert,
             "sample_count": len(samples),
@@ -362,8 +370,8 @@ def run_stahl_segment(cfg):
             "cap_estimate": est.value,
             "certified_samples": cert,
             "sample_count": len(samples),
-            "badset_grid_count": int(np.sum(
-                np.abs(_vdiff_segment_w(grid, n)) >= cfg.eps)),
+            "badset_grid_count": _badset_grid_count(
+                grid, _vdiff_segment_w, n, 2 * n, cfg.eps),
             "badset_points": bad_pts,
             "lemniscate_in_K_rho": in_krho,
         })

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from potlab import (DegenerateRegion, TracingFailure,
                     greedy_fekete_capacity, lune_capacity_bounds,
                     preimage_capacity_check)
-from potlab.capacity import (_greedy_select, _row_sum, disk_boundary,
+from potlab import capacity
+from potlab.capacity import (_greedy_select, disk_boundary,
                              lune_rescaled_boundary, point_cloud,
                              segment_boundary, trace_lemniscate_boundary,
                              trace_level_curve)
@@ -116,33 +117,65 @@ def runner_clouds():
     return clouds
 
 
+CLOUDS = ["circle_8", "circle_16", "circle_32", "circle_64", "disk",
+          "segment", "lemniscate", "lune", "cheb_8", "cheb_16"]
+
+
 class TestGreedySelectOracle:
     """The selection equals the pre-rewrite reference bit for bit."""
 
-    @pytest.mark.parametrize("name", ["circle_8", "circle_16", "circle_32",
-                                      "circle_64", "disk", "segment",
-                                      "lemniscate", "lune", "cheb_8",
-                                      "cheb_16"])
+    @pytest.mark.parametrize("name", CLOUDS)
     def test_runner_clouds(self, runner_clouds, name):
         samples = np.asarray(runner_clouds[name], dtype=complex)
         for n in (8, 12, 48, 64):
             assert np.array_equal(_greedy_select(samples, n),
                                   greedy_select_reference(samples, n)), n
 
-    @settings(max_examples=40, deadline=None)
-    @given(n=st.integers(8, 300), data=st.data())
-    def test_row_sum_is_numpy_pairwise(self, n, data):
-        #  the reference sums each sample's n logs as a contiguous row;
-        #  past 128 terms numpy's pairwise sum splits them in two
-        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
-        L = rng.standard_normal((n, 64)) * 10.0 ** rng.integers(-8, 9,
-                                                                (n, 64))
-        parts = {}
-        assert np.array_equal(_row_sum(L, parts), L.T.copy().sum(axis=1))
-        for k in data.draw(st.lists(st.integers(0, n - 1), max_size=6)):
-            L[k] = rng.standard_normal(64)
-            assert np.array_equal(_row_sum(L, parts, k),
-                                  L.T.copy().sum(axis=1))
+    @pytest.mark.parametrize("name", CLOUDS)
+    def test_tau_bounds_running_sums(self, runner_clouds, name, monkeypatch):
+        #  after the exchange, logd is within tau of numpy's pairwise
+        #  column sums, and is -inf exactly where they are
+        exchange, seen = capacity._exchange, []
+
+        def spy(samples, sel, L, logd, buf, lmax):
+            tau = exchange(samples, sel, L, logd, buf, lmax)
+            seen.append((logd.copy(), L.T.copy().sum(axis=1), tau))
+            return tau
+
+        monkeypatch.setattr(capacity, "_exchange", spy)
+        samples = np.asarray(runner_clouds[name], dtype=complex)
+        for n in (8, 12, 48, 64):
+            _greedy_select(samples, n)
+        for logd, rowsum, tau in seen:
+            assert 0 < tau < 1e-8
+            finite = np.isfinite(rowsum)
+            assert np.array_equal(np.isfinite(logd), finite)
+            assert np.all(np.abs(logd[finite] - rowsum[finite]) <= tau)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), scale=st.integers(-6, 6),
+           circle=st.booleans(), m=st.integers(8, 400),
+           n=st.integers(8, 40))
+    def test_scaled_clouds_with_duplicates_and_ulp_neighbours(
+            self, seed, scale, circle, m, n):
+        #  near ties in the column sums: repeated points, points one ulp
+        #  apart, and equally spaced points on a circle
+        rng = np.random.default_rng(seed)
+        base = (np.exp(2j * np.pi * np.arange(m) / m) if circle
+                else rng.standard_normal(m) + 1j * rng.standard_normal(m))
+        base = base * 10.0 ** scale
+        nb = base[rng.integers(0, m, m // 4)]
+        nb = np.nextafter(nb.real, np.inf) + 1j * nb.imag
+        samples = rng.permutation(np.concatenate(
+            [base, base[rng.integers(0, m, m // 4)], nb]))
+        try:
+            want = greedy_select_reference(samples, n)
+        except DegenerateRegion as exc:
+            with pytest.raises(DegenerateRegion) as got:
+                _greedy_select(samples, n)
+            assert str(got.value) == str(exc)
+        else:
+            assert np.array_equal(_greedy_select(samples, n), want)
 
     @settings(max_examples=60, deadline=None)
     @given(pts=st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)),

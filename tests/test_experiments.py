@@ -16,7 +16,8 @@ from potlab.experiments import (run_prop1, run_stahl_circle,
                                 run_capacity_only, _vdiff_circle,
                                 _vdiff_segment_w, _sample_lune_preimage,
                                 _cheb_level_set, _certified,
-                                _trace_cheb_lemniscate)
+                                _trace_cheb_lemniscate, _scan_grid,
+                                _badset_grid_count)
 from potlab.potentials import phi_np
 
 
@@ -138,6 +139,53 @@ class TestVdiffFormulas:
             d = _vdiff_circle(zs, n)
             assert np.all(np.abs(d) >= 0.1)
             assert np.all(np.abs(zs) >= 1)
+
+
+class TestBadsetGridCount:
+    """The count over the radius rows that can hold a bad point equals
+    the count over the whole grid."""
+
+    DEMOS = [(_vdiff_circle, 1), (_vdiff_segment_w, 2)]    # p = mult * n
+    EPS = (1e-12, 1e-6, 0.02, 0.1, 0.5)
+    NS = (1, 2, 3, 8, 16, 64, 128)
+
+    @pytest.mark.parametrize("rho", [1.001, 1.2345, 1.5, 3.0])
+    def test_scan_grid_is_the_meshgrid(self, rho):
+        radii = 1 + (rho - 1) * ((np.arange(512) + 1) / 512) ** 3
+        R, T = np.meshgrid(radii, 2 * np.pi * np.arange(256) / 256,
+                           indexing="ij")
+        want = (R * np.exp(1j * T)).view(float)
+        got = _scan_grid(types.SimpleNamespace(rho=rho)).view(float)
+        assert got.shape == (512, 512)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("rho", [1.001, 1.5, 3.0])
+    def test_equals_full_grid_count(self, rho):
+        grid = _scan_grid(types.SimpleNamespace(rho=rho))
+        for vdiff, mult in self.DEMOS:
+            for n in self.NS:
+                dev = np.abs(vdiff(grid, n))
+                for eps in self.EPS:
+                    assert _badset_grid_count(grid, vdiff, n, mult * n, eps) \
+                        == int(np.sum(dev >= eps)), (vdiff, n, eps)
+
+    @pytest.mark.parametrize("eps", EPS)
+    def test_rows_at_the_bound(self, eps):
+        #  radii within 60 ulps and within 1e-8 of where |w|^-p equals
+        #  1 - e^(-n eps): there rounding decides which points are bad,
+        #  and at eps = 1e-12 it does so over a relative width above 1e-9
+        angles = np.exp(1j * (2 * np.pi * np.arange(256) / 256))
+        for vdiff, mult in self.DEMOS:
+            for n in self.NS:
+                r = (-math.expm1(-n * eps)) ** (-1 / (mult * n))
+                radii = np.concatenate([
+                    r + np.spacing(r) * np.arange(-60, 61),
+                    r * (1 + np.linspace(-1e-8, 1e-8, 201))])
+                grid = radii[radii > 1][:, None] * angles
+                full = int(np.sum(np.abs(vdiff(grid, n)) >= eps))
+                assert _badset_grid_count(grid, vdiff, n, mult * n,
+                                          eps) == full, (vdiff, n)
 
 
 @pytest.fixture(scope="module")
