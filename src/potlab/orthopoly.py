@@ -20,6 +20,18 @@ The walk runs in Python ints with the roundings of mpf addition, so the
 roots are those of the plain bisection bit for bit.  The same pair of
 counts certifies Proposition 1's bound (enclosures_hold).
 
+Each root is enclosed (_enclose), then walked (_walk).  The stress
+audit reads only the largest distance from a root to its nearest Leja
+point, so it walks only the roots without an enclosure and those whose
+Newton point's distance d has d + m >= D - m, with D the largest such
+distance and m = 2 root_tol.  The k-th eigenvalue's step of the count
+lies in the walk's last interval, no wider than root_tol, and within
+root_tol/4 of the Newton point, so a walked root is within 5 root_tol/4
+of it; the distance is 1-Lipschitz, so a root left out is nearer, by
+over 2 m - 5 root_tol/2, than the walked root of distance D.  Roundings
+are 2^-bits relative and monotone, so the audit's worst is that of the
+full bisection bit for bit.
+
 Newton's point only steers the walk, so its steps climb a precision
 ladder: the precision about doubles per step from the seed's 53 bits
 and stops at about bits/2 plus a guard, never above bits, where the
@@ -42,14 +54,16 @@ Cascades
                (epsilon_stress_test) with a two-member family, an atom at
                the next Leja point and a 64-atom uniform grid, at half
                the audit bound: every degree-n zero moves by at most
-               min(q^(n^2), delta_n)/4.  This is the constructive version
-               of "pick eps_{n+1} small enough"; the deviation is linear
-               in eps_{n+1}, so a measured violation tells us directly
-               how much to shrink.  Default.
+               min(q^(n^2), delta_n)/4; an audit walks only the roots
+               that can hold its worst (see Zeros).  This is the
+               constructive version of "pick eps_{n+1} small enough"; the
+               deviation is linear in eps_{n+1}, so a measured violation
+               tells us directly how much to shrink.  Default.
 """
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 from mpmath import mp, mpf
@@ -94,6 +108,14 @@ class ZeroSet:
     fallbacks: int             # roots bisected without a certified enclosure
 
 
+def _require_support(m, n):
+    """Raise BreakdownError unless m has n or more distinct locations."""
+    d = len({x._mpf_ for x in m.locations})
+    if d < n:
+        raise BreakdownError(f"the measure has {d} distinct atom locations, "
+                             f"fewer than n = {n}")
+
+
 def stieltjes_recurrence(m, n):
     """First n recurrence coefficient pairs of the measure m.
 
@@ -108,6 +130,7 @@ def stieltjes_recurrence(m, n):
     """
     if n < 0:
         raise ValueError("n must be >= 0")
+    _require_support(m, n)
     ctx = m.ctx
     with ctx.workprec():
         prec, rnd = mp._prec_rounding
@@ -242,6 +265,77 @@ def _to_grid(x, s):
     return v << exp + s if exp + s >= 0 else v >> -(exp + s)
 
 
+def _jacobi(rc, n):
+    """J_n of the first n pairs of rc as _enclose and _walk read it:
+    raw a and b, the enclosure radius delta, the float64 seeds, and the
+    grid 2^-s with the first ends lo, hi and the stop width on it.  Run
+    under rc.ctx."""
+    if n < 1 or n > len(rc):
+        raise ValueError(f"need 1 <= n <= {len(rc)}")
+    ctx = rc.ctx
+    a = [mpf(v) for v in rc.a[:n]]
+    b = [mpf(v) for v in rc.b[:n]]
+    for k in range(1, n):
+        if not b[k] > 0:
+            raise BreakdownError(f"b[{k}] = {b[k]} is not positive")
+    r = max((mp.sqrt(b[k]) for k in range(1, n)), default=mpf(0))
+    lo0 = min(a) - 2 * r - 1
+    hi0 = max(a) + 2 * r + 1
+    tol = ctx.root_tol
+    #  Grid 2^-s: with |lo0|, |hi0| < 2^top and tol = 2^te, a rounded
+    #  midpoint is at most 2^(top-bits) off, so after i steps the width
+    #  is below 2^(top+1-i) + 2^(top+1-bits) <= tol at i = steps = top +
+    #  2 - te if bits >= steps.  A step adds at most one bit below the
+    #  lowest of lo0 and hi0, so through steps steps every end is an
+    #  integer and every rounded sum even; longer raises.  tol_s = 2^t
+    #  has an even significand: a width rounds above it iff it exceeds
+    #  tol_s + 2^(t-bits), or tol_s if t < bits.
+    ends = (lo0._mpf_, hi0._mpf_)
+    steps = max(e + bc for _, _, e, bc in ends) + 2 - tol._mpf_[2]
+    s = steps + 1 - min(e for _, _, e, _ in ends)
+    lo_s, hi_s, tol_s = (_to_grid(v, s) for v in (lo0, hi0, tol))
+    return SimpleNamespace(
+        a=[v._mpf_ for v in a], b=[v._mpf_ for v in b], n=n, bits=ctx.bits,
+        tiny=from_man_exp(1, -4 * ctx.bits), delta=tol / 4,
+        seeds=_seeds(a, b, n), s=s, lo=lo_s, hi=hi_s,
+        stop=tol_s + (tol_s >> ctx.bits), steps=steps)
+
+
+def _enclose(J, k):
+    """Newton's point x for the k-th eigenvalue of J_n if the counts at
+    x - delta and x + delta put it in between, else None."""
+    seed = J.seeds[k - 1]
+    if not math.isfinite(seed):
+        return None
+    x = mp.make_mpf(_newton(J.a, J.b, J.n, float(seed), (J.delta / 4)._mpf_,
+                            J.bits))
+    if _encloses(J.a, J.b, J.n, k, (x - J.delta)._mpf_,
+                 (x + J.delta)._mpf_, J.tiny):
+        return x
+    return None
+
+
+def _walk(J, k, x):
+    """The k-th root of P_n by the integer bisection, with no sweep at
+    midpoints outside the enclosure of x (at every one if x is None)."""
+    #  without an enclosure, every midpoint in [J.lo, J.hi] is swept
+    below, above = ((_to_grid(x - J.delta, J.s), -_to_grid(-x - J.delta, J.s))
+                    if x is not None else (J.lo - 1, J.hi + 1))
+    lo, hi = J.lo, J.hi
+    for _ in range(J.steps + 1):
+        if not hi - lo > J.stop:
+            break
+        mid = _round_prec(lo + hi, J.bits) >> 1
+        if mid <= below or mid < above and _sturm_count(
+                J.a, J.b, J.n, from_man_exp(mid, -J.s), J.tiny) < k:
+            lo = mid
+        else:
+            hi = mid
+    else:
+        raise ArithmeticError(f"root {k} of P_{J.n} took {J.steps}+ steps")
+    return mp.make_mpf(from_man_exp(_round_prec(lo + hi, J.bits) >> 1, -J.s))
+
+
 def orthopoly_zeros(rc, n):
     """Zeros of P_n by Sturm bisection, steered by certified enclosures.
 
@@ -268,64 +362,36 @@ def orthopoly_zeros(rc, n):
     are rounded to the working precision, ties to even, so every end and
     every root bit is what the same walk in mpf gives.
     """
-    if n < 1 or n > len(rc):
-        raise ValueError(f"need 1 <= n <= {len(rc)}")
+    with rc.ctx.workprec():
+        J = _jacobi(rc, n)
+        xs = [_enclose(J, k) for k in range(1, n + 1)]
+        roots = tuple(_walk(J, k, x) for k, x in enumerate(xs, 1))
+    return ZeroSet(roots=roots, fallbacks=sum(x is None for x in xs))
+
+
+def _nearest(r, pts):
+    """(j, |r - pts[j]|) for the point pts[j] nearest to r, the first on
+    a tie; run under the working precision."""
+    ds = [abs(r - p) for p in pts]
+    d = min(ds)
+    return ds.index(d), d
+
+
+def _worst_deviation(rc, leja_points, n):
+    """max over the zeros of P_n of the distance to the nearest of the
+    first n Leja points, from only the zeros that can hold it (see Zeros
+    in the module docstring): bit for bit that of orthopoly_zeros."""
     ctx = rc.ctx
     with ctx.workprec():
-        a = [mpf(v) for v in rc.a[:n]]
-        b = [mpf(v) for v in rc.b[:n]]
-        for k in range(1, n):
-            if not b[k] > 0:
-                raise BreakdownError(f"b[{k}] = {b[k]} is not positive")
-        r = max((mp.sqrt(b[k]) for k in range(1, n)), default=mpf(0))
-        lo0 = min(a) - 2 * r - 1
-        hi0 = max(a) + 2 * r + 1
-        tol = ctx.root_tol
-        tiny = from_man_exp(1, -4 * ctx.bits)
-        delta = tol / 4
-        #  Grid 2^-s: with |lo0|, |hi0| < 2^top and tol = 2^te, a rounded
-        #  midpoint is at most 2^(top-bits) off, so after i steps the
-        #  width is below 2^(top+1-i) + 2^(top+1-bits) <= tol at i = steps
-        #  = top + 2 - te if bits >= steps.  A step adds at most one bit
-        #  below the lowest of lo0 and hi0, so through steps steps every
-        #  end is an integer and every rounded sum even; longer raises.
-        #  tol_s = 2^t has an even significand: a width rounds above it
-        #  iff it exceeds tol_s + 2^(t-bits), or tol_s if t < bits.
-        ends = (lo0._mpf_, hi0._mpf_)
-        steps = max(e + bc for _, _, e, bc in ends) + 2 - tol._mpf_[2]
-        s = steps + 1 - min(e for _, _, e, _ in ends)
-        lo_s, hi_s, tol_s = (_to_grid(v, s) for v in (lo0, hi0, tol))
-        stop = tol_s + (tol_s >> ctx.bits)
-        seeds = _seeds(a, b, n)
-        a = [v._mpf_ for v in a]
-        b = [v._mpf_ for v in b]
-        roots, fallbacks = [], 0
-        for k, seed in enumerate(seeds, 1):
-            enclosed = False
-            if math.isfinite(seed):
-                x = mp.make_mpf(_newton(a, b, n, float(seed),
-                                        (delta / 4)._mpf_, ctx.bits))
-                enclosed = _encloses(a, b, n, k, (x - delta)._mpf_,
-                                     (x + delta)._mpf_, tiny)
-            fallbacks += not enclosed
-            #  without an enclosure, every midpoint in [lo_s, hi_s] is swept
-            below, above = ((_to_grid(x - delta, s), -_to_grid(-x - delta, s))
-                            if enclosed else (lo_s - 1, hi_s + 1))
-            lo, hi = lo_s, hi_s
-            for _ in range(steps + 1):
-                if not hi - lo > stop:
-                    break
-                mid = _round_prec(lo + hi, ctx.bits) >> 1
-                if mid <= below or mid < above and _sturm_count(
-                        a, b, n, from_man_exp(mid, -s), tiny) < k:
-                    lo = mid
-                else:
-                    hi = mid
-            else:
-                raise ArithmeticError(f"root {k} of P_{n} took {steps}+ steps")
-            roots.append(mp.make_mpf(
-                from_man_exp(_round_prec(lo + hi, ctx.bits) >> 1, -s)))
-    return ZeroSet(roots=tuple(roots), fallbacks=fallbacks)
+        J = _jacobi(rc, n)
+        pts = [ctx.mpf(x) for x in leja_points[:n]]
+        xs = [_enclose(J, k) for k in range(1, n + 1)]
+        near = [_nearest(x, pts)[1] if x is not None else None for x in xs]
+        m = 2 * ctx.root_tol
+        top = max((d for d in near if d is not None), default=None)
+        return max(_nearest(_walk(J, k, x), pts)[1]
+                   for k, (x, d) in enumerate(zip(xs, near), 1)
+                   if x is None or d + m >= top - m)
 
 
 # ---------------------------------------------------------------------------
@@ -366,23 +432,6 @@ def precision_floor(q, n, cascade="stabilized"):
         return math.ceil(3 * n * n * lg) + 128
     span = 1 + sum(k * k for k in range(1, n)) + n * n
     return math.ceil(3 * span * lg) + 128
-
-
-def _zero_deviations(rc, leja_points, n):
-    """Zeros of P_n from the recurrence rc, paired with the nearest of the
-    first n Leja points: max |x_k - root| and whether the map is bijective."""
-    zs = orthopoly_zeros(rc, n)
-    ctx = rc.ctx
-    with ctx.workprec():
-        pts = [ctx.mpf(x) for x in leja_points[:n]]
-        pairs = []
-        for r in zs.roots:
-            ds = [abs(r - p) for p in pts]
-            j = ds.index(min(ds))
-            pairs.append((j, min(ds)))
-        bijective = len({j for j, _ in pairs}) == n
-        worst = max(d for _, d in pairs)
-    return zs, pairs, worst, bijective
 
 
 def build_sigma(cfg, seq):
@@ -487,10 +536,13 @@ def zero_stability_check(rc, seq, n, q):
     enclosures_hold proves each zero within the bound of a distinct
     Leja point.
     """
+    zs = orthopoly_zeros(rc, n)
     ctx = rc.ctx
     with ctx.workprec():
-        zs, pairs, worst, bij = _zero_deviations(rc, seq.points, n)
-        if not bij:
+        pts = [ctx.mpf(x) for x in seq.points[:n]]
+        pairs = [_nearest(r, pts) for r in zs.roots]
+        worst = max(d for _, d in pairs)
+        if len({j for j, _ in pairs}) < n:
             raise PairingFailure(
                 f"zeros of P_{n} do not pair bijectively with the Leja "
                 f"points (worst deviation {mp.nstr(worst, 8)})")
@@ -540,10 +592,17 @@ def epsilon_stress_test(m, seq, n, eps_next, q, family=None):
     Every nu in the family has support in [-1,1] and mass at most one;
     the deviation bound is min(q^(n^2), delta_n)/2.  The report's
     violations name every member that moves a zero by the bound or more.
+    Raises BreakdownError when the first n atoms of m hold fewer than n
+    distinct locations, as P_n of sigma_n does not exist then.
+
+    A member's result is the largest distance from a zero of P_n to the
+    nearest of the first n Leja points, found by walking only the zeros
+    that can hold it (_worst_deviation), bit for bit the full bisection's.
     """
     ctx = m.ctx
     with ctx.workprec():
         sigma_n = DiscreteMeasure(m.atoms[:n], ctx=ctx)
+        _require_support(sigma_n, n)
         if family is None:
             family = default_stress_family(seq, n, ctx)
         eps_next = ctx.mpf(eps_next)
@@ -560,9 +619,8 @@ def epsilon_stress_test(m, seq, n, eps_next, q, family=None):
                     raise ValueError(f"family member {name} has mass {mass} > 1")
                 scaled = tuple((x, 2 * eps_next * w) for x, w in nu_atoms)
                 beta = DiscreteMeasure(sigma_n.atoms + scaled, ctx=ctx)
-            _, _, worst, _ = _zero_deviations(stieltjes_recurrence(beta, n),
-                                              seq.points, n)
-            results.append((name, worst))
+            results.append((name, _worst_deviation(
+                stieltjes_recurrence(beta, n), seq.points, n)))
         return StressReport(bound=bound, results=tuple(results))
 
 

@@ -7,7 +7,8 @@ from mpmath import mp, mpf
 
 from potlab import DegenerateGrid, DegenerateRegion, chebyshev_grid
 from potlab.leja import LejaSequence
-from potlab.orthopoly import BreakdownError, RecurrenceCoeffs
+from potlab.orthopoly import (BreakdownError, RecurrenceCoeffs,
+                              orthopoly_zeros)
 from potlab.potentials import potential_on_grid
 
 
@@ -95,10 +96,15 @@ def exact_enclosures_hold(a, b, n, centers, radius):
 def stieltjes_recurrence_reference(m, n):
     """orthopoly.stieltjes_recurrence as it was on mpf objects, before its
     loop ran on raw values: mpf arithmetic and mp.fsum under m.ctx, and
-    an update to the degree-n values at the last step.  The library must
-    return the same a and b tuple for tuple."""
+    an update to the degree-n values at the last step, after the same
+    up-front check that m has n or more distinct locations.  The library
+    must return the same a and b tuple for tuple."""
     if n < 0:
         raise ValueError("n must be >= 0")
+    d = len(set(m.locations))
+    if d < n:
+        raise BreakdownError(f"the measure has {d} distinct atom locations, "
+                             f"fewer than n = {n}")
     ctx = m.ctx
     with ctx.workprec():
         xs = m.locations
@@ -122,6 +128,17 @@ def stieltjes_recurrence_reference(m, n):
                 for x, pc, pp in zip(xs, p_cur, p_prev)]
             nu_prev = nu
     return RecurrenceCoeffs(a=tuple(a), b=tuple(b), ctx=ctx)
+
+
+def worst_deviation_reference(rc, leja_points, n):
+    """The stress audit's worst deviation with no root left out: every
+    zero of P_n through orthopoly_zeros, then the largest distance to the
+    nearest of the first n Leja points.  The pruned audit must return
+    the same value bit for bit."""
+    roots = orthopoly_zeros(rc, n).roots
+    with rc.ctx.workprec():
+        pts = [rc.ctx.mpf(x) for x in leja_points[:n]]
+        return max(min(abs(r - p) for p in pts) for r in roots)
 
 
 def sturm_count_reference(a, b, n, x, tiny):

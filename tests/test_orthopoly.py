@@ -13,13 +13,13 @@ from potlab import (BreakdownError, DiscreteMeasure, PairingFailure,
                     build_sigma, chebyshev_grid, epsilon_stress_test,
                     generate, ks_distance, orthopoly_zeros, precision_floor,
                     stieltjes_recurrence, target_arcsine, target_blend,
-                    zero_stability_check)
+                    target_uniform, zero_stability_check)
 from potlab import orthopoly as op
 from potlab.orthopoly import enclosures_hold, potential_asymptotics_check
 
 from conftest import (exact_enclosures_hold, exact_recurrence, mpf_fraction,
                       orth_tol, stieltjes_recurrence_reference,
-                      sturm_count_reference)
+                      sturm_count_reference, worst_deviation_reference)
 
 CTX = PrecisionContext(256)
 
@@ -167,6 +167,24 @@ class TestStieltjes:
     def test_two_atoms_breakdown_beyond_support(self):
         with pytest.raises(BreakdownError):
             stieltjes_recurrence(two_atom(), 3)
+
+    @pytest.mark.parametrize("bits", [64, 256, 768])
+    @pytest.mark.parametrize("atoms", [
+        ((-0.7, 0.25), (0.1, 0.5)),
+        ((-0.7, 0.25), (0.1, 0.5), (0.8, 0.125)),
+        ((-0.7, 0.25), (0.1, 0.5), (0.8, 0.125), (0.1, 0.125)),
+    ], ids=["two", "three", "three_of_four"])
+    @pytest.mark.parametrize("beyond", [1, 2])
+    def test_breakdown_beyond_distinct_locations(self, bits, atoms, beyond):
+        #  P_d of d distinct locations vanishes on the atoms, so its norm
+        #  is a rounding residue (b_3 about 1e-155 at 256 bits for three
+        #  atoms), not a breakdown the norm test can see; a repeated
+        #  location counts once
+        m = DiscreteMeasure(atoms, ctx=PrecisionContext(bits))
+        d = len({x for x, _ in atoms})
+        assert len(stieltjes_recurrence(m, d)) == d
+        with pytest.raises(BreakdownError):
+            stieltjes_recurrence(m, d + beyond)
 
     def test_b0_is_total_mass_exactly(self):
         m = DiscreteMeasure(((-0.7, 0.25), (0.1, 0.5), (0.8, 0.125)), ctx=CTX)
@@ -750,12 +768,121 @@ class TestStressAudit:
                                   q=0.4)
         assert not rep.violations
 
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_degree_beyond_sigma_atoms_raises(self, sigma6, n):
+        #  sigma_3 has no P_4 or P_5 to audit, whatever the family adds
+        sigma3 = DiscreteMeasure(sigma6.atoms[:3], ctx=sigma6.ctx)
+        with pytest.raises(BreakdownError):
+            epsilon_stress_test(sigma3, _seq_of(sigma6), n,
+                                sigma6.weights[3], q=0.4)
+
     def test_mass_cap(self, sigma6):
         seq = _seq_of(sigma6)
         heavy = [("heavy", ((sigma6.ctx.mpf(0.5), sigma6.ctx.mpf(2)),))]
         with pytest.raises(ValueError):
             epsilon_stress_test(sigma6, seq, 3, sigma6.weights[3],
                                 family=heavy, q=0.4)
+
+
+def _recording(monkeypatch, name):
+    """Replace op.<name> by a wrapper that records each call's arguments."""
+    inner, calls = getattr(op, name), []
+
+    def recording(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(op, name, recording)
+    return calls
+
+
+def _bits_of_sigma(sigma):
+    return [(x._mpf_, w._mpf_) for x, w in sigma.atoms]
+
+
+@pytest.fixture(scope="module")
+def uniform_200():
+    return generate(200, target=target_uniform())
+
+
+class TestPrunedAudit:
+    """The stress audit walks only the roots that can hold its worst
+    deviation; worst_deviation_reference walks them all."""
+
+    @pytest.mark.parametrize("q, n_max, bits, seq", [
+        (0.4, 7, 768, "arcsine_200"),
+        (0.4, 10, 2048, "arcsine_200"),
+        (0.35, 6, 1024, "uniform_200"),
+        (0.45, 6, 1024, "arcsine_200"),
+    ], ids=["bench", "readme", "uniform", "q045"])
+    def test_build_sigma_equals_unpruned_audits(self, request, monkeypatch,
+                                                q, n_max, bits, seq):
+        seq = request.getfixturevalue(seq)
+        cfg = SigmaBuildConfig(q=q, n_max=n_max, bits=bits)
+        got = build_sigma(cfg, seq)
+        monkeypatch.setattr(op, "_worst_deviation", worst_deviation_reference)
+        assert _bits_of_sigma(got) == _bits_of_sigma(build_sigma(cfg, seq))
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_random_measure_worst_equals_reference(self, data):
+        #  dyadic atoms and weights, as a sigma_n whose first n locations
+        #  are the Leja points, plus one small atom, as the audit adds; a
+        #  weight near 2^(-bits/2) moves the zeros by about root_tol,
+        #  where the margin matters
+        ticks = data.draw(st.lists(st.integers(-1024, 1024), min_size=3,
+                                   max_size=12, unique=True))
+        masses = data.draw(st.lists(st.integers(1, 128), min_size=len(ticks),
+                                    max_size=len(ticks)))
+        bits = data.draw(st.sampled_from([64, 128, 256, 768]))
+        small = data.draw(st.integers(1, bits))
+        ctx = PrecisionContext(bits)
+        with ctx.workprec():
+            atoms = [(mpf(t) / 1024, mpf(w) / 128)
+                     for t, w in zip(ticks, masses)]
+            atoms[-1] = (atoms[-1][0], mpf(2) ** -small)
+        n = len(ticks) - 1
+        rc = stieltjes_recurrence(DiscreteMeasure(tuple(atoms), ctx=ctx), n)
+        pts = [t / 1024 for t in ticks[:n]]
+        assert op._worst_deviation(rc, pts, n)._mpf_ == \
+            worst_deviation_reference(rc, pts, n)._mpf_
+
+    def test_deviations_below_root_tol_rank_by_the_roots(self):
+        #  a 2^-32 atom moves both zeros of P_2 by less than root_tol =
+        #  2^-32: Newton's points rank their deviations (1.3e-11 and
+        #  5.2e-11) the other way round from the roots (5.4e-11 and
+        #  1.1e-11), so the audit has to walk both
+        ctx = PrecisionContext(64)
+        with ctx.workprec():
+            atoms = ((mpf(0), mpf(1) / 128), (mpf(-3) / 1024, mpf(1) / 128),
+                     (mpf(1) / 1024, mpf(2) ** -32))
+        rc = stieltjes_recurrence(DiscreteMeasure(atoms, ctx=ctx), 2)
+        pts = [0.0, -3 / 1024]
+        assert op._worst_deviation(rc, pts, 2)._mpf_ == \
+            worst_deviation_reference(rc, pts, 2)._mpf_
+
+    def test_nan_seeds_walk_every_root(self, sigma6, monkeypatch):
+        seq = _seq_of(sigma6)
+        with monkeypatch.context() as mpatch:
+            mpatch.setattr(op, "_worst_deviation", worst_deviation_reference)
+            want = epsilon_stress_test(sigma6, seq, 4, sigma6.weights[4],
+                                       q=0.4)
+        monkeypatch.setattr(op, "_seeds", lambda a, b, n: np.full(n, np.nan))
+        walks = _recording(monkeypatch, "_walk")
+        got = epsilon_stress_test(sigma6, seq, 4, sigma6.weights[4], q=0.4)
+        assert len(walks) == 4 * len(got.results)
+        assert all(x is None for _, _, x in walks)
+        assert [(name, d._mpf_) for name, d in got.results] == [
+            (name, d._mpf_) for name, d in want.results]
+
+    def test_readme_build_walks_one_root_per_member(self, arcsine_200,
+                                                    monkeypatch):
+        #  the unpruned audits walk 142 roots in this build
+        members = _recording(monkeypatch, "_worst_deviation")
+        walks = _recording(monkeypatch, "_walk")
+        build_sigma(SigmaBuildConfig(q=0.4, n_max=10, bits=2048), arcsine_200)
+        assert len(members) == 28
+        assert len(walks) <= 28
 
 
 class TestCountingMeasure:
