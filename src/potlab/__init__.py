@@ -12,9 +12,9 @@ from .orthopoly import (BreakdownError, PairingFailure, RecurrenceCoeffs,
                         SigmaBuildConfig, ZeroSet, build_sigma,
                         epsilon_stress_test, orthopoly_zeros, precision_floor,
                         stieltjes_recurrence, zero_stability_check)
-from .capacity import (CapacityEstimate, DegenerateRegion, RegionDescriptor,
-                       TracingFailure, greedy_fekete_capacity,
-                       lune_capacity_bounds, preimage_capacity_check)
+from .capacity import (DegenerateRegion, RegionDescriptor, TracingFailure,
+                       greedy_fekete_capacity, lune_capacity_bounds,
+                       preimage_capacity_check)
 from .experiments import ConfigError, ExperimentConfig, run
 
 __version__ = "0.1.0"

@@ -1,27 +1,31 @@
 """Logarithmic capacity estimation by greedy Fekete configurations.
 
-The estimator picks n points greedily from a dense point cloud of
-boundary samples (capacity lives on the outer boundary), improves them
-with an exchange pass, and evaluates the n-point transfinite diameter
+The estimator picks n = FEKETE_POINTS points greedily from a dense point
+cloud of boundary samples (capacity lives on the outer boundary), improves
+them with an exchange pass, and evaluates the n-point transfinite diameter
 
     d_n = (prod_{i<j} |z_i - z_j|)^(2 / (n (n-1))).
 
 d_n carries a universal finite-n excess: already for the ideal case of n
 roots of unity on the unit circle d_n = n^(1/(n-1)) instead of 1.  The
-reported value divides that factor out, which makes the disk exact and
-lands known answers (segment, ellipses, lemniscates) within a couple of
-percent at n = 64; the raw d_n is kept alongside.  The exchange pass
-sums exactly only the samples a proved rounding bound cannot rule out,
-and so picks the points of exact column sums bit for bit (`_exchange`).
+estimate, a float, divides that factor out, which makes the disk exact
+and lands known answers (segment, ellipses, lemniscates) within a couple
+of percent at n = 64; `_corrected_dn` also gives the raw d_n.  The
+exchange pass sums exactly only the samples a proved rounding bound
+cannot rule out, and so picks the points of exact column sums bit for
+bit (`_exchange`).
 
 Level curves are traced by `trace_level_curve`, shared by the lemniscate
 tracer here and the Chebyshev lemniscates of the experiments.
 """
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
+
+FEKETE_POINTS = 64          # size n of every greedy Fekete subset
+BOUNDARY_SAMPLES = 2048     # points of the disk, segment and lune samplers
 
 
 class DegenerateRegion(ValueError):
@@ -47,21 +51,21 @@ def point_cloud(points):
     return RegionDescriptor("point_cloud", {"points": points})
 
 
-def disk_boundary(center=0.0, r=1.0, count=2048):
-    """count equally spaced points on the circle |z - center| = r."""
-    t = 2 * np.pi * np.arange(count) / count
-    return complex(center) + float(r) * np.exp(1j * t)
+def disk_boundary(r=1.0):
+    """BOUNDARY_SAMPLES equally spaced points on the circle |z| = r."""
+    t = 2 * np.pi * np.arange(BOUNDARY_SAMPLES) / BOUNDARY_SAMPLES
+    return float(r) * np.exp(1j * t)
 
 
-def segment_boundary(a=-1.0, b=1.0, count=2048):
-    """count points of [a, b] spaced as its equilibrium measure."""
+def segment_boundary(a=-1.0, b=1.0):
+    """BOUNDARY_SAMPLES points of [a, b] spaced as its equilibrium measure."""
     a, b = float(a), float(b)
-    j = np.arange(count)
-    x = -np.cos(np.pi * j / (count - 1))
+    j = np.arange(BOUNDARY_SAMPLES)
+    x = -np.cos(np.pi * j / (BOUNDARY_SAMPLES - 1))
     return ((a + b) / 2 + (b - a) / 2 * x).astype(complex)
 
 
-def lune_rescaled_boundary(s, count=2048):
+def lune_rescaled_boundary(s, count=BOUNDARY_SAMPLES):
     """Boundary of {zeta: |zeta| <= 1, |1 + s*zeta| >= 1} (unit-size lune).
 
     Both arcs are covered: the |zeta| = 1 portion and the image of the
@@ -139,12 +143,6 @@ def trace_lemniscate_boundary(coeffs, level):
 
     z0, d, lo, hi = trace_level_curve(modulus, np.roots(coeffs), level, 512)
     return z0 + 0.5 * (lo + hi) * d
-
-
-@dataclass(frozen=True)
-class CapacityEstimate:
-    value: float               # bias-corrected d_n
-    raw_dn: float
 
 
 def _log_dist(samples, z, out, buf):
@@ -230,6 +228,7 @@ def _exchange(samples, sel, L, logd, buf, lmax):
 
 
 def _corrected_dn(pts):
+    """(d_n, d_n / n^(1/(n-1))): raw and bias-corrected diameters."""
     n = len(pts)
     s = 0.0
     for i in range(n):
@@ -238,31 +237,22 @@ def _corrected_dn(pts):
     return raw, raw * n ** (-1.0 / (n - 1))
 
 
-def greedy_fekete_capacity(region, n=64):
-    """Capacity from an n-point greedy Fekete subset of a `point_cloud`.
+def greedy_fekete_capacity(region):
+    """Capacity of a `point_cloud`, from FEKETE_POINTS greedy Fekete points.
 
     Calibration: disk_boundary(r) -> r exactly, segment_boundary of
-    length L -> L/4 within a few percent at n = 64.  The selection holds
-    an n x m float64 log table over the m samples (33.5 MB at m = 65,536,
-    n = 64), prunes its exchange by a certified rounding bound without
-    changing a bit, and raises DegenerateRegion when the samples hold
-    fewer than n distinct points.
+    length L -> L/4 within a few percent.  The selection holds an n x m
+    float64 log table over the m samples (33.5 MB at m = 65,536, n = 64),
+    prunes its exchange by a certified rounding bound without changing a
+    bit, and raises DegenerateRegion when the samples hold fewer than n
+    distinct points.
     """
-    if n < 8:
-        raise ValueError("need n >= 8")
-    raw, value = _corrected_dn(_greedy_select(region.params["points"], n))
-    return CapacityEstimate(value=value, raw_dn=raw)
+    return _corrected_dn(_greedy_select(region.params["points"],
+                                        FEKETE_POINTS))[1]
 
 
-@dataclass(frozen=True)
-class PreimageReport:
-    estimate: float
-    analytic: float
-    rel_error: float
-
-
-def preimage_capacity_check(coeffs, rho, n_points=64):
-    """Capacity of {z: |P(z)| <= rho^deg} versus the exact value rho.
+def preimage_capacity_check(coeffs, rho):
+    """Estimated capacity of {z: |P(z)| <= rho^deg}, whose exact value is rho.
 
     P must be monic; the boundary is traced from the roots of P and the
     greedy Fekete estimator is run on the union.
@@ -273,42 +263,22 @@ def preimage_capacity_check(coeffs, rho, n_points=64):
     deg = len(coeffs) - 1
     level = float(rho) ** deg
     bdry = trace_lemniscate_boundary(coeffs, level)
-    est = greedy_fekete_capacity(point_cloud(bdry), n=n_points)
-    return PreimageReport(estimate=est.value, analytic=float(rho),
-                          rel_error=abs(est.value - rho) / rho)
+    return greedy_fekete_capacity(point_cloud(bdry))
 
 
-@dataclass(frozen=True)
-class LuneReport:
-    n: int
-    eps: float
-    estimate: float
-    lower: float               # e^{-n eps} / 4
-    upper: float               # e^{-n eps}
-    rescaled_estimate: float   # capacity of the unit-size lune
-    n_points: int = 64
-
-    @property
-    def within_bounds(self):
-        return self.lower < self.estimate < self.upper
-
-    def to_json(self):
-        return {**asdict(self), "within_bounds": self.within_bounds}
-
-
-def lune_capacity_bounds(n, eps, n_points=64):
+def lune_capacity_bounds(n, eps):
     """Numerical capacity of the lune {|w| >= 1, |w-1| <= e^{-n eps}}.
 
     Capacity is scale equivariant, so the unit-size rescaled lune is
     estimated and multiplied by e^{-n eps}; this avoids feeding
-    vanishingly small coordinates to the estimator.  The estimate is
-    compared against the strict enclosure (e^{-n eps}/4, e^{-n eps}).
+    vanishingly small coordinates to the estimator.  Returns the estimate
+    with the strict enclosure (lower, upper) = (e^{-n eps}/4, e^{-n eps}),
+    whether it lies within, and the rescaled (unit-size) estimate.
     """
     if n * eps < 1:
         raise ValueError("need n*eps >= 1 for the rescaled computation")
     s = math.exp(-n * eps)
-    est = greedy_fekete_capacity(point_cloud(lune_rescaled_boundary(s)),
-                                 n=n_points)
-    return LuneReport(n=n, eps=eps, estimate=est.value * s,
-                      lower=s / 4, upper=s,
-                      rescaled_estimate=est.value, n_points=n_points)
+    est = greedy_fekete_capacity(point_cloud(lune_rescaled_boundary(s)))
+    return {"n": n, "eps": eps, "estimate": est * s, "lower": s / 4,
+            "upper": s, "rescaled_estimate": est, "n_points": FEKETE_POINTS,
+            "within_bounds": s / 4 < est * s < s}

@@ -17,7 +17,8 @@ from typing import Tuple
 
 import numpy as np
 
-from .potentials import phi_np, potential_on_grid
+#  unused phi_np: perfbench's tracer test reads it as a `from x` binding
+from .potentials import phi_np, target_arcsine  # noqa: F401
 
 #  width below which the bracketing interval is not refined further;
 #  2^(-bits/4) at the 53-bit generation precision
@@ -125,7 +126,7 @@ def generate(n, target=None, grid=None):
     if n < 1:
         raise ValueError(f"need at least one point, got n = {n}")
     nodes = chebyshev_grid() if grid is None else grid
-    vg = None if target is None else potential_on_grid(target, nodes)
+    vg = None if target is None else target.grid_potential(nodes)
     pts = np.empty(n)
     pts[0] = 1.0 if vg is None else nodes[int(np.argmax(vg))]
     logsum = _log_dist(nodes, pts[0])
@@ -138,17 +139,15 @@ def generate(n, target=None, grid=None):
 def verify_weighted_asymptotics(seq, target, z_samples):
     """Residuals (1/n) sum log|z - x_j| + V(z) for samples off the segment.
 
-    Without a target (None), V is log 2 - log|phi(z)|, the Robin constant
-    of [-1,1] minus its Green function.  Callers assert the decay.
+    Without a target (None), V is the arcsine target's potential
+    log 2 - log|phi(z)|, the Robin constant of [-1,1] minus its Green
+    function.  Callers assert the decay.
     """
+    target = target_arcsine() if target is None else target
     pts = np.asarray(seq.points, dtype=complex)
     n = len(pts)
     out = []
     for z in z_samples:
         s = float(np.sum(np.log(np.abs(complex(z) - pts)))) / n
-        if target is None:
-            v = math.log(2) - math.log(abs(phi_np(np.asarray([z]))[0]))
-        else:
-            v = float(target.potential(z))
-        out.append(s + v)
+        out.append(s + float(target.potential(z)))
     return out

@@ -64,10 +64,10 @@ class DiscreteMeasure:
         return len(self.atoms)
 
 
-def ks_distance(points, cdf, weights=None):
-    """Kolmogorov-Smirnov distance between an atomic measure and a CDF.
+def ks_distance(points, cdf):
+    """Kolmogorov-Smirnov distance between equal masses at points and a CDF.
 
-    Evaluates sup |F_n - cdf| at the atom locations, taking both one-sided
+    Evaluates sup |F_n - cdf| at the points, taking both one-sided
     limits of the empirical CDF.  For a continuous nondecreasing cdf that
     is the supremum: between consecutive atoms F_n is constant, so the
     gap is largest at one end of the interval.
@@ -75,11 +75,7 @@ def ks_distance(points, cdf, weights=None):
     xs = np.asarray([float(x) for x in points], dtype=float)
     order = np.argsort(xs, kind="stable")
     xs = xs[order]
-    if weights is None:
-        cum = np.arange(1, len(xs) + 1) / len(xs)
-    else:
-        ws = np.asarray([float(w) for w in weights], dtype=float)[order]
-        cum = np.cumsum(ws) / ws.sum()
+    cum = np.arange(1, len(xs) + 1) / len(xs)
     cx = np.asarray(cdf(xs), dtype=float)
     #  left limits of both CDFs: sup over t < x_i is attained as t -> x_i
     cx_left = np.asarray(cdf(np.nextafter(xs, -np.inf)), dtype=float)

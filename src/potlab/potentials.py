@@ -121,7 +121,3 @@ def target_blend(alpha, ctx=_D):
     return TargetMeasure(potential=potential, cdf=cdf,
                          grid_potential=grid_potential)
 
-
-def potential_on_grid(target, x):
-    """Float64 values of a target's potential on a real grid in [-1,1]."""
-    return target.grid_potential(np.asarray(x, dtype=float))

@@ -9,7 +9,6 @@ from potlab import DegenerateGrid, DegenerateRegion, chebyshev_grid
 from potlab.leja import LejaSequence
 from potlab.orthopoly import (BreakdownError, RecurrenceCoeffs,
                               orthopoly_zeros)
-from potlab.potentials import potential_on_grid
 
 
 @pytest.fixture(autouse=True)
@@ -269,7 +268,7 @@ def leja_generate_reference(n, target=None, grid=None):
         if n < 1:
             raise ValueError(f"need at least one point, got n = {n}")
         nodes = chebyshev_grid() if grid is None else grid
-        vg = None if target is None else potential_on_grid(target, nodes)
+        vg = None if target is None else target.grid_potential(nodes)
         pts = np.empty(n)
         pts[0] = 1.0 if vg is None else nodes[int(np.argmax(vg))]
         logsum = _log_dist(nodes, pts[0])

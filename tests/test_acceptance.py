@@ -240,29 +240,28 @@ def test_c06_legendre_discretization_sanity():
                               for xi, wi in zip(x, w)), ctx=ctx)
     rc = stieltjes_recurrence(m, 20)
     zs = orthopoly_zeros(rc, 20)
-    ks = ks_distance(zs.roots, target_arcsine().cdf, weights=[1 / 20] * 20)
+    ks = ks_distance(zs.roots, target_arcsine().cdf)
     assert ks < 0.08, f"criterion 6: KS = {ks}"
     _verdict(6, True, f"KS={ks:.4f}")
 
 
 def test_c07_capacity_calibration():
-    d = greedy_fekete_capacity(point_cloud(disk_boundary(0, 1)), n=64)
-    s = greedy_fekete_capacity(point_cloud(segment_boundary(-1, 1)), n=64)
-    assert abs(d.value - 1.0) <= 0.05, f"criterion 7 disk: {d.value}"
-    assert abs(s.value - 0.5) <= 0.03, f"criterion 7 segment: {s.value}"
-    _verdict(7, True, f"disk={d.value:.4f} segment={s.value:.4f}")
+    d = greedy_fekete_capacity(point_cloud(disk_boundary(1)))
+    s = greedy_fekete_capacity(point_cloud(segment_boundary(-1, 1)))
+    assert abs(d - 1.0) <= 0.05, f"criterion 7 disk: {d}"
+    assert abs(s - 0.5) <= 0.03, f"criterion 7 segment: {s}"
+    _verdict(7, True, f"disk={d:.4f} segment={s:.4f}")
 
 
 def test_c08_lemniscate_capacities():
-    rep1 = preimage_capacity_check([1, 0, -1], 0.9, n_points=64)
-    assert rep1.rel_error < 0.05, \
-        f"criterion 8 |z^2-1|: estimate {rep1.estimate} vs 0.9"
+    est1 = preimage_capacity_check([1, 0, -1], 0.9)
+    assert abs(est1 - 0.9) / 0.9 < 0.05, \
+        f"criterion 8 |z^2-1|: estimate {est1} vs 0.9"
     rho = math.exp(-0.1) / 2
-    rep2 = preimage_capacity_check(chebyshev_monic_coeffs(8), rho,
-                                   n_points=64)
-    assert rep2.rel_error < 0.05, \
-        f"criterion 8 T8: estimate {rep2.estimate} vs {rho}"
-    _verdict(8, True, f"z^2-1: {rep1.estimate:.4f}; T8: {rep2.estimate:.4f}")
+    est2 = preimage_capacity_check(chebyshev_monic_coeffs(8), rho)
+    assert abs(est2 - rho) / rho < 0.05, \
+        f"criterion 8 T8: estimate {est2} vs {rho}"
+    _verdict(8, True, f"z^2-1: {est1:.4f}; T8: {est2:.4f}")
 
 
 @pytest.fixture(scope="session")

@@ -8,7 +8,7 @@ from potlab import (DegenerateRegion, TracingFailure,
                     greedy_fekete_capacity, lune_capacity_bounds,
                     preimage_capacity_check)
 from potlab import capacity
-from potlab.capacity import (_greedy_select, disk_boundary,
+from potlab.capacity import (_corrected_dn, _greedy_select, disk_boundary,
                              lune_rescaled_boundary, point_cloud,
                              segment_boundary, trace_lemniscate_boundary,
                              trace_level_curve)
@@ -17,27 +17,31 @@ from potlab.experiments import _nth_roots, _trace_cheb_lemniscate
 from conftest import chebyshev_monic_coeffs, greedy_select_reference
 
 
+def _diameters(pts, n):
+    """(raw, corrected) d_n of an n-point greedy Fekete subset of pts."""
+    return _corrected_dn(_greedy_select(np.asarray(pts, dtype=complex), n))
+
+
 class TestCalibration:
     def test_unit_disk(self):
-        est = greedy_fekete_capacity(point_cloud(disk_boundary(0, 1)), n=64)
-        assert est.value == pytest.approx(1.0, abs=0.05)
+        est = greedy_fekete_capacity(point_cloud(disk_boundary(1)))
+        assert est == pytest.approx(1.0, abs=0.05)
 
     def test_segment(self):
-        est = greedy_fekete_capacity(point_cloud(segment_boundary(-1, 1)),
-                                     n=64)
-        assert est.value == pytest.approx(0.5, abs=0.03)
+        est = greedy_fekete_capacity(point_cloud(segment_boundary(-1, 1)))
+        assert est == pytest.approx(0.5, abs=0.03)
 
     def test_scaled_disk(self):
-        est = greedy_fekete_capacity(point_cloud(disk_boundary(0, 2)), n=64)
-        assert est.value == pytest.approx(2.0, abs=0.1)
+        est = greedy_fekete_capacity(point_cloud(disk_boundary(2)))
+        assert est == pytest.approx(2.0, abs=0.1)
 
     def test_ellipse(self):
         #  {|phi(z)| <= rho} has capacity rho / 2; its boundary is the
         #  image of |w| = rho under the Joukowski map (w + 1/w) / 2
         t = 2 * np.pi * np.arange(2048) / 2048
         bdry = 0.5 * (1.5 * np.exp(1j * t) + np.exp(-1j * t) / 1.5)
-        est = greedy_fekete_capacity(point_cloud(bdry), n=64)
-        assert est.value == pytest.approx(0.75, rel=0.05)
+        est = greedy_fekete_capacity(point_cloud(bdry))
+        assert est == pytest.approx(0.75, rel=0.05)
 
 
 class TestEstimatorProperties:
@@ -49,37 +53,29 @@ class TestEstimatorProperties:
         rng = np.random.default_rng(2)
         pts = rng.random(300) * 2 - 1 + 1j * (rng.random(300) * 2 - 1)
         c = 3.7
-        a = greedy_fekete_capacity(point_cloud(pts), n=32)
+        a_raw, a = _diameters(pts, 32)
         for t in (0, 30):
-            b = greedy_fekete_capacity(point_cloud(c * pts + t), n=32)
-            assert b.value == pytest.approx(c * a.value, rel=1e-12)
-            assert b.raw_dn == pytest.approx(c * a.raw_dn, rel=1e-12)
+            b_raw, b = _diameters(c * pts + t, 32)
+            assert b == pytest.approx(c * a, rel=1e-12)
+            assert b_raw == pytest.approx(c * a_raw, rel=1e-12)
 
     def test_monotone_under_inclusion(self):
-        small = greedy_fekete_capacity(point_cloud(disk_boundary(0, 0.8)),
-                                       n=48)
-        big = greedy_fekete_capacity(point_cloud(disk_boundary(0, 1.0)), n=48)
-        assert small.value <= big.value * 1.02
-        s1 = greedy_fekete_capacity(point_cloud(segment_boundary(-0.5, 0.5)),
-                                    n=48)
-        s2 = greedy_fekete_capacity(point_cloud(segment_boundary(-1, 1)),
-                                    n=48)
-        assert s1.value <= s2.value * 1.02
+        small = _diameters(disk_boundary(0.8), 48)[1]
+        big = _diameters(disk_boundary(1.0), 48)[1]
+        assert small <= big * 1.02
+        s1 = _diameters(segment_boundary(-0.5, 0.5), 48)[1]
+        s2 = _diameters(segment_boundary(-1, 1), 48)[1]
+        assert s1 <= s2 * 1.02
 
     def test_raw_dn_decreasing_in_n(self):
-        cloud = point_cloud(segment_boundary(-1, 1))
-        vals = [greedy_fekete_capacity(cloud, n=n).raw_dn
-                for n in (16, 32, 64)]
+        cloud = segment_boundary(-1, 1)
+        vals = [_diameters(cloud, n)[0] for n in (16, 32, 64)]
         assert vals[1] < vals[0] * 1.02
         assert vals[2] < vals[1] * 1.02
 
-    def test_small_n_rejected(self):
-        with pytest.raises(ValueError):
-            greedy_fekete_capacity(point_cloud(disk_boundary(0, 1)), n=4)
-
     def test_degenerate_region(self):
         with pytest.raises(DegenerateRegion):
-            greedy_fekete_capacity(point_cloud([0, 1, 1j, -1, -1j]), n=16)
+            greedy_fekete_capacity(point_cloud([0, 1, 1j, -1, -1j]))
 
     @pytest.mark.parametrize("n", [8, 16, 33])
     def test_exactly_n_distinct_points(self, n):
@@ -90,11 +86,11 @@ class TestEstimatorProperties:
             == sorted(pts.tolist(), key=np.angle)
         with pytest.raises(DegenerateRegion,
                            match=f"only {n - 1} distinct .* n={n}$"):
-            greedy_fekete_capacity(point_cloud(np.tile(pts[1:], 3)), n=n)
+            _greedy_select(np.tile(pts[1:], 3), n)
 
     def test_empty_cloud(self):
         with pytest.raises(DegenerateRegion, match="only 0 distinct"):
-            greedy_fekete_capacity(point_cloud([]), n=8)
+            greedy_fekete_capacity(point_cloud([]))
 
 
 @pytest.fixture(scope="module")
@@ -108,7 +104,7 @@ def runner_clouds():
         s = math.exp(-n * 0.1)
         clouds[f"circle_{n}"] = _nth_roots(
             1 + s * lune_rescaled_boundary(s, 1024), n)
-    clouds["disk"] = disk_boundary(0, 1)
+    clouds["disk"] = disk_boundary(1)
     clouds["segment"] = segment_boundary(-1, 1)
     clouds["lemniscate"] = trace_lemniscate_boundary([1, 0, -1], 0.9 ** 2)
     clouds["lune"] = lune_rescaled_boundary(math.exp(-20 * 0.1))
@@ -197,20 +193,18 @@ class TestGreedySelectOracle:
 class TestPreimage:
     def test_pure_power_gives_disk(self):
         #  P = z^2 at level rho^2: the sublevel set is the disk of radius rho
-        rep = preimage_capacity_check([1, 0, 0], 0.8, n_points=48)
-        assert rep.analytic == 0.8
-        assert rep.estimate == pytest.approx(0.8, rel=0.02)
+        est = preimage_capacity_check([1, 0, 0], 0.8)
+        assert est == pytest.approx(0.8, rel=0.02)
 
     def test_two_oval_lemniscate(self):
-        rep = preimage_capacity_check([1, 0, -1], 0.9, n_points=64)
-        assert rep.rel_error < 0.05
+        est = preimage_capacity_check([1, 0, -1], 0.9)
+        assert abs(est - 0.9) / 0.9 < 0.05
 
     def test_chebyshev_lemniscate(self):
         rho = math.exp(-0.1) / 2
-        rep = preimage_capacity_check(chebyshev_monic_coeffs(8), rho,
-                                      n_points=64)
-        assert rep.analytic == pytest.approx(0.4524187090179798, abs=1e-12)
-        assert rep.rel_error < 0.05
+        assert rho == pytest.approx(0.4524187090179798, abs=1e-12)
+        est = preimage_capacity_check(chebyshev_monic_coeffs(8), rho)
+        assert abs(est - rho) / rho < 0.05
 
     def test_non_monic_rejected(self):
         with pytest.raises(ValueError):
@@ -264,29 +258,28 @@ class TestPreimage:
 
 class TestLune:
     def test_bounds_hold(self):
-        rep = lune_capacity_bounds(20, 0.1, n_points=64)
-        assert rep.within_bounds
-        assert rep.lower == pytest.approx(0.25 * math.exp(-2), rel=1e-12)
-        assert rep.upper == pytest.approx(math.exp(-2), rel=1e-12)
+        rep = lune_capacity_bounds(20, 0.1)
+        assert rep["within_bounds"]
+        assert rep["lower"] == pytest.approx(0.25 * math.exp(-2), rel=1e-12)
+        assert rep["upper"] == pytest.approx(math.exp(-2), rel=1e-12)
 
     def test_monotone_decreasing_in_n(self):
-        a = lune_capacity_bounds(20, 0.1, n_points=48)
-        b = lune_capacity_bounds(25, 0.1, n_points=48)
-        assert b.estimate < a.estimate * 1.02
+        a = lune_capacity_bounds(20, 0.1)
+        b = lune_capacity_bounds(25, 0.1)
+        assert b["estimate"] < a["estimate"] * 1.02
 
     def test_rescaled_capacity_stable(self):
         #  cap(F_n) e^{n eps} approaches the unit half-disk capacity
-        a = lune_capacity_bounds(20, 0.1, n_points=64)
-        b = lune_capacity_bounds(40, 0.1, n_points=64)
-        assert abs(a.rescaled_estimate - b.rescaled_estimate) \
-            < 0.1 * a.rescaled_estimate
+        a = lune_capacity_bounds(20, 0.1)["rescaled_estimate"]
+        b = lune_capacity_bounds(40, 0.1)["rescaled_estimate"]
+        assert abs(a - b) < 0.1 * a
 
     def test_too_fat_rejected(self):
         with pytest.raises(ValueError):
             lune_capacity_bounds(5, 0.1)
 
     def test_report_json(self):
-        d = lune_capacity_bounds(20, 0.1, n_points=32).to_json()
+        d = lune_capacity_bounds(20, 0.1)
         assert {"estimate", "lower", "upper", "n", "eps"} <= set(d)
 
 
@@ -299,5 +292,5 @@ class TestRegionParsing:
         assert np.all(np.abs(pts) >= 1 - 1e-9)
 
     def test_segment_sampler_includes_endpoints(self):
-        pts = segment_boundary(-1, 1, 101)
+        pts = segment_boundary(-1, 1)
         assert pts[0] == -1 and pts[-1] == 1

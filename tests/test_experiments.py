@@ -335,6 +335,20 @@ class TestStahlSegment:
         assert not json.loads((tmp_path / "summary.json").read_text())["pass"]
 
 
+@pytest.mark.parametrize("runner, experiment, flag", [
+    (run_stahl_circle, "stahl_circle", "preimage_in_K_rho"),
+    (run_stahl_segment, "stahl_segment", "lemniscate_in_K_rho")])
+def test_demos_pass_in_a_tight_neighbourhood(tmp_path, runner, experiment,
+                                             flag):
+    #  Part 2's "any neighbourhood": at rho = 1.001 the bad sets of degrees
+    #  64 and 128 still lie in K_rho, every sample certified
+    cfg = ExperimentConfig(experiment=experiment, rho=1.001,
+                           n_list=(64, 128), out_dir=str(tmp_path))
+    rep = runner(cfg)
+    assert rep["pass"]
+    assert all(e[flag] for e in rep["per_n"])
+
+
 class TestCertified:
     def test_counts_members_at_or_beyond_eps(self):
         samples = np.array([1 + 1j, 2 + 0j, 3 - 1j, 4 + 2j])
@@ -520,6 +534,16 @@ class TestRunners:
         rep = run_capacity_only(cfg)
         assert rep["pass"]
 
+    def test_capacity_only_estimates(self, tmp_path):
+        #  the four estimates perfbench/reference.json pins for this runner
+        rep = run_capacity_only(ExperimentConfig(experiment="capacity_only",
+                                                 out_dir=str(tmp_path)))
+        got = [c["estimate"] for c in rep["checks"]]
+        got.append(rep["lune"]["estimate"])
+        assert got == pytest.approx([1.0000000000000002, 0.5054976681563711,
+                                     0.9013193255469313, 0.10629459636205506],
+                                    rel=1e-9)
+
 
 class TestPublicApi:
     def test_exported_names(self):
@@ -537,7 +561,7 @@ class TestPublicApi:
             "SigmaBuildConfig", "ZeroSet", "build_sigma",
             "epsilon_stress_test", "orthopoly_zeros", "precision_floor",
             "stieltjes_recurrence", "zero_stability_check",
-            "CapacityEstimate", "DegenerateRegion", "RegionDescriptor",
+            "DegenerateRegion", "RegionDescriptor",
             "TracingFailure", "greedy_fekete_capacity",
             "lune_capacity_bounds", "preimage_capacity_check",
             "ConfigError", "ExperimentConfig", "run"}

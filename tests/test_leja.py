@@ -96,9 +96,7 @@ class TestExtension:
         #  argmax of 2 V(x) + log(1 - x^2) for the uniform target is 0
         uni = target_uniform()
         assert abs(_next([1.0, -1.0], uni)) < LOCALIZE_TOL
-        from potlab.potentials import potential_on_grid
-        oracle = _brute_argmax(
-            [1.0, -1.0], vpot=lambda g: potential_on_grid(uni, g))
+        oracle = _brute_argmax([1.0, -1.0], vpot=uni.grid_potential)
         assert abs(oracle) < 1e-4
 
     def test_existing_point_never_selected(self):
@@ -132,20 +130,21 @@ class TestExtension:
                    default=math.inf)
         assert LejaSequence(points=tuple(pts)).separation == want
 
-    def test_grid_potential_once_per_generate(self, monkeypatch):
-        #  one full-grid evaluation; the refinement reads the target's
-        #  grid_potential on its probe floats and candidate arrays directly
+    def test_grid_potential_once_per_generate(self):
+        #  one full-grid evaluation, first; the refinement reads
+        #  grid_potential only on its probe floats and candidate arrays
         sizes = []
-        inner = leja.potential_on_grid
+        uni = target_uniform()
 
-        def recording(target, x):
+        def recording(x):
             sizes.append(np.size(x))
-            return inner(target, x)
+            return uni.grid_potential(x)
 
-        monkeypatch.setattr(leja, "potential_on_grid", recording)
         grid = chebyshev_grid(256)
-        generate(10, target=target_uniform(), grid=grid)
-        assert sizes == [len(grid)]
+        generate(10, target=dataclasses.replace(
+            uni, grid_potential=recording), grid=grid)
+        assert sizes[0] == len(grid)
+        assert max(sizes[1:]) <= 4
 
     def test_refine_batches_its_probes(self):
         #  the opening pair and the four final candidates take one array
@@ -303,10 +302,6 @@ class TestKsDistance:
         ticks = data.draw(st.lists(st.integers(-999, 999), min_size=1,
                                    max_size=30, unique=True))
         xs = np.array(ticks) / 1000
-        masses = data.draw(st.one_of(
-            st.none(), st.lists(st.integers(1, 100), min_size=len(xs),
-                                max_size=len(xs))))
-        ws = np.ones(len(xs)) if masses is None else np.array(masses, float)
         kind = data.draw(st.sampled_from(["arcsine", "uniform", "empirical"]))
         if kind == "empirical":
             #  jumps only at atoms, where the evaluated limits see them
@@ -320,13 +315,13 @@ class TestKsDistance:
             cx_left = cdf(xs)
 
         def measure(mask):
-            return ws[mask].sum() / ws.sum()
+            return mask.sum() / len(xs)
 
         grid = np.linspace(-1.5, 1.5, 3001)
         #  right and left limits at every atom, then a dense grid
         vals = [abs(measure(xs <= x) - c) for x, c in zip(xs, cdf(xs))]
         vals += [abs(measure(xs < x) - c) for x, c in zip(xs, cx_left)]
         vals += [abs(measure(xs <= t) - c) for t, c in zip(grid, cdf(grid))]
-        assert ks_distance(xs, cdf, weights=masses) == pytest.approx(
+        assert ks_distance(xs, cdf) == pytest.approx(
             max(vals), abs=1e-12)
 

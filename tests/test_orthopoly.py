@@ -890,12 +890,12 @@ class TestCountingMeasure:
         n = 50
         roots = tuple(math.cos((2 * k - 1) * math.pi / (2 * n))
                       for k in range(1, n + 1))
-        ks = ks_distance(roots, target_arcsine().cdf, weights=[1 / n] * n)
+        ks = ks_distance(roots, target_arcsine().cdf)
         assert ks == pytest.approx(1 / (2 * n), abs=1e-12)
         assert ks < 0.03
 
     def test_single_root_at_center(self):
-        assert ks_distance((0.0,), target_arcsine().cdf, weights=[1.0]) \
+        assert ks_distance((0.0,), target_arcsine().cdf) \
             == pytest.approx(0.5, abs=1e-12)
 
 

@@ -9,7 +9,7 @@ from mpmath import mp, mpf, mpc
 from potlab import (DiscreteMeasure, PrecisionContext, chebyshev_grid,
                     equilibrium_potential_segment, phi, target_arcsine,
                     target_blend, target_uniform)
-from potlab.potentials import phi_np, potential_on_grid
+from potlab.potentials import phi_np
 
 from conftest import uniform_potential_grid_reference
 
@@ -258,7 +258,7 @@ class TestTargets:
         osc = []
         for m in (200, 400, 800):
             g = np.linspace(-1, 1, m)
-            v = potential_on_grid(t, g)
+            v = t.grid_potential(g)
             osc.append(np.max(np.abs(np.diff(v))))
         #  constant potentials sit at zero oscillation from the start
         assert osc[2] <= osc[1] <= osc[0]
@@ -270,7 +270,7 @@ class TestTargets:
     def test_potential_grid_matches_scalar(self, factory):
         t = factory(CTX)
         g = np.linspace(-0.95, 0.95, 7)
-        v = potential_on_grid(t, g)
+        v = t.grid_potential(g)
         for x, vx in zip(g, v):
             assert vx == pytest.approx(float(t.potential(float(x))), abs=1e-12)
 
