@@ -169,23 +169,29 @@ def _write_run(cfg, report, tables=(), plots=()):
     as CSV, the report with the run's experiment and config as
     summary.json and, when cfg.plot is set, the SVG text draw() returns
     for each (name, draw) plot.  The config echo leaves out out_dir, so
-    no file depends on where it goes.  Return the completed report."""
+    no file depends on where it goes.  A float that is not finite raises
+    ValueError before anything is written.  Return the completed report."""
+    config = {k: v for k, v in asdict(cfg).items() if k != "out_dir"}
+    report = {"experiment": cfg.experiment, "config": config, **report}
+    summary = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
     os.makedirs(cfg.out_dir, exist_ok=True)
     for name, header, rows in tables:
         with open(os.path.join(cfg.out_dir, name), "w", newline="") as f:
             w = csv.writer(f)
             w.writerow(header)
             w.writerows(rows)
-    config = {k: v for k, v in asdict(cfg).items() if k != "out_dir"}
-    report = {"experiment": cfg.experiment, "config": config, **report}
-    texts = [("summary.json",
-              lambda: json.dumps(report, indent=2, sort_keys=True) + "\n")]
+    texts = [("summary.json", lambda: summary + "\n")]
     if cfg.plot:
         texts += plots
     for name, draw in texts:
         with open(os.path.join(cfg.out_dir, name), "w", newline="\n") as f:
             f.write(draw())
     return report
+
+
+def _finite_or_none(x):
+    """x, or None (JSON null) when it is not finite."""
+    return x if math.isfinite(x) else None
 
 
 def _interval_scatter(name, xs, title):
@@ -415,7 +421,7 @@ def run_prop1(cfg):
             "ks": ks_distance(rep.zeros.roots, target.cdf),
             "bound_analytic": float(rep.bound),
             "max_zero_deviation": float(rep.max_deviation),
-            "margin": float(rep.margin),
+            "margin": _finite_or_none(float(rep.margin)),
             "stability_pass": bool(rep.passed),
             "zero_fallbacks": rep.zeros.fallbacks,
             "residuals": res_n,
@@ -464,7 +470,7 @@ def run_leja_only(cfg):
     resid = lj.verify_weighted_asymptotics(seq, target, zs)
     ks = None if target is None else ks_distance(seq.points, target.cdf)
     report = {"residuals": {str(z): r for z, r in zip(zs, resid)},
-              "ks": ks, "separation": seq.separation,
+              "ks": ks, "separation": _finite_or_none(seq.separation),
               "pass": bool(all(abs(r) < 0.5 for r in resid))}
     return _write_run(cfg, report, [_leja_table(seq)],
                       [_interval_scatter("points.svg", seq.points,

@@ -57,20 +57,19 @@ class LejaSequence:
         return float(np.min(np.diff(np.sort(self.points))))
 
 
-def _log_dist(ys, x):
-    """log of the distance from x to each y in ys (-inf where they meet)."""
+def _log_dist(ys, x, out=None):
+    """log|y - x| per y in ys (-inf where they meet), into out if given."""
     with np.errstate(divide="ignore"):
-        return np.log(np.abs(ys - x))
+        return np.log(np.abs(np.subtract(ys, x, out=out), out=out), out=out)
 
 
 def _golden_refine(f, a, b):
-    """Golden-section maximizer of f on [a, b]; f maps a float or an array
-    of probes to their values, and each in-loop probe goes in as a float.
+    """Golden-section maximizer of f on [a, b]: the opening pair goes to f
+    as one array, each in-loop probe as a float (_objective's buffer).
 
-    The bracket spans at most two cells of a grid in [-1, 1], so at most
-    2 wide, and each step shrinks it by the golden factor 0.618: the loop
-    ends after at most log(2 / REFINE_TOL) / log(1 / 0.618), about 21,
-    steps.
+    The bracket spans at most two cells of a grid in [-1, 1], so at most 2
+    wide, and each step shrinks it by the golden factor 0.618: at most
+    log(2 / REFINE_TOL) / log(1 / 0.618), about 21, steps.
     """
     x1 = b - _INV_GOLDEN * (b - a)
     x2 = a + _INV_GOLDEN * (b - a)
@@ -87,25 +86,40 @@ def _golden_refine(f, a, b):
     return 0.5 * (a + b)
 
 
-def _step(pts, nodes, logsum, vg, target):
+def _objective(pts, target):
+    """n V(x) + sum_j log|x - pts_j| (n = len(pts)) at a float x, summed in
+    a reused buffer, or at each of an array of probes, to the same bits."""
+    n = len(pts)
+    row = np.empty(n)
+
+    def f(xs):
+        if type(xs) is float:
+            s = np.add.reduce(np.log(np.abs(
+                np.subtract(pts, xs, out=row), out=row), out=row))
+        else:
+            s = np.log(np.abs(np.subtract.outer(xs, pts))).sum(axis=-1)
+        return s if target is None else n * target.grid_potential(xs) + s
+
+    return f
+
+
+def _step(pts, nodes, logsum, vg, target, out):
     """The greedy point that follows pts, the points chosen so far.
 
     logsum: sum_j log|node - pts_j| per grid node, which generate keeps
-    up to date; vg: the target potential on the nodes (None unweighted).
+    up to date; vg: the target potential on the nodes (None unweighted);
+    out: scratch the size of nodes for the weighted objective.  With no
+    NaN on the grid, a -inf argmax means every node meets a chosen point.
     """
     n = len(pts)
-    obj = logsum if vg is None else n * vg + logsum
-    if not np.any(np.isfinite(obj)):
-        raise DegenerateGrid("all candidate nodes collide with chosen points")
+    obj = logsum if vg is None else np.add(
+        np.multiply(vg, n, out=out), logsum, out=out)
     i = int(np.argmax(obj))
+    if not math.isfinite(obj[i]):
+        raise DegenerateGrid("all candidate nodes collide with chosen points")
     lo = float(nodes[max(i - 1, 0)])
     hi = float(nodes[min(i + 1, len(nodes) - 1)])
-
-    def f(xs):
-        #  each sum is the pairwise sum a 1-D np.sum of its row gives
-        s = np.log(np.abs(np.subtract.outer(xs, pts))).sum(axis=-1)
-        return s if target is None else n * target.grid_potential(xs) + s
-
+    f = _objective(pts, target)
     with np.errstate(divide="ignore", invalid="ignore"):
         xg = _golden_refine(f, lo, hi)
         #  the refined point must also beat the bracket ends and the grid node
@@ -120,8 +134,9 @@ def generate(n, target=None, grid=None):
     step (V = 0 without a target) over grid, an ascending node array in
     [-1, 1] (chebyshev_grid() by default).
 
-    x1 is 1 unweighted, and the grid node maximizing the potential
-    (leftmost on ties) when a target weight is given.
+    x1 is 1 unweighted, else the grid node maximizing the potential
+    (leftmost on ties).  A node-sized scratch array holds each step's
+    weighted objective, then the logs that update logsum in place.
     """
     if n < 1:
         raise ValueError(f"need at least one point, got n = {n}")
@@ -130,9 +145,10 @@ def generate(n, target=None, grid=None):
     pts = np.empty(n)
     pts[0] = 1.0 if vg is None else nodes[int(np.argmax(vg))]
     logsum = _log_dist(nodes, pts[0])
+    scratch = np.empty_like(logsum)
     for k in range(1, n):
-        pts[k] = _step(pts[:k], nodes, logsum, vg, target)
-        logsum += _log_dist(nodes, pts[k])
+        pts[k] = _step(pts[:k], nodes, logsum, vg, target, scratch)
+        logsum += _log_dist(nodes, pts[k], scratch)
     return LejaSequence(points=tuple(pts.tolist()))
 
 

@@ -125,8 +125,9 @@ def stieltjes_recurrence(m, n):
     atom locations; raises BreakdownError otherwise.
 
     The loop runs on raw mpf values with the calls, roundings and
-    association order of mpf arithmetic and mp.fsum: (w p) p and
-    ((w x) p) p, summed by mpf_sum, then (x - a_k) p_k - b_k p_{k-1}.
+    association order of mpf arithmetic and mp.fsum: (w p) p and ((w x)
+    p) p, with w x rounded once before the loop, summed by mpf_sum, then
+    (x - a_k) p_k - b_k p_{k-1}.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -136,6 +137,7 @@ def stieltjes_recurrence(m, n):
         prec, rnd = mp._prec_rounding
         xs = [x._mpf_ for x in m.locations]
         ws = [w._mpf_ for w in m.weights]
+        wxs = [mpf_mul(w, x, prec, rnd) for w, x in zip(ws, xs)]
         p_prev, p_cur = None, [fone] * len(xs)
         a, b = [], []
         for k in range(n):
@@ -147,9 +149,8 @@ def stieltjes_recurrence(m, n):
                     f"the measure has fewer than {k + 1} atoms of support "
                     f"or bits are too low")
             ak = mpf_div(mpf_sum([
-                mpf_mul(mpf_mul(mpf_mul(w, x, prec, rnd), p, prec, rnd), p,
-                        prec, rnd)
-                for w, x, p in zip(ws, xs, p_cur)], prec, rnd), nu, prec, rnd)
+                mpf_mul(mpf_mul(wx, p, prec, rnd), p, prec, rnd)
+                for wx, p in zip(wxs, p_cur)], prec, rnd), nu, prec, rnd)
             bk = nu if k == 0 else mpf_div(nu, nu_prev, prec, rnd)
             a.append(ak)
             b.append(bk)

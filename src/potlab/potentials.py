@@ -22,7 +22,7 @@ from .precision import PrecisionContext
 from .measures import TargetMeasure
 
 _D = PrecisionContext(bits=64)
-_ABOVE_M1 = np.nextafter(-1.0, 0.0)
+_ABOVE_M1 = float(np.nextafter(-1.0, 0.0))
 
 
 def phi(z, ctx=_D):
@@ -63,10 +63,12 @@ def _re_wlogw(w):
 
 
 def _uniform_potential_grid(x):
-    #  log1p's argument is clamped to the float after -1: no value inside
+    #  log1p's argument is clamped to the float after -1 (builtin max for
+    #  a float; math.log1p would round some points apart): no value inside
     #  (-1, 1) moves, and at x = +-1 the clamped term is 0 * finite = -0.0
-    return 1 - 0.5 * ((1 + x) * np.log1p(np.maximum(x, _ABOVE_M1))
-                      + (1 - x) * np.log1p(np.maximum(-x, _ABOVE_M1)))
+    clamp = max if type(x) is float else np.maximum
+    return 1 - 0.5 * ((1 + x) * np.log1p(clamp(x, _ABOVE_M1))
+                      + (1 - x) * np.log1p(clamp(-x, _ABOVE_M1)))
 
 
 def target_arcsine(ctx=_D):

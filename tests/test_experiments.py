@@ -17,7 +17,7 @@ from potlab.experiments import (run_prop1, run_stahl_circle,
                                 _vdiff_segment_w, _sample_lune_preimage,
                                 _cheb_level_set, _certified,
                                 _trace_cheb_lemniscate, _scan_grid,
-                                _badset_grid_count)
+                                _badset_grid_count, _write_run)
 from potlab.potentials import phi_np
 
 
@@ -543,6 +543,41 @@ class TestRunners:
         assert got == pytest.approx([1.0000000000000002, 0.5054976681563711,
                                      0.9013193255469313, 0.10629459636205506],
                                     rel=1e-9)
+
+
+def _strict_json(path):
+    """The JSON in the file at path, refusing NaN and +-Infinity."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+class TestStrictSummary:
+    """summary.json holds strict JSON: a value that is not finite is null."""
+
+    def test_single_point_separation_is_null(self, tmp_path):
+        run_leja_only(ExperimentConfig(experiment="leja_only", leja_n=1,
+                                       out_dir=str(tmp_path)))
+        s = _strict_json(tmp_path / "summary.json")
+        assert s["separation"] is None and s["pass"] is True
+
+    def test_overflowing_margin_is_null(self, tmp_path):
+        #  at n = 13 the bound over the deviation is about 1e900, past float
+        cfg = ExperimentConfig(experiment="prop1", q=0.4,
+                               n_list=tuple(range(2, 14)), bits=3380,
+                               leja_n=200, target="arcsine",
+                               out_dir=str(tmp_path))
+        run_prop1(cfg)
+        per_n = _strict_json(tmp_path / "summary.json")["per_n"]
+        assert per_n[-1]["n"] == 13 and per_n[-1]["margin"] is None
+        assert all(e["margin"] is None or e["margin"] >= 2 for e in per_n)
+
+    def test_non_finite_value_is_refused(self, tmp_path):
+        cfg = ExperimentConfig(experiment="leja_only",
+                               out_dir=str(tmp_path / "out"))
+        with pytest.raises(ValueError):
+            _write_run(cfg, {"separation": math.inf})
+        assert not (tmp_path / "out").exists()
 
 
 class TestPublicApi:

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from potlab import (DegenerateGrid, PrecisionContext, chebyshev_grid,
                     generate, target_arcsine, target_blend, target_uniform,
@@ -36,7 +36,7 @@ def _next(points, target=None, grid=None):
     pts = np.asarray(points, dtype=float)
     logsum = sum(leja._log_dist(nodes, x) for x in pts)
     vg = None if target is None else target.grid_potential(nodes)
-    return leja._step(pts, nodes, logsum, vg, target)
+    return leja._step(pts, nodes, logsum, vg, target, np.empty_like(nodes))
 
 
 def _brute_argmax(points, vpot=None, m=100_001):
@@ -207,6 +207,39 @@ class TestReference:
         target, grid = TARGETS[name], np.sort(np.array(xs))
         assert (_outcome(generate, n, target, grid)
                 == _outcome(leja_generate_reference, n, target, grid))
+
+
+PROBE_EDGES = [1.0, -1.0, math.nextafter(1.0, 0.0), math.nextafter(-1.0, 0.0),
+               0.0, -0.0]
+
+
+class TestObjective:
+    """The golden-section objective on a float probe, summed in its reused
+    buffer, against the same probe in an array, bit for bit (sign bit
+    included), across numpy's pairwise-sum block sizes 8 and 128."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(n=st.one_of(st.integers(1, 1100),
+                       st.sampled_from([1, 8, 9, 128, 129, 256, 1025])),
+           seed=st.integers(0, 2 ** 32 - 1),
+           ends=st.booleans(),
+           probes=st.lists(st.one_of(st.floats(-1, 1),
+                                     st.sampled_from(PROBE_EDGES)),
+                           min_size=1, max_size=6),
+           name=st.sampled_from(list(TARGETS)))
+    @example(n=1100, seed=0, ends=True, probes=PROBE_EDGES, name="uniform")
+    def test_float_probe_bits_equal_array_probe(self, n, seed, ends, probes,
+                                                name):
+        pts = np.random.default_rng(seed).uniform(-1, 1, n)
+        if ends:
+            #  Leja's first points, which a probe at +-1 meets (log 0)
+            pts[:2] = [1.0, -1.0][:n]
+        f = leja._objective(pts, TARGETS[name])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            want = np.asarray(f(np.array(probes)))
+            got = np.array([f(x) for x in probes])
+        assert want.dtype == got.dtype == np.float64
+        assert np.array_equal(want.view(np.uint64), got.view(np.uint64))
 
 
 class TestAsymptotics:
