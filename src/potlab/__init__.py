@@ -3,10 +3,10 @@ discrete measures, and logarithmic capacity estimation for the
 roots-of-unity and Chebyshev-zero demonstrations."""
 
 from .precision import PrecisionContext, PrecisionTooLow
-from .measures import DiscreteMeasure, TargetMeasure, ks_distance
+from .measures import DiscreteMeasure, TargetMeasure, ks_distance, separation
 from .potentials import (equilibrium_potential_segment, phi, target_arcsine,
                          target_blend, target_uniform)
-from .leja import (DegenerateGrid, LejaSequence, chebyshev_grid, generate,
+from .leja import (DegenerateGrid, chebyshev_grid, generate,
                    verify_weighted_asymptotics)
 from .orthopoly import (BreakdownError, PairingFailure, RecurrenceCoeffs,
                         SigmaBuildConfig, ZeroSet, build_sigma,

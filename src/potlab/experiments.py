@@ -34,7 +34,7 @@ from . import capacity as cap
 from . import leja as lj
 from . import orthopoly as op
 from . import svgplot
-from .measures import ks_distance
+from .measures import ks_distance, separation
 from .potentials import phi_np, target_arcsine, target_blend, target_uniform
 from .precision import MIN_BITS, PrecisionContext
 
@@ -98,9 +98,11 @@ class ExperimentConfig:
             raise ConfigError(f"n_list must be strictly increasing: "
                               f"{self.n_list}")
         if self.experiment == "prop1":
-            if not self.n_list:
-                object.__setattr__(self, "n_list", tuple(range(2, 11)))
-            nm = self.n_max if self.n_max is not None else max(self.n_list)
+            nm = self.n_max if self.n_max is not None else max(
+                self.n_list, default=10)
+            if not self.n_list:     # degrees 2..n_max, n_max alone below 2
+                object.__setattr__(self, "n_list",
+                                   tuple(range(min(2, nm), nm + 1)))
             if max(self.n_list) > nm:
                 raise ConfigError(
                     f"n_list contains {max(self.n_list)} beyond n_max={nm}")
@@ -202,7 +204,7 @@ def _interval_scatter(name, xs, title):
 
 def _leja_table(seq):
     return ("leja.csv", ["index", "x"],
-            [(i, "%.17g" % x) for i, x in enumerate(seq.points)])
+            [(i, "%.17g" % x) for i, x in enumerate(seq)])
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +330,9 @@ def run_stahl_circle(cfg):
             raise cap.DegenerateRegion(f"lune radius {s:.3g} at n = {n} "
                                        "underflows float64 next to 1")
         samples = _sample_lune_preimage(n, s, rng)
+        if not len(samples):
+            raise cap.DegenerateRegion(f"lune radius {s:.3g} at n = {n} lies "
+                                       "inside the sampler's 1e-9 margin")
         cert, bad_pts = _certified(samples, _vdiff_circle(samples, n),
                                    cfg.eps, np.abs(samples) >= 1)
 
@@ -346,8 +351,7 @@ def run_stahl_circle(cfg):
             "sample_count": len(samples),
             "preimage_in_K_rho": in_krho,
         })
-        #  a degree whose lune keeps no sample certifies nothing
-        ok = (ok and 0 < cert == len(samples) and in_krho
+        ok = (ok and cert == len(samples) and in_krho
               and abs(ks - 1.0 / n) < 1e-12)
 
     bounds = [e["bound_analytic"] for e in per_n]
@@ -396,7 +400,7 @@ def run_prop1(cfg):
     n_pts = max(cfg.leja_n, cfg.n_max)
     seq = lj.generate(n_pts, target=target, grid=grid)
 
-    ks_rows = [(m, ks_distance(seq.points[:m], target.cdf))
+    ks_rows = [(m, ks_distance(seq[:m], target.cdf))
                for m in sorted({cfg.n_max, cfg.leja_n // 2, cfg.leja_n})
                if 1 <= m <= len(seq)]
 
@@ -436,7 +440,7 @@ def run_prop1(cfg):
           for k, (x, w) in enumerate(sigma.atoms)]),
         ("stability.csv",
          ["n", "k", "root", "paired_leja", "deviation", "bound"],
-         [(rep.n, j + 1, ctx.nstr(root), "%.17g" % seq.points[j],
+         [(rep.n, j + 1, ctx.nstr(root), "%.17g" % seq[j],
            ctx.nstr(d), ctx.nstr(rep.bound))
           for rep in stab_reports
           for (j, d), root in zip(rep.deviations, rep.zeros.roots)]),
@@ -448,7 +452,7 @@ def run_prop1(cfg):
               "pass": all(rep.passed for rep in stab_reports)}
     ns = [e["n"] for e in per_n]
     plots = [
-        _interval_scatter("points.svg", seq.points, "generated points"),
+        _interval_scatter("points.svg", seq, "generated points"),
         _interval_scatter("zeros.svg", stab_reports[-1].zeros.roots,
                           "polynomial zeros"),
         ("deviation.svg", lambda: svgplot.line_chart_svg(
@@ -468,12 +472,12 @@ def run_leja_only(cfg):
     seq = lj.generate(cfg.leja_n, target=target, grid=grid)
     zs = [2.0, 2j, -3.0]
     resid = lj.verify_weighted_asymptotics(seq, target, zs)
-    ks = None if target is None else ks_distance(seq.points, target.cdf)
+    ks = None if target is None else ks_distance(seq, target.cdf)
     report = {"residuals": {str(z): r for z, r in zip(zs, resid)},
-              "ks": ks, "separation": _finite_or_none(seq.separation),
+              "ks": ks, "separation": _finite_or_none(separation(seq)),
               "pass": bool(all(abs(r) < 0.5 for r in resid))}
     return _write_run(cfg, report, [_leja_table(seq)],
-                      [_interval_scatter("points.svg", seq.points,
+                      [_interval_scatter("points.svg", seq,
                                          "generated points")])
 
 

@@ -12,8 +12,6 @@ equidistribution diagnostics, far below their tolerances.
 """
 
 import math
-from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
@@ -34,27 +32,6 @@ def chebyshev_grid(m=4096):
     """Ascending Chebyshev-Lobatto nodes on [-1,1], endpoints included."""
     j = np.arange(m)
     return -np.cos(np.pi * j / (m - 1))
-
-
-@dataclass(frozen=True)
-class LejaSequence:
-    """Ordered extremal points (x coordinates)."""
-
-    points: Tuple[float, ...]
-
-    def __len__(self):
-        return len(self.points)
-
-    @property
-    def separation(self):
-        """Minimal pairwise distance among the points (inf below two).
-
-        Rounding is monotone, so the smallest gap between sorted
-        neighbours is exactly the smallest |x_i - x_j| over all pairs.
-        """
-        if len(self.points) < 2:
-            return math.inf
-        return float(np.min(np.diff(np.sort(self.points))))
 
 
 def _log_dist(ys, x, out=None):
@@ -130,9 +107,9 @@ def _step(pts, nodes, logsum, vg, target, out):
 
 
 def generate(n, target=None, grid=None):
-    """The first n points, maximizing n*V(x) + sum log|x - x_j| at each
-    step (V = 0 without a target) over grid, an ascending node array in
-    [-1, 1] (chebyshev_grid() by default).
+    """The first n points as a tuple of floats, maximizing n*V(x) +
+    sum log|x - x_j| at each step (V = 0 without a target) over grid, an
+    ascending node array in [-1, 1] (chebyshev_grid() by default).
 
     x1 is 1 unweighted, else the grid node maximizing the potential
     (leftmost on ties).  A node-sized scratch array holds each step's
@@ -149,7 +126,7 @@ def generate(n, target=None, grid=None):
     for k in range(1, n):
         pts[k] = _step(pts[:k], nodes, logsum, vg, target, scratch)
         logsum += _log_dist(nodes, pts[k], scratch)
-    return LejaSequence(points=tuple(pts.tolist()))
+    return tuple(pts.tolist())
 
 
 def verify_weighted_asymptotics(seq, target, z_samples):
@@ -160,7 +137,7 @@ def verify_weighted_asymptotics(seq, target, z_samples):
     function.  Callers assert the decay.
     """
     target = target_arcsine() if target is None else target
-    pts = np.asarray(seq.points, dtype=complex)
+    pts = np.asarray(seq, dtype=complex)
     n = len(pts)
     out = []
     for z in z_samples:

@@ -7,6 +7,7 @@ finite list of weighted atoms in a precision context; orthogonal
 polynomials are built with respect to these.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -62,6 +63,17 @@ class DiscreteMeasure:
 
     def __len__(self):
         return len(self.atoms)
+
+
+def separation(points):
+    """Minimal pairwise distance among the float points (inf below two).
+
+    Rounding is monotone, so the smallest gap between sorted neighbours
+    is exactly the smallest |x_i - x_j| over all pairs.
+    """
+    if len(points) < 2:
+        return math.inf
+    return float(np.min(np.diff(np.sort(points))))
 
 
 def ks_distance(points, cdf):

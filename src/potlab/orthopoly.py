@@ -71,8 +71,7 @@ from mpmath.libmp import (fone, from_float, from_man_exp, fzero, mpf_abs,
                           mpf_add, mpf_div, mpf_le, mpf_mul, mpf_neg, mpf_sub,
                           mpf_sum, round_nearest)
 
-from .leja import LejaSequence
-from .measures import DiscreteMeasure
+from .measures import DiscreteMeasure, separation
 from .precision import PrecisionContext, PrecisionTooLow
 
 
@@ -171,21 +170,16 @@ def stieltjes_recurrence(m, n):
 def _sturm_count(a, b, n, x, tiny):
     """Number of eigenvalues below x of the order-n Jacobi matrix.
 
-    a, b, x and tiny are raw mpf values; the pivots d_i = (a_i - x) -
-    b_i / d_{i-1} round at mpmath's working precision, and an exactly
-    zero pivot is replaced by -tiny and counted.
+    a, b, x and tiny are raw mpf values; the pivots d_0 = a_0 - x and
+    d_i = (a_i - x) - b_i / d_{i-1} round at mpmath's working precision,
+    and an exactly zero pivot is replaced by -tiny and counted.
     """
     prec, rnd = mp._prec_rounding
-    cnt = 0
-    d = mpf_sub(a[0], x, prec, rnd)
-    if d[0]:
-        cnt += 1
-    elif d == fzero:
-        d = mpf_neg(tiny)
-        cnt += 1
-    for i in range(1, n):
-        d = mpf_sub(mpf_sub(a[i], x, prec, rnd), mpf_div(b[i], d, prec, rnd),
-                    prec, rnd)
+    cnt, d = 0, None
+    for i in range(n):
+        d = mpf_sub(a[i], x, prec, rnd) if d is None else mpf_sub(
+            mpf_sub(a[i], x, prec, rnd), mpf_div(b[i], d, prec, rnd),
+            prec, rnd)
         if d[0]:
             cnt += 1
         elif d == fzero:
@@ -239,10 +233,10 @@ def _newton(a, b, n, seed, stop, bits):
     return x
 
 
-def _encloses(a, b, n, k, lo, hi, tiny):
+def _encloses(J, k, lo, hi):
     """Whether the Sturm counts put the k-th eigenvalue of J_n in (lo, hi]."""
-    return (_sturm_count(a, b, n, lo, tiny) < k
-            <= _sturm_count(a, b, n, hi, tiny))
+    return (_sturm_count(J.a, J.b, J.n, lo, J.tiny) < k
+            <= _sturm_count(J.a, J.b, J.n, hi, J.tiny))
 
 
 def _round_prec(v, prec):
@@ -310,8 +304,7 @@ def _enclose(J, k):
         return None
     x = mp.make_mpf(_newton(J.a, J.b, J.n, float(seed), (J.delta / 4)._mpf_,
                             J.bits))
-    if _encloses(J.a, J.b, J.n, k, (x - J.delta)._mpf_,
-                 (x + J.delta)._mpf_, J.tiny):
+    if _encloses(J, k, (x - J.delta)._mpf_, (x + J.delta)._mpf_):
         return x
     return None
 
@@ -421,10 +414,6 @@ class SigmaBuildConfig:
                 f"{self.bits} bits < floor {floor} for q={self.q}, "
                 f"n_max={self.n_max}, cascade={self.cascade}")
 
-    @property
-    def ctx(self):
-        return PrecisionContext(self.bits)
-
 
 def precision_floor(q, n, cascade="stabilized"):
     """Bits needed to keep the weight cascade well inside the significand."""
@@ -447,10 +436,10 @@ def build_sigma(cfg, seq):
     """
     if len(seq) < cfg.n_max:
         raise ValueError(f"need {cfg.n_max} Leja points, have {len(seq)}")
-    ctx = cfg.ctx
+    ctx = PrecisionContext(cfg.bits)
     with ctx.workprec():
         q = ctx.mpf(str(cfg.q))
-        pts = [ctx.mpf(x) for x in seq.points[:cfg.n_max]]
+        pts = [ctx.mpf(x) for x in seq[:cfg.n_max]]
         if cfg.cascade == "power":
             eps = [q ** ((k + 1) ** 2) for k in range(cfg.n_max)]
         else:
@@ -458,9 +447,9 @@ def build_sigma(cfg, seq):
             grid = _uniform_grid_64(ctx)
             for n in range(1, cfg.n_max):
                 sigma_n = DiscreteMeasure(tuple(zip(pts, eps)), ctx=ctx)
-                #  the last two members of the degree-(n+1) default family
+                #  the continuation atom at x_{n+1} and the uniform grid
                 family = [(f"delta_leja_{n + 1}",
-                           ((ctx.mpf(seq.points[n]), ctx.mpf(1)),)),
+                           ((ctx.mpf(seq[n]), ctx.mpf(1)),)),
                           ("uniform_grid_64", grid)]
                 cand = q ** (n * n) * eps[-1] * q
                 for _ in range(64):
@@ -476,10 +465,7 @@ def build_sigma(cfg, seq):
                     raise PrecisionTooLow(
                         f"calibration of eps_{n + 1} did not converge")
                 eps.append(cand)
-        #  decay and tail-domination checks on the truncated cascade
-        for k in range(1, cfg.n_max):
-            if not eps[k] < eps[k - 1]:
-                raise ValueError(f"cascade not decreasing at {k}")
+        #  tail domination implies decay: a rounded sum >= its largest term
         for k in range(cfg.n_max - 1):
             if not mp.fsum(eps[k + 1:]) < eps[k]:
                 raise ValueError(f"tail not dominated at {k}")
@@ -519,10 +505,8 @@ def enclosures_hold(rc, n, centers, radius):
                 for c in sorted(ctx.mpf(c) for c in centers[:n])]
         if any(not hi < lo for (_, hi), (lo, _) in zip(ends, ends[1:])):
             return False
-        a = [v._mpf_ for v in rc.a]
-        b = [v._mpf_ for v in rc.b]
-        tiny = from_man_exp(1, -4 * ctx.bits)
-        return all(_encloses(a, b, n, k, lo._mpf_, hi._mpf_, tiny)
+        J = _jacobi(rc, n)
+        return all(_encloses(J, k, lo._mpf_, hi._mpf_)
                    for k, (lo, hi) in enumerate(ends, 1))
 
 
@@ -540,7 +524,7 @@ def zero_stability_check(rc, seq, n, q):
     zs = orthopoly_zeros(rc, n)
     ctx = rc.ctx
     with ctx.workprec():
-        pts = [ctx.mpf(x) for x in seq.points[:n]]
+        pts = [ctx.mpf(x) for x in seq[:n]]
         pairs = [_nearest(r, pts) for r in zs.roots]
         worst = max(d for _, d in pairs)
         if len({j for j, _ in pairs}) < n:
@@ -550,19 +534,23 @@ def zero_stability_check(rc, seq, n, q):
         bound = ctx.mpf(str(q)) ** (n * n)
     return StabilityReport(n=n, zeros=zs, deviations=tuple(pairs),
                            max_deviation=worst, bound=bound,
-                           passed=enclosures_hold(rc, n, seq.points, bound))
+                           passed=enclosures_hold(rc, n, seq, bound))
 
 
 def default_stress_family(seq, n, ctx):
     """The documented perturbation family: nothing, endpoint atoms, an atom
     at each of the first n Leja points, and a 64-atom uniform grid of mass
-    one."""
+    one.
+
+    At degree n, zero, delta_leja_1..n and delta_-1 or delta_+1 when -1 or
+    +1 is among the first n points move no zero: sigma_n plus any of them
+    is an n-atom measure, whose P_n is prod (x - x_k) over the atoms."""
     fam = [("zero", None),
            ("delta_-1", ((ctx.mpf(-1), ctx.mpf(1)),)),
            ("delta_+1", ((ctx.mpf(1), ctx.mpf(1)),))]
     for k in range(n):
         fam.append((f"delta_leja_{k + 1}",
-                    ((ctx.mpf(seq.points[k]), ctx.mpf(1)),)))
+                    ((ctx.mpf(seq[k]), ctx.mpf(1)),)))
     fam.append(("uniform_grid_64", _uniform_grid_64(ctx)))
     return fam
 
@@ -608,8 +596,7 @@ def epsilon_stress_test(m, seq, n, eps_next, q, family=None):
             family = default_stress_family(seq, n, ctx)
         eps_next = ctx.mpf(eps_next)
         qq = ctx.mpf(str(q))
-        bound = min(qq ** (n * n),
-                    ctx.mpf(LejaSequence(seq.points[:n]).separation)) / 2
+        bound = min(qq ** (n * n), ctx.mpf(separation(seq[:n]))) / 2
         results = []
         for name, nu_atoms in family:
             if nu_atoms is None:
@@ -621,7 +608,7 @@ def epsilon_stress_test(m, seq, n, eps_next, q, family=None):
                 scaled = tuple((x, 2 * eps_next * w) for x, w in nu_atoms)
                 beta = DiscreteMeasure(sigma_n.atoms + scaled, ctx=ctx)
             results.append((name, _worst_deviation(
-                stieltjes_recurrence(beta, n), seq.points, n)))
+                stieltjes_recurrence(beta, n), seq, n)))
         return StressReport(bound=bound, results=tuple(results))
 
 

@@ -6,7 +6,6 @@ import pytest
 from mpmath import mp, mpf
 
 from potlab import DegenerateGrid, DegenerateRegion, chebyshev_grid
-from potlab.leja import LejaSequence
 from potlab.orthopoly import (BreakdownError, RecurrenceCoeffs,
                               orthopoly_zeros)
 
@@ -275,6 +274,6 @@ def leja_generate_reference(n, target=None, grid=None):
         for k in range(1, n):
             pts[k] = _step(pts[:k], nodes, logsum, vg, target)
             logsum += _log_dist(nodes, pts[k])
-        return LejaSequence(points=tuple(pts.tolist()))
+        return tuple(pts.tolist())
 
     return generate(n, target, grid)

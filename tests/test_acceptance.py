@@ -25,7 +25,6 @@ from potlab import (DiscreteMeasure, ExperimentConfig, PrecisionContext,
 from potlab.capacity import disk_boundary, point_cloud, segment_boundary
 from potlab.cli import main as cli_main
 from potlab.experiments import run_stahl_circle, run_stahl_segment
-from potlab.leja import LejaSequence
 
 from conftest import (chebyshev_monic_coeffs, exact_enclosures_hold,
                       exact_recurrence)
@@ -91,7 +90,7 @@ def sigma_residuals(sigma10, stability_reports):
 
 
 def test_c01_unweighted_product_residuals(unweighted_800):
-    half = LejaSequence(points=unweighted_800.points[:400])
+    half = unweighted_800[:400]
     details = []
     for z in (2.0, 2j, -3.0):
         r400 = verify_weighted_asymptotics(half, None, [z])[0]
@@ -107,8 +106,8 @@ def test_c02_weighted_equidistribution(arcsine_200, blend_200):
     for name, seq, target in (
             ("arcsine", arcsine_200, target_arcsine()),
             ("blend(0.5)", blend_200, target_blend(0.5))):
-        ks200 = ks_distance(seq.points, target.cdf)
-        ks100 = ks_distance(seq.points[:100], target.cdf)
+        ks200 = ks_distance(seq, target.cdf)
+        ks100 = ks_distance(seq[:100], target.cdf)
         assert ks200 < 0.05, f"criterion 2 {name}: KS(200)={ks200}"
         assert ks200 < ks100, \
             f"criterion 2 {name}: KS(100)={ks100} -> KS(200)={ks200}"
@@ -138,7 +137,7 @@ def test_c03b_exact_zero_stability_proof(sigma10, arcsine_200):
     """
     a, b = exact_recurrence(sigma10, 10)
     unproved = [n for n in range(1, 11)
-                if not exact_enclosures_hold(a, b, n, arcsine_200.points,
+                if not exact_enclosures_hold(a, b, n, arcsine_200,
                                              Fraction(2, 5) ** (n * n))]
     _verdict("3b", not unproved, f"unproved degrees {unproved}")
     assert not unproved, f"criterion 3b: no exact proof at n = {unproved}"
@@ -154,7 +153,7 @@ def test_c04a_potential_asymptotics_agreement(sigma10, arcsine_200,
         for n in range(2, 11):
             leja_res = mp.fsum(
                 mp.log(abs(mpf(2) - ctx.mpf(x)))
-                for x in arcsine_200.points[:n]) / n + v2
+                for x in arcsine_200[:n]) / n + v2
             diff = abs(sigma_residuals[n] - leja_res)
             tol = mpf("0.4") ** (n * n) * 10
             assert diff < tol, (
@@ -162,7 +161,7 @@ def test_c04a_potential_asymptotics_agreement(sigma10, arcsine_200,
                 f"{mp.nstr(diff, 4)} >= 10*q^(n^2) = {mp.nstr(tol, 4)}")
     #  and the public float64 route sees the same agreement at n = 4
     arc = target_arcsine(ctx)
-    sub = LejaSequence(points=arcsine_200.points[:4])
+    sub = arcsine_200[:4]
     f64 = verify_weighted_asymptotics(sub, arc, [2.0])[0]
     assert abs(f64 - float(sigma_residuals[4])) < 10 * Q ** 16
     _verdict("4a", True, "agreement within 10*q^(n^2) for n=2..10")

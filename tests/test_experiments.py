@@ -48,6 +48,13 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(experiment="prop1", n_list=(2, 9), n_max=4)
 
+    @pytest.mark.parametrize("n_max, n_list", [(5, (2, 3, 4, 5)), (2, (2,)),
+                                               (1, (1,))])
+    def test_n_max_alone_sets_the_degrees(self, n_max, n_list):
+        cfg = ExperimentConfig(experiment="prop1", n_max=n_max, bits=1024,
+                               leja_n=10, grid_size=512)
+        assert (cfg.n_list, cfg.n_max) == (n_list, n_max)
+
     @pytest.mark.parametrize("kw", [
         {"experiment": "stahl_circle", "eps": float("nan")},
         {"experiment": "stahl_circle", "rho": float("nan")},
@@ -85,6 +92,8 @@ class TestConfig:
         {"experiment": "leja_only", "bits": -5, "leja_n": 20},
         {"experiment": "leja_only", "bits": 10, "target": "uniform"},
         {"experiment": "stahl_circle", "bits": 63},
+        {"experiment": "prop1", "n_max": 0},
+        {"experiment": "prop1", "n_max": -3},
     ], ids=["eps_nan", "rho_nan", "scan_grid_zero", "fekete_n_below_8",
             "n_list_zero", "bits_below_precision_floor", "unknown_cascade",
             "capacity_eps_below_lune_floor", "grid_size_below_2",
@@ -97,7 +106,7 @@ class TestConfig:
             "grid_size_float", "n_list_float_entry", "scan_grid_float",
             "bits_float", "plot_string", "n_list_unordered",
             "bits_negative_leja", "bits_below_64_leja",
-            "bits_below_64_circle"])
+            "bits_below_64_circle", "n_max_zero", "n_max_negative"])
     def test_config_holes_rejected(self, kw):
         #  the scan grid and the Fekete point count are constants, so
         #  their keys are refused whatever their value
@@ -258,14 +267,17 @@ class TestStahlCircle:
         assert (out / "summary.json").exists()
         assert (out / "stahl_circle.csv").exists()
 
-    def test_empty_sample_fails(self, tmp_path):
+    def test_empty_sample_is_refused(self, tmp_path):
         #  at n = 32 the lune of radius e^-32 lies inside the |w| >= 1 + 1e-9
         #  margin of the sampler, which keeps no point
         cfg = ExperimentConfig(experiment="stahl_circle", eps=1.0,
-                               n_list=(8, 32), out_dir=str(tmp_path))
-        rep = run_stahl_circle(cfg)
-        assert [e["sample_count"] for e in rep["per_n"]] == [160, 0]
-        assert not rep["pass"]
+                               n_list=(8, 32), out_dir=str(tmp_path / "o"))
+        assert len(_sample_lune_preimage(32, math.exp(-32),
+                                         np.random.default_rng(1))) == 0
+        with pytest.raises(cap.DegenerateRegion,
+                           match=r"1\.27e-14 at n = 32 .* 1e-9 margin"):
+            run_stahl_circle(cfg)
+        assert not (tmp_path / "o").exists()
 
 
 class TestStahlSegment:
@@ -587,10 +599,10 @@ class TestPublicApi:
                  if not isinstance(getattr(potlab, n), types.ModuleType)}
         assert names == {
             "PrecisionContext", "PrecisionTooLow",
-            "DiscreteMeasure", "TargetMeasure", "ks_distance",
+            "DiscreteMeasure", "TargetMeasure", "ks_distance", "separation",
             "equilibrium_potential_segment", "phi",
             "target_arcsine", "target_blend", "target_uniform",
-            "DegenerateGrid", "LejaSequence", "chebyshev_grid", "generate",
+            "DegenerateGrid", "chebyshev_grid", "generate",
             "verify_weighted_asymptotics",
             "BreakdownError", "PairingFailure", "RecurrenceCoeffs",
             "SigmaBuildConfig", "ZeroSet", "build_sigma",
@@ -701,10 +713,15 @@ class TestCli:
         ("stahl-circle", {"eps": 50}, "underflows float64"),
         #  1 + e^(-40) rounds to 1, so the lune has no float64 width
         ("stahl-circle", {"eps": 5, "n_list": [8]}, "underflows float64"),
+        #  1 + s != 1, but s is inside the sampler's |w| >= 1 + 1e-9 margin
+        ("stahl-circle", {"eps": 0.35}, "1.87e-10 at n = 64"),
+        ("stahl-circle", {"eps": 0.2, "n_list": [8, 16, 32, 64, 128]},
+         "7.62e-12 at n = 128"),
         ("stahl-segment", {"eps": 1}, "for float64"),
         ("prop1", {"n_list": [2, 3], "bits": 512, "leja_n": 20,
                    "grid_size": 512}, "sigma refused"),
     ], ids=["degenerate_lune", "lune_below_float64_spacing",
+            "lune_inside_sampler_margin", "lune_inside_margin_at_128",
             "unresolved_crossing", "refused_sigma"])
     def test_unresolvable_run_exits_2(self, tmp_path, capsys, monkeypatch,
                                       command, raw, text):

@@ -10,8 +10,7 @@ from potlab import (DegenerateGrid, PrecisionContext, chebyshev_grid,
                     generate, target_arcsine, target_blend, target_uniform,
                     verify_weighted_asymptotics)
 from potlab import leja
-from potlab.leja import LejaSequence
-from potlab.measures import ks_distance
+from potlab.measures import ks_distance, separation
 
 from conftest import leja_generate_reference
 
@@ -57,11 +56,11 @@ def unweighted_800():
 
 class TestExtension:
     def test_second_point_is_other_endpoint(self):
-        assert generate(2).points == (1.0, -1.0)
+        assert generate(2) == (1.0, -1.0)
         assert _brute_argmax([1.0]) == pytest.approx(-1.0)
 
     def test_third_point_is_center(self):
-        assert abs(generate(3).points[2]) < LOCALIZE_TOL
+        assert abs(generate(3)[2]) < LOCALIZE_TOL
         assert abs(_brute_argmax([1.0, -1.0])) < 1e-4
 
     def test_fourth_point_left_tiebreak(self):
@@ -116,8 +115,8 @@ class TestExtension:
             generate(n)
 
     def test_distinctness(self, unweighted_800):
-        assert unweighted_800.separation > 0
-        assert len(set(unweighted_800.points)) == 800
+        assert separation(unweighted_800) > 0
+        assert len(set(unweighted_800)) == 800
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -128,7 +127,7 @@ class TestExtension:
         pts = data.draw(st.permutations(xs))
         want = min((abs(x - y) for i, x in enumerate(pts) for y in pts[:i]),
                    default=math.inf)
-        assert LejaSequence(points=tuple(pts)).separation == want
+        assert separation(tuple(pts)) == want
 
     def test_grid_potential_once_per_generate(self):
         #  one full-grid evaluation, first; the refinement reads
@@ -175,7 +174,7 @@ TARGETS = {"none": None, "arcsine": target_arcsine(),
 def _outcome(gen, n, target, grid):
     """The points gen returns, or the type and message of what it raises."""
     try:
-        return gen(n, target=target, grid=grid).points
+        return gen(n, target=target, grid=grid)
     except DegenerateGrid as exc:
         return type(exc), str(exc)
 
@@ -195,8 +194,8 @@ class TestReference:
     def test_bit_equal_at_benchmark_size(self):
         #  the leja-uniform benchmark run: 1000 points, 4096 nodes
         uni, grid = target_uniform(), chebyshev_grid(4096)
-        assert (generate(1000, uni, grid).points
-                == leja_generate_reference(1000, uni, grid).points)
+        assert (generate(1000, uni, grid)
+                == leja_generate_reference(1000, uni, grid))
 
     @settings(max_examples=80, deadline=None)
     @given(xs=st.lists(st.floats(-1, 1), min_size=8, max_size=300,
@@ -244,13 +243,12 @@ class TestObjective:
 
 class TestAsymptotics:
     def test_unweighted_single_point_exact(self):
-        r = verify_weighted_asymptotics(LejaSequence(points=(1.0,)), None,
-                                        [2.0])[0]
+        r = verify_weighted_asymptotics((1.0,), None, [2.0])[0]
         want = 0.0 - (math.log(2 + math.sqrt(3)) - math.log(2))
         assert r == pytest.approx(want, abs=1e-14)
 
     def test_unweighted_residual_decay(self, unweighted_800):
-        half = LejaSequence(points=unweighted_800.points[:400])
+        half = unweighted_800[:400]
         for z in (2.0, 2j, -3.0):
             r400 = verify_weighted_asymptotics(half, None, [z])[0]
             r800 = verify_weighted_asymptotics(unweighted_800, None, [z])[0]
@@ -258,7 +256,7 @@ class TestAsymptotics:
             assert abs(r800) < abs(r400)
 
     def test_residual_smaller_far_away(self, unweighted_800):
-        half = LejaSequence(points=unweighted_800.points[:400])
+        half = unweighted_800[:400]
         r2, r10 = verify_weighted_asymptotics(half, None, [2.0, 10.0])
         assert abs(r10) < abs(r2)
 
@@ -268,14 +266,13 @@ class TestAsymptotics:
         wins = 0
         for n in (50, 100, 200, 400):
             a = np.median(np.abs(verify_weighted_asymptotics(
-                LejaSequence(points=unweighted_800.points[:n]), None, zs)))
+                unweighted_800[:n], None, zs)))
             b = np.median(np.abs(verify_weighted_asymptotics(
-                LejaSequence(points=unweighted_800.points[:2 * n]), None,
-                zs)))
+                unweighted_800[:2 * n], None, zs)))
             wins += b < a
         assert wins >= 3
         first = np.median(np.abs(verify_weighted_asymptotics(
-            LejaSequence(points=unweighted_800.points[:50]), None, zs)))
+            unweighted_800[:50], None, zs)))
         last = np.median(np.abs(verify_weighted_asymptotics(
             unweighted_800, None, zs)))
         assert last < first
@@ -284,7 +281,7 @@ class TestAsymptotics:
                                                             unweighted_800):
         #  -V_arcsine(z) = log|phi(z)| - log 2 off the segment
         arc = target_arcsine(PrecisionContext(128))
-        half = LejaSequence(points=unweighted_800.points[:400])
+        half = unweighted_800[:400]
         ra = verify_weighted_asymptotics(half, arc, [2.0])[0]
         rt = verify_weighted_asymptotics(half, None, [2.0])[0]
         assert ra == pytest.approx(rt, abs=1e-12)
@@ -297,7 +294,7 @@ class TestAsymptotics:
 
     def test_single_point_weighted_identity(self):
         uni = target_uniform(PrecisionContext(128))
-        r = verify_weighted_asymptotics(LejaSequence(points=(1.0,)), uni, [2.0])[0]
+        r = verify_weighted_asymptotics((1.0,), uni, [2.0])[0]
         want = math.log(abs(2.0 - 1.0)) + float(uni.potential(2.0))
         assert r == pytest.approx(want, abs=1e-14)
 
@@ -306,15 +303,15 @@ class TestEquidistribution:
     def test_ks_decreases_and_small(self):
         arc = target_arcsine()
         seq = generate(200, target=arc)
-        ks200 = ks_distance(seq.points, arc.cdf)
-        ks100 = ks_distance(seq.points[:100], arc.cdf)
+        ks200 = ks_distance(seq, arc.cdf)
+        ks100 = ks_distance(seq[:100], arc.cdf)
         assert ks200 < 0.05
         assert ks200 < ks100
 
     def test_blend_ks(self):
         bl = target_blend(0.5)
         seq = generate(200, target=bl)
-        assert ks_distance(seq.points, bl.cdf) < 0.05
+        assert ks_distance(seq, bl.cdf) < 0.05
 
     def test_single_atom_at_right_end(self):
         assert ks_distance([1.0], target_arcsine().cdf) == pytest.approx(1.0)

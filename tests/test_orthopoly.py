@@ -298,6 +298,21 @@ class TestRawKernels:
             assert kind != "pivot" or rc.a[0] - x == 0
         assert got == want
 
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("a2", ["-1", "0", "1"])
+    def test_sturm_count_second_pivot_zero(self, n, a2):
+        #  at x = 0, d_1 = 1/4 - (1/4) / 1 is exactly zero: the tiny
+        #  substitute past the first pivot, last (n = 2) or followed (n = 3)
+        with CTX.workprec():
+            a = [mpf(1), mpf(1) / 4, mpf(a2)]
+            b = [mpf(1), mpf(1) / 4, mpf(1) / 4]
+            x = mpf(0)
+            assert (a[1] - x) - b[1] / (a[0] - x) == 0
+            tiny = mpf(2) ** (-4 * CTX.bits)
+            want = sturm_count_reference(a, b, n, x, tiny)
+            got = op._sturm_count(_raw(a), _raw(b), n, x._mpf_, tiny._mpf_)
+        assert got == want == 1
+
 
 class TestRoundPrec:
     @settings(max_examples=300, deadline=None)
@@ -595,7 +610,7 @@ class TestBuildSigma:
                 assert ws[n] < q ** (n * n) * ws[n - 1]
 
     def test_atoms_are_leja_points(self, sigma6, arcsine_seq):
-        for (x, _), p in zip(sigma6.atoms, arcsine_seq.points):
+        for (x, _), p in zip(sigma6.atoms, arcsine_seq):
             assert float(x) == p
 
     def test_zeros_agree_at_more_bits(self):
@@ -667,13 +682,13 @@ class TestZeroStability:
         seq = _seq_of(sigma6)
         rc = stieltjes_recurrence(sigma6, 4)
         d = zero_stability_check(rc, seq, 4, 0.4).max_deviation
-        assert enclosures_hold(rc, 4, seq.points, 2 * d)
-        assert not enclosures_hold(rc, 4, seq.points, d / 2)
-        gap = min(abs(x - y) for i, x in enumerate(seq.points[:4])
-                  for y in seq.points[:i])
-        assert not enclosures_hold(rc, 4, seq.points, gap / 2)
+        assert enclosures_hold(rc, 4, seq, 2 * d)
+        assert not enclosures_hold(rc, 4, seq, d / 2)
+        gap = min(abs(x - y) for i, x in enumerate(seq[:4])
+                  for y in seq[:i])
+        assert not enclosures_hold(rc, 4, seq, gap / 2)
         with pytest.raises(ValueError):
-            enclosures_hold(rc, 4, seq.points[:3], 2 * d)
+            enclosures_hold(rc, 4, seq[:3], 2 * d)
         #  the same through the report: q^16 = d/2 puts the bound below d
         with sigma6.ctx.workprec():
             q = float((d / 2) ** (mpf(1) / 16))
@@ -687,12 +702,12 @@ class TestZeroStability:
         seq = _seq_of(bench_sigma)
         a, b = exact_recurrence(bench_sigma, 7)
         for n in range(1, 8):
-            assert exact_enclosures_hold(a, b, n, seq.points,
+            assert exact_enclosures_hold(a, b, n, seq,
                                          Fraction(2, 5) ** (n * n)), n
         #  a radius below the true deviation cannot be proved
         d = zero_stability_check(stieltjes_recurrence(bench_sigma, 4), seq,
                                  4, 0.4).max_deviation
-        assert not exact_enclosures_hold(a, b, 4, seq.points,
+        assert not exact_enclosures_hold(a, b, 4, seq,
                                          mpf_fraction(d / 2))
 
     @settings(max_examples=20, deadline=None)
@@ -715,7 +730,7 @@ class TestZeroStability:
         with ctx.workprec():
             q = mpf("0.4")
             atoms = tuple((ctx.mpf(x), q ** ((k + 1) ** 2))
-                          for k, x in enumerate(arcsine_seq.points[:10]))
+                          for k, x in enumerate(arcsine_seq[:10]))
         bad = DiscreteMeasure(atoms, ctx=ctx)
         with pytest.raises((PairingFailure, BreakdownError)):
             for n in range(2, 11):
@@ -724,8 +739,7 @@ class TestZeroStability:
 
 
 def _seq_of(sigma):
-    from potlab.leja import LejaSequence
-    return LejaSequence(points=tuple(float(x) for x in sigma.locations))
+    return tuple(float(x) for x in sigma.locations)
 
 
 class TestStressAudit:
@@ -914,13 +928,11 @@ class TestPotentialAsymptotics:
         #  zeros sit within a q^(n^2)-size band of the atoms, so the
         #  product-form residual tracks the Leja one far closer than q^(n^2)
         from potlab import verify_weighted_asymptotics
-        from potlab.leja import LejaSequence
         arc = target_arcsine(sigma6.ctx)
         n = 4
         zs = orthopoly_zeros(stieltjes_recurrence(sigma6, n), n)
         rows = potential_asymptotics_check([zs], arc, [2.0], sigma6.ctx)
-        seq = LejaSequence(points=tuple(float(x)
-                                        for x in sigma6.locations[:n]))
+        seq = tuple(float(x) for x in sigma6.locations[:n])
         leja_res = verify_weighted_asymptotics(seq, arc, [2.0])[0]
         assert abs(rows[0][2] - leja_res) < 10 * 0.4 ** (n * n)
 
@@ -929,11 +941,10 @@ class TestPotentialAsymptotics:
         #  the product-form residual inherits the point-sequence trend;
         #  the envelope at z = 2 shrinks from n = 6 to n = 12
         from potlab import verify_weighted_asymptotics
-        from potlab.leja import LejaSequence
         arc = target_arcsine()
         res = {}
         for n in (6, 12):
-            sub = LejaSequence(points=arcsine_seq.points[:n])
+            sub = arcsine_seq[:n]
             res[n] = verify_weighted_asymptotics(sub, arc, [2.0])[0]
         assert abs(res[12]) < abs(res[6])
 
