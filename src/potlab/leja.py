@@ -40,17 +40,21 @@ def _log_dist(ys, x, out=None):
         return np.log(np.abs(np.subtract(ys, x, out=out), out=out), out=out)
 
 
-def _golden_refine(f, a, b):
-    """Golden-section maximizer of f on [a, b]: the opening pair goes to f
-    as one array, each in-loop probe as a float (_objective's buffer).
+def _golden_pair(a, b):
+    """The golden-section probes inside [a, b], the left one first."""
+    return b - _INV_GOLDEN * (b - a), a + _INV_GOLDEN * (b - a)
+
+
+def _golden_refine(f, a, b, f1, f2):
+    """Golden-section maximizer of f on [a, b], given f1 and f2, its values
+    at _golden_pair(a, b), which _step takes from its opening batch; each
+    in-loop probe goes to f as a float (_objective's buffer).
 
     The bracket spans at most two cells of a grid in [-1, 1], so at most 2
     wide, and each step shrinks it by the golden factor 0.618: at most
     log(2 / REFINE_TOL) / log(1 / 0.618), about 21, steps.
     """
-    x1 = b - _INV_GOLDEN * (b - a)
-    x2 = a + _INV_GOLDEN * (b - a)
-    f1, f2 = f(np.array([x1, x2]))
+    x1, x2 = _golden_pair(a, b)
     while b - a > REFINE_TOL:
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
@@ -65,19 +69,24 @@ def _golden_refine(f, a, b):
 
 def _objective(pts, target):
     """n V(x) + sum_j log|x - pts_j| (n = len(pts)) at a float x, summed in
-    a reused buffer, or at each of an array of probes, to the same bits."""
+    a reused buffer, with V = target.grid_potential (0 unweighted)."""
     n = len(pts)
     row = np.empty(n)
 
-    def f(xs):
-        if type(xs) is float:
-            s = np.add.reduce(np.log(np.abs(
-                np.subtract(pts, xs, out=row), out=row), out=row))
-        else:
-            s = np.log(np.abs(np.subtract.outer(xs, pts))).sum(axis=-1)
-        return s if target is None else n * target.grid_potential(xs) + s
+    def f(x):
+        s = np.add.reduce(np.log(np.abs(
+            np.subtract(pts, x, out=row), out=row), out=row))
+        return s if target is None else n * target.grid_potential(x) + s
 
     return f
+
+
+def _batch(pts, xs, vs):
+    """_objective's values at the floats xs, to the same bits, from one
+    (len(xs), n) array, with V(x) read from vs (None unweighted)."""
+    s = np.log(np.abs(np.subtract.outer(xs, pts))).sum(axis=-1).tolist()
+    n = len(pts)
+    return s if vs is None else [n * v + t for v, t in zip(vs, s)]
 
 
 def _step(pts, nodes, logsum, vg, target, out):
@@ -87,23 +96,33 @@ def _step(pts, nodes, logsum, vg, target, out):
     up to date; vg: the target potential on the nodes (None unweighted);
     out: scratch the size of nodes for the weighted objective.  With no
     NaN on the grid, a -inf argmax means every node meets a chosen point.
+
+    One _batch opens the refinement: the golden pair x1, x2 of the
+    bracket [lo, hi], with V from target.grid_potential on each float,
+    and the grid candidates lo, nodes[i], hi, with V read from vg
+    (elementwise the same bits).  The refined point is then probed alone,
+    as a float, and the best of the four wins, the leftmost on ties.
     """
     n = len(pts)
     obj = logsum if vg is None else np.add(
         np.multiply(vg, n, out=out), logsum, out=out)
-    i = int(np.argmax(obj))
+    i = int(obj.argmax())
     if not math.isfinite(obj[i]):
         raise DegenerateGrid("all candidate nodes collide with chosen points")
-    lo = float(nodes[max(i - 1, 0)])
-    hi = float(nodes[min(i + 1, len(nodes) - 1)])
+    j = [max(i - 1, 0), i, min(i + 1, len(nodes) - 1)]
+    lo, node, hi = grid = list(map(nodes.item, j))
+    x1, x2 = _golden_pair(lo, hi)
     f = _objective(pts, target)
     with np.errstate(divide="ignore", invalid="ignore"):
-        xg = _golden_refine(f, lo, hi)
-        #  the refined point must also beat the bracket ends and the grid node
-        cands = sorted({xg, lo, hi, float(nodes[i])})
-        vals = f(np.array(cands)).tolist()
-    best = max(vals)
-    return float(next(c for c, v in zip(cands, vals) if v == best))
+        vs = None if vg is None else [target.grid_potential(x1),
+                                      target.grid_potential(x2),
+                                      *map(vg.item, j)]
+        f1, f2, *vals = _batch(pts, [x1, x2, *grid], vs)
+        val = dict(zip(grid, vals))
+        xg = _golden_refine(f, lo, hi, f1, f2)
+        val[xg] = f(xg)
+    best = max(val.values())
+    return next(c for c in sorted({xg, lo, hi, node}) if val[c] == best)
 
 
 def generate(n, target=None, grid=None):

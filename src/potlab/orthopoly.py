@@ -62,7 +62,7 @@ Cascades
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
@@ -105,6 +105,7 @@ class ZeroSet:
 
     roots: tuple
     fallbacks: int             # roots bisected without a certified enclosure
+    jacobi: object = field(repr=False, compare=False)  # _jacobi's J_n
 
 
 def _require_support(m, n):
@@ -360,7 +361,8 @@ def orthopoly_zeros(rc, n):
         J = _jacobi(rc, n)
         xs = [_enclose(J, k) for k in range(1, n + 1)]
         roots = tuple(_walk(J, k, x) for k, x in enumerate(xs, 1))
-    return ZeroSet(roots=roots, fallbacks=sum(x is None for x in xs))
+    return ZeroSet(roots=roots, fallbacks=sum(x is None for x in xs),
+                   jacobi=J)
 
 
 def _nearest(r, pts):
@@ -496,18 +498,21 @@ def enclosures_hold(rc, n, centers, radius):
     That is two sweeps per center and no root finding; it certifies the
     computed recurrence rc, of length n or more.
     """
-    if len(centers) < n:
-        raise ValueError(f"need {n} centers, have {len(centers)}")
-    ctx = rc.ctx
-    with ctx.workprec():
-        radius = ctx.mpf(radius)
-        ends = [(c - radius, c + radius)
-                for c in sorted(ctx.mpf(c) for c in centers[:n])]
-        if any(not hi < lo for (_, hi), (lo, _) in zip(ends, ends[1:])):
-            return False
-        J = _jacobi(rc, n)
-        return all(_encloses(J, k, lo._mpf_, hi._mpf_)
-                   for k, (lo, hi) in enumerate(ends, 1))
+    with rc.ctx.workprec():
+        return _holds(_jacobi(rc, n), rc.ctx, centers, radius)
+
+
+def _holds(J, ctx, centers, radius):
+    """enclosures_hold on J, the _jacobi record of J_n; run under ctx."""
+    if len(centers) < J.n:
+        raise ValueError(f"need {J.n} centers, have {len(centers)}")
+    radius = ctx.mpf(radius)
+    ends = [(c - radius, c + radius)
+            for c in sorted(ctx.mpf(c) for c in centers[:J.n])]
+    if any(not hi < lo for (_, hi), (lo, _) in zip(ends, ends[1:])):
+        return False
+    return all(_encloses(J, k, lo._mpf_, hi._mpf_)
+               for k, (lo, hi) in enumerate(ends, 1))
 
 
 def zero_stability_check(rc, seq, n, q):
@@ -519,7 +524,7 @@ def zero_stability_check(rc, seq, n, q):
     nearest-atom map is not a bijection; otherwise reports the worst
     |x_k - x_{n,k}| next to the bound q^(n^2).  The report passes when
     enclosures_hold proves each zero within the bound of a distinct
-    Leja point.
+    Leja point, on the J_n that orthopoly_zeros built.
     """
     zs = orthopoly_zeros(rc, n)
     ctx = rc.ctx
@@ -532,9 +537,9 @@ def zero_stability_check(rc, seq, n, q):
                 f"zeros of P_{n} do not pair bijectively with the Leja "
                 f"points (worst deviation {mp.nstr(worst, 8)})")
         bound = ctx.mpf(str(q)) ** (n * n)
+        passed = _holds(zs.jacobi, ctx, seq, bound)
     return StabilityReport(n=n, zeros=zs, deviations=tuple(pairs),
-                           max_deviation=worst, bound=bound,
-                           passed=enclosures_hold(rc, n, seq, bound))
+                           max_deviation=worst, bound=bound, passed=passed)
 
 
 def default_stress_family(seq, n, ctx):

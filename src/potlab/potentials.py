@@ -23,6 +23,7 @@ from .measures import TargetMeasure
 
 _D = PrecisionContext(bits=64)
 _ABOVE_M1 = float(np.nextafter(-1.0, 0.0))
+_LOG2 = float(np.log(2.0))
 
 
 def phi(z, ctx=_D):
@@ -81,7 +82,7 @@ def target_arcsine(ctx=_D):
         return 0.5 + np.arcsin(np.clip(np.asarray(x, dtype=float), -1, 1)) / np.pi
 
     def grid_potential(x):
-        return np.full_like(x, np.log(2.0))
+        return _LOG2 if type(x) is float else np.full_like(x, _LOG2)
 
     return TargetMeasure(potential=potential, cdf=cdf,
                          grid_potential=grid_potential)

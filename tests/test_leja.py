@@ -130,26 +130,26 @@ class TestExtension:
         assert separation(tuple(pts)) == want
 
     def test_grid_potential_once_per_generate(self):
-        #  one full-grid evaluation, first; the refinement reads
-        #  grid_potential only on its probe floats and candidate arrays
-        sizes = []
+        #  one full-grid evaluation, first; past it the refinement reads
+        #  grid_potential only on floats (the grid candidates read vg)
+        calls = []
         uni = target_uniform()
 
         def recording(x):
-            sizes.append(np.size(x))
+            calls.append(x)
             return uni.grid_potential(x)
 
         grid = chebyshev_grid(256)
         generate(10, target=dataclasses.replace(
             uni, grid_potential=recording), grid=grid)
-        assert sizes[0] == len(grid)
-        assert max(sizes[1:]) <= 4
+        assert np.size(calls[0]) == len(grid)
+        assert all(type(x) is float for x in calls[1:])
 
     def test_refine_batches_its_probes(self):
-        #  the opening pair and the four final candidates take one array
-        #  call each, about 7.5 calls a step; one probe a call makes 11.5.
-        #  Past the full grid, every other call is an in-loop probe, which
-        #  goes in as a plain float
+        #  per step: the golden pair's two floats, about 5.5 in-loop
+        #  probes and the refined point, 8.497 calls a step at n = 200;
+        #  the grid candidates take their potential from the full grid,
+        #  the only array call
         calls = []
         uni = target_uniform()
 
@@ -159,12 +159,29 @@ class TestExtension:
 
         n = 200
         generate(n, target=dataclasses.replace(uni, grid_potential=counting))
-        assert len(calls) / (n - 1) < 9
-        arrays = [x for x in calls if isinstance(x, np.ndarray)]
-        assert len(arrays) <= 1 + 2 * (n - 1)
-        assert all(type(x) is float for x in calls
-                   if not isinstance(x, np.ndarray))
-        assert len(calls) > len(arrays)
+        assert len(calls) / (n - 1) < 8.6
+        assert isinstance(calls[0], np.ndarray)
+        assert all(type(x) is float for x in calls[1:])
+
+    @pytest.mark.parametrize("fail", [False, True])
+    @pytest.mark.parametrize("name", ["none", "uniform"])
+    def test_error_state_restored(self, name, fail):
+        #  under divide="raise", an unguarded log 0 would raise too
+        target = TARGETS[name]
+        with np.errstate(divide="raise", over="warn", under="ignore",
+                         invalid="raise"):
+            before = np.geterr()
+            if fail:
+                grid = np.array([1.0])
+                with pytest.raises(DegenerateGrid):
+                    generate(2, target, grid)
+                with pytest.raises(DegenerateGrid):
+                    _next([1.0], target, grid)
+            else:
+                generate(30, target, chebyshev_grid(64))
+                #  both bracket ends are chosen points: log 0 in the batch
+                _next([1.0, -1.0], target, np.array([-1.0, 0.0, 1.0]))
+            assert np.geterr() == before
 
 
 TARGETS = {"none": None, "arcsine": target_arcsine(),
@@ -212,10 +229,16 @@ PROBE_EDGES = [1.0, -1.0, math.nextafter(1.0, 0.0), math.nextafter(-1.0, 0.0),
                0.0, -0.0]
 
 
+def _bits(vs):
+    vs = np.asarray(vs)
+    assert vs.dtype == np.float64
+    return vs.view(np.uint64)
+
+
 class TestObjective:
     """The golden-section objective on a float probe, summed in its reused
-    buffer, against the same probe in an array, bit for bit (sign bit
-    included), across numpy's pairwise-sum block sizes 8 and 128."""
+    buffer, against _batch's value for the same point, bit for bit (sign
+    bit included), across numpy's pairwise-sum block sizes 8 and 128."""
 
     @settings(max_examples=120, deadline=None)
     @given(n=st.one_of(st.integers(1, 1100),
@@ -229,16 +252,48 @@ class TestObjective:
     @example(n=1100, seed=0, ends=True, probes=PROBE_EDGES, name="uniform")
     def test_float_probe_bits_equal_array_probe(self, n, seed, ends, probes,
                                                 name):
+        #  the golden pair's way: V from grid_potential on each float
         pts = np.random.default_rng(seed).uniform(-1, 1, n)
         if ends:
             #  Leja's first points, which a probe at +-1 meets (log 0)
             pts[:2] = [1.0, -1.0][:n]
-        f = leja._objective(pts, TARGETS[name])
+        target = TARGETS[name]
+        f = leja._objective(pts, target)
+        vs = (None if target is None
+              else [target.grid_potential(x) for x in probes])
         with np.errstate(divide="ignore", invalid="ignore"):
-            want = np.asarray(f(np.array(probes)))
-            got = np.array([f(x) for x in probes])
-        assert want.dtype == got.dtype == np.float64
-        assert np.array_equal(want.view(np.uint64), got.view(np.uint64))
+            want = leja._batch(pts, probes, vs)
+            got = [f(x) for x in probes]
+        assert np.array_equal(_bits(want), _bits(got))
+
+    @settings(max_examples=120, deadline=None)
+    @given(xs=st.lists(st.one_of(st.floats(-1, 1),
+                                 st.sampled_from(PROBE_EDGES)),
+                       min_size=1, max_size=300, unique=True),
+           i=st.integers(0, 2 ** 16),
+           n=st.integers(1, 300),
+           seed=st.integers(0, 2 ** 32 - 1),
+           name=st.sampled_from(list(TARGETS)))
+    @example(xs=chebyshev_grid(4096).tolist(), i=2047, n=129, seed=0,
+             name="uniform")
+    def test_grid_candidate_bits_equal_float_probe(self, xs, i, n, seed,
+                                                   name):
+        #  the grid candidates' way: V read from vg, the target potential
+        #  on the whole grid, at the argmax node and its neighbours
+        nodes = np.sort(np.array(xs))
+        m = len(nodes)
+        i %= m
+        j = [max(i - 1, 0), i, min(i + 1, m - 1)]
+        pts = np.random.default_rng(seed).uniform(-1, 1, n)
+        pts[:2] = nodes[j[::2]][:n]   # chosen points a candidate meets
+        target = TARGETS[name]
+        vg = None if target is None else target.grid_potential(nodes)
+        f = leja._objective(pts, target)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            want = leja._batch(pts, nodes[j].tolist(),
+                               None if vg is None else vg[j].tolist())
+            got = [f(x) for x in nodes[j].tolist()]
+        assert np.array_equal(_bits(want), _bits(got))
 
 
 class TestAsymptotics:
