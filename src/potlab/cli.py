@@ -68,11 +68,10 @@ def main(argv=None):
         cfg = ExperimentConfig.from_json(raw, out_dir=args.out,
                                          bits=args.bits, plot=args.plot)
         report = run(cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (DegenerateRegion, TracingFailure, PrecisionTooLow) as exc:
-        print(f"precision error: {exc}", file=sys.stderr)
+    except (ConfigError, DegenerateRegion, TracingFailure,
+            PrecisionTooLow) as exc:
+        kind = "config" if isinstance(exc, ConfigError) else "precision"
+        print(f"{kind} error: {exc}", file=sys.stderr)
         return 2
     status = "PASS" if report["pass"] else "FAIL"
     print(f"{experiment}: {status} (outputs in {cfg.out_dir})")

@@ -25,6 +25,7 @@ import csv
 import json
 import math
 import os
+import sys
 from dataclasses import asdict, dataclass, fields
 from typing import Optional, Tuple, Union, get_args, get_origin
 
@@ -68,7 +69,7 @@ class ExperimentConfig:
             if not _has_type(value, f.type):
                 raise ConfigError(f"{f.name} must be {_type_name(f.type)}, "
                                   f"got {value!r}")
-            if isinstance(value, float) and not math.isfinite(value):
+            if f.type is float and not abs(value) <= sys.float_info.max:
                 raise ConfigError(f"{f.name} must be finite, got {value!r}")
         object.__setattr__(self, "n_list", tuple(self.n_list))
         if self.experiment not in RUNNERS:
@@ -277,8 +278,8 @@ def _cheb_level_set(n, eps):
     return g, roots, math.exp(-n * eps)
 
 
-def _trace_cheb_lemniscate(n, eps):
-    """Boundary of {2^n |T_n| = e^{-n eps}} and sample points inside it.
+def _trace_cheb_lemniscate(g, roots, level):
+    """Boundary of _cheb_level_set's {g = level} and samples inside it.
 
     64 rays from each Chebyshev zero go through
     `capacity.trace_level_curve`.  Each boundary point is the midpoint of
@@ -286,7 +287,7 @@ def _trace_cheb_lemniscate(n, eps):
     bracket of every fourth ray.  Rays are bracketed independently and
     2 pi 4j/64 rounds to 2 pi j/16, so the samples are those of 16 rays.
     """
-    z0, d, lo, hi = cap.trace_level_curve(*_cheb_level_set(n, eps), 64)
+    z0, d, lo, hi = cap.trace_level_curve(g, roots, level, 64)
     return z0 + 0.5 * (lo + hi) * d, (z0 + 0.9 * lo * d)[::4]
 
 
@@ -367,7 +368,7 @@ def run_stahl_segment(cfg):
     per_n, ok = [], True
     for n in cfg.n_list:
         g, roots, level = _cheb_level_set(n, cfg.eps)
-        bdry, samples = _trace_cheb_lemniscate(n, cfg.eps)
+        bdry, samples = _trace_cheb_lemniscate(g, roots, level)
         cert, bad_pts = _certified(
             samples, _vdiff_segment_w(phi_np(samples), n), cfg.eps,
             g(samples) <= level)

@@ -35,9 +35,9 @@ def chebyshev_grid(m=4096):
 
 
 def _log_dist(ys, x, out=None):
-    """log|y - x| per y in ys (-inf where they meet), into out if given."""
-    with np.errstate(divide="ignore"):
-        return np.log(np.abs(np.subtract(ys, x, out=out), out=out), out=out)
+    """log|y - x| per y in ys (-inf where they meet), into out if given;
+    the caller ignores np.errstate's divide."""
+    return np.log(np.abs(np.subtract(ys, x, out=out), out=out), out=out)
 
 
 def _golden_pair(a, b):
@@ -92,10 +92,10 @@ def _batch(pts, xs, vs):
 def _step(pts, nodes, logsum, vg, target, out):
     """The greedy point that follows pts, the points chosen so far.
 
-    logsum: sum_j log|node - pts_j| per grid node, which generate keeps
-    up to date; vg: the target potential on the nodes (None unweighted);
-    out: scratch the size of nodes for the weighted objective.  With no
-    NaN on the grid, a -inf argmax means every node meets a chosen point.
+    logsum: sum_j log|node - pts_j| per grid node, updated in place with
+    the new point; vg: the target potential on the nodes (None
+    unweighted); out: node-sized scratch.  With no NaN on the grid, a
+    -inf argmax means every node meets a chosen point.
 
     One _batch opens the refinement: the golden pair x1, x2 of the
     bracket [lo, hi], with V from target.grid_potential on each float,
@@ -110,7 +110,7 @@ def _step(pts, nodes, logsum, vg, target, out):
     if not math.isfinite(obj[i]):
         raise DegenerateGrid("all candidate nodes collide with chosen points")
     j = [max(i - 1, 0), i, min(i + 1, len(nodes) - 1)]
-    lo, node, hi = grid = list(map(nodes.item, j))
+    lo, _, hi = grid = list(map(nodes.item, j))
     x1, x2 = _golden_pair(lo, hi)
     f = _objective(pts, target)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -118,11 +118,11 @@ def _step(pts, nodes, logsum, vg, target, out):
                                       target.grid_potential(x2),
                                       *map(vg.item, j)]
         f1, f2, *vals = _batch(pts, [x1, x2, *grid], vs)
-        val = dict(zip(grid, vals))
         xg = _golden_refine(f, lo, hi, f1, f2)
-        val[xg] = f(xg)
-    best = max(val.values())
-    return next(c for c in sorted({xg, lo, hi, node}) if val[c] == best)
+        val = dict(zip([*grid, xg], [*vals, f(xg)]))
+        x = max(sorted(val), key=val.get)
+        logsum += _log_dist(nodes, x, out)
+    return x
 
 
 def generate(n, target=None, grid=None):
@@ -140,11 +140,11 @@ def generate(n, target=None, grid=None):
     vg = None if target is None else target.grid_potential(nodes)
     pts = np.empty(n)
     pts[0] = 1.0 if vg is None else nodes[int(np.argmax(vg))]
-    logsum = _log_dist(nodes, pts[0])
+    with np.errstate(divide="ignore"):
+        logsum = _log_dist(nodes, pts[0])
     scratch = np.empty_like(logsum)
     for k in range(1, n):
         pts[k] = _step(pts[:k], nodes, logsum, vg, target, scratch)
-        logsum += _log_dist(nodes, pts[k], scratch)
     return tuple(pts.tolist())
 
 

@@ -12,7 +12,8 @@ from potlab.capacity import (_corrected_dn, _greedy_select, disk_boundary,
                              lune_rescaled_boundary, point_cloud,
                              segment_boundary, trace_lemniscate_boundary,
                              trace_level_curve)
-from potlab.experiments import _nth_roots, _trace_cheb_lemniscate
+from potlab.experiments import (_nth_roots, _cheb_level_set,
+                                _trace_cheb_lemniscate)
 
 from conftest import chebyshev_monic_coeffs, greedy_select_reference
 
@@ -109,7 +110,8 @@ def runner_clouds():
     clouds["lemniscate"] = trace_lemniscate_boundary([1, 0, -1], 0.9 ** 2)
     clouds["lune"] = lune_rescaled_boundary(math.exp(-20 * 0.1))
     for n in (8, 16):
-        clouds[f"cheb_{n}"] = _trace_cheb_lemniscate(n, 0.1)[0]
+        clouds[f"cheb_{n}"] = _trace_cheb_lemniscate(
+            *_cheb_level_set(n, 0.1))[0]
     return clouds
 
 

@@ -1,6 +1,5 @@
 import json
 import math
-import os
 import types
 
 import numpy as np
@@ -316,7 +315,7 @@ class TestStahlSegment:
             w = phi_np(z)
             return np.abs(w ** n + w ** (-float(n)))
 
-        bdry, samples = _trace_cheb_lemniscate(n, 0.1)
+        bdry, samples = _trace_cheb_lemniscate(*_cheb_level_set(n, 0.1))
         assert np.max(np.abs(g(bdry) - level)) < 1e-9 * level
         assert np.all(g(samples) < level)
 
@@ -324,7 +323,7 @@ class TestStahlSegment:
     @pytest.mark.parametrize("eps", [0.05, 0.3])
     def test_samples_are_the_16_ray_trace(self, n, eps):
         z0, d, lo, _ = cap.trace_level_curve(*_cheb_level_set(n, eps), 16)
-        _, samples = _trace_cheb_lemniscate(n, eps)
+        _, samples = _trace_cheb_lemniscate(*_cheb_level_set(n, eps))
         assert np.array_equal(samples, z0 + 0.9 * lo * d)
 
     def test_crossings_nearer_than_1e9_are_certified(self, tmp_path):
@@ -614,6 +613,51 @@ class TestPublicApi:
             "ConfigError", "ExperimentConfig", "run"}
 
 
+CONFIG, PRECISION = "config error: ", "precision error: "
+
+
+def _refused(tmp_path, capsys, monkeypatch, command, config, prefix,
+             fragment, exact=False, patch=None):
+    """Run `potlab <command> --config cfg.json --out out` and check the
+    refusal contract: exit 2, empty stdout, one stderr line that starts
+    with prefix and holds fragment (is prefix + fragment when exact), no
+    traceback and nothing written beside cfg.json.  config is the JSON
+    value or the raw text of cfg.json (None: no file); patch names a
+    function made to raise PrecisionTooLow(fragment)."""
+    def refuse(*args):
+        raise potlab.PrecisionTooLow(fragment)
+
+    if patch:
+        monkeypatch.setattr(patch, refuse)
+    cfgfile = tmp_path / "cfg.json"
+    if config is not None:
+        cfgfile.write_text(config if isinstance(config, str)
+                           else json.dumps(config))
+    rc = cli_main(command.split() + ["--config", str(cfgfile),
+                                     "--out", str(tmp_path / "out")])
+    out, err = capsys.readouterr()
+    assert (rc, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.endswith("\n")
+    assert err.startswith(prefix) and fragment in err
+    assert "Traceback" not in err
+    assert not exact or err == prefix + fragment + "\n"
+    assert {p.name for p in tmp_path.iterdir()} <= {"cfg.json"}
+
+
+def _refusal_test(cases):
+    """A TestCli test running _refused on one case, a tuple of its
+    arguments from command on, or on each case of a dict by test id."""
+    if isinstance(cases, tuple):
+        def test(self, tmp_path, capsys, monkeypatch):
+            _refused(tmp_path, capsys, monkeypatch, *cases)
+        return test
+
+    @pytest.mark.parametrize("case", list(cases.values()), ids=list(cases))
+    def test(self, tmp_path, capsys, monkeypatch, case):
+        _refused(tmp_path, capsys, monkeypatch, *case)
+    return test
+
+
 class TestCli:
     def test_capacity_subcommand(self, tmp_path, capsys):
         rc = cli_main(["capacity", "--out", str(tmp_path)])
@@ -629,118 +673,91 @@ class TestCli:
         assert rc == 0
         assert (tmp_path / "out" / "summary.json").exists()
 
-    def test_unknown_config_key_exits_2(self, tmp_path, capsys):
-        cfgfile = tmp_path / "cfg.json"
-        cfgfile.write_text(json.dumps({"nonsense": 1}))
-        rc = cli_main(["leja", "--config", str(cfgfile)])
-        assert rc == 2
-        assert "config error" in capsys.readouterr().err
-
-    def test_bits_below_precision_floor_exits_2(self, tmp_path, capsys):
-        #  default prop1 needs about 1659 bits at q = 0.4, n_max = 10
-        rc = cli_main(["prop1", "--bits", "1024", "--out", str(tmp_path)])
-        assert rc == 2
-        assert "config error" in capsys.readouterr().err
-        assert not any(tmp_path.iterdir())
-
-    def test_capacity_small_eps_exits_2(self, tmp_path, capsys):
-        #  the lune check needs LUNE_DEGREE * eps >= 1
-        cfgfile = tmp_path / "cfg.json"
-        cfgfile.write_text(json.dumps({"eps": 0.01}))
-        rc = cli_main(["capacity", "--config", str(cfgfile),
-                       "--out", str(tmp_path / "out")])
-        assert rc == 2
-        assert "config error" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
-    def test_bad_blend_target_exits_2(self, tmp_path, capsys):
-        cfgfile = tmp_path / "cfg.json"
-        cfgfile.write_text(json.dumps({"target": "blend:1.5"}))
-        rc = cli_main(["leja", "--config", str(cfgfile),
-                       "--out", str(tmp_path / "out")])
-        assert rc == 2
-        assert "config error" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
-    def test_float_seed_exits_2(self, tmp_path, capsys):
-        cfgfile = tmp_path / "cfg.json"
-        cfgfile.write_text(json.dumps({"seed": 1.5}))
-        rc = cli_main(["stahl-circle", "--config", str(cfgfile),
-                       "--out", str(tmp_path / "out")])
-        assert rc == 2
-        assert "config error" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize("command, text", [
-        ("stahl-segment", '{"eps": Infinity, "n_list": [8]}'),
-        ("stahl-circle", '{"rho": Infinity, "n_list": [8]}'),
-        ("leja", '{"q": NaN}'),
-    ], ids=["eps_infinity", "rho_infinity", "q_nan"])
-    def test_non_finite_float_exits_2(self, tmp_path, capsys, command, text):
-        cfgfile = tmp_path / "cfg.json"
-        cfgfile.write_text(text)
-        rc = cli_main([command, "--config", str(cfgfile),
-                       "--out", str(tmp_path / "out")])
-        assert rc == 2
-        assert "must be finite" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
-    def test_no_leja_points_exits_2(self, tmp_path, capsys):
-        cfgfile = tmp_path / "cfg.json"
-        cfgfile.write_text(json.dumps({"leja_n": 0}))
-        rc = cli_main(["leja", "--config", str(cfgfile),
-                       "--out", str(tmp_path / "out")])
-        assert rc == 2
-        assert "config error" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize("command", ["stahl-segment", "stahl-circle"])
-    @pytest.mark.parametrize("n_list", [[16, 8], [8, 8]],
-                             ids=["descending", "repeated"])
-    def test_unordered_n_list_exits_2(self, tmp_path, capsys, command,
-                                      n_list):
-        #  the trend checks compare consecutive entries, so n_list must
-        #  increase strictly
-        cfgfile = tmp_path / "cfg.json"
-        cfgfile.write_text(json.dumps({"n_list": n_list}))
-        rc = cli_main([command, "--config", str(cfgfile),
-                       "--out", str(tmp_path / "out")])
-        assert rc == 2
-        assert "strictly increasing" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize("command, raw, text", [
-        ("stahl-circle", {"eps": 50}, "underflows float64"),
+    #  refused runs: (command, config, prefix, fragment[, exact[, patch]])
+    test_unknown_config_key_exits_2 = _refusal_test(
+        ("leja", {"nonsense": 1}, CONFIG, "unknown config keys"))
+    test_removed_keys_exit_2 = _refusal_test({
+        "fekete_n_capacity": ("capacity", {"fekete_n": 3000}, CONFIG,
+                              "unknown config keys"),
+        "fekete_n_segment": ("stahl-segment", {"fekete_n": 5000,
+                                               "n_list": [8]},
+                             CONFIG, "unknown config keys"),
+        "scan_grid": ("stahl-circle", {"scan_grid": [512, 256]}, CONFIG,
+                      "unknown config keys"),
+    })
+    test_mismatched_experiment_exits_2 = _refusal_test(
+        ("capacity", {"experiment": "prop1"}, CONFIG,
+         "config is for 'prop1', not 'capacity_only'"))
+    test_unreadable_config_exits_2 = _refusal_test({
+        "missing": ("leja", None, CONFIG, "No such file"),
+        "malformed_json": ("leja", '{"leja_n": 40,', CONFIG,
+                           "Expecting property name"),
+        "non_object": ("leja", "[1, 2]", CONFIG,
+                       "holds a list, not a JSON object"),
+    })
+    #  default prop1 needs about 1659 bits at q = 0.4, n_max = 10
+    test_bits_below_precision_floor_exits_2 = _refusal_test(
+        ("prop1 --bits 1024", {}, CONFIG, "1024 bits < floor 1659"))
+    #  the lune check needs LUNE_DEGREE * eps >= 1
+    test_capacity_small_eps_exits_2 = _refusal_test(
+        ("capacity", {"eps": 0.01}, CONFIG, "needs 20 * eps >= 1"))
+    test_bad_blend_target_exits_2 = _refusal_test(
+        ("leja", {"target": "blend:1.5"}, CONFIG, "bad target 'blend:1.5'"))
+    test_float_seed_exits_2 = _refusal_test(
+        ("stahl-circle", {"seed": 1.5}, CONFIG, "seed must be int"))
+    #  an int beyond float64 range would overflow the first float use
+    test_non_finite_float_exits_2 = _refusal_test({
+        "eps_infinity": ("stahl-segment", '{"eps": Infinity, "n_list": [8]}',
+                         CONFIG, "must be finite"),
+        "rho_infinity": ("stahl-circle", '{"rho": Infinity, "n_list": [8]}',
+                         CONFIG, "must be finite"),
+        "q_nan": ("leja", '{"q": NaN}', CONFIG, "must be finite"),
+        **{f"{key}_huge_int_{command}": (command, {key: 10 ** 400,
+                                                  "n_list": [8]},
+                                         CONFIG, "must be finite")
+           for key, command in [("eps", "stahl-circle"),
+                                ("eps", "stahl-segment"),
+                                ("eps", "capacity"), ("rho", "stahl-circle")]},
+    })
+    test_no_leja_points_exits_2 = _refusal_test(
+        ("leja", {"leja_n": 0}, CONFIG, "leja_n must be >= 1"))
+    #  the trend checks compare consecutive entries, so n_list must
+    #  increase strictly
+    test_unordered_n_list_exits_2 = _refusal_test({
+        f"{name}-{command}": (command, {"n_list": n_list}, CONFIG,
+                              "strictly increasing")
+        for name, n_list in [("descending", [16, 8]), ("repeated", [8, 8])]
+        for command in ["stahl-circle", "stahl-segment"]})
+    test_unresolvable_run_exits_2 = _refusal_test({
+        "degenerate_lune": ("stahl-circle", {"eps": 50}, PRECISION,
+                            "underflows float64"),
         #  1 + e^(-40) rounds to 1, so the lune has no float64 width
-        ("stahl-circle", {"eps": 5, "n_list": [8]}, "underflows float64"),
+        "lune_below_float64_spacing": ("stahl-circle", {"eps": 5,
+                                                        "n_list": [8]},
+                                       PRECISION, "underflows float64"),
         #  1 + s != 1, but s is inside the sampler's |w| >= 1 + 1e-9 margin
-        ("stahl-circle", {"eps": 0.35}, "1.87e-10 at n = 64"),
-        ("stahl-circle", {"eps": 0.2, "n_list": [8, 16, 32, 64, 128]},
-         "7.62e-12 at n = 128"),
-        ("stahl-segment", {"eps": 1}, "for float64"),
-        ("prop1", {"n_list": [2, 3], "bits": 512, "leja_n": 20,
-                   "grid_size": 512}, "sigma refused"),
-    ], ids=["degenerate_lune", "lune_below_float64_spacing",
-            "lune_inside_sampler_margin", "lune_inside_margin_at_128",
-            "unresolved_crossing", "refused_sigma"])
-    def test_unresolvable_run_exits_2(self, tmp_path, capsys, monkeypatch,
-                                      command, raw, text):
+        "lune_inside_sampler_margin": ("stahl-circle", {"eps": 0.35},
+                                       PRECISION, "1.87e-10 at n = 64"),
+        "lune_inside_margin_at_128": (
+            "stahl-circle", {"eps": 0.2, "n_list": [8, 16, 32, 64, 128]},
+            PRECISION, "7.62e-12 at n = 128"),
+        "unresolved_crossing": ("stahl-segment", {"eps": 1}, PRECISION,
+                                "for float64"),
         #  prop1 is refused after its Leja points, which it must not have
         #  written by then
-        def refuse(*args):
-            raise potlab.PrecisionTooLow("sigma refused")
-
-        monkeypatch.setattr("potlab.orthopoly.build_sigma", refuse)
-        cfgfile = tmp_path / "cfg.json"
-        cfgfile.write_text(json.dumps(raw))
-        rc = cli_main([command, "--config", str(cfgfile),
-                       "--out", str(tmp_path / "out")])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert err.startswith("precision error: ") and text in err
-        assert "Traceback" not in err
-        assert len(err.splitlines()) == 1
-        assert not (tmp_path / "out").exists()
+        "refused_sigma": ("prop1", {"n_list": [2, 3], "bits": 512,
+                                    "leja_n": 20, "grid_size": 512},
+                          PRECISION, "sigma refused", False,
+                          "potlab.orthopoly.build_sigma"),
+    })
+    #  20 * eps = 800 underflows the lune radius e^(-20 eps) to 0, where
+    #  the rescaled boundary would divide 0/0
+    test_capacity_underflowed_lune_exits_2 = _refusal_test(
+        ("capacity", {"eps": 40}, PRECISION,
+         "lune radius underflows float64 to 0", True))
+    test_calibration_failure_exits_2 = _refusal_test(
+        ("prop1", {}, PRECISION, "calibration of eps_5 did not converge",
+         True, "potlab.cli.run"))
 
     @pytest.mark.parametrize("plot", [False, True], ids=["bare", "plot"])
     @pytest.mark.parametrize("command, raw, files, plots", [
@@ -774,61 +791,3 @@ class TestCli:
         assert rc == 0
         want = {"summary.json"} | files | (plots if plot else set())
         assert {p.name for p in out.iterdir()} == want
-
-    def test_capacity_underflowed_lune_exits_2(self, tmp_path, capsys):
-        #  20 * eps = 800 underflows the lune radius e^(-20 eps) to 0, where
-        #  the rescaled boundary would divide 0/0; the run is refused
-        #  before it writes anything
-        cfgfile = tmp_path / "cfg.json"
-        cfgfile.write_text(json.dumps({"eps": 40}))
-        rc = cli_main(["capacity", "--config", str(cfgfile),
-                       "--out", str(tmp_path / "out")])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert err == "precision error: lune radius underflows float64 to 0\n"
-        assert not (tmp_path / "out").exists()
-
-    def test_calibration_failure_exits_2(self, tmp_path, capsys,
-                                         monkeypatch):
-        def fail(cfg):
-            raise potlab.PrecisionTooLow("calibration of eps_5 did not "
-                                         "converge")
-
-        monkeypatch.setattr("potlab.cli.run", fail)
-        rc = cli_main(["prop1", "--out", str(tmp_path / "out")])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert err == ("precision error: calibration of eps_5 did not "
-                       "converge\n")
-
-    def test_mismatched_experiment_exits_2(self, tmp_path):
-        cfgfile = tmp_path / "cfg.json"
-        cfgfile.write_text(json.dumps({"experiment": "prop1"}))
-        rc = cli_main(["capacity", "--config", str(cfgfile)])
-        assert rc == 2
-
-    @pytest.mark.parametrize("command,raw", [
-        ("capacity", {"fekete_n": 3000}),
-        ("stahl-segment", {"fekete_n": 5000, "n_list": [8]}),
-        ("stahl-circle", {"scan_grid": [512, 256]}),
-    ], ids=["fekete_n_capacity", "fekete_n_segment", "scan_grid"])
-    def test_removed_keys_exit_2(self, tmp_path, capsys, command, raw):
-        cfgfile = tmp_path / "cfg.json"
-        cfgfile.write_text(json.dumps(raw))
-        rc = cli_main([command, "--config", str(cfgfile),
-                       "--out", str(tmp_path / "out")])
-        assert rc == 2
-        assert "unknown config keys" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize("text", [None, '{"leja_n": 40,', "[1, 2]"],
-                             ids=["missing", "malformed_json", "non_object"])
-    def test_unreadable_config_exits_2(self, tmp_path, capsys, text):
-        cfgfile = tmp_path / "cfg.json"
-        if text is not None:
-            cfgfile.write_text(text)
-        rc = cli_main(["leja", "--config", str(cfgfile),
-                       "--out", str(tmp_path / "out")])
-        assert rc == 2
-        assert capsys.readouterr().err.startswith("config error: ")
-        assert not (tmp_path / "out").exists()

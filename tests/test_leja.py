@@ -33,7 +33,8 @@ def _next(points, target=None, grid=None):
     """The greedy point that follows points, through one leja._step."""
     nodes = chebyshev_grid() if grid is None else grid
     pts = np.asarray(points, dtype=float)
-    logsum = sum(leja._log_dist(nodes, x) for x in pts)
+    with np.errstate(divide="ignore"):
+        logsum = sum(leja._log_dist(nodes, x) for x in pts)
     vg = None if target is None else target.grid_potential(nodes)
     return leja._step(pts, nodes, logsum, vg, target, np.empty_like(nodes))
 
@@ -182,6 +183,21 @@ class TestExtension:
                 #  both bracket ends are chosen points: log 0 in the batch
                 _next([1.0, -1.0], target, np.array([-1.0, 0.0, 1.0]))
             assert np.geterr() == before
+
+    @pytest.mark.parametrize("name", ["none", "uniform"])
+    def test_one_error_state_per_step(self, name, monkeypatch):
+        #  one for the first point's log distances, then one a step, the
+        #  grid sums' update included
+        entered = []
+        errstate = np.errstate
+
+        def counting(**kwargs):
+            entered.append(kwargs)
+            return errstate(**kwargs)
+
+        monkeypatch.setattr(np, "errstate", counting)
+        generate(30, TARGETS[name], chebyshev_grid(64))
+        assert len(entered) == 30
 
 
 TARGETS = {"none": None, "arcsine": target_arcsine(),
