@@ -30,7 +30,8 @@ root_tol/4 of the Newton point, so a walked root is within 5 root_tol/4
 of it; the distance is 1-Lipschitz, so a root left out is nearer, by
 over 2 m - 5 root_tol/2, than the walked root of distance D.  Roundings
 are 2^-bits relative and monotone, so the audit's worst is that of the
-full bisection bit for bit.
+full bisection bit for bit.  build_sigma needs only whether it is
+<= tgt, which two counts per zero can prove (_worst_within).
 
 Newton's point only steers the walk, so its steps climb a precision
 ladder: the precision about doubles per step from the seed's 53 bits
@@ -54,8 +55,8 @@ Cascades
                (epsilon_stress_test) with a two-member family, an atom at
                the next Leja point and a 64-atom uniform grid, at half
                the audit bound: every degree-n zero moves by at most
-               min(q^(n^2), delta_n)/4; an audit walks only the roots
-               that can hold its worst (see Zeros).  This is the
+               min(q^(n^2), delta_n)/4; only members the counts do not
+               certify are audited (see Zeros).  This is the
                constructive version of "pick eps_{n+1} small enough"; the
                deviation is linear in eps_{n+1}, so a measured violation
                tells us directly how much to shrink.  Default.
@@ -373,13 +374,14 @@ def _nearest(r, pts):
     return ds.index(d), d
 
 
-def _worst_deviation(rc, leja_points, n):
+def _worst_deviation(rc, leja_points, n, J=None):
     """max over the zeros of P_n of the distance to the nearest of the
     first n Leja points, from only the zeros that can hold it (see Zeros
-    in the module docstring): bit for bit that of orthopoly_zeros."""
+    in the module docstring): bit for bit that of orthopoly_zeros.  J is
+    _jacobi(rc, n) if it is already built."""
     ctx = rc.ctx
     with ctx.workprec():
-        J = _jacobi(rc, n)
+        J = _jacobi(rc, n) if J is None else J
         pts = [ctx.mpf(x) for x in leja_points[:n]]
         xs = [_enclose(J, k) for k in range(1, n + 1)]
         near = [_nearest(x, pts)[1] if x is not None else None for x in xs]
@@ -431,10 +433,14 @@ def build_sigma(cfg, seq):
 
     The cascade depends on cfg.cascade (see module docstring).  For the
     stabilized cascade each eps_{n+1} is calibrated by the stress audit
-    epsilon_stress_test with a two-member family, an atom at the next
+    of epsilon_stress_test with a two-member family, an atom at the next
     Leja point (the realized continuation) and a 64-atom uniform grid (a
-    spread-out worst case), against half the audit bound.  Tail sums are
-    checked to stay below the preceding weight.
+    spread-out worst case): a candidate passes if the worst deviation is
+    <= tgt, half the audit bound, else it is rescaled by tgt/worst/2.
+    Members that _worst_within accepts, whose worst is <= tgt, are not
+    audited; worst is the max over the others (0 if none).  The pass
+    decision is thus the full audit's, and when it fails the max is too.
+    Tail sums are checked to stay below the preceding weight.
     """
     if len(seq) < cfg.n_max:
         raise ValueError(f"need {cfg.n_max} Leja points, have {len(seq)}")
@@ -455,10 +461,13 @@ def build_sigma(cfg, seq):
                           ("uniform_grid_64", grid)]
                 cand = q ** (n * n) * eps[-1] * q
                 for _ in range(64):
-                    report = epsilon_stress_test(
-                        sigma_n, seq, n, cand, family=family, q=cfg.q)
-                    worst = report.worst[1]
-                    tgt = report.bound / 2
+                    bound, members = _stress_members(
+                        sigma_n, seq, n, cand, cfg.q, family)
+                    tgt, worst = bound / 2, 0
+                    for _, rc in members:
+                        J = _jacobi(rc, n)
+                        if not _worst_within(J, ctx, seq, tgt):
+                            worst = max(worst, _worst_deviation(rc, seq, n, J))
                     if worst <= tgt:
                         break
                     #  deviation is linear in cand: rescale with headroom
@@ -513,6 +522,21 @@ def _holds(J, ctx, centers, radius):
         return False
     return all(_encloses(J, k, lo._mpf_, hi._mpf_)
                for k, (lo, hi) in enumerate(ends, 1))
+
+
+def _worst_within(J, ctx, seq, tgt):
+    """Whether counts prove _worst_deviation(rc, seq, n) <= tgt, with J
+    = _jacobi(rc, n): _holds at r = tgt - 2 root_tol; run under ctx.
+
+    Then count(c - r) < k <= count(c + r) for the k-th sorted Leja point
+    c; the k-th root's last bracket has count(lo) < k <= count(hi), so
+    lo < c + r and hi > c - r by the monotone count, and hi - lo <= stop
+    = root_tol (1 + 2^-bits).  Their rounded midpoint, the root, is
+    within r + root_tol of c, and so is its rounded distance to the
+    nearest Leja point, up to roundings of 2^-bits relative, which the
+    other root_tol covers.
+    """
+    return _holds(J, ctx, seq, tgt - 2 * ctx.root_tol)
 
 
 def zero_stability_check(rc, seq, n, q):
@@ -593,28 +617,35 @@ def epsilon_stress_test(m, seq, n, eps_next, q, family=None):
     nearest of the first n Leja points, found by walking only the zeros
     that can hold it (_worst_deviation), bit for bit the full bisection's.
     """
+    with m.ctx.workprec():
+        bound, members = _stress_members(m, seq, n, eps_next, q, family)
+        return StressReport(bound=bound, results=tuple(
+            (name, _worst_deviation(rc, seq, n)) for name, rc in members))
+
+
+def _stress_members(m, seq, n, eps_next, q, family):
+    """epsilon_stress_test's bound and (name, recurrence of length n of
+    sigma_n + 2*eps_next*nu) per family member; run under m.ctx."""
     ctx = m.ctx
-    with ctx.workprec():
-        sigma_n = DiscreteMeasure(m.atoms[:n], ctx=ctx)
-        _require_support(sigma_n, n)
-        if family is None:
-            family = default_stress_family(seq, n, ctx)
-        eps_next = ctx.mpf(eps_next)
-        qq = ctx.mpf(str(q))
-        bound = min(qq ** (n * n), ctx.mpf(separation(seq[:n]))) / 2
-        results = []
-        for name, nu_atoms in family:
-            if nu_atoms is None:
-                beta = sigma_n
-            else:
-                mass = mp.fsum(w for _, w in nu_atoms)
-                if mass > 1 + ctx.eps:
-                    raise ValueError(f"family member {name} has mass {mass} > 1")
-                scaled = tuple((x, 2 * eps_next * w) for x, w in nu_atoms)
-                beta = DiscreteMeasure(sigma_n.atoms + scaled, ctx=ctx)
-            results.append((name, _worst_deviation(
-                stieltjes_recurrence(beta, n), seq, n)))
-        return StressReport(bound=bound, results=tuple(results))
+    sigma_n = DiscreteMeasure(m.atoms[:n], ctx=ctx)
+    _require_support(sigma_n, n)
+    if family is None:
+        family = default_stress_family(seq, n, ctx)
+    eps_next = ctx.mpf(eps_next)
+    qq = ctx.mpf(str(q))
+    bound = min(qq ** (n * n), ctx.mpf(separation(seq[:n]))) / 2
+    members = []
+    for name, nu_atoms in family:
+        if nu_atoms is None:
+            beta = sigma_n
+        else:
+            mass = mp.fsum(w for _, w in nu_atoms)
+            if mass > 1 + ctx.eps:
+                raise ValueError(f"family member {name} has mass {mass} > 1")
+            scaled = tuple((x, 2 * eps_next * w) for x, w in nu_atoms)
+            beta = DiscreteMeasure(sigma_n.atoms + scaled, ctx=ctx)
+        members.append((name, stieltjes_recurrence(beta, n)))
+    return bound, members
 
 
 # ---------------------------------------------------------------------------

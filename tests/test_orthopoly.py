@@ -819,16 +819,41 @@ def uniform_200():
     return generate(200, target=target_uniform())
 
 
+def _random_audit_member(data):
+    """(rc, Leja points, n) of a random audit member: dyadic atoms and
+    weights, as a sigma_n whose first n locations are the Leja points,
+    plus one small atom, as the audit adds; a weight near 2^(-bits/2)
+    moves the zeros by about root_tol, where the margins matter."""
+    ticks = data.draw(st.lists(st.integers(-1024, 1024), min_size=3,
+                               max_size=12, unique=True))
+    masses = data.draw(st.lists(st.integers(1, 128), min_size=len(ticks),
+                                max_size=len(ticks)))
+    bits = data.draw(st.sampled_from([64, 128, 256, 768]))
+    small = data.draw(st.integers(1, bits))
+    ctx = PrecisionContext(bits)
+    with ctx.workprec():
+        atoms = [(mpf(t) / 1024, mpf(w) / 128)
+                 for t, w in zip(ticks, masses)]
+        atoms[-1] = (atoms[-1][0], mpf(2) ** -small)
+    n = len(ticks) - 1
+    rc = stieltjes_recurrence(DiscreteMeasure(tuple(atoms), ctx=ctx), n)
+    return rc, [t / 1024 for t in ticks[:n]], n
+
+
+_SIGMA_BUILDS = pytest.mark.parametrize("q, n_max, bits, seq", [
+    (0.4, 7, 768, "arcsine_200"),
+    (0.4, 10, 2048, "arcsine_200"),
+    (0.35, 6, 1024, "uniform_200"),
+    (0.45, 6, 1024, "arcsine_200"),
+], ids=["bench", "readme", "uniform", "q045"])
+
+
 class TestPrunedAudit:
     """The stress audit walks only the roots that can hold its worst
-    deviation; worst_deviation_reference walks them all."""
+    deviation; worst_deviation_reference walks them all.  The
+    calibration audits only the members its certificate rejects."""
 
-    @pytest.mark.parametrize("q, n_max, bits, seq", [
-        (0.4, 7, 768, "arcsine_200"),
-        (0.4, 10, 2048, "arcsine_200"),
-        (0.35, 6, 1024, "uniform_200"),
-        (0.45, 6, 1024, "arcsine_200"),
-    ], ids=["bench", "readme", "uniform", "q045"])
+    @_SIGMA_BUILDS
     def test_build_sigma_equals_unpruned_audits(self, request, monkeypatch,
                                                 q, n_max, bits, seq):
         seq = request.getfixturevalue(seq)
@@ -837,29 +862,39 @@ class TestPrunedAudit:
         monkeypatch.setattr(op, "_worst_deviation", worst_deviation_reference)
         assert _bits_of_sigma(got) == _bits_of_sigma(build_sigma(cfg, seq))
 
+    @_SIGMA_BUILDS
+    def test_build_sigma_equals_uncertified_calibration(
+            self, request, monkeypatch, q, n_max, bits, seq):
+        #  with the certificate refusing, every member is audited exactly
+        seq = request.getfixturevalue(seq)
+        cfg = SigmaBuildConfig(q=q, n_max=n_max, bits=bits)
+        got = build_sigma(cfg, seq)
+        monkeypatch.setattr(op, "_worst_within", lambda *args: False)
+        assert _bits_of_sigma(got) == _bits_of_sigma(build_sigma(cfg, seq))
+
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_random_measure_worst_equals_reference(self, data):
-        #  dyadic atoms and weights, as a sigma_n whose first n locations
-        #  are the Leja points, plus one small atom, as the audit adds; a
-        #  weight near 2^(-bits/2) moves the zeros by about root_tol,
-        #  where the margin matters
-        ticks = data.draw(st.lists(st.integers(-1024, 1024), min_size=3,
-                                   max_size=12, unique=True))
-        masses = data.draw(st.lists(st.integers(1, 128), min_size=len(ticks),
-                                    max_size=len(ticks)))
-        bits = data.draw(st.sampled_from([64, 128, 256, 768]))
-        small = data.draw(st.integers(1, bits))
-        ctx = PrecisionContext(bits)
-        with ctx.workprec():
-            atoms = [(mpf(t) / 1024, mpf(w) / 128)
-                     for t, w in zip(ticks, masses)]
-            atoms[-1] = (atoms[-1][0], mpf(2) ** -small)
-        n = len(ticks) - 1
-        rc = stieltjes_recurrence(DiscreteMeasure(tuple(atoms), ctx=ctx), n)
-        pts = [t / 1024 for t in ticks[:n]]
+        rc, pts, n = _random_audit_member(data)
         assert op._worst_deviation(rc, pts, n)._mpf_ == \
             worst_deviation_reference(rc, pts, n)._mpf_
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_certificate_accepts_only_worsts_within_tgt(self, data):
+        #  tgt on a grid of root_tol/8 within 3 root_tol of the worst, on
+        #  both sides: a root lies up to root_tol/2 beyond its count step,
+        #  so a certificate without the slack accepts some tgt < worst
+        rc, pts, n = _random_audit_member(data)
+        shift = data.draw(st.integers(0, 7))
+        ctx = rc.ctx
+        with ctx.workprec():
+            worst = op._worst_deviation(rc, pts, n)
+            J = op._jacobi(rc, n)
+            for j in range(-24, 25):
+                tgt = worst + (8 * j + shift) * ctx.root_tol / 64
+                if op._worst_within(J, ctx, pts, tgt):
+                    assert worst <= tgt
 
     def test_deviations_below_root_tol_rank_by_the_roots(self):
         #  a 2^-32 atom moves both zeros of P_2 by less than root_tol =
@@ -891,12 +926,13 @@ class TestPrunedAudit:
 
     def test_readme_build_walks_one_root_per_member(self, arcsine_200,
                                                     monkeypatch):
-        #  the unpruned audits walk 142 roots in this build
+        #  the certificate accepts 22 of this build's 28 audit members (142
+        #  roots); the exact audits of the other 6 (27 roots) walk one each
         members = _recording(monkeypatch, "_worst_deviation")
         walks = _recording(monkeypatch, "_walk")
         build_sigma(SigmaBuildConfig(q=0.4, n_max=10, bits=2048), arcsine_200)
-        assert len(members) == 28
-        assert len(walks) <= 28
+        assert len(members) == 6
+        assert len(walks) <= 6
 
 
 class TestCountingMeasure:
