@@ -4,7 +4,7 @@ roots-of-unity and Chebyshev-zero demonstrations."""
 
 from .precision import PrecisionContext, PrecisionTooLow
 from .measures import DiscreteMeasure, TargetMeasure, ks_distance, separation
-from .potentials import (equilibrium_potential_segment, phi, target_arcsine,
+from .potentials import (equilibrium_potential_segment, target_arcsine,
                          target_blend, target_uniform)
 from .leja import (DegenerateGrid, chebyshev_grid, generate,
                    verify_weighted_asymptotics)

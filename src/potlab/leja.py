@@ -161,5 +161,5 @@ def verify_weighted_asymptotics(seq, target, z_samples):
     out = []
     for z in z_samples:
         s = float(np.sum(np.log(np.abs(complex(z) - pts)))) / n
-        out.append(s + float(target.potential(z)))
+        out.append(s + target.potential(z))
     return out

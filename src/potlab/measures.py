@@ -22,7 +22,7 @@ class TargetMeasure:
     """Probability measure on [-1,1] with continuous logarithmic potential.
 
     potential(z) returns the value of the potential at any real or complex
-    point (a real number); cdf(x) is vectorized over numpy arrays and maps
+    point as a Python float; cdf(x) is vectorized over numpy arrays and maps
     [-1,1] into [0,1]; grid_potential(x) is the same potential in float64
     on a float or an array of real points in [-1,1].
     """

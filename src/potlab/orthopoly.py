@@ -424,7 +424,7 @@ def precision_floor(q, n, cascade="stabilized"):
     lg = math.log2(1 / q)
     if cascade == "power":
         return math.ceil(3 * n * n * lg) + 128
-    span = 1 + sum(k * k for k in range(1, n)) + n * n
+    span = 1 + (n - 1) * n * (2 * n - 1) // 6 + n * n   # 1 + sum k^2 + n^2
     return math.ceil(3 * span * lg) + 128
 
 
@@ -652,16 +652,17 @@ def _stress_members(m, seq, n, eps_next, q, family):
 #  potential asymptotics
 
 
-def potential_asymptotics_check(zero_sets, target, z_samples, ctx):
+def potential_asymptotics_check(zero_sets, target, z_samples):
     """Rows (n, z, (1/n) log|P_n(z)| + V(z)), one block per ZeroSet in
     zero_sets (n = its number of roots, P_n in product form over them),
-    in input order; each z and V(z) are evaluated once, under ctx."""
+    in input order.  Each V(z) is evaluated once; the sum runs in float64
+    over the roots as floats, as in leja.verify_weighted_asymptotics."""
+    zv = [(z, target.potential(z)) for z in z_samples]
     rows = []
-    with ctx.workprec():
-        zv = [(z, ctx.mpc(z), target.potential(z)) for z in z_samples]
-        for zs in zero_sets:
-            n = len(zs.roots)
-            for z, zz, v in zv:
-                s = mp.fsum(mp.log(abs(zz - r)) for r in zs.roots) / n
-                rows.append((n, z, float(s + v)))
+    for zs in zero_sets:
+        pts = np.array([float(r) for r in zs.roots], dtype=complex)
+        n = len(pts)
+        for z, v in zv:
+            s = float(np.sum(np.log(np.abs(complex(z) - pts)))) / n
+            rows.append((n, z, s + v))
     return rows

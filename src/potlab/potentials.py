@@ -8,36 +8,21 @@ conjugate; which of them comes back is left to rounding (a computed
 |w| < 1 triggers the flip to 1/w), so callers there read only |phi| or
 conjugation-symmetric forms such as phi^n + phi^(-n).
 
-Each target measure gives its potential V in closed form twice: a scalar
-formula valid at every real or complex z, evaluated under a
-PrecisionContext, and a float64 form on a float or an array of real
-points in [-1,1] for the Leja objective.  The *_np variants are likewise
-float64 companions for the grid-heavy callers.
+Each target measure gives its potential V in float64 closed form twice:
+a scalar formula valid at every real or complex z, returning a Python
+float, and a form on a float or an array of real points in [-1,1] for
+the Leja objective.  Every reader of V takes a float64.
 """
 
-import numpy as np
-from mpmath import mp, mpf, mpc
+import cmath
+import math
 
-from .precision import PrecisionContext
+import numpy as np
+
 from .measures import TargetMeasure
 
-_D = PrecisionContext(bits=64)
 _ABOVE_M1 = float(np.nextafter(-1.0, 0.0))
 _LOG2 = float(np.log(2.0))
-
-
-def phi(z, ctx=_D):
-    """Exterior conformal map z + sqrt(z-1)*sqrt(z+1) with |phi| >= 1.
-
-    The two-square-root form is stable near the branch points +-1; the
-    branch with modulus < 1 is the reciprocal of the one we want.
-    """
-    with ctx.workprec():
-        z = mpc(z)
-        w = z + mp.sqrt(z - 1) * mp.sqrt(z + 1)
-        if abs(w) < 1:
-            w = 1 / w
-        return w
 
 
 def phi_np(z):
@@ -48,19 +33,18 @@ def phi_np(z):
     return np.where(flip, np.divide(1.0, w, out=np.ones_like(w), where=w != 0), w)
 
 
-def equilibrium_potential_segment(z, ctx=_D):
+def equilibrium_potential_segment(z):
     """Equilibrium potential of [-1,1]: log 2 - log|phi(z)| (log 2 on the cut)."""
-    with ctx.workprec():
-        return mp.log(2) - mp.log(abs(phi(z, ctx)))
+    return _LOG2 - math.log(abs(complex(phi_np(z))))
 
 
 def _re_wlogw(w):
-    """Re(w log w), with 0 log 0 = 0.
+    """Re(w log w) of a complex w, with 0 log 0 = 0.
 
     Re(w log w) = Re(w) log|w| - Im(w) arg(w), so for real w the branch
     of the log drops out.
     """
-    return mp.re(w * mp.log(w)) if w != 0 else mpf(0)
+    return (w * cmath.log(w)).real if w else 0.0
 
 
 def _uniform_potential_grid(x):
@@ -72,11 +56,9 @@ def _uniform_potential_grid(x):
                       + (1 - x) * np.log1p(clamp(-x, _ABOVE_M1)))
 
 
-def target_arcsine(ctx=_D):
+#  the targets ignore ctx: perfbench's test_target_potential_spans passes one
+def target_arcsine(ctx=None):
     """Arcsine (equilibrium) distribution dx / (pi sqrt(1-x^2))."""
-
-    def potential(z):
-        return equilibrium_potential_segment(z, ctx)
 
     def cdf(x):
         return 0.5 + np.arcsin(np.clip(np.asarray(x, dtype=float), -1, 1)) / np.pi
@@ -84,18 +66,17 @@ def target_arcsine(ctx=_D):
     def grid_potential(x):
         return _LOG2 if type(x) is float else np.full_like(x, _LOG2)
 
-    return TargetMeasure(potential=potential, cdf=cdf,
+    return TargetMeasure(potential=equilibrium_potential_segment, cdf=cdf,
                          grid_potential=grid_potential)
 
 
-def target_uniform(ctx=_D):
+def target_uniform(ctx=None):
     """Uniform distribution dx/2 on [-1,1]."""
 
     def potential(z):
         #  -(1/2) int_{-1}^{1} log|z - t| dt in closed form (SaTo97)
-        with ctx.workprec():
-            z = mpc(z)
-            return 1 - (_re_wlogw(z + 1) - _re_wlogw(z - 1)) / 2
+        z = complex(z)
+        return 1 - (_re_wlogw(z + 1) - _re_wlogw(z - 1)) / 2
 
     def cdf(x):
         return (np.clip(np.asarray(x, dtype=float), -1, 1) + 1) / 2
@@ -104,15 +85,14 @@ def target_uniform(ctx=_D):
                          grid_potential=_uniform_potential_grid)
 
 
-def target_blend(alpha, ctx=_D):
+def target_blend(alpha, ctx=None):
     """Convex combination alpha*arcsine + (1-alpha)*uniform."""
     if not 0 <= alpha <= 1:
         raise ValueError(f"alpha must be in [0,1], got {alpha}")
-    arc, uni = target_arcsine(ctx), target_uniform(ctx)
+    arc, uni = target_arcsine(), target_uniform()
 
     def potential(z):
-        with ctx.workprec():
-            return alpha * arc.potential(z) + (1 - alpha) * uni.potential(z)
+        return alpha * arc.potential(z) + (1 - alpha) * uni.potential(z)
 
     def cdf(x):
         return alpha * arc.cdf(x) + (1 - alpha) * uni.cdf(x)
@@ -123,4 +103,3 @@ def target_blend(alpha, ctx=_D):
 
     return TargetMeasure(potential=potential, cdf=cdf,
                          grid_potential=grid_potential)
-

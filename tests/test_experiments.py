@@ -599,7 +599,7 @@ class TestPublicApi:
         assert names == {
             "PrecisionContext", "PrecisionTooLow",
             "DiscreteMeasure", "TargetMeasure", "ks_distance", "separation",
-            "equilibrium_potential_segment", "phi",
+            "equilibrium_potential_segment",
             "target_arcsine", "target_blend", "target_uniform",
             "DegenerateGrid", "chebyshev_grid", "generate",
             "verify_weighted_asymptotics",
@@ -718,6 +718,13 @@ class TestCli:
            for key, command in [("eps", "stahl-circle"),
                                 ("eps", "stahl-segment"),
                                 ("eps", "capacity"), ("rho", "stahl-circle")]},
+    })
+    #  a size that does not fit an int64 cannot size an array or a range
+    test_huge_size_exits_2 = _refusal_test({
+        "huge_n_list_entry": ("stahl-circle", {"n_list": [10 ** 30]}, CONFIG,
+                              "n_list exceeds 9223372036854775807"),
+        "huge_n_max": ("prop1", {"n_max": 10 ** 30}, CONFIG,
+                       "n_max exceeds 9223372036854775807"),
     })
     test_no_leja_points_exits_2 = _refusal_test(
         ("leja", {"leja_n": 0}, CONFIG, "leja_n must be >= 1"))

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from potlab import (DegenerateGrid, PrecisionContext, chebyshev_grid,
-                    generate, target_arcsine, target_blend, target_uniform,
-                    verify_weighted_asymptotics)
+from potlab import (DegenerateGrid, chebyshev_grid, generate, target_arcsine,
+                    target_blend, target_uniform, verify_weighted_asymptotics)
 from potlab import leja
 from potlab.measures import ks_distance, separation
 
@@ -351,22 +350,22 @@ class TestAsymptotics:
     def test_weighted_arcsine_matches_unweighted_target(self,
                                                             unweighted_800):
         #  -V_arcsine(z) = log|phi(z)| - log 2 off the segment
-        arc = target_arcsine(PrecisionContext(128))
+        arc = target_arcsine()
         half = unweighted_800[:400]
         ra = verify_weighted_asymptotics(half, arc, [2.0])[0]
         rt = verify_weighted_asymptotics(half, None, [2.0])[0]
         assert ra == pytest.approx(rt, abs=1e-12)
 
     def test_weighted_asymptotics_uniform(self):
-        uni = target_uniform(PrecisionContext(128))
+        uni = target_uniform()
         seq = generate(400, target=uni)
         r = verify_weighted_asymptotics(seq, uni, [2j])[0]
         assert abs(r) < 0.05
 
     def test_single_point_weighted_identity(self):
-        uni = target_uniform(PrecisionContext(128))
+        uni = target_uniform()
         r = verify_weighted_asymptotics((1.0,), uni, [2.0])[0]
-        want = math.log(abs(2.0 - 1.0)) + float(uni.potential(2.0))
+        want = math.log(abs(2.0 - 1.0)) + uni.potential(2.0)
         assert r == pytest.approx(want, abs=1e-14)
 
 

@@ -600,6 +600,13 @@ class TestBuildSigma:
         with pytest.raises(PrecisionTooLow):
             SigmaBuildConfig(q=0.4, n_max=10, bits=256, cascade="power")
 
+    def test_stabilized_floor_equals_summed_span(self):
+        #  the closed form of 1 + sum_{k<n} k^2 + n^2 against the sum
+        lg = math.log2(1 / 0.4)
+        for n in range(1, 301):
+            span = 1 + sum(k * k for k in range(1, n)) + n * n
+            assert precision_floor(0.4, n) == math.ceil(3 * span * lg) + 128
+
     def test_stabilized_cascade_respects_paper_interval(self, sigma6):
         #  eps_{n+1} < q^(n^2) * eps_n
         with sigma6.ctx.workprec():
@@ -715,8 +722,7 @@ class TestZeroStability:
            n_max=st.integers(2, 6))
     def test_certificate_on_random_sigmas(self, q, weight, n_max):
         bits = precision_floor(q, n_max) + 64
-        seq = generate(n_max, target=target_blend(weight,
-                                                  PrecisionContext(bits)),
+        seq = generate(n_max, target=target_blend(weight),
                        grid=chebyshev_grid(1024))
         sigma = build_sigma(SigmaBuildConfig(q=q, n_max=n_max, bits=bits),
                             seq)
@@ -951,10 +957,10 @@ class TestCountingMeasure:
 
 class TestPotentialAsymptotics:
     def test_degree_one_identity(self, sigma6):
-        arc = target_arcsine(sigma6.ctx)
+        arc = target_arcsine()
         rc = stieltjes_recurrence(sigma6, 1)
         zs = orthopoly_zeros(rc, 1)
-        rows = potential_asymptotics_check([zs], arc, [2.0], sigma6.ctx)
+        rows = potential_asymptotics_check([zs], arc, [2.0])
         root = zs.roots[0]
         with sigma6.ctx.workprec():
             want = float(mp.log(abs(mpf(2) - root)) + arc.potential(2.0))
@@ -964,10 +970,10 @@ class TestPotentialAsymptotics:
         #  zeros sit within a q^(n^2)-size band of the atoms, so the
         #  product-form residual tracks the Leja one far closer than q^(n^2)
         from potlab import verify_weighted_asymptotics
-        arc = target_arcsine(sigma6.ctx)
+        arc = target_arcsine()
         n = 4
         zs = orthopoly_zeros(stieltjes_recurrence(sigma6, n), n)
-        rows = potential_asymptotics_check([zs], arc, [2.0], sigma6.ctx)
+        rows = potential_asymptotics_check([zs], arc, [2.0])
         seq = tuple(float(x) for x in sigma6.locations[:n])
         leja_res = verify_weighted_asymptotics(seq, arc, [2.0])[0]
         assert abs(rows[0][2] - leja_res) < 10 * 0.4 ** (n * n)
@@ -987,7 +993,7 @@ class TestPotentialAsymptotics:
     def test_target_potential_once_per_z(self, sigma6):
         #  V(z) does not depend on n, so two zero sets share one
         #  evaluation per z sample
-        arc = target_arcsine(sigma6.ctx)
+        arc = target_arcsine()
         calls = []
 
         def counting(z):
@@ -998,9 +1004,22 @@ class TestPotentialAsymptotics:
         rc = stieltjes_recurrence(sigma6, 3)
         zero_sets = [orthopoly_zeros(rc, n) for n in (2, 3)]
         z_samples = [2.0, 1.5 + 0.5j, -3.0]
-        rows = potential_asymptotics_check(zero_sets, target, z_samples,
-                                           sigma6.ctx)
+        rows = potential_asymptotics_check(zero_sets, target, z_samples)
         assert calls == z_samples
         assert [(n, z) for n, z, _ in rows] == [
             (n, z) for n in (2, 3) for z in z_samples]
+
+    @pytest.mark.parametrize("target", [target_arcsine(), target_uniform()],
+                             ids=["arcsine", "uniform"])
+    def test_rows_equal_leja_residuals_on_the_roots(self, bench_sigma,
+                                                    target):
+        #  the same float64 sum over the roots as floats, bit for bit
+        from potlab import verify_weighted_asymptotics
+        z_samples = [2.0, 1.5 + 0.5j, -3.0, 2j]
+        rc = stieltjes_recurrence(bench_sigma, 7)
+        zero_sets = [orthopoly_zeros(rc, n) for n in range(2, 8)]
+        rows = potential_asymptotics_check(zero_sets, target, z_samples)
+        want = [r for zs in zero_sets for r in verify_weighted_asymptotics(
+            [float(x) for x in zs.roots], target, z_samples)]
+        assert [r for _, _, r in rows] == want
 
