@@ -423,11 +423,10 @@ def run_prop1(cfg):
     rc = op.stieltjes_recurrence(sigma, max(cfg.n_list))
     stab_reports = [op.zero_stability_check(rc, seq, n, cfg.q)
                     for n in cfg.n_list]
-    res_rows = op.potential_asymptotics_check(
-        [rep.zeros for rep in stab_reports], target, z_samples)
     per_n = []
     for rep in stab_reports:
-        res_n = {str(z): r for (m, z, r) in res_rows if m == rep.n}
+        res = lj.verify_weighted_asymptotics(rep.zeros.roots, target,
+                                             z_samples)
         per_n.append({
             "n": rep.n,
             "ks": ks_distance(rep.zeros.roots, target.cdf),
@@ -436,7 +435,7 @@ def run_prop1(cfg):
             "margin": _finite_or_none(float(rep.margin)),
             "stability_pass": bool(rep.passed),
             "zero_fallbacks": rep.zeros.fallbacks,
-            "residuals": res_n,
+            "residuals": {str(z): r for z, r in zip(z_samples, res)},
         })
 
     tables = [
@@ -453,7 +452,8 @@ def run_prop1(cfg):
           for rep in stab_reports
           for (j, d), root in zip(rep.deviations, rep.zeros.roots)]),
         ("residuals.csv", ["n", "z", "residual"],
-         [(n, str(z), "%.17g" % r) for n, z, r in res_rows]),
+         [(e["n"], z, "%.17g" % r) for e in per_n
+          for z, r in e["residuals"].items()]),
     ]
     report = {"ks_leja": {str(m): v for m, v in ks_rows},
               "per_n": per_n,

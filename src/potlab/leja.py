@@ -151,9 +151,11 @@ def generate(n, target=None, grid=None):
 def verify_weighted_asymptotics(seq, target, z_samples):
     """Residuals (1/n) sum log|z - x_j| + V(z) for samples off the segment.
 
-    Without a target (None), V is the arcsine target's potential
-    log 2 - log|phi(z)|, the Robin constant of [-1,1] minus its Green
-    function.  Callers assert the decay.
+    The x_j are Leja points or the zeros of P_n(sigma) alike: floats or
+    mpf roots, which the sum takes as float64.  Without a target (None),
+    V is the arcsine target's potential log 2 - log|phi(z)|, the Robin
+    constant of [-1,1] minus its Green function.  Callers assert the
+    decay.
     """
     target = target_arcsine() if target is None else target
     pts = np.asarray(seq, dtype=complex)

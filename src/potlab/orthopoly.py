@@ -647,22 +647,3 @@ def _stress_members(m, seq, n, eps_next, q, family):
         members.append((name, stieltjes_recurrence(beta, n)))
     return bound, members
 
-
-# ---------------------------------------------------------------------------
-#  potential asymptotics
-
-
-def potential_asymptotics_check(zero_sets, target, z_samples):
-    """Rows (n, z, (1/n) log|P_n(z)| + V(z)), one block per ZeroSet in
-    zero_sets (n = its number of roots, P_n in product form over them),
-    in input order.  Each V(z) is evaluated once; the sum runs in float64
-    over the roots as floats, as in leja.verify_weighted_asymptotics."""
-    zv = [(z, target.potential(z)) for z in z_samples]
-    rows = []
-    for zs in zero_sets:
-        pts = np.array([float(r) for r in zs.roots], dtype=complex)
-        n = len(pts)
-        for z, v in zv:
-            s = float(np.sum(np.log(np.abs(complex(z) - pts)))) / n
-            rows.append((n, z, s + v))
-    return rows

@@ -74,9 +74,15 @@ def target_uniform(ctx=None):
     """Uniform distribution dx/2 on [-1,1]."""
 
     def potential(z):
-        #  -(1/2) int_{-1}^{1} log|z - t| dt in closed form (SaTo97)
+        #  -(1/2) int_{-1}^{1} log|z - t| dt in closed form (SaTo97); past
+        #  |z| = 4 the two w log w terms cancel, so take the form in w = 1/z
+        #  (z^2 would overflow), in which z atanh(w) = 1 + w^2/3 + ...
         z = complex(z)
-        return 1 - (_re_wlogw(z + 1) - _re_wlogw(z - 1)) / 2
+        if abs(z) <= 4:
+            return 1 - (_re_wlogw(z + 1) - _re_wlogw(z - 1)) / 2
+        w = 1 / z
+        return (1 - (z * cmath.atanh(w)).real - math.log(abs(1 - w * w)) / 2
+                - math.log(abs(z)))
 
     def cdf(x):
         return (np.clip(np.asarray(x, dtype=float), -1, 1) + 1) / 2

@@ -2,7 +2,7 @@
 
 Everything that has to survive weight ratios like q^(n^2) runs through a
 PrecisionContext, which is a thin wrapper around an mpmath working
-precision.  Values created under a context are plain mpf/mpc numbers and
+precision.  Values created under a context are plain mpf numbers and
 can be mixed freely; the context only pins how many bits new operations
 carry and which tolerances derived checks should use.
 
@@ -14,7 +14,7 @@ callers should parallelize across processes, not threads.
 
 from dataclasses import dataclass
 
-from mpmath import mp, mpf, mpc
+from mpmath import mp, mpf
 
 MIN_BITS = 64
 
@@ -47,10 +47,6 @@ class PrecisionContext:
         with mp.workprec(self.bits):
             return mpf(x)
 
-    def mpc(self, z):
-        with mp.workprec(self.bits):
-            return mpc(z)
-
     @property
     def eps(self):
         return mpf(2) ** (-self.bits)
@@ -63,5 +59,5 @@ class PrecisionContext:
     def nstr(self, x):
         """Decimal string with max(bits/3, 17) significant digits."""
         with mp.workprec(self.bits):
-            return mp.nstr(mpf(x) if not isinstance(x, (mpf, mpc)) else x,
+            return mp.nstr(x if isinstance(x, mpf) else mpf(x),
                            max(self.bits // 3, 17), strip_zeros=False)

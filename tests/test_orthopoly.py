@@ -1,4 +1,5 @@
-import dataclasses
+import csv
+import json
 import math
 from fractions import Fraction
 
@@ -8,14 +9,16 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp, mpf_add, round_nearest
 
-from potlab import (BreakdownError, DiscreteMeasure, PairingFailure,
-                    PrecisionContext, PrecisionTooLow, SigmaBuildConfig,
-                    build_sigma, chebyshev_grid, epsilon_stress_test,
-                    generate, ks_distance, orthopoly_zeros, precision_floor,
-                    stieltjes_recurrence, target_arcsine, target_blend,
-                    target_uniform, zero_stability_check)
+from potlab import (BreakdownError, DiscreteMeasure, ExperimentConfig,
+                    PairingFailure, PrecisionContext, PrecisionTooLow,
+                    SigmaBuildConfig, build_sigma, chebyshev_grid,
+                    epsilon_stress_test, generate, ks_distance,
+                    orthopoly_zeros, precision_floor, stieltjes_recurrence,
+                    target_arcsine, target_blend, target_uniform,
+                    verify_weighted_asymptotics, zero_stability_check)
 from potlab import orthopoly as op
-from potlab.orthopoly import enclosures_hold, potential_asymptotics_check
+from potlab.experiments import run_prop1, target_from_name
+from potlab.orthopoly import enclosures_hold
 
 from conftest import (exact_enclosures_hold, exact_recurrence, mpf_fraction,
                       orth_tol, stieltjes_recurrence_reference,
@@ -960,29 +963,27 @@ class TestPotentialAsymptotics:
         arc = target_arcsine()
         rc = stieltjes_recurrence(sigma6, 1)
         zs = orthopoly_zeros(rc, 1)
-        rows = potential_asymptotics_check([zs], arc, [2.0])
+        rows = verify_weighted_asymptotics(zs.roots, arc, [2.0])
         root = zs.roots[0]
         with sigma6.ctx.workprec():
             want = float(mp.log(abs(mpf(2) - root)) + arc.potential(2.0))
-        assert rows[0][2] == pytest.approx(want, abs=1e-14)
+        assert rows[0] == pytest.approx(want, abs=1e-14)
 
     def test_agreement_with_leja_residual(self, sigma6):
         #  zeros sit within a q^(n^2)-size band of the atoms, so the
         #  product-form residual tracks the Leja one far closer than q^(n^2)
-        from potlab import verify_weighted_asymptotics
         arc = target_arcsine()
         n = 4
         zs = orthopoly_zeros(stieltjes_recurrence(sigma6, n), n)
-        rows = potential_asymptotics_check([zs], arc, [2.0])
+        rows = verify_weighted_asymptotics(zs.roots, arc, [2.0])
         seq = tuple(float(x) for x in sigma6.locations[:n])
         leja_res = verify_weighted_asymptotics(seq, arc, [2.0])[0]
-        assert abs(rows[0][2] - leja_res) < 10 * 0.4 ** (n * n)
+        assert abs(rows[0] - leja_res) < 10 * 0.4 ** (n * n)
 
     def test_residual_trend_doubling(self, arcsine_seq):
         #  zeros track the atoms to far below the residual scale, so the
         #  the product-form residual inherits the point-sequence trend;
         #  the envelope at z = 2 shrinks from n = 6 to n = 12
-        from potlab import verify_weighted_asymptotics
         arc = target_arcsine()
         res = {}
         for n in (6, 12):
@@ -990,36 +991,48 @@ class TestPotentialAsymptotics:
             res[n] = verify_weighted_asymptotics(sub, arc, [2.0])[0]
         assert abs(res[12]) < abs(res[6])
 
-    def test_target_potential_once_per_z(self, sigma6):
-        #  V(z) does not depend on n, so two zero sets share one
-        #  evaluation per z sample
-        arc = target_arcsine()
-        calls = []
-
-        def counting(z):
-            calls.append(z)
-            return arc.potential(z)
-
-        target = dataclasses.replace(arc, potential=counting)
-        rc = stieltjes_recurrence(sigma6, 3)
-        zero_sets = [orthopoly_zeros(rc, n) for n in (2, 3)]
-        z_samples = [2.0, 1.5 + 0.5j, -3.0]
-        rows = potential_asymptotics_check(zero_sets, target, z_samples)
-        assert calls == z_samples
-        assert [(n, z) for n, z, _ in rows] == [
-            (n, z) for n in (2, 3) for z in z_samples]
-
     @pytest.mark.parametrize("target", [target_arcsine(), target_uniform()],
                              ids=["arcsine", "uniform"])
-    def test_rows_equal_leja_residuals_on_the_roots(self, bench_sigma,
-                                                    target):
-        #  the same float64 sum over the roots as floats, bit for bit
-        from potlab import verify_weighted_asymptotics
+    def test_mpf_roots_and_their_floats_give_the_same_bits(self, bench_sigma,
+                                                           target):
+        #  run_prop1 passes the mpf roots: their complex array is that of
+        #  their floats, so the residuals are those over the floats
         z_samples = [2.0, 1.5 + 0.5j, -3.0, 2j]
         rc = stieltjes_recurrence(bench_sigma, 7)
-        zero_sets = [orthopoly_zeros(rc, n) for n in range(2, 8)]
-        rows = potential_asymptotics_check(zero_sets, target, z_samples)
-        want = [r for zs in zero_sets for r in verify_weighted_asymptotics(
-            [float(x) for x in zs.roots], target, z_samples)]
-        assert [r for _, _, r in rows] == want
+        for n in range(2, 8):
+            roots = orthopoly_zeros(rc, n).roots
+            floats = [float(r) for r in roots]
+            assert (np.asarray(roots, dtype=complex).tobytes()
+                    == np.array(floats, dtype=complex).tobytes())
+            assert (verify_weighted_asymptotics(roots, target, z_samples)
+                    == verify_weighted_asymptotics(floats, target, z_samples))
 
+    @pytest.mark.parametrize("target", ["arcsine", "uniform"])
+    def test_rows_equal_leja_residuals_on_the_roots(self, tmp_path,
+                                                    monkeypatch, target):
+        #  prop1's residuals.csv rows and per_n residuals are
+        #  verify_weighted_asymptotics over each stability report's roots
+        reports = []
+        inner = op.zero_stability_check
+
+        def recording(*args):
+            reports.append(inner(*args))
+            return reports[-1]
+
+        monkeypatch.setattr(op, "zero_stability_check", recording)
+        cfg = ExperimentConfig(experiment="prop1", q=0.4, n_list=(2, 3, 4, 5),
+                               n_max=5, bits=768, leja_n=30, grid_size=1024,
+                               target=target, out_dir=str(tmp_path))
+        keys = list(run_prop1(cfg)["per_n"][0]["residuals"])
+        per_n = json.loads((tmp_path / "summary.json").read_text())["per_n"]
+        want = [verify_weighted_asymptotics(
+            rep.zeros.roots, target_from_name(target),
+            [complex(z) for z in keys]) for rep in reports]
+        assert [rep.n for rep in reports] == [e["n"] for e in per_n]
+        assert [e["residuals"] for e in per_n] == [
+            dict(zip(keys, res)) for res in want]
+        with open(tmp_path / "residuals.csv", newline="") as f:
+            rows = list(csv.reader(f))
+        assert rows == [["n", "z", "residual"]] + [
+            [str(rep.n), z, "%.17g" % r]
+            for rep, res in zip(reports, want) for z, r in zip(keys, res)]

@@ -253,6 +253,36 @@ class TestTargets:
             #  1.8e-15 at worst over 60,000 points drawn like these
             assert abs(got - oracle) < 3e-15
 
+    @pytest.mark.parametrize("alpha, target",
+                             [(0.0, target_uniform()),
+                              (0.3, target_blend(0.3))],
+                             ids=["uniform", "blend:0.3"])
+    @settings(max_examples=60, deadline=None)
+    @example(lg=300.0, u=-1)
+    @example(lg=300.0, u=-1j)
+    @example(lg=100.0, u=1j)
+    @example(lg=15.0, u=-1)
+    @example(lg=0.0, u=1)
+    @given(lg=st.floats(math.log10(4), 300),
+           u=st.sampled_from([1, -1, 1j, -1j])
+           | st.floats(-math.pi, math.pi).map(lambda t: cmath.exp(1j * t)))
+    def test_potential_far_from_the_segment(self, alpha, target, lg, u):
+        """V at 4 <= |z| <= 1e300 against the closed forms at enough bits
+        for the uniform one's cancellation, to 1e-14 or 2^-52 |V|, the
+        larger.  A relative 1e-16 is below half an ulp at the bottom of a
+        binade, so no float64 V keeps it everywhere; over 9000 such points
+        the uniform V erred by 5.7e-14 at worst (half an ulp, |V| = 564),
+        the blend by 9.5e-14."""
+        z = max(4.0, 10.0 ** lg) * u
+        got = target.potential(z)
+        with mp.workprec(120 + round(lg * math.log2(10))):
+            zz = mpc(z)
+            uni = 1 - ((zz + 1) * mp.log(zz + 1)
+                       - (zz - 1) * mp.log(zz - 1)).real / 2
+            arc = mp.log(2) - mp.log(abs(phi(zz, CTX)))
+            want = float(mpf(alpha) * arc + mpf(1 - alpha) * uni)
+        assert abs(got - want) <= max(1e-14, ULP_1 * abs(want))
+
     def test_blend_reduces_to_arcsine(self):
         bl = target_blend(1.0)
         assert abs(bl.potential(0.3) - mp.log(2)) <= ULP_1 / 4
