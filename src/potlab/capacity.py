@@ -92,9 +92,10 @@ def trace_level_curve(g, centers, level, angles):
     g maps complex arrays elementwise to moduli below level at the
     centers.  Rays are bracketed from length 1e-9 by doubling
     (TracingFailure past 1e6) or halving (TracingFailure once float64
-    cannot step off the center), then bisected 64 times to adjacent
-    floats.  Returns center-major (z0, d, lo, hi): origins, unit
-    directions and brackets with g(z0 + lo*d) < level <= g(z0 + hi*d).
+    cannot step off the center), then bisected at most 64 times, until
+    every bracket's midpoint is one of its ends.  Returns center-major
+    (z0, d, lo, hi): origins, unit directions and brackets with
+    g(z0 + lo*d) < level <= g(z0 + hi*d).
     """
     #  math.cos/math.sin round apart from np.cos/np.sin on arrays, and the
     #  pinned runner outputs rest on the former
@@ -121,6 +122,10 @@ def trace_level_curve(g, centers, level, angles):
     lo = hi / 2
     for _ in range(64):
         mid = (lo + hi) / 2
+        #  adjacent floats: by the bracket invariant each further step
+        #  would reassign the end that mid already equals
+        if np.all((mid == lo) | (mid == hi)):
+            break
         below = g(z0 + mid * d) < level
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)

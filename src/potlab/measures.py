@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from mpmath import mpf
 
 from .precision import PrecisionContext
 
@@ -44,6 +43,7 @@ class DiscreteMeasure:
     ctx: PrecisionContext = field(default_factory=PrecisionContext)
 
     def __post_init__(self):
+        from mpmath import mpf
         with self.ctx.workprec():
             atoms = tuple((mpf(x), mpf(w)) for x, w in self.atoms)
         for x, w in atoms:

@@ -34,8 +34,19 @@ def phi_np(z):
 
 
 def equilibrium_potential_segment(z):
-    """Equilibrium potential of [-1,1]: log 2 - log|phi(z)| (log 2 on the cut)."""
-    return _LOG2 - math.log(abs(complex(phi_np(z))))
+    """Equilibrium potential of [-1,1]: log 2 - log|phi(z)| (log 2 on the cut).
+
+    Past |z| = 4 it takes the form in w = 1/z, phi(z) = z (1 + sqrt(1 -
+    w^2)) with the principal root, since z + sqrt(z-1) sqrt(z+1)
+    overflows from |z| of about 9e307.
+    """
+    z = complex(z)
+    if abs(z) <= 4:
+        return _LOG2 - math.log(abs(complex(phi_np(z))))
+    #  log 2 + log|w| - log|1 + sqrt(1 - w^2)|, with the log 2 divided
+    #  out first so that one rounding, not two, lands at the size of V
+    w = 1 / z
+    return math.log(abs(w)) - math.log(abs((1 + cmath.sqrt(1 - w * w)) / 2))
 
 
 def _re_wlogw(w):

@@ -10,11 +10,13 @@ Operations built on a context are pure functions of their inputs, and
 the produced values can be shared across threads.  The precision switch
 itself goes through mpmath's process-global context, so concurrent
 callers should parallelize across processes, not threads.
+
+mpmath is imported inside the methods that use it, not with this
+module, so the float runners, which use only MIN_BITS and
+PrecisionTooLow, never load it.
 """
 
 from dataclasses import dataclass
-
-from mpmath import mp, mpf
 
 MIN_BITS = 64
 
@@ -41,23 +43,28 @@ class PrecisionContext:
 
     def workprec(self):
         """Context manager switching mpmath to this precision."""
+        from mpmath import mp
         return mp.workprec(self.bits)
 
     def mpf(self, x):
+        from mpmath import mp, mpf
         with mp.workprec(self.bits):
             return mpf(x)
 
     @property
     def eps(self):
+        from mpmath import mpf
         return mpf(2) ** (-self.bits)
 
     @property
     def root_tol(self):
         """Bisection width for polynomial roots: 2^(-bits/2)."""
+        from mpmath import mpf
         return mpf(2) ** (-(self.bits // 2))
 
     def nstr(self, x):
         """Decimal string with max(bits/3, 17) significant digits."""
+        from mpmath import mp, mpf
         with mp.workprec(self.bits):
             return mp.nstr(x if isinstance(x, mpf) else mpf(x),
                            max(self.bits // 3, 17), strip_zeros=False)

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from mpmath import mp, mpf
 
-from potlab import DegenerateGrid, DegenerateRegion, chebyshev_grid
+from potlab import (DegenerateGrid, DegenerateRegion, TracingFailure,
+                    chebyshev_grid)
 from potlab.orthopoly import (BreakdownError, RecurrenceCoeffs,
                               orthopoly_zeros)
 
@@ -199,6 +200,39 @@ def greedy_select_reference(samples, n):
                 L[:, k] = np.log(np.abs(samples - samples[i]))
             rowsum = L.sum(axis=1)
     return samples[sel]
+
+
+def trace_level_curve_reference(g, centers, level, angles):
+    """capacity.trace_level_curve as it was before its bisection stopped
+    at adjacent floats: all 64 bisection steps on every ray.  The library
+    must return the same (z0, d, lo, hi) bit for bit."""
+    dirs = np.array([complex(math.cos(th), math.sin(th))
+                     for th in 2 * np.pi * np.arange(angles) / angles])
+    z0 = np.repeat(np.asarray(centers), angles)
+    d = np.tile(dirs, len(centers))
+    hi = np.full(len(z0), 1e-9)
+    below = g(z0 + hi * d) < level
+    near = ~below
+    while near.any():
+        z = z0[near] + hi[near] / 2 * d[near]
+        if np.any(z == z0[near]):
+            raise TracingFailure(f"g = {level} crossing too near "
+                                 f"{z[z == z0[near]][0]} for float64")
+        near[near] = g(z) >= level
+        hi[near] /= 2
+    while below.any():
+        hi[below] *= 2
+        if hi.max() > 1e6:
+            raise TracingFailure(f"no g = {level} crossing within 1e6 of "
+                                 f"{z0[np.argmax(hi)]}")
+        below[below] = g(z0[below] + hi[below] * d[below]) < level
+    lo = hi / 2
+    for _ in range(64):
+        mid = (lo + hi) / 2
+        below = g(z0 + mid * d) < level
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return z0, d, lo, hi
 
 
 def uniform_potential_grid_reference(x):

@@ -15,7 +15,8 @@ from potlab.capacity import (_corrected_dn, _greedy_select, disk_boundary,
 from potlab.experiments import (_nth_roots, _cheb_level_set,
                                 _trace_cheb_lemniscate)
 
-from conftest import chebyshev_monic_coeffs, greedy_select_reference
+from conftest import (chebyshev_monic_coeffs, greedy_select_reference,
+                      trace_level_curve_reference)
 
 
 def _diameters(pts, n):
@@ -256,6 +257,49 @@ class TestPreimage:
         pts = trace_lemniscate_boundary(coeffs, level)
         vals = np.abs(np.polyval(coeffs, pts))
         assert np.max(np.abs(vals - level)) < 1e-9 * level
+
+
+class TestLevelCurveBisection:
+    """The bisection stops at adjacent floats with the brackets of all 64
+    steps, bit for bit, and with fewer evaluations of g."""
+
+    @staticmethod
+    def _trace(monkeypatch, tracer, n, eps):
+        """(outcome, g evaluations) of the degree-n Chebyshev lemniscate
+        traced with `tracer` as capacity.trace_level_curve; a
+        TracingFailure is its message."""
+        g, roots, level = _cheb_level_set(n, eps)
+        calls = []
+
+        def counted(z):
+            calls.append(len(z))
+            return g(z)
+
+        monkeypatch.setattr(capacity, "trace_level_curve", tracer)
+        try:
+            out = tuple(a.tobytes()
+                        for a in _trace_cheb_lemniscate(counted, roots, level))
+        except TracingFailure as exc:
+            out = str(exc)
+        return out, len(calls)
+
+    @pytest.mark.parametrize("eps", [0.05, 0.3, 1.0])
+    @pytest.mark.parametrize("n", [8, 16, 33])
+    def test_chebyshev_lemniscates(self, monkeypatch, n, eps):
+        got, calls = self._trace(monkeypatch, trace_level_curve, n, eps)
+        want, ref_calls = self._trace(monkeypatch,
+                                      trace_level_curve_reference, n, eps)
+        assert got == want
+        if not isinstance(want, str):
+            assert calls < ref_calls
+
+    def test_lemniscate_boundary(self, monkeypatch):
+        coeffs = np.array([1.0, 0.0, -1.0])
+        got = trace_lemniscate_boundary(coeffs, 0.81)
+        monkeypatch.setattr(capacity, "trace_level_curve",
+                            trace_level_curve_reference)
+        want = trace_lemniscate_boundary(coeffs, 0.81)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestLune:

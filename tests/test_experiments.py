@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import types
 
 import numpy as np
@@ -611,6 +614,70 @@ class TestPublicApi:
             "TracingFailure", "greedy_fekete_capacity",
             "lune_capacity_bounds", "preimage_capacity_check",
             "ConfigError", "ExperimentConfig", "run"}
+
+
+def _fresh_python(code, *args):
+    """stdout of `code` run with args in a fresh interpreter on this potlab."""
+    src = os.path.dirname(os.path.dirname(potlab.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          check=True, capture_output=True, text=True).stdout
+
+
+#  run a CLI command in-process, then print whether mpmath was loaded
+_RUN_AND_REPORT = """
+import sys
+from potlab.cli import main
+assert main(sys.argv[1:]) == 0
+print("mpmath" in sys.modules)
+"""
+
+
+class TestLazyBigFloat:
+    """Only prop1 and the big-float API load mpmath: potlab.orthopoly is
+    registered in sys.modules unexecuted and runs on first attribute use."""
+
+    @pytest.mark.parametrize("command, config", [
+        ("stahl-circle", {"n_list": [8, 16]}),
+        ("stahl-segment", {"n_list": [8, 16]}),
+        ("leja", {}),
+        ("capacity", {}),
+        ("prop1", {"n_list": [2, 3], "bits": 512, "leja_n": 20}),
+    ])
+    def test_only_prop1_loads_mpmath(self, tmp_path, command, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = _fresh_python(_RUN_AND_REPORT, command, "--config", str(cfg),
+                            "--out", str(tmp_path / "out"))
+        assert out.splitlines()[-1] == str(command == "prop1")
+
+    def test_import_registers_orthopoly_unexecuted(self):
+        out = _fresh_python(
+            "import sys, potlab\n"
+            "m = sys.modules['potlab.orthopoly']\n"
+            "print(m is potlab.orthopoly,\n"
+            "      'build_sigma' in object.__getattribute__(m, '__dict__'),\n"
+            "      'mpmath' in sys.modules)")
+        assert out.split() == ["True", "False", "False"]
+
+    def test_vars_executes_orthopoly(self):
+        #  perfbench/tracer.py reads the layer modules through vars()
+        out = _fresh_python(
+            "import sys, potlab.cli\n"
+            "print('build_sigma' in vars(sys.modules['potlab.orthopoly']))")
+        assert out.split() == ["True"]
+
+    def test_orthopoly_names_from_the_package(self):
+        out = _fresh_python(
+            "import potlab.orthopoly as op\n"
+            "from potlab import build_sigma, BreakdownError\n"
+            "print(build_sigma is op.build_sigma,\n"
+            "      BreakdownError is op.BreakdownError)")
+        assert out.split() == ["True", "True"]
+        assert potlab.zero_stability_check is op.zero_stability_check
+        assert "build_sigma" in dir(potlab)
+        with pytest.raises(AttributeError, match="no attribute 'nope'"):
+            potlab.nope
 
 
 CONFIG, PRECISION = "config error: ", "precision error: "

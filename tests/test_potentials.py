@@ -255,24 +255,30 @@ class TestTargets:
 
     @pytest.mark.parametrize("alpha, target",
                              [(0.0, target_uniform()),
-                              (0.3, target_blend(0.3))],
-                             ids=["uniform", "blend:0.3"])
+                              (0.3, target_blend(0.3)),
+                              (1.0, target_arcsine())],
+                             ids=["uniform", "blend:0.3", "arcsine"])
     @settings(max_examples=60, deadline=None)
+    @example(lg=308.0, u=1)
+    @example(lg=308.0, u=-1)
+    @example(lg=308.0, u=1j)
+    @example(lg=math.log10(9e307), u=1)
     @example(lg=300.0, u=-1)
     @example(lg=300.0, u=-1j)
     @example(lg=100.0, u=1j)
     @example(lg=15.0, u=-1)
     @example(lg=0.0, u=1)
-    @given(lg=st.floats(math.log10(4), 300),
+    @given(lg=st.floats(math.log10(4), 308),
            u=st.sampled_from([1, -1, 1j, -1j])
            | st.floats(-math.pi, math.pi).map(lambda t: cmath.exp(1j * t)))
     def test_potential_far_from_the_segment(self, alpha, target, lg, u):
-        """V at 4 <= |z| <= 1e300 against the closed forms at enough bits
+        """V at 4 <= |z| <= 1e308 against the closed forms at enough bits
         for the uniform one's cancellation, to 1e-14 or 2^-52 |V|, the
-        larger.  A relative 1e-16 is below half an ulp at the bottom of a
-        binade, so no float64 V keeps it everywhere; over 9000 such points
-        the uniform V erred by 5.7e-14 at worst (half an ulp, |V| = 564),
-        the blend by 9.5e-14."""
+        larger, with no overflow on the way (warnings are errors).  A
+        relative 1e-16 is below half an ulp at the bottom of a binade, so
+        no float64 V keeps it everywhere; over 9000 such points the
+        uniform V erred by 5.7e-14 at worst (half an ulp, |V| = 564), the
+        blend by 9.5e-14 and the arcsine V by 1.1e-13 (|V| = 561)."""
         z = max(4.0, 10.0 ** lg) * u
         got = target.potential(z)
         with mp.workprec(120 + round(lg * math.log2(10))):
