@@ -11,9 +11,9 @@ roots of unity on the unit circle d_n = n^(1/(n-1)) instead of 1.  The
 estimate, a float, divides that factor out, which makes the disk exact
 and lands known answers (segment, ellipses, lemniscates) within a couple
 of percent at n = 64; `_corrected_dn` also gives the raw d_n.  The
-exchange pass sums exactly only the samples a proved rounding bound
-cannot rule out, and so picks the points of exact column sums bit for
-bit (`_exchange`).
+exchange pass skips the steps and samples a proved rounding bound rules
+out, and so picks the points of exact column sums bit for bit
+(`_exchange`).
 
 Level curves are traced by `trace_level_curve`, shared by the lemniscate
 tracer here and the Chebyshev lemniscates of the experiments.
@@ -152,11 +152,10 @@ def trace_lemniscate_boundary(coeffs, level):
 
 def _log_dist(samples, z, out, buf):
     """out = log|samples - z|, -inf where equal, through the complex buf."""
-    np.abs(np.subtract(samples, z, out=buf), out=out)
-    with np.errstate(divide="ignore"):
-        np.log(out, out=out)
+    np.log(np.abs(np.subtract(samples, z, out=buf), out=out), out=out)
 
 
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _greedy_select(samples, n):
     """n of the samples, picked greedily, then improved by `_exchange`.
 
@@ -184,8 +183,7 @@ def _greedy_select(samples, n):
         logd += L[k]
     #  no two samples lie over 2 max|x - centroid| apart, and no two
     #  distinct floats closer than the smallest subnormal, e^-744.4
-    with np.errstate(divide="ignore", over="ignore"):
-        lmax = np.maximum(745.0, np.log(2 * dist[sel[0]]))
+    lmax = np.maximum(745.0, np.log(2 * dist[sel[0]]))
     _exchange(samples, sel, L, logd, buf, lmax)
     return samples[sel]
 
@@ -193,38 +191,38 @@ def _greedy_select(samples, n):
 def _exchange(samples, sel, L, logd, buf, lmax):
     """One exchange pass over sel, keeping L and logd; returns tau.
 
-    Pass k swaps z_k for the sample j of largest exact value
-    rowsum_j - L[k, j] when that beats z_k's own, rowsum_j being numpy's
-    pairwise sum of column j of L, as the reference selection takes it.
+    Step k swaps z_k for the sample j of largest exact value
+    rowsum_j - L[k, j] (rowsum_j: numpy's pairwise sum of column j of L,
+    as the reference selection takes it) if that beats val_k, the
+    off-diagonal sum of row k of the symmetric D = log|z_i - z_j| of sel.
     S = n lmax bounds each column's absolute sum, and any summation order
     rounds within (n-1) u S of the exact sum (Higham 2002, section 4.2),
     so tau = (n + 2 + 2 swaps) eps S, eps = 2u, bounds |logd - rowsum|
     after the two roundings of each swap, and the two candidate values
-    apart.  Only the columns within 2 tau of the best logd - L[k] can
-    hold the exact maximiser, and only they are summed exactly; a tau
-    that is not finite keeps every column.
+    apart.  A step whose best logd - L[k] plus tau is at most val_k thus
+    cannot swap and is skipped; in the others only the columns within
+    2 tau of that best are summed exactly, all if tau is not finite.
     """
     n = len(sel)
     unit = n * lmax * np.finfo(float).eps
     tau = (n + 2) * unit
+    D, approx, row = L[:, sel], np.empty_like(logd), np.empty(n - 1)
     for k in range(n):
-        zk = samples[sel[k]]
-        others = samples[[s for j, s in enumerate(sel) if j != k]]
-        val_k = float(np.sum(np.log(np.abs(zk - others))))
-        #  -inf - (-inf) at coincident samples is nan: such columns, and
-        #  all columns when the threshold is nan, are summed exactly
-        with np.errstate(invalid="ignore"):
-            approx = logd - L[k]
-            cols = np.flatnonzero(~(approx < np.fmax.reduce(approx) - 2 * tau))
-            cand = L[:, cols].T.copy().sum(axis=1) - L[k, cols]
+        row[:k], row[k:] = D[k, :k], D[k, k + 1:]
+        val_k = float(row.sum())
+        top = np.fmax.reduce(np.subtract(logd, L[k], out=approx))
+        if top + tau <= val_k:
+            continue
+        #  nan columns (samples at z_k), and all at a nan threshold, stay
+        cols = np.flatnonzero(~(approx < top - 2 * tau))
+        cand = L[:, cols].T.copy().sum(axis=1) - L[k, cols]
         cand[np.isnan(cand)] = -np.inf
         j = int(np.argmax(cand))
         if cand[j] > val_k:
             sel[k] = int(cols[j])
-            with np.errstate(invalid="ignore"):
-                logd -= L[k]
-                _log_dist(samples, samples[sel[k]], L[k], buf)
-                logd += L[k]
+            _log_dist(samples, samples[sel[k]], L[k], buf)
+            np.add(approx, L[k], out=logd)
+            D[k] = D[:, k] = L[k, sel]
             #  the columns of samples equal to the swapped-out point
             stale = np.flatnonzero(np.isnan(logd))
             logd[stale] = L[:, stale].sum(axis=0)
@@ -232,12 +230,14 @@ def _exchange(samples, sel, L, logd, buf, lmax):
     return tau
 
 
+@np.errstate(divide="ignore")
 def _corrected_dn(pts):
     """(d_n, d_n / n^(1/(n-1))): raw and bias-corrected diameters."""
     n = len(pts)
+    D = np.log(np.abs(pts[:, None] - pts))
     s = 0.0
     for i in range(n):
-        s += np.sum(np.log(np.abs(pts[i] - pts[i + 1:])))
+        s += np.sum(D[i, i + 1:])
     raw = math.exp(2 * s / (n * (n - 1)))
     return raw, raw * n ** (-1.0 / (n - 1))
 
@@ -248,9 +248,9 @@ def greedy_fekete_capacity(region):
     Calibration: disk_boundary(r) -> r exactly, segment_boundary of
     length L -> L/4 within a few percent.  The selection holds an n x m
     float64 log table over the m samples (33.5 MB at m = 65,536, n = 64),
-    prunes its exchange by a certified rounding bound without changing a
-    bit, and raises DegenerateRegion when the samples hold fewer than n
-    distinct points.
+    skips and prunes its exchange by a certified rounding bound without
+    changing a bit, and raises DegenerateRegion when the samples hold
+    fewer than n distinct points.
     """
     return _corrected_dn(_greedy_select(region.params["points"],
                                         FEKETE_POINTS))[1]

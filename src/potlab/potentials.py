@@ -23,6 +23,19 @@ from .measures import TargetMeasure
 
 _ABOVE_M1 = float(np.nextafter(-1.0, 0.0))
 _LOG2 = float(np.log(2.0))
+#  past 2^1000 in either part w = 1/z has |w|^2 < 2^-2000, and each
+#  target's V is -log|z| to far below an ulp; nearer float64's maximum
+#  abs(z) overflows and CPython's 1/z goes subnormal, then 0
+_HUGE = 2.0 ** 1000
+
+
+def _huge_potential(z):
+    """V = -log|z| of every target at a z with a part past _HUGE."""
+    try:
+        return -math.log(abs(z))
+    except OverflowError:
+        #  |z| past float64's maximum, where z / 2 is exact
+        return -(math.log(abs(z / 2)) + _LOG2)
 
 
 def phi_np(z):
@@ -38,9 +51,11 @@ def equilibrium_potential_segment(z):
 
     Past |z| = 4 it takes the form in w = 1/z, phi(z) = z (1 + sqrt(1 -
     w^2)) with the principal root, since z + sqrt(z-1) sqrt(z+1)
-    overflows from |z| of about 9e307.
+    overflows from |z| of about 9e307, and past _HUGE it is -log|z|.
     """
     z = complex(z)
+    if max(abs(z.real), abs(z.imag)) > _HUGE:
+        return _huge_potential(z)
     if abs(z) <= 4:
         return _LOG2 - math.log(abs(complex(phi_np(z))))
     #  log 2 + log|w| - log|1 + sqrt(1 - w^2)|, with the log 2 divided
@@ -89,6 +104,8 @@ def target_uniform(ctx=None):
         #  |z| = 4 the two w log w terms cancel, so take the form in w = 1/z
         #  (z^2 would overflow), in which z atanh(w) = 1 + w^2/3 + ...
         z = complex(z)
+        if max(abs(z.real), abs(z.imag)) > _HUGE:
+            return _huge_potential(z)
         if abs(z) <= 4:
             return 1 - (_re_wlogw(z + 1) - _re_wlogw(z - 1)) / 2
         w = 1 / z

@@ -202,6 +202,18 @@ def greedy_select_reference(samples, n):
     return samples[sel]
 
 
+def corrected_dn_reference(pts):
+    """capacity._corrected_dn as it was before it summed one n x n table
+    of log distances: a fresh log|z_i - z_j| row per point, summed in
+    order.  The library must return the same pair bit for bit."""
+    n = len(pts)
+    s = 0.0
+    for i in range(n):
+        s += np.sum(np.log(np.abs(pts[i] - pts[i + 1:])))
+    raw = math.exp(2 * s / (n * (n - 1)))
+    return raw, raw * n ** (-1.0 / (n - 1))
+
+
 def trace_level_curve_reference(g, centers, level, angles):
     """capacity.trace_level_curve as it was before its bisection stopped
     at adjacent floats: all 64 bisection steps on every ray.  The library

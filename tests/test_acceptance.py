@@ -49,12 +49,12 @@ def unweighted_800():
 
 @pytest.fixture(scope="session")
 def arcsine_200():
-    return generate(200, target=target_arcsine(PrecisionContext(BITS)))
+    return generate(200, target=target_arcsine())
 
 
 @pytest.fixture(scope="session")
 def blend_200():
-    return generate(200, target=target_blend(0.5, PrecisionContext(128)))
+    return generate(200, target=target_blend(0.5))
 
 
 @pytest.fixture(scope="session")
@@ -160,7 +160,7 @@ def test_c04a_potential_asymptotics_agreement(sigma10, arcsine_200,
                 f"criterion 4 agreement at n={n}: |sigma-res - leja-res| = "
                 f"{mp.nstr(diff, 4)} >= 10*q^(n^2) = {mp.nstr(tol, 4)}")
     #  and the public float64 route sees the same agreement at n = 4
-    arc = target_arcsine(ctx)
+    arc = target_arcsine()
     sub = arcsine_200[:4]
     f64 = verify_weighted_asymptotics(sub, arc, [2.0])[0]
     assert abs(f64 - float(sigma_residuals[4])) < 10 * Q ** 16

@@ -15,8 +15,8 @@ from potlab.capacity import (_corrected_dn, _greedy_select, disk_boundary,
 from potlab.experiments import (_nth_roots, _cheb_level_set,
                                 _trace_cheb_lemniscate)
 
-from conftest import (chebyshev_monic_coeffs, greedy_select_reference,
-                      trace_level_curve_reference)
+from conftest import (chebyshev_monic_coeffs, corrected_dn_reference,
+                      greedy_select_reference, trace_level_curve_reference)
 
 
 def _diameters(pts, n):
@@ -120,6 +120,26 @@ CLOUDS = ["circle_8", "circle_16", "circle_32", "circle_64", "disk",
           "segment", "lemniscate", "lune", "cheb_8", "cheb_16"]
 
 
+class _StepSpy:
+    """numpy for capacity.py, logging the exchange's steps: each
+    np.fmax.reduce call opens a step, with the selection as it stands,
+    and an np.flatnonzero call marks the open step as not skipped."""
+
+    def __init__(self, sel, steps):
+        self.sel, self.steps, self.fmax = sel, steps, self
+
+    def reduce(self, a):
+        self.steps.append({"sel": list(self.sel), "skipped": True})
+        return np.fmax.reduce(a)
+
+    def flatnonzero(self, a):
+        self.steps[-1]["skipped"] = False
+        return np.flatnonzero(a)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
 class TestGreedySelectOracle:
     """The selection equals the pre-rewrite reference bit for bit."""
 
@@ -150,6 +170,68 @@ class TestGreedySelectOracle:
             finite = np.isfinite(rowsum)
             assert np.array_equal(np.isfinite(logd), finite)
             assert np.all(np.abs(logd[finite] - rowsum[finite]) <= tau)
+
+    @pytest.mark.parametrize("name", CLOUDS)
+    def test_skipped_steps_cannot_swap(self, runner_clouds, name,
+                                       monkeypatch):
+        #  at every step the exchange skips, no sample's exact value, the
+        #  reference's full column sum less row k, beats z_k's own val_k
+        exchange, seen = capacity._exchange, []
+
+        def spy(samples, sel, L, logd, buf, lmax):
+            steps = []
+            seen.append((samples, steps))
+            capacity.np = _StepSpy(sel, steps)
+            try:
+                return exchange(samples, sel, L, logd, buf, lmax)
+            finally:
+                capacity.np = np
+
+        monkeypatch.setattr(capacity, "_exchange", spy)
+        samples = np.asarray(runner_clouds[name], dtype=complex)
+        ns = (8, 12, 48, 64)
+        for n in ns:
+            _greedy_select(samples, n)
+        assert [len(steps) for _, steps in seen] == list(ns)
+        skips = 0
+        for samples, steps in seen:
+            for k, step in enumerate(steps):
+                if not step["skipped"]:
+                    continue
+                skips += 1
+                sel = step["sel"]
+                pts = samples[sel]
+                val_k = float(np.sum(np.log(np.abs(pts[k]
+                                                   - np.delete(pts, k)))))
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    L = np.log(np.abs(samples[:, None] - pts))
+                    cand = L.sum(axis=1) - L[:, k]
+                cand[sel] = -np.inf
+                cand[np.isnan(cand)] = -np.inf
+                assert cand.max() <= val_k, (len(sel), k)
+        if name in ("disk", "cheb_8", "cheb_16"):
+            assert skips > 0
+
+    @pytest.mark.parametrize("name", CLOUDS)
+    def test_corrected_dn_runner_clouds(self, runner_clouds, name):
+        samples = np.asarray(runner_clouds[name], dtype=complex)
+        for n in (8, 12, 48, 64):
+            pts = _greedy_select(samples, n)
+            assert _corrected_dn(pts) == corrected_dn_reference(pts), n
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), scale=st.integers(-6, 6),
+           circle=st.booleans(), half=st.integers(1, 40))
+    def test_corrected_dn_matches_reference(self, seed, scale, circle, half):
+        #  distinct points, as the selection returns them, half of them
+        #  one ulp from the other half
+        rng = np.random.default_rng(seed)
+        base = (np.exp(2j * np.pi * np.arange(half) / half) if circle
+                else rng.standard_normal(half)
+                + 1j * rng.standard_normal(half)) * 10.0 ** scale
+        pts = rng.permutation(np.concatenate(
+            [base, np.nextafter(base.real, np.inf) + 1j * base.imag]))
+        assert _corrected_dn(pts) == corrected_dn_reference(pts)
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), scale=st.integers(-6, 6),

@@ -34,6 +34,23 @@ def phi(z, ctx=CTX):
         return w
 
 
+def far_potential(z, alpha, bits):
+    """alpha V_arcsine + (1 - alpha) V_uniform at z from their closed
+    forms, with the uniform one at `bits` for its cancellation far out."""
+    with mp.workprec(bits):
+        zz = mpc(z)
+        uni = 1 - ((zz + 1) * mp.log(zz + 1)
+                   - (zz - 1) * mp.log(zz - 1)).real / 2
+        arc = mp.log(2) - mp.log(abs(phi(zz, CTX)))
+        return float(mpf(alpha) * arc + mpf(1 - alpha) * uni)
+
+
+FAR_TARGETS = pytest.mark.parametrize(
+    "alpha, target", [(0.0, target_uniform()), (0.3, target_blend(0.3)),
+                      (1.0, target_arcsine())],
+    ids=["uniform", "blend:0.3", "arcsine"])
+
+
 def chebyshev_monic(n, z, ctx):
     """Monic Chebyshev value T_n(z) = 2^(-n) (phi^n + phi^(-n)), n >= 1."""
     if n < 1:
@@ -253,11 +270,7 @@ class TestTargets:
             #  1.8e-15 at worst over 60,000 points drawn like these
             assert abs(got - oracle) < 3e-15
 
-    @pytest.mark.parametrize("alpha, target",
-                             [(0.0, target_uniform()),
-                              (0.3, target_blend(0.3)),
-                              (1.0, target_arcsine())],
-                             ids=["uniform", "blend:0.3", "arcsine"])
+    @FAR_TARGETS
     @settings(max_examples=60, deadline=None)
     @example(lg=308.0, u=1)
     @example(lg=308.0, u=-1)
@@ -281,12 +294,18 @@ class TestTargets:
         blend by 9.5e-14 and the arcsine V by 1.1e-13 (|V| = 561)."""
         z = max(4.0, 10.0 ** lg) * u
         got = target.potential(z)
-        with mp.workprec(120 + round(lg * math.log2(10))):
-            zz = mpc(z)
-            uni = 1 - ((zz + 1) * mp.log(zz + 1)
-                       - (zz - 1) * mp.log(zz - 1)).real / 2
-            arc = mp.log(2) - mp.log(abs(phi(zz, CTX)))
-            want = float(mpf(alpha) * arc + mpf(1 - alpha) * uni)
+        want = far_potential(z, alpha, 120 + round(lg * math.log2(10)))
+        assert abs(got - want) <= max(1e-14, ULP_1 * abs(want))
+
+    @FAR_TARGETS
+    @pytest.mark.parametrize("z", [1.5e308 + 1.5e308j, 1e308 + 1.7e308j,
+                                   1e308 + 1e308j, -1.2e308 - 1.3e308j])
+    def test_potential_past_float64_modulus(self, alpha, target, z):
+        """V at finite z whose |z| or |Re z| + |Im z| passes float64's
+        maximum, where abs(z) overflows and CPython's 1/z returns 0,
+        within the envelope of the test above."""
+        got = target.potential(z)
+        want = far_potential(z, alpha, 1200)
         assert abs(got - want) <= max(1e-14, ULP_1 * abs(want))
 
     def test_blend_reduces_to_arcsine(self):
