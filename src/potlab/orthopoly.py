@@ -18,7 +18,9 @@ counts prove to lie within root_tol/4 of the root.  The computed count
 is monotone in x, so midpoints outside the enclosure need no count.
 The walk runs in Python ints with the roundings of mpf addition, so the
 roots are those of the plain bisection bit for bit.  The same pair of
-counts certifies Proposition 1's bound (enclosures_hold).
+counts certifies Proposition 1's bound (enclosures_hold); its k-th pair,
+at c - R and c + R, follows from the enclosure of Newton's point x when
+c - R <= x - root_tol/4 and x + root_tol/4 <= c + R, and is not made.
 
 Each root is enclosed (_enclose), then walked (_walk).  The stress
 audit reads only the largest distance from a root to its nearest Leja
@@ -35,10 +37,11 @@ full bisection bit for bit.  build_sigma needs only whether it is
 
 Newton's point only steers the walk, so its steps climb a precision
 ladder: the precision about doubles per step from the seed's 53 bits
-and stops at about bits/2 plus a guard, never above bits, where the
-point is fine enough for the enclosure.  The two counts that certify
-the enclosure run at the full precision; a point they reject sends its
-root to the full bisection, as before.
+up to about bits/2 plus a guard, never above bits, and stops there once
+quadratic convergence puts the point within root_tol/16, fine enough
+for the enclosure.  The two counts that certify the enclosure run at
+the full precision; a point they reject sends its root to the full
+bisection.
 
 The Stieltjes recurrence, the Sturm counts and Newton's iteration run
 on raw mpf values (mpmath.libmp), with the roundings and association
@@ -109,9 +112,9 @@ class ZeroSet:
     jacobi: object = field(repr=False, compare=False)  # _jacobi's J_n
 
 
-def _require_support(m, n):
-    """Raise BreakdownError unless m has n or more distinct locations."""
-    d = len({x._mpf_ for x in m.locations})
+def _require_support(xs, n):
+    """Raise BreakdownError unless xs holds n or more distinct raw mpf."""
+    d = len(set(xs))
     if d < n:
         raise BreakdownError(f"the measure has {d} distinct atom locations, "
                              f"fewer than n = {n}")
@@ -128,45 +131,48 @@ def stieltjes_recurrence(m, n):
     The loop runs on raw mpf values with the calls, roundings and
     association order of mpf arithmetic and mp.fsum: (w p) p and ((w x)
     p) p, with w x rounded once before the loop, summed by mpf_sum, then
-    (x - a_k) p_k - b_k p_{k-1}.
+    (x - a_k) p_k - b_k p_{k-1}.  P_0 = 1 and w, w x hold the working
+    precision, so degree 0 takes w, w x and x - a_0 unmultiplied.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    _require_support(m, n)
-    ctx = m.ctx
-    with ctx.workprec():
-        prec, rnd = mp._prec_rounding
-        xs = [x._mpf_ for x in m.locations]
-        ws = [w._mpf_ for w in m.weights]
-        wxs = [mpf_mul(w, x, prec, rnd) for w, x in zip(ws, xs)]
-        p_prev, p_cur = None, [fone] * len(xs)
-        a, b = [], []
-        for k in range(n):
-            nu = mpf_sum([mpf_mul(mpf_mul(w, p, prec, rnd), p, prec, rnd)
-                          for w, p in zip(ws, p_cur)], prec, rnd)
-            if mpf_le(nu, fzero):
-                raise BreakdownError(
-                    f"norm of degree-{k} polynomial is {mp.make_mpf(nu)}; "
-                    f"the measure has fewer than {k + 1} atoms of support "
-                    f"or bits are too low")
-            ak = mpf_div(mpf_sum([
-                mpf_mul(mpf_mul(wx, p, prec, rnd), p, prec, rnd)
-                for wx, p in zip(wxs, p_cur)], prec, rnd), nu, prec, rnd)
-            bk = nu if k == 0 else mpf_div(nu, nu_prev, prec, rnd)
-            a.append(ak)
-            b.append(bk)
-            nu_prev = nu
-            if k + 1 == n:
-                break       # the degree-n values are never read
-            t = [mpf_mul(mpf_sub(x, ak, prec, rnd), pc, prec, rnd)
-                 for x, pc in zip(xs, p_cur)]
-            #  P_{-1} = 0, so P_1 is t itself
-            p_prev, p_cur = p_cur, t if k == 0 else [
-                mpf_sub(v, mpf_mul(bk, pp, prec, rnd), prec, rnd)
-                for v, pp in zip(t, p_prev)]
-        make = mp.make_mpf
-        return RecurrenceCoeffs(a=tuple(map(make, a)), b=tuple(map(make, b)),
-                                ctx=ctx)
+    with m.ctx.workprec():
+        return _stieltjes(m.atoms, n, m.ctx)
+
+
+def _stieltjes(atoms, n, ctx):
+    """stieltjes_recurrence on mpf atoms of ctx's precision; run under ctx."""
+    xs, ws = [x._mpf_ for x, _ in atoms], [w._mpf_ for _, w in atoms]
+    _require_support(xs, n)
+    prec, rnd = mp._prec_rounding
+    wxs = [mpf_mul(w, x, prec, rnd) for w, x in zip(ws, xs)]
+    a, b = [], []
+    for k in range(n):
+        nu = mpf_sum(ws if k == 0 else [
+            mpf_mul(mpf_mul(w, p, prec, rnd), p, prec, rnd)
+            for w, p in zip(ws, p_cur)], prec, rnd)
+        if mpf_le(nu, fzero):
+            raise BreakdownError(
+                f"norm of degree-{k} polynomial is {mp.make_mpf(nu)}; "
+                f"the measure has fewer than {k + 1} atoms of support "
+                f"or bits are too low")
+        ak = mpf_div(mpf_sum(wxs if k == 0 else [
+            mpf_mul(mpf_mul(wx, p, prec, rnd), p, prec, rnd)
+            for wx, p in zip(wxs, p_cur)], prec, rnd), nu, prec, rnd)
+        bk = nu if k == 0 else mpf_div(nu, nu_prev, prec, rnd)
+        a.append(ak)
+        b.append(bk)
+        nu_prev = nu
+        if k + 1 == n:
+            break       # the degree-n values are never read
+        t = [mpf_sub(x, ak, prec, rnd) for x in xs]
+        #  P_{-1} = 0 and P_0 = 1, so P_1 is t itself
+        p_prev, p_cur = ([fone] * len(xs), t) if k == 0 else (p_cur, [
+            mpf_sub(mpf_mul(v, pc, prec, rnd), mpf_mul(bk, pp, prec, rnd),
+                    prec, rnd) for v, pc, pp in zip(t, p_cur, p_prev)])
+    make = mp.make_mpf
+    return RecurrenceCoeffs(a=tuple(map(make, a)), b=tuple(map(make, b)),
+                            ctx=ctx)
 
 
 def _sturm_count(a, b, n, x, tiny):
@@ -207,14 +213,15 @@ def _newton(a, b, n, seed, stop, bits):
 
     The precision about doubles per step from the seed's 53 bits up to
     top = bits/2 + 32, plus the bits of |seed| above 1, but at most bits;
-    the iteration ends once a step at top is at most stop.  The point
-    only steers the walk, and stop = root_tol/16 is absolute, so top
-    needs bits/2 plus a guard for the 4 bits of stop and the rounding of
-    P_n near the root, not the full precision.
+    it ends after a step s at top once |s| or the next step, which
+    quadratic convergence predicts from the one before, r, as |s|^3/r^2,
+    is at most stop.  The point only steers the walk, and stop =
+    root_tol/16 is absolute, so top needs bits/2 plus a guard for the 4
+    bits of stop and the rounding of P_n near the root, not all bits.
     """
     rnd = round_nearest
     top = min(bits, bits // 2 + 32 + max(math.frexp(seed)[1], 0))
-    x, prec = from_float(seed), 53
+    x, prec, r = from_float(seed), 53, fzero
     for _ in range(bits.bit_length() + 2):
         prec = min(2 * prec, top)
         p0, p, d0, d = fzero, fone, fzero, fzero
@@ -229,9 +236,12 @@ def _newton(a, b, n, seed, stop, bits):
         if d == fzero:
             break
         step = mpf_div(p, d, prec, rnd)
-        x = mpf_sub(x, step, prec, rnd)
-        if prec == top and mpf_le(mpf_abs(step), stop):
+        x, s = mpf_sub(x, step, prec, rnd), mpf_abs(step)
+        if prec == top and (mpf_le(s, stop) or mpf_le(
+                mpf_mul(mpf_mul(s, s, prec, rnd), s, prec, rnd),
+                mpf_mul(mpf_mul(r, r, prec, rnd), stop, prec, rnd))):
             break
+        r = s
     return x
 
 
@@ -264,9 +274,9 @@ def _to_grid(x, s):
 
 def _jacobi(rc, n):
     """J_n of the first n pairs of rc as _enclose and _walk read it:
-    raw a and b, the enclosure radius delta, the float64 seeds, and the
-    grid 2^-s with the first ends lo, hi and the stop width on it.  Run
-    under rc.ctx."""
+    raw a and b, the enclosure radius delta, the float64 seeds, Newton's
+    certified points (None until enclosed), and the grid 2^-s with the
+    first ends lo, hi and the stop width on it.  Run under rc.ctx."""
     if n < 1 or n > len(rc):
         raise ValueError(f"need 1 <= n <= {len(rc)}")
     ctx = rc.ctx
@@ -293,7 +303,7 @@ def _jacobi(rc, n):
     lo_s, hi_s, tol_s = (_to_grid(v, s) for v in (lo0, hi0, tol))
     return SimpleNamespace(
         a=[v._mpf_ for v in a], b=[v._mpf_ for v in b], n=n, bits=ctx.bits,
-        tiny=from_man_exp(1, -4 * ctx.bits), delta=tol / 4,
+        tiny=from_man_exp(1, -4 * ctx.bits), delta=tol / 4, points=[None] * n,
         seeds=_seeds(a, b, n), s=s, lo=lo_s, hi=hi_s,
         stop=tol_s + (tol_s >> ctx.bits), steps=steps)
 
@@ -314,22 +324,23 @@ def _enclose(J, k):
 def _walk(J, k, x):
     """The k-th root of P_n by the integer bisection, with no sweep at
     midpoints outside the enclosure of x (at every one if x is None)."""
+    a, b, n, s, bits, stop, tiny = J.a, J.b, J.n, J.s, J.bits, J.stop, J.tiny
     #  without an enclosure, every midpoint in [J.lo, J.hi] is swept
-    below, above = ((_to_grid(x - J.delta, J.s), -_to_grid(-x - J.delta, J.s))
+    below, above = ((_to_grid(x - J.delta, s), -_to_grid(-x - J.delta, s))
                     if x is not None else (J.lo - 1, J.hi + 1))
     lo, hi = J.lo, J.hi
     for _ in range(J.steps + 1):
-        if not hi - lo > J.stop:
+        if not hi - lo > stop:
             break
-        mid = _round_prec(lo + hi, J.bits) >> 1
+        mid = _round_prec(lo + hi, bits) >> 1
         if mid <= below or mid < above and _sturm_count(
-                J.a, J.b, J.n, from_man_exp(mid, -J.s), J.tiny) < k:
+                a, b, n, from_man_exp(mid, -s), tiny) < k:
             lo = mid
         else:
             hi = mid
     else:
-        raise ArithmeticError(f"root {k} of P_{J.n} took {J.steps}+ steps")
-    return mp.make_mpf(from_man_exp(_round_prec(lo + hi, J.bits) >> 1, -J.s))
+        raise ArithmeticError(f"root {k} of P_{n} took {J.steps}+ steps")
+    return mp.make_mpf(from_man_exp(_round_prec(lo + hi, bits) >> 1, -s))
 
 
 def orthopoly_zeros(rc, n):
@@ -360,7 +371,7 @@ def orthopoly_zeros(rc, n):
     """
     with rc.ctx.workprec():
         J = _jacobi(rc, n)
-        xs = [_enclose(J, k) for k in range(1, n + 1)]
+        xs = J.points = [_enclose(J, k) for k in range(1, n + 1)]
         roots = tuple(_walk(J, k, x) for k, x in enumerate(xs, 1))
     return ZeroSet(roots=roots, fallbacks=sum(x is None for x in xs),
                    jacobi=J)
@@ -383,7 +394,7 @@ def _worst_deviation(rc, leja_points, n, J=None):
     with ctx.workprec():
         J = _jacobi(rc, n) if J is None else J
         pts = [ctx.mpf(x) for x in leja_points[:n]]
-        xs = [_enclose(J, k) for k in range(1, n + 1)]
+        xs = J.points = [_enclose(J, k) for k in range(1, n + 1)]
         near = [_nearest(x, pts)[1] if x is not None else None for x in xs]
         m = 2 * ctx.root_tol
         top = max((d for d in near if d is not None), default=None)
@@ -512,7 +523,8 @@ def enclosures_hold(rc, n, centers, radius):
 
 
 def _holds(J, ctx, centers, radius):
-    """enclosures_hold on J, the _jacobi record of J_n; run under ctx."""
+    """enclosures_hold on J, the _jacobi record of J_n, without the
+    counts J.points imply (see Zeros); run under ctx."""
     if len(centers) < J.n:
         raise ValueError(f"need {J.n} centers, have {len(centers)}")
     radius = ctx.mpf(radius)
@@ -520,8 +532,9 @@ def _holds(J, ctx, centers, radius):
             for c in sorted(ctx.mpf(c) for c in centers[:J.n])]
     if any(not hi < lo for (_, hi), (lo, _) in zip(ends, ends[1:])):
         return False
-    return all(_encloses(J, k, lo._mpf_, hi._mpf_)
-               for k, (lo, hi) in enumerate(ends, 1))
+    return all(x is not None and lo <= x - J.delta and x + J.delta <= hi
+               or _encloses(J, k, lo._mpf_, hi._mpf_)
+               for k, ((lo, hi), x) in enumerate(zip(ends, J.points), 1))
 
 
 def _worst_within(J, ctx, seq, tgt):
@@ -544,12 +557,14 @@ def zero_stability_check(rc, seq, n, q):
 
     rc is the measure's recurrence, of length n or more; its first n
     pairs are exactly those of a length-n recurrence, so one recurrence
-    serves every degree up to its length.  Raises PairingFailure when the
-    nearest-atom map is not a bijection; otherwise reports the worst
-    |x_k - x_{n,k}| next to the bound q^(n^2).  The report passes when
-    enclosures_hold proves each zero within the bound of a distinct
-    Leja point, on the J_n that orthopoly_zeros built.
+    serves every degree up to its length.  Raises ValueError when seq
+    holds fewer than n points and PairingFailure when the nearest-atom
+    map is not a bijection; otherwise reports the worst |x_k - x_{n,k}|
+    next to the bound q^(n^2), passing when enclosures_hold proves each
+    zero within it of a distinct Leja point, on orthopoly_zeros' J_n.
     """
+    if len(seq) < n:
+        raise ValueError(f"need {n} Leja points, have {len(seq)}")
     zs = orthopoly_zeros(rc, n)
     ctx = rc.ctx
     with ctx.workprec():
@@ -625,25 +640,25 @@ def epsilon_stress_test(m, seq, n, eps_next, q, family=None):
 
 def _stress_members(m, seq, n, eps_next, q, family):
     """epsilon_stress_test's bound and (name, recurrence of length n of
-    sigma_n + 2*eps_next*nu) per family member; run under m.ctx."""
+    sigma_n + 2*eps_next*nu) per family member; run under m.ctx.  Only
+    nu's atoms are validated: m's were when m was built."""
+    if len(seq) < n:
+        raise ValueError(f"need {n} Leja points, have {len(seq)}")
     ctx = m.ctx
-    sigma_n = DiscreteMeasure(m.atoms[:n], ctx=ctx)
-    _require_support(sigma_n, n)
+    _require_support([x._mpf_ for x in m.locations[:n]], n)
     if family is None:
         family = default_stress_family(seq, n, ctx)
-    eps_next = ctx.mpf(eps_next)
+    eps2 = 2 * ctx.mpf(eps_next)
     qq = ctx.mpf(str(q))
     bound = min(qq ** (n * n), ctx.mpf(separation(seq[:n]))) / 2
     members = []
     for name, nu_atoms in family:
-        if nu_atoms is None:
-            beta = sigma_n
-        else:
-            mass = mp.fsum(w for _, w in nu_atoms)
-            if mass > 1 + ctx.eps:
-                raise ValueError(f"family member {name} has mass {mass} > 1")
-            scaled = tuple((x, 2 * eps_next * w) for x, w in nu_atoms)
-            beta = DiscreteMeasure(sigma_n.atoms + scaled, ctx=ctx)
-        members.append((name, stieltjes_recurrence(beta, n)))
+        nu_atoms = nu_atoms or ()  # None is the zero measure
+        mass = mp.fsum(w for _, w in nu_atoms)
+        if mass > 1 + ctx.eps:
+            raise ValueError(f"family member {name} has mass {mass} > 1")
+        added = DiscreteMeasure(tuple((x, eps2 * w) for x, w in nu_atoms),
+                                ctx=ctx).atoms
+        members.append((name, _stieltjes(m.atoms[:n] + added, n, ctx)))
     return bound, members
 

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from mpmath import mp, mpf
-from mpmath.libmp import from_man_exp, mpf_add, round_nearest
+from mpmath.libmp import (from_man_exp, mpf_abs, mpf_add, mpf_le,
+                          round_nearest)
 
 from potlab import (BreakdownError, DiscreteMeasure, ExperimentConfig,
                     PairingFailure, PrecisionContext, PrecisionTooLow,
@@ -151,6 +152,12 @@ def arcsine_200():
 def bench_sigma(arcsine_200):
     #  the prop1 benchmark sigma: q = 0.4, n_max = 7, 768 bits
     return build_sigma(SigmaBuildConfig(q=0.4, n_max=7, bits=768),
+                       arcsine_200)
+
+
+@pytest.fixture(scope="module")
+def readme_sigma(arcsine_200):
+    return build_sigma(SigmaBuildConfig(q=0.4, n_max=10, bits=2048),
                        arcsine_200)
 
 
@@ -537,6 +544,46 @@ class TestZeros:
         assert len(points) == n_max * (n_max + 1) // 2
         assert max(bc for _, _, _, bc in points) <= bits // 2 + 33
 
+    @pytest.mark.parametrize("sigma, n_max, extra", [
+        ("bench_sigma", 7, 1), ("readme_sigma", 10, 0)])
+    def test_newton_stops_after_one_step_at_top(self, request, monkeypatch,
+                                                sigma, n_max, extra):
+        #  a step divides once, by P_n', at its precision: each ladder
+        #  climbs to top and stops after one step there, unless the next
+        #  step shows the point still more than stop = root_tol/16 off
+        #  (one root of P_6 of the bench sigma, 2^-384 off after one)
+        rc = stieltjes_recurrence(request.getfixturevalue(sigma), n_max)
+        newton, div, ladders, active = op._newton, op.mpf_div, [], []
+
+        def recording(a, b, n, seed, stop, bits):
+            ladders.append((min(bits, bits // 2 + 32
+                                + max(math.frexp(seed)[1], 0)), stop, []))
+            active.append(ladders[-1][2])
+            try:
+                return newton(a, b, n, seed, stop, bits)
+            finally:
+                active.pop()
+
+        def dividing(s, t, prec, rnd):
+            step = div(s, t, prec, rnd)
+            if active:
+                active[-1].append((prec, mpf_abs(step)))
+            return step
+
+        monkeypatch.setattr(op, "_newton", recording)
+        monkeypatch.setattr(op, "mpf_div", dividing)
+        for n in range(1, n_max + 1):
+            zs = orthopoly_zeros(rc, n)
+            assert zs.fallbacks == 0, n
+            assert bits_of(zs.roots) == bits_of(bisect_zeros(rc, n)), n
+        assert len(ladders) == n_max * (n_max + 1) // 2
+        at_top = [[s for p, s in steps if p == top]
+                  for top, _, steps in ladders]
+        assert all(steps[-1][0] == top for top, _, steps in ladders)
+        assert sum(len(s) - 1 for s in at_top) == extra
+        assert all(not mpf_le(s, stop) for (_, stop, _), steps
+                   in zip(ladders, at_top) for s in steps[1:])
+
     def test_zero_evaluation_consistency(self, sigma6):
         #  P_n vanishes at the bisection roots to root-tolerance scale
         rc = stieltjes_recurrence(sigma6, 4)
@@ -733,6 +780,71 @@ class TestZeroStability:
         for n in range(1, n_max + 1):
             assert zero_stability_check(rc, seq, n, q).passed, n
 
+    def test_short_sequences_are_refused(self, sigma6):
+        #  too few Leja points is a caller's error, not a failed pairing
+        seq = _seq_of(sigma6)
+        with pytest.raises(ValueError) as got:
+            zero_stability_check(stieltjes_recurrence(sigma6, 5), seq[:3],
+                                 5, 0.4)
+        assert type(got.value) is ValueError
+        assert str(got.value) == "need 5 Leja points, have 3"
+        with pytest.raises(ValueError, match="^need 3 Leja points, have 2$"):
+            epsilon_stress_test(sigma6, seq[:2], 3, sigma6.weights[3], q=0.4)
+
+    def test_check_sweeps_only_in_its_zero_finder(self, bench_sigma,
+                                                  monkeypatch):
+        #  every pair of counts of the bound's certificate follows from
+        #  an enclosure that orthopoly_zeros already proved
+        seq = _seq_of(bench_sigma)
+        rc = stieltjes_recurrence(bench_sigma, 7)
+        calls = _recording(monkeypatch, "_sturm_count")
+        for n in range(1, 8):
+            del calls[:]
+            orthopoly_zeros(rc, n)
+            finder = len(calls)
+            del calls[:]
+            assert zero_stability_check(rc, seq, n, 0.4).passed, n
+            assert len(calls) == finder, (n, len(calls), finder)
+
+    def test_enclosure_verdict_equals_sweeps_on_the_bench_sigma(
+            self, bench_sigma):
+        #  radii from below delta to beyond the separation: the verdict
+        #  read off the enclosures is enclosures_hold's, which sweeps
+        seq = _seq_of(bench_sigma)
+        rc = stieltjes_recurrence(bench_sigma, 7)
+        ctx = rc.ctx
+        for n in range(1, 8):
+            J = orthopoly_zeros(rc, n).jacobi
+            verdicts = set()
+            for e in [*range(-ctx.bits // 2 - 8, 0, 9), 2]:
+                with ctx.workprec():
+                    got = op._holds(J, ctx, seq, mpf(2) ** e)
+                assert got == enclosures_hold(rc, n, seq, mpf(2) ** e), (n, e)
+                verdicts.add(got)
+            assert verdicts == {True, False}, n
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_enclosure_verdict_equals_sweeps_on_random_measures(self, data):
+        #  centers off the roots by 2^-e, each on its own side; radii
+        #  below delta, about the centers' deviation, and up to beyond
+        #  the separation
+        m = _random_measure(data)
+        n = data.draw(st.integers(1, len(m)))
+        rc = stieltjes_recurrence(m, n)
+        zs = orthopoly_zeros(rc, n)
+        ctx, J = m.ctx, zs.jacobi
+        with ctx.workprec():
+            centers = [r + data.draw(st.sampled_from([-1, 1]))
+                       * mpf(2) ** -data.draw(st.integers(2, ctx.bits // 2
+                                                          + 4))
+                       for r in zs.roots]
+            d = max(abs(c - r) for c, r in zip(centers, zs.roots))
+            radii = [J.delta / 16, J.delta, d / 2, d, d + J.delta,
+                     2 * d + 4 * J.delta, mpf(1) / 64, mpf(1), mpf(4)]
+            got = [op._holds(J, ctx, centers, r) for r in radii]
+        assert got == [enclosures_hold(rc, n, centers, r) for r in radii]
+
     def test_low_precision_fails_loudly(self, arcsine_seq):
         #  64 bits cannot carry the q^100 weight span of ten atoms
         ctx = PrecisionContext(64)
@@ -798,6 +910,28 @@ class TestStressAudit:
         with pytest.raises(BreakdownError):
             epsilon_stress_test(sigma3, _seq_of(sigma6), n,
                                 sigma6.weights[3], q=0.4)
+
+    def test_member_refusals_keep_their_text(self, sigma6):
+        #  a member's atoms are validated as sigma_n + 2 eps nu was
+        seq = _seq_of(sigma6)
+        ctx = sigma6.ctx
+        cases = [(0, None, "nonpositive weight 0.0 at -1.0"),
+                 (sigma6.weights[4], [("far", ((1.5, 0.5),))],
+                  "atom 1.5 outside [-1,1]"),
+                 (sigma6.weights[4], [("zero", None),
+                                      ("far", ((0.25, 0.5), (-1.25, 0.5)))],
+                  "atom -1.25 outside [-1,1]")]
+        with ctx.workprec():
+            eps = -sigma6.weights[4]
+            with pytest.raises(ValueError) as want:
+                DiscreteMeasure(sigma6.atoms[:4] + ((mpf(-1), 2 * eps),),
+                                ctx=ctx)
+        cases.append((eps, None, str(want.value)))
+        for eps, family, text in cases:
+            with pytest.raises(ValueError) as got:
+                epsilon_stress_test(sigma6, seq, 4, eps, family=family,
+                                    q=0.4)
+            assert str(got.value) == text
 
     def test_mass_cap(self, sigma6):
         seq = _seq_of(sigma6)
