@@ -11,6 +11,7 @@ resolve.
 
 import argparse
 import json
+import os
 import sys
 
 from .capacity import DegenerateRegion, TracingFailure
@@ -67,6 +68,11 @@ def main(argv=None):
         raw["experiment"] = experiment
         cfg = ExperimentConfig.from_json(raw, out_dir=args.out,
                                          bits=args.bits, plot=args.plot)
+        p = cfg.out_dir
+        while p and not os.path.lexists(p):     # its nearest existing ancestor
+            p = os.path.dirname(p)
+        if p and not os.path.isdir(p):
+            raise ConfigError(f"--out {cfg.out_dir}: {p} is not a directory")
         report = run(cfg)
     except (ConfigError, DegenerateRegion, TracingFailure,
             PrecisionTooLow) as exc:

@@ -40,8 +40,8 @@ from .potentials import phi_np, target_arcsine, target_blend, target_uniform
 from .precision import MIN_BITS
 
 LUNE_DEGREE = 20            # n of the lune whose capacity capacity_only checks
-#  fields that size numpy arrays or ranges: each entry must fit an int64
-_SIZES = ("n_list", "n_max", "leja_n", "grid_size")
+#  fields that size arrays, ranges or significands: each must fit an int64
+_SIZES = ("n_list", "n_max", "leja_n", "grid_size", "bits")
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 

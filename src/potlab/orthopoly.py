@@ -58,11 +58,12 @@ Cascades
                (epsilon_stress_test) with a two-member family, an atom at
                the next Leja point and a 64-atom uniform grid, at half
                the audit bound: every degree-n zero moves by at most
-               min(q^(n^2), delta_n)/4; only members the counts do not
-               certify are audited (see Zeros).  This is the
-               constructive version of "pick eps_{n+1} small enough"; the
-               deviation is linear in eps_{n+1}, so a measured violation
-               tells us directly how much to shrink.  Default.
+               min(q^(n^2), delta_n)/4.  sigma_n, the members and the
+               bound are set once per degree; a candidate only rescales
+               the members' weights and audits those the counts do not
+               certify (see Zeros).  The constructive "pick eps_{n+1}
+               small enough": the deviation is linear in eps_{n+1}, so a
+               violation says how much to shrink.  Default.
 """
 
 import math
@@ -444,13 +445,13 @@ def build_sigma(cfg, seq):
 
     The cascade depends on cfg.cascade (see module docstring).  For the
     stabilized cascade each eps_{n+1} is calibrated by the stress audit
-    of epsilon_stress_test with a two-member family, an atom at the next
-    Leja point (the realized continuation) and a 64-atom uniform grid (a
-    spread-out worst case): a candidate passes if the worst deviation is
-    <= tgt, half the audit bound, else it is rescaled by tgt/worst/2.
-    Members that _worst_within accepts, whose worst is <= tgt, are not
-    audited; worst is the max over the others (0 if none).  The pass
-    decision is thus the full audit's, and when it fails the max is too.
+    of epsilon_stress_test with an atom at the next Leja point (the
+    realized continuation) and a 64-atom uniform grid (a spread-out worst
+    case).  sigma_n's atoms, these members' and tgt, half the audit bound,
+    are built once per degree; a candidate scales the members' weights by
+    2 cand and passes if worst <= tgt, else it is rescaled by tgt/worst/2.
+    worst is the max over the members _worst_within does not accept (0 if
+    none): the pass decision is the full audit's, and so is a failing max.
     Tail sums are checked to stay below the preceding weight.
     """
     if len(seq) < cfg.n_max:
@@ -465,17 +466,15 @@ def build_sigma(cfg, seq):
             eps = [q]
             grid = _uniform_grid_64(ctx)
             for n in range(1, cfg.n_max):
-                sigma_n = DiscreteMeasure(tuple(zip(pts, eps)), ctx=ctx)
-                #  the continuation atom at x_{n+1} and the uniform grid
-                family = [(f"delta_leja_{n + 1}",
-                           ((ctx.mpf(seq[n]), ctx.mpf(1)),)),
-                          ("uniform_grid_64", grid)]
+                atoms = tuple(zip(pts, eps))
+                family = (((pts[n], 1),), grid)
+                tgt = _stress_bound(seq, n, cfg.q, ctx) / 2
                 cand = q ** (n * n) * eps[-1] * q
                 for _ in range(64):
-                    bound, members = _stress_members(
-                        sigma_n, seq, n, cand, cfg.q, family)
-                    tgt, worst = bound / 2, 0
-                    for _, rc in members:
+                    eps2, worst = 2 * cand, 0
+                    for nu in family:
+                        rc = _stieltjes(atoms + tuple(
+                            (x, eps2 * w) for x, w in nu), n, ctx)
                         J = _jacobi(rc, n)
                         if not _worst_within(J, ctx, seq, tgt):
                             worst = max(worst, _worst_deviation(rc, seq, n, J))
@@ -628,37 +627,32 @@ def epsilon_stress_test(m, seq, n, eps_next, q, family=None):
     Raises BreakdownError when the first n atoms of m hold fewer than n
     distinct locations, as P_n of sigma_n does not exist then.
 
+    The family is the caller's: each member meets the mass cap, and its
+    atoms, scaled, are validated as a DiscreteMeasure before any audit.
     A member's result is the largest distance from a zero of P_n to the
     nearest of the first n Leja points, found by walking only the zeros
     that can hold it (_worst_deviation), bit for bit the full bisection's.
     """
-    with m.ctx.workprec():
-        bound, members = _stress_members(m, seq, n, eps_next, q, family)
+    ctx = m.ctx
+    with ctx.workprec():
+        bound = _stress_bound(seq, n, q, ctx)
+        _require_support([x._mpf_ for x in m.locations[:n]], n)
+        eps2, members = 2 * ctx.mpf(eps_next), []
+        for name, nu in (default_stress_family(seq, n, ctx) if family is None
+                         else family):
+            nu = nu or ()  # None is the zero measure
+            mass = mp.fsum(w for _, w in nu)
+            if mass > 1 + ctx.eps:
+                raise ValueError(f"family member {name} has mass {mass} > 1")
+            added = DiscreteMeasure(tuple((x, eps2 * w) for x, w in nu),
+                                    ctx=ctx).atoms
+            members.append((name, _stieltjes(m.atoms[:n] + added, n, ctx)))
         return StressReport(bound=bound, results=tuple(
             (name, _worst_deviation(rc, seq, n)) for name, rc in members))
 
 
-def _stress_members(m, seq, n, eps_next, q, family):
-    """epsilon_stress_test's bound and (name, recurrence of length n of
-    sigma_n + 2*eps_next*nu) per family member; run under m.ctx.  Only
-    nu's atoms are validated: m's were when m was built."""
+def _stress_bound(seq, n, q, ctx):
+    """The audit bound min(q^(n^2), delta_n)/2 at degree n; run under ctx."""
     if len(seq) < n:
         raise ValueError(f"need {n} Leja points, have {len(seq)}")
-    ctx = m.ctx
-    _require_support([x._mpf_ for x in m.locations[:n]], n)
-    if family is None:
-        family = default_stress_family(seq, n, ctx)
-    eps2 = 2 * ctx.mpf(eps_next)
-    qq = ctx.mpf(str(q))
-    bound = min(qq ** (n * n), ctx.mpf(separation(seq[:n]))) / 2
-    members = []
-    for name, nu_atoms in family:
-        nu_atoms = nu_atoms or ()  # None is the zero measure
-        mass = mp.fsum(w for _, w in nu_atoms)
-        if mass > 1 + ctx.eps:
-            raise ValueError(f"family member {name} has mass {mass} > 1")
-        added = DiscreteMeasure(tuple((x, eps2 * w) for x, w in nu_atoms),
-                                ctx=ctx).atoms
-        members.append((name, _stieltjes(m.atoms[:n] + added, n, ctx)))
-    return bound, members
-
+    return min(ctx.mpf(str(q)) ** (n * n), ctx.mpf(separation(seq[:n]))) / 2

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from mpmath import mp, mpf
 
-from potlab import (DegenerateGrid, DegenerateRegion, TracingFailure,
-                    chebyshev_grid)
+from potlab import (DegenerateGrid, DegenerateRegion, DiscreteMeasure,
+                    PrecisionContext, TracingFailure, chebyshev_grid,
+                    epsilon_stress_test)
 from potlab.orthopoly import (BreakdownError, RecurrenceCoeffs,
-                              orthopoly_zeros)
+                              _uniform_grid_64, orthopoly_zeros)
 
 
 @pytest.fixture(autouse=True)
@@ -138,6 +139,37 @@ def worst_deviation_reference(rc, leja_points, n, J=None):
     with rc.ctx.workprec():
         pts = [rc.ctx.mpf(x) for x in leja_points[:n]]
         return max(min(abs(r - p) for p in pts) for r in roots)
+
+
+def build_sigma_via_public_audit(cfg, seq):
+    """orthopoly.build_sigma's stabilized cascade calibrated through the
+    public audit: each candidate eps_{n+1} runs epsilon_stress_test on a
+    DiscreteMeasure of sigma_n with the family [delta_leja_{n+1},
+    uniform_grid_64], every member audited in full.  A candidate passes
+    if its worst deviation is <= bound/2 = tgt, else it becomes
+    cand * tgt / worst / 2.  The library must return the same atoms bit
+    for bit."""
+    ctx = PrecisionContext(cfg.bits)
+    with ctx.workprec():
+        q = ctx.mpf(str(cfg.q))
+        pts = [ctx.mpf(x) for x in seq[:cfg.n_max]]
+        eps = [q]
+        for n in range(1, cfg.n_max):
+            sigma_n = DiscreteMeasure(tuple(zip(pts, eps)), ctx=ctx)
+            family = [(f"delta_leja_{n + 1}", ((pts[n], mpf(1)),)),
+                      ("uniform_grid_64", _uniform_grid_64(ctx))]
+            cand = q ** (n * n) * eps[-1] * q
+            for _ in range(64):
+                rep = epsilon_stress_test(sigma_n, seq, n, cand, cfg.q,
+                                          family=family)
+                tgt, worst = rep.bound / 2, rep.worst[1]
+                if worst <= tgt:
+                    break
+                cand = cand * tgt / worst / 2
+            else:
+                raise AssertionError(f"eps_{n + 1} did not converge")
+            eps.append(cand)
+        return DiscreteMeasure(tuple(zip(pts, eps)), ctx=ctx)
 
 
 def sturm_count_reference(a, b, n, x, tiny):

@@ -792,7 +792,27 @@ class TestCli:
                               "n_list exceeds 9223372036854775807"),
         "huge_n_max": ("prop1", {"n_max": 10 ** 30}, CONFIG,
                        "n_max exceeds 9223372036854775807"),
+        #  bits sizes every significand: mpmath overflowed on it
+        "huge_bits": ("prop1", {"bits": 10 ** 20}, CONFIG,
+                      "bits exceeds 9223372036854775807"),
+        "huge_bits_flag": (f"prop1 --bits {10 ** 20}", {}, CONFIG,
+                           "bits exceeds 9223372036854775807"),
     })
+
+    @pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "under_file"])
+    def test_out_at_or_under_a_file_exits_2(self, tmp_path, capsys, sub):
+        #  refused before the run, which could not write its outputs; the
+        #  file is left as it was
+        f = tmp_path / "some_file"
+        f.write_text("kept\n")
+        out = f / sub
+        rc = cli_main(["leja", "--out", str(out)])
+        got, err = capsys.readouterr()
+        assert (rc, got) == (2, "")
+        assert err == f"{CONFIG}--out {out}: {f} is not a directory\n"
+        assert f.read_text() == "kept\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["some_file"]
+
     test_no_leja_points_exits_2 = _refusal_test(
         ("leja", {"leja_n": 0}, CONFIG, "leja_n must be >= 1"))
     #  the trend checks compare consecutive entries, so n_list must

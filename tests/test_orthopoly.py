@@ -21,9 +21,10 @@ from potlab import orthopoly as op
 from potlab.experiments import run_prop1, target_from_name
 from potlab.orthopoly import enclosures_hold
 
-from conftest import (exact_enclosures_hold, exact_recurrence, mpf_fraction,
-                      orth_tol, stieltjes_recurrence_reference,
-                      sturm_count_reference, worst_deviation_reference)
+from conftest import (build_sigma_via_public_audit, exact_enclosures_hold,
+                      exact_recurrence, mpf_fraction, orth_tol,
+                      stieltjes_recurrence_reference, sturm_count_reference,
+                      worst_deviation_reference)
 
 CTX = PrecisionContext(256)
 
@@ -687,6 +688,20 @@ class TestBuildSigma:
                       for a, b in zip(ra, rb))
         assert gap < tol, (mp.nstr(gap, 4), mp.nstr(tol, 4))
 
+    def test_one_discrete_measure_per_build(self, arcsine_200, monkeypatch):
+        #  the calibration's atoms are built inside build_sigma and valid
+        #  by construction: the one DiscreteMeasure made is the sigma returned
+        inner, made = DiscreteMeasure.__post_init__, []
+
+        def recording(self):
+            made.append(self)
+            inner(self)
+
+        monkeypatch.setattr(DiscreteMeasure, "__post_init__", recording)
+        sigma = build_sigma(SigmaBuildConfig(q=0.4, n_max=7, bits=768),
+                            arcsine_200)
+        assert len(made) == 1 and made[0] is sigma
+
     def test_stabilized_margins_across_q(self, arcsine_seq):
         #  the calibration is not tuned to one q: margins stay comfortable
         #  over the admissible range
@@ -1014,6 +1029,14 @@ class TestPrunedAudit:
         got = build_sigma(cfg, seq)
         monkeypatch.setattr(op, "_worst_within", lambda *args: False)
         assert _bits_of_sigma(got) == _bits_of_sigma(build_sigma(cfg, seq))
+
+    @_SIGMA_BUILDS
+    def test_build_sigma_equals_public_audit_calibration(
+            self, request, q, n_max, bits, seq):
+        seq = request.getfixturevalue(seq)
+        cfg = SigmaBuildConfig(q=q, n_max=n_max, bits=bits)
+        assert _bits_of_sigma(build_sigma(cfg, seq)) == _bits_of_sigma(
+            build_sigma_via_public_audit(cfg, seq))
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
