@@ -20,6 +20,7 @@ tracer here and the Chebyshev lemniscates of the experiments.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,10 +71,11 @@ def lune_rescaled_boundary(s, count=BOUNDARY_SAMPLES):
 
     Both arcs are covered: the |zeta| = 1 portion and the image of the
     unit circle |1 + s*zeta| = 1.  Raises DegenerateRegion when the lune
-    radius s has underflowed to 0, where that image is undefined.
+    radius s is 0 or subnormal, where that image is undefined or overflows.
     """
-    if s == 0:
-        raise DegenerateRegion("lune radius underflows float64 to 0")
+    if s < sys.float_info.min:
+        raise DegenerateRegion(f"lune radius {s:.3g} is subnormal in float64"
+                               if s else "lune radius underflows float64 to 0")
     n_outer = (2 * count) // 3
     n_inner = count - n_outer
     tstar = math.acos(max(-1.0, -s / 2))

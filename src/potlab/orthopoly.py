@@ -11,35 +11,35 @@ scales like q^300, far outside float64.
 
 Zeros
 -----
-The zeros of P_n are the eigenvalues of the Jacobi matrix J_n.
-orthopoly_zeros bisects each one with Sturm counts, and the walk is
-steered by an enclosure: a Newton-refined float64 eigenvalue that two
-counts prove to lie within root_tol/4 of the root.  The computed count
-is monotone in x, so midpoints outside the enclosure need no count.
-The walk runs in Python ints with the roundings of mpf addition, so the
-roots are those of the plain bisection bit for bit.  The same pair of
+The zeros of P_n are the eigenvalues of the Jacobi matrix J_n.  Its
+Gershgorin interval is cut into 2^h equal cells, h the fewest exact
+halvings to a width of root_tol or below.  The k-th root is the
+midpoint, rounded once to the working precision, of the cell whose ends
+the Sturm counts put on either side of the k-th eigenvalue: the cell
+plain bisection ends in, as the computed count is monotone in x.  A
+Newton-refined float64 eigenvalue that two counts put within root_tol/4
+of the root leaves at most one cell end to count.  The same pair of
 counts certifies Proposition 1's bound (enclosures_hold); its k-th pair,
 at c - R and c + R, follows from the enclosure of Newton's point x when
 c - R <= x - root_tol/4 and x + root_tol/4 <= c + R, and is not made.
 
-Each root is enclosed (_enclose), then walked (_walk).  The stress
-audit reads only the largest distance from a root to its nearest Leja
-point, so it walks only the roots without an enclosure and those whose
-Newton point's distance d has d + m >= D - m, with D the largest such
-distance and m = 2 root_tol.  The k-th eigenvalue's step of the count
-lies in the walk's last interval, no wider than root_tol, and within
-root_tol/4 of the Newton point, so a walked root is within 5 root_tol/4
-of it; the distance is 1-Lipschitz, so a root left out is nearer, by
-over 2 m - 5 root_tol/2, than the walked root of distance D.  Roundings
-are 2^-bits relative and monotone, so the audit's worst is that of the
-full bisection bit for bit.  build_sigma needs only whether it is
-<= tgt, which two counts per zero can prove (_worst_within).
+Each root is enclosed (_enclose), then found in its cell (_root).  The
+stress audit reads only the largest distance from a root to its nearest
+Leja point, so it finds only the roots without an enclosure and those
+whose Newton point's distance d has d + m >= D - m, with D the largest
+such distance and m = 2 root_tol.  A root's cell, no wider than
+root_tol, holds the count's step, within root_tol/4 of the Newton point,
+so the root is within 3 root_tol/4 of it; the distance is 1-Lipschitz,
+so a root left out is nearer, by over 2 m - 3 root_tol/2, than the found
+root of distance D.  Roundings are 2^-bits relative and monotone, so the
+worst is that of all the roots bit for bit.  build_sigma needs only
+whether it is <= tgt, which two counts per zero can prove (_worst_within).
 
-Newton's point only steers the walk, so its steps climb a precision
-ladder: the precision about doubles per step from the seed's 53 bits
-up to about bits/2 plus a guard, never above bits, and stops there once
-quadratic convergence puts the point within root_tol/16, fine enough
-for the enclosure.  The two counts that certify the enclosure run at
+Newton's point only narrows the bisection, so its steps climb a
+precision ladder: the precision about doubles per step from the seed's
+53 bits up to about bits/2 plus a guard, never above bits, and stops
+there once quadratic convergence puts the point within root_tol/16,
+fine enough for the enclosure.  The two counts that certify it run at
 the full precision; a point they reject sends its root to the full
 bisection.
 
@@ -216,7 +216,7 @@ def _newton(a, b, n, seed, stop, bits):
     top = bits/2 + 32, plus the bits of |seed| above 1, but at most bits;
     it ends after a step s at top once |s| or the next step, which
     quadratic convergence predicts from the one before, r, as |s|^3/r^2,
-    is at most stop.  The point only steers the walk, and stop =
+    is at most stop.  The point only narrows the bisection, and stop =
     root_tol/16 is absolute, so top needs bits/2 plus a guard for the 4
     bits of stop and the rounding of P_n near the root, not all bits.
     """
@@ -252,20 +252,6 @@ def _encloses(J, k, lo, hi):
             <= _sturm_count(J.a, J.b, J.n, hi, J.tiny))
 
 
-def _round_prec(v, prec):
-    """The integer v rounded to prec significant bits, ties to even: the
-    rounding mpf_add(s, t, prec, round_nearest) applies to an exact sum."""
-    m = abs(v)
-    n = m.bit_length() - prec
-    if n <= 0:
-        return v
-    t = m >> (n - 1)            # the kept bits and the rounding bit
-    if t & 1 and (t & 2 or m & ((1 << (n - 1)) - 1)):
-        t += 1
-    t = t >> 1 << n
-    return t if v > 0 else -t
-
-
 def _to_grid(x, s):
     """floor(x 2^s) for a finite mpf x."""
     sign, man, exp, _ = x._mpf_
@@ -274,10 +260,10 @@ def _to_grid(x, s):
 
 
 def _jacobi(rc, n):
-    """J_n of the first n pairs of rc as _enclose and _walk read it:
-    raw a and b, the enclosure radius delta, the float64 seeds, Newton's
-    certified points (None until enclosed), and the grid 2^-s with the
-    first ends lo, hi and the stop width on it.  Run under rc.ctx."""
+    """J_n of the first n pairs of rc as _enclose and _root read it: raw
+    a and b, the enclosure radius delta, the float64 seeds, Newton's
+    certified points (None until enclosed), and on the grid 2^-s lo0 as
+    lo, then cells cells of width cell.  Run under rc.ctx."""
     if n < 1 or n > len(rc):
         raise ValueError(f"need 1 <= n <= {len(rc)}")
     ctx = rc.ctx
@@ -290,23 +276,17 @@ def _jacobi(rc, n):
     lo0 = min(a) - 2 * r - 1
     hi0 = max(a) + 2 * r + 1
     tol = ctx.root_tol
-    #  Grid 2^-s: with |lo0|, |hi0| < 2^top and tol = 2^te, a rounded
-    #  midpoint is at most 2^(top-bits) off, so after i steps the width
-    #  is below 2^(top+1-i) + 2^(top+1-bits) <= tol at i = steps = top +
-    #  2 - te if bits >= steps.  A step adds at most one bit below the
-    #  lowest of lo0 and hi0, so through steps steps every end is an
-    #  integer and every rounded sum even; longer raises.  tol_s = 2^t
-    #  has an even significand: a width rounds above it iff it exceeds
-    #  tol_s + 2^(t-bits), or tol_s if t < bits.
-    ends = (lo0._mpf_, hi0._mpf_)
-    steps = max(e + bc for _, _, e, bc in ends) + 2 - tol._mpf_[2]
-    s = steps + 1 - min(e for _, _, e, _ in ends)
-    lo_s, hi_s, tol_s = (_to_grid(v, s) for v in (lo0, hi0, tol))
+    #  hi0 - lo0 = width 2^e, and h halvings bring it to root_tol = 2^te
+    #  or below; on the grid 2^-s every cell end and midpoint is an integer
+    e = min(lo0._mpf_[2], hi0._mpf_[2])
+    width = _to_grid(hi0, -e) - _to_grid(lo0, -e)
+    h = max(0, (width - 1).bit_length() - tol._mpf_[2] + e)
+    s = h + 1 - e
     return SimpleNamespace(
         a=[v._mpf_ for v in a], b=[v._mpf_ for v in b], n=n, bits=ctx.bits,
         tiny=from_man_exp(1, -4 * ctx.bits), delta=tol / 4, points=[None] * n,
-        seeds=_seeds(a, b, n), s=s, lo=lo_s, hi=hi_s,
-        stop=tol_s + (tol_s >> ctx.bits), steps=steps)
+        seeds=_seeds(a, b, n), s=s, lo=_to_grid(lo0, s), cell=width << 1,
+        cells=1 << h)
 
 
 def _enclose(J, k):
@@ -322,26 +302,23 @@ def _enclose(J, k):
     return None
 
 
-def _walk(J, k, x):
-    """The k-th root of P_n by the integer bisection, with no sweep at
-    midpoints outside the enclosure of x (at every one if x is None)."""
-    a, b, n, s, bits, stop, tiny = J.a, J.b, J.n, J.s, J.bits, J.stop, J.tiny
-    #  without an enclosure, every midpoint in [J.lo, J.hi] is swept
-    below, above = ((_to_grid(x - J.delta, s), -_to_grid(-x - J.delta, s))
-                    if x is not None else (J.lo - 1, J.hi + 1))
-    lo, hi = J.lo, J.hi
-    for _ in range(J.steps + 1):
-        if not hi - lo > stop:
-            break
-        mid = _round_prec(lo + hi, bits) >> 1
-        if mid <= below or mid < above and _sturm_count(
-                a, b, n, from_man_exp(mid, -s), tiny) < k:
-            lo = mid
+def _root(J, k, x):
+    """The k-th root of P_n, its cell's midpoint rounded once to bits:
+    cell indices are bisected, with no sweep at the ends the enclosure
+    of x places (at every index midpoint if x is None)."""
+    i, j, lo, cell, s = 0, J.cells, J.lo, J.cell, J.s
+    if x is not None:
+        i = max(i, (_to_grid(x - J.delta, s) - lo) // cell)
+        j = min(j, -((lo + _to_grid(-x - J.delta, s)) // cell))
+    while j - i > 1:
+        mid = (i + j) // 2
+        if _sturm_count(J.a, J.b, J.n, from_man_exp(lo + mid * cell, -s),
+                        J.tiny) < k:
+            i = mid
         else:
-            hi = mid
-    else:
-        raise ArithmeticError(f"root {k} of P_{n} took {J.steps}+ steps")
-    return mp.make_mpf(from_man_exp(_round_prec(lo + hi, bits) >> 1, -s))
+            j = mid
+    return mp.make_mpf(from_man_exp(lo + i * cell + cell // 2, -s, J.bits,
+                                    round_nearest))
 
 
 def orthopoly_zeros(rc, n):
@@ -349,9 +326,10 @@ def orthopoly_zeros(rc, n):
 
     Roots are the eigenvalues of the n-by-n Jacobi matrix J_n built from
     rc, so they are real, simple, and interlace those of P_{n-1}.  The
-    k-th root is bisected from the Gershgorin interval down to width
-    2^(-bits/2), taking hi = mid when at least k eigenvalues lie below
-    mid by the Sturm count and lo = mid otherwise.
+    k-th root is bisected exactly from the Gershgorin interval down to
+    width root_tol = 2^(-bits/2), taking hi = mid when at least k
+    eigenvalues lie below mid by the Sturm count and lo = mid otherwise;
+    the last midpoint is rounded once to the working precision.
 
     Most of those counts are known before they are made.  A float64
     eigenvalue of J_n, refined by Newton's method, gives a point x;
@@ -359,21 +337,15 @@ def orthopoly_zeros(rc, n):
     eigenvalue in between, a midpoint at or below x - d takes lo = mid
     and one at or above x + d takes hi = mid without a sweep.  That
     holds because the computed count is monotone in x under correctly
-    rounded arithmetic (Kahan 1966; Demmel, Dhillon & Ren 1995), so the
-    walk, and every bit of the returned root, is that of the plain
-    bisection; only midpoints inside (x - d, x + d) are swept.  A root
-    whose enclosure fails to certify is bisected with a sweep at every
-    midpoint, and ZeroSet.fallbacks counts such roots.
-
-    The walk runs in Python ints on a dyadic grid that holds every end
-    it reaches, with the roundings of mpf arithmetic: lo + hi and hi - lo
-    are rounded to the working precision, ties to even, so every end and
-    every root bit is what the same walk in mpf gives.
+    rounded arithmetic (Kahan 1966; Demmel, Dhillon & Ren 1995), so
+    every bit of the root is that of the plain bisection, from at most
+    one sweep inside (x - d, x + d).  A root whose enclosure fails is
+    bisected with a sweep at every midpoint, counted in ZeroSet.fallbacks.
     """
     with rc.ctx.workprec():
         J = _jacobi(rc, n)
         xs = J.points = [_enclose(J, k) for k in range(1, n + 1)]
-        roots = tuple(_walk(J, k, x) for k, x in enumerate(xs, 1))
+        roots = tuple(_root(J, k, x) for k, x in enumerate(xs, 1))
     return ZeroSet(roots=roots, fallbacks=sum(x is None for x in xs),
                    jacobi=J)
 
@@ -399,7 +371,7 @@ def _worst_deviation(rc, leja_points, n, J=None):
         near = [_nearest(x, pts)[1] if x is not None else None for x in xs]
         m = 2 * ctx.root_tol
         top = max((d for d in near if d is not None), default=None)
-        return max(_nearest(_walk(J, k, x), pts)[1]
+        return max(_nearest(_root(J, k, x), pts)[1]
                    for k, (x, d) in enumerate(zip(xs, near), 1)
                    if x is None or d + m >= top - m)
 
@@ -541,12 +513,12 @@ def _worst_within(J, ctx, seq, tgt):
     = _jacobi(rc, n): _holds at r = tgt - 2 root_tol; run under ctx.
 
     Then count(c - r) < k <= count(c + r) for the k-th sorted Leja point
-    c; the k-th root's last bracket has count(lo) < k <= count(hi), so
-    lo < c + r and hi > c - r by the monotone count, and hi - lo <= stop
-    = root_tol (1 + 2^-bits).  Their rounded midpoint, the root, is
-    within r + root_tol of c, and so is its rounded distance to the
-    nearest Leja point, up to roundings of 2^-bits relative, which the
-    other root_tol covers.
+    c; the k-th root's cell has count(lo) < k <= count(hi), so lo < c + r
+    and hi > c - r by the monotone count, and hi - lo <= root_tol.  Its
+    midpoint, the root before its one rounding, is within r + root_tol/2
+    of c, and so is the root's rounded distance to the nearest Leja
+    point, up to roundings of 2^-bits relative, which the remaining
+    3 root_tol/2 cover.
     """
     return _holds(J, ctx, seq, tgt - 2 * ctx.root_tol)
 
@@ -630,8 +602,8 @@ def epsilon_stress_test(m, seq, n, eps_next, q, family=None):
     The family is the caller's: each member meets the mass cap, and its
     atoms, scaled, are validated as a DiscreteMeasure before any audit.
     A member's result is the largest distance from a zero of P_n to the
-    nearest of the first n Leja points, found by walking only the zeros
-    that can hold it (_worst_deviation), bit for bit the full bisection's.
+    nearest of the first n Leja points, found from only the zeros that
+    can hold it (_worst_deviation), bit for bit that of all the zeros.
     """
     ctx = m.ctx
     with ctx.workprec():

@@ -849,6 +849,11 @@ class TestCli:
     test_capacity_underflowed_lune_exits_2 = _refusal_test(
         ("capacity", {"eps": 40}, PRECISION,
          "lune radius underflows float64 to 0", True))
+    #  20 * eps = 720 leaves the radius e^-720 subnormal, where dividing by
+    #  it overflowed and dropped every inner-arc sample of the lune
+    test_capacity_subnormal_lune_exits_2 = _refusal_test(
+        ("capacity", {"eps": 36}, PRECISION,
+         "lune radius 2.03e-313 is subnormal in float64", True))
     test_calibration_failure_exits_2 = _refusal_test(
         ("prop1", {}, PRECISION, "calibration of eps_5 did not converge",
          True, "potlab.cli.run"))

@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from mpmath import mp, mpf
-from mpmath.libmp import (from_man_exp, mpf_abs, mpf_add, mpf_le,
-                          round_nearest)
+from mpmath.libmp import from_man_exp, mpf_abs, mpf_le, round_nearest
 
 from potlab import (BreakdownError, DiscreteMeasure, ExperimentConfig,
                     PairingFailure, PrecisionContext, PrecisionTooLow,
@@ -85,9 +84,18 @@ def gauss_quadrature(m, n):
         return list(zs.roots), weights
 
 
+def _dyadic(v, prec=None):
+    """The dyadic Fraction v as a raw mpf, exact or rounded to prec."""
+    e = v.denominator.bit_length() - 1
+    assert v.denominator == 1 << e
+    return from_man_exp(v.numerator, -e, prec, round_nearest)
+
+
 def bisect_zeros(rc, n):
-    """Zeros of P_n by plain Sturm bisection, a sweep at every midpoint:
-    the oracle orthopoly_zeros must match bit for bit."""
+    """Zeros of P_n by plain Sturm bisection in exact dyadic arithmetic,
+    a sweep at every midpoint down to width root_tol, and the last
+    midpoint rounded once to bits: the oracle orthopoly_zeros must match
+    bit for bit."""
     if n < 1 or n > len(rc):
         raise ValueError(f"need 1 <= n <= {len(rc)}")
     ctx = rc.ctx
@@ -98,9 +106,9 @@ def bisect_zeros(rc, n):
             if not b[k] > 0:
                 raise BreakdownError(f"b[{k}] = {b[k]} is not positive")
         r = max((mp.sqrt(b[k]) for k in range(1, n)), default=mpf(0))
-        lo0 = min(a) - 2 * r - 1
-        hi0 = max(a) + 2 * r + 1
-        tol = ctx.root_tol
+        lo0 = mpf_fraction(min(a) - 2 * r - 1)
+        hi0 = mpf_fraction(max(a) + 2 * r + 1)
+        tol = mpf_fraction(ctx.root_tol)
         tiny = from_man_exp(1, -4 * ctx.bits)
         a = [v._mpf_ for v in a]
         b = [v._mpf_ for v in b]
@@ -109,11 +117,11 @@ def bisect_zeros(rc, n):
             lo, hi = lo0, hi0
             while hi - lo > tol:
                 mid = (lo + hi) / 2
-                if op._sturm_count(a, b, n, mid._mpf_, tiny) >= k:
+                if op._sturm_count(a, b, n, _dyadic(mid), tiny) >= k:
                     hi = mid
                 else:
                     lo = mid
-            roots.append((lo + hi) / 2)
+            roots.append(mp.make_mpf(_dyadic((lo + hi) / 2, ctx.bits)))
     return tuple(roots)
 
 
@@ -325,39 +333,6 @@ class TestRawKernels:
         assert got == want == 1
 
 
-class TestRoundPrec:
-    @settings(max_examples=300, deadline=None)
-    @given(prec=st.integers(53, 2048), data=st.data())
-    def test_grid_sum_rounds_as_mpf_add(self, prec, data):
-        #  operands of at most prec bits, as every end of the walk is;
-        #  "far" puts them more than 100 binary places apart, where
-        #  mpf_add replaces the smaller by a sticky bit, and "tie" builds
-        #  a sum exactly halfway between two prec-bit neighbours
-        man = st.integers(1 - (1 << prec), (1 << prec) - 1)
-        sign = st.sampled_from([1, -1])
-        kind = data.draw(st.sampled_from(["near", "far", "tie", "zero",
-                                          "cancel"]))
-        es = data.draw(st.integers(-1500, 1500))
-        ms, mt, et = data.draw(man), data.draw(man), es
-        if kind == "near":
-            et = es + data.draw(st.integers(-100, 100))
-        elif kind == "far":
-            et = es + data.draw(sign) * data.draw(st.integers(101,
-                                                              3 * prec))
-        elif kind == "tie":
-            ms = 2 * data.draw(sign) * data.draw(
-                st.integers(1 << (prec - 1), (1 << prec) - 1))
-            mt = data.draw(sign)
-        elif kind == "zero":
-            ms = 0
-        else:
-            mt = -ms
-        g = -min(es, et)
-        v = (ms << es + g) + (mt << et + g)
-        assert from_man_exp(op._round_prec(v, prec), -g) == mpf_add(
-            from_man_exp(ms, es), from_man_exp(mt, et), prec, round_nearest)
-
-
 class TestZeros:
     def test_two_atom_degree_one(self):
         rc = stieltjes_recurrence(two_atom(), 1)
@@ -420,15 +395,20 @@ class TestZeros:
     @given(data=st.data())
     def test_random_measure_roots_bit_equal_to_bisection(self, data):
         #  flat weights, or a cascade q^(k^2+1) like sigma's; the
-        #  enclosures change which midpoints are swept, never a root bit
+        #  enclosures change which midpoints are swept, never a root bit.
+        #  One flat atom at a dyadic x has the Gershgorin interval
+        #  [x - 1, x + 1], exactly a power of two wide
         ticks = data.draw(st.lists(st.integers(-1000, 1000), min_size=1,
                                    max_size=8, unique=True))
         cascade = data.draw(st.booleans())
         q = data.draw(st.sampled_from(["0.2", "0.3", "0.4"]))
-        ctx = PrecisionContext(data.draw(st.sampled_from([64, 128, 256,
-                                                          768])))
+        ctx = PrecisionContext(data.draw(st.sampled_from([64, 65, 128, 256,
+                                                          768, 1001])))
+        scale = 1000
+        if data.draw(st.booleans()):
+            ticks, cascade, scale = ticks[:1], False, 1024
         with ctx.workprec():
-            atoms = tuple((mpf(t) / 1000,
+            atoms = tuple((mpf(t) / scale,
                            mpf(q) ** (k * k + 1) if cascade else mpf(1))
                           for k, t in enumerate(ticks))
         rc = stieltjes_recurrence(DiscreteMeasure(atoms, ctx=ctx),
@@ -441,11 +421,11 @@ class TestZeros:
     @pytest.mark.parametrize("atoms, scale", [
         (((-0.9, 1), (-0.2, 0.3), (0.35, 0.09), (0.8, 0.027), (0.05, 0.0081)),
          1),
-        #  every a_k is exactly 0, so the walk to the middle root of an
-        #  odd degree starts at mid = 0 and halves toward it
+        #  every a_k is exactly 0, so the bisection to the middle root of
+        #  an odd degree starts at mid = 0 and halves toward it
         (((-1, 1), (-0.5, 2), (0, 1), (0.5, 2), (1, 1)), 1),
         #  atoms stretched to +-50: the Gershgorin interval of J_5 is
-        #  about (-77, 85), so the walk bound steps is the largest here
+        #  about (-77, 85), so the grid has the most cells here
         (((-1, 1), (-0.25, 0.5), (0.06, 1), (0.545, 0.25), (1, 1)), 50),
     ], ids=["cascade", "symmetric", "spread_50"])
     def test_roots_bit_equal_to_bisection_at_odd_precision_and_wide_span(
@@ -463,9 +443,9 @@ class TestZeros:
 
     @pytest.mark.parametrize("bits", [65, 1001, 2048])
     def test_root_within_tol_of_zero_bit_equal_to_bisection(self, bits):
-        #  the walk to this root reaches ends of very different size
-        #  whose width exceeds root_tol by at most half an ulp and so
-        #  rounds to it: the stop test has to round as mpf does
+        #  the Gershgorin ends, -1 and 1 shifted by x0, carry bits down to
+        #  2^(1-bits), and the root's cell lies within root_tol of 0: the
+        #  grid holds every end exactly, and only the midpoint is rounded
         ctx = PrecisionContext(bits)
         with ctx.workprec():
             x0 = -mpf(420095) * mpf(2) ** -(bits + 13)
@@ -499,7 +479,8 @@ class TestZeros:
         assert zs.fallbacks == 1
         assert bits_of(zs.roots) == bits_of(bisect_zeros(rc, 5))
 
-    def test_at_most_four_sweeps_per_root(self, bench_sigma, monkeypatch):
+    def test_at_most_three_sweeps_per_root(self, bench_sigma, monkeypatch):
+        #  two enclosure counts, and at most one cell end inside it
         rc = stieltjes_recurrence(bench_sigma, 7)
         calls = []
         sweep = op._sturm_count
@@ -513,7 +494,7 @@ class TestZeros:
             calls.clear()
             zs = orthopoly_zeros(rc, n)
             assert zs.fallbacks == 0
-            assert len(calls) <= 4 * n, (n, len(calls))
+            assert len(calls) <= 3 * n, (n, len(calls))
 
     @pytest.mark.parametrize("n_max, bits, compared", [
         (10, 2048, range(1, 11)),
@@ -524,7 +505,7 @@ class TestZeros:
                                                 compared):
         #  Newton stops at bits/2 + 32 bits, plus one for a root of modulus
         #  in [1, 2); its points still certify every enclosure, so the
-        #  walk, and every root bit, is the plain bisection's.  At 3380
+        #  cell, and every root bit, is the plain bisection's.  At 3380
         #  bits that bisection takes seconds per degree near the top, so
         #  only degree 13 is compared there.
         sigma = build_sigma(SigmaBuildConfig(q=0.4, n_max=n_max, bits=bits),
@@ -1007,8 +988,8 @@ _SIGMA_BUILDS = pytest.mark.parametrize("q, n_max, bits, seq", [
 
 
 class TestPrunedAudit:
-    """The stress audit walks only the roots that can hold its worst
-    deviation; worst_deviation_reference walks them all.  The
+    """The stress audit finds only the roots that can hold its worst
+    deviation; worst_deviation_reference finds them all.  The
     calibration audits only the members its certificate rejects."""
 
     @_SIGMA_BUILDS
@@ -1066,7 +1047,7 @@ class TestPrunedAudit:
         #  a 2^-32 atom moves both zeros of P_2 by less than root_tol =
         #  2^-32: Newton's points rank their deviations (1.3e-11 and
         #  5.2e-11) the other way round from the roots (5.4e-11 and
-        #  1.1e-11), so the audit has to walk both
+        #  1.1e-11), so the audit has to find both
         ctx = PrecisionContext(64)
         with ctx.workprec():
             atoms = ((mpf(0), mpf(1) / 128), (mpf(-3) / 1024, mpf(1) / 128),
@@ -1083,7 +1064,7 @@ class TestPrunedAudit:
             want = epsilon_stress_test(sigma6, seq, 4, sigma6.weights[4],
                                        q=0.4)
         monkeypatch.setattr(op, "_seeds", lambda a, b, n: np.full(n, np.nan))
-        walks = _recording(monkeypatch, "_walk")
+        walks = _recording(monkeypatch, "_root")
         got = epsilon_stress_test(sigma6, seq, 4, sigma6.weights[4], q=0.4)
         assert len(walks) == 4 * len(got.results)
         assert all(x is None for _, _, x in walks)
@@ -1093,9 +1074,9 @@ class TestPrunedAudit:
     def test_readme_build_walks_one_root_per_member(self, arcsine_200,
                                                     monkeypatch):
         #  the certificate accepts 22 of this build's 28 audit members (142
-        #  roots); the exact audits of the other 6 (27 roots) walk one each
+        #  roots); the exact audits of the other 6 (27 roots) find one each
         members = _recording(monkeypatch, "_worst_deviation")
-        walks = _recording(monkeypatch, "_walk")
+        walks = _recording(monkeypatch, "_root")
         build_sigma(SigmaBuildConfig(q=0.4, n_max=10, bits=2048), arcsine_200)
         assert len(members) == 6
         assert len(walks) <= 6
