@@ -6,9 +6,10 @@ maximization is over a fixed candidate grid followed by a golden-section
 refinement inside the bracketing grid interval, so runs are deterministic
 for a fixed grid and tie-break rule (smallest coordinate wins).
 
-Points are kept in float64: downstream big-float consumers embed the
-stored values exactly, so grid-localization error only enters
-equidistribution diagnostics, far below their tolerances.
+Points are kept in float64, which downstream big-float consumers embed
+exactly.  They are pseudo-Leja points (grid plus golden-section
+refinement): at 1000 points the greedy maximum can sit elsewhere, off
+the grid interval the refinement searches.
 """
 
 import math

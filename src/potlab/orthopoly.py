@@ -23,17 +23,10 @@ counts certifies Proposition 1's bound (enclosures_hold); its k-th pair,
 at c - R and c + R, follows from the enclosure of Newton's point x when
 c - R <= x - root_tol/4 and x + root_tol/4 <= c + R, and is not made.
 
-Each root is enclosed (_enclose), then found in its cell (_root).  The
-stress audit reads only the largest distance from a root to its nearest
-Leja point, so it finds only the roots without an enclosure and those
-whose Newton point's distance d has d + m >= D - m, with D the largest
-such distance and m = 2 root_tol.  A root's cell, no wider than
-root_tol, holds the count's step, within root_tol/4 of the Newton point,
-so the root is within 3 root_tol/4 of it; the distance is 1-Lipschitz,
-so a root left out is nearer, by over 2 m - 3 root_tol/2, than the found
-root of distance D.  Roundings are 2^-bits relative and monotone, so the
-worst is that of all the roots bit for bit.  build_sigma needs only
-whether it is <= tgt, which two counts per zero can prove (_worst_within).
+Each root is enclosed (_enclose), then found in its cell (_root), by
+orthopoly_zeros and the stress audit alike (_zeros); build_sigma needs
+only whether the audit's worst is <= tgt, which two counts per zero can
+prove (_worst_within).
 
 Newton's point only narrows the bisection, so its steps climb a
 precision ladder: the precision about doubles per step from the seed's
@@ -321,6 +314,13 @@ def _root(J, k, x):
                                     round_nearest))
 
 
+def _zeros(J):
+    """Every root of J_n, ascending: each enclosed, then found in its
+    cell, with J.points set to the enclosures; run under J's precision."""
+    J.points = [_enclose(J, k) for k in range(1, J.n + 1)]
+    return tuple(_root(J, k, x) for k, x in enumerate(J.points, 1))
+
+
 def orthopoly_zeros(rc, n):
     """Zeros of P_n by Sturm bisection, steered by certified enclosures.
 
@@ -344,10 +344,8 @@ def orthopoly_zeros(rc, n):
     """
     with rc.ctx.workprec():
         J = _jacobi(rc, n)
-        xs = J.points = [_enclose(J, k) for k in range(1, n + 1)]
-        roots = tuple(_root(J, k, x) for k, x in enumerate(xs, 1))
-    return ZeroSet(roots=roots, fallbacks=sum(x is None for x in xs),
-                   jacobi=J)
+        roots = _zeros(J)
+    return ZeroSet(roots=roots, fallbacks=J.points.count(None), jacobi=J)
 
 
 def _nearest(r, pts):
@@ -359,21 +357,14 @@ def _nearest(r, pts):
 
 
 def _worst_deviation(rc, leja_points, n, J=None):
-    """max over the zeros of P_n of the distance to the nearest of the
-    first n Leja points, from only the zeros that can hold it (see Zeros
-    in the module docstring): bit for bit that of orthopoly_zeros.  J is
+    """max over the zeros of P_n, found as orthopoly_zeros finds them, of
+    the distance to the nearest of the first n Leja points.  J is
     _jacobi(rc, n) if it is already built."""
     ctx = rc.ctx
     with ctx.workprec():
         J = _jacobi(rc, n) if J is None else J
         pts = [ctx.mpf(x) for x in leja_points[:n]]
-        xs = J.points = [_enclose(J, k) for k in range(1, n + 1)]
-        near = [_nearest(x, pts)[1] if x is not None else None for x in xs]
-        m = 2 * ctx.root_tol
-        top = max((d for d in near if d is not None), default=None)
-        return max(_nearest(_root(J, k, x), pts)[1]
-                   for k, (x, d) in enumerate(zip(xs, near), 1)
-                   if x is None or d + m >= top - m)
+        return max(_nearest(r, pts)[1] for r in _zeros(J))
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +396,7 @@ class SigmaBuildConfig:
 
 def precision_floor(q, n, cascade="stabilized"):
     """Bits needed to keep the weight cascade well inside the significand."""
-    lg = math.log2(1 / q)
+    lg = -math.log2(q)      # 1 / q overflows for a subnormal q
     if cascade == "power":
         return math.ceil(3 * n * n * lg) + 128
     span = 1 + (n - 1) * n * (2 * n - 1) // 6 + n * n   # 1 + sum k^2 + n^2
@@ -601,9 +592,9 @@ def epsilon_stress_test(m, seq, n, eps_next, q, family=None):
 
     The family is the caller's: each member meets the mass cap, and its
     atoms, scaled, are validated as a DiscreteMeasure before any audit.
-    A member's result is the largest distance from a zero of P_n to the
-    nearest of the first n Leja points, found from only the zeros that
-    can hold it (_worst_deviation), bit for bit that of all the zeros.
+    A member's result is the largest distance from a zero of P_n, found
+    as orthopoly_zeros finds it, to the nearest of the first n Leja
+    points (_worst_deviation).
     """
     ctx = m.ctx
     with ctx.workprec():

@@ -133,8 +133,8 @@ def stieltjes_recurrence_reference(m, n):
 def worst_deviation_reference(rc, leja_points, n, J=None):
     """The stress audit's worst deviation with no root left out: every
     zero of P_n through orthopoly_zeros, then the largest distance to the
-    nearest of the first n Leja points.  The pruned audit must return
-    the same value bit for bit.  J, a prebuilt J_n, is not read."""
+    nearest of the first n Leja points.  The audit's own root loop must
+    return the same value bit for bit.  J, a prebuilt J_n, is not read."""
     roots = orthopoly_zeros(rc, n).roots
     with rc.ctx.workprec():
         pts = [rc.ctx.mpf(x) for x in leja_points[:n]]

@@ -7,6 +7,7 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import potlab
 from potlab import ConfigError, ExperimentConfig
@@ -45,6 +46,20 @@ class TestConfig:
     def test_prop1_q_range(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(experiment="prop1", q=0.6)
+
+    @settings(max_examples=200, deadline=None)
+    @given(q=st.floats(0, 0.5, exclude_min=True, exclude_max=True),
+           n_max=st.integers(1, 39),
+           cascade=st.sampled_from(["stabilized", "power"]))
+    @example(q=1e-310, n_max=2, cascade="stabilized")
+    @example(q=5e-324, n_max=1, cascade="power")
+    def test_prop1_any_q_builds_or_is_refused(self, q, n_max, cascade):
+        #  subnormal q included, where 1 / q overflows float64
+        try:
+            ExperimentConfig(experiment="prop1", q=q, n_max=n_max,
+                             cascade=cascade)
+        except ConfigError:
+            pass
 
     def test_n_beyond_n_max_rejected(self):
         with pytest.raises(ConfigError):
@@ -854,6 +869,10 @@ class TestCli:
     test_capacity_subnormal_lune_exits_2 = _refusal_test(
         ("capacity", {"eps": 36}, PRECISION,
          "lune radius 2.03e-313 is subnormal in float64", True))
+    #  below q = 5.6e-309, 1 / q overflows float64; -log2(q) does not
+    test_subnormal_q_exits_2 = _refusal_test(
+        ("prop1", {"q": 1e-310}, CONFIG, "2048 bits < floor 1192634 for "
+         "q=1e-310, n_max=10, cascade=stabilized", True))
     test_calibration_failure_exits_2 = _refusal_test(
         ("prop1", {}, PRECISION, "calibration of eps_5 did not converge",
          True, "potlab.cli.run"))

@@ -988,9 +988,10 @@ _SIGMA_BUILDS = pytest.mark.parametrize("q, n_max, bits, seq", [
 
 
 class TestPrunedAudit:
-    """The stress audit finds only the roots that can hold its worst
-    deviation; worst_deviation_reference finds them all.  The
-    calibration audits only the members its certificate rejects."""
+    """The stress audit finds every root through the loop orthopoly_zeros
+    runs; worst_deviation_reference finds them through orthopoly_zeros
+    itself.  The calibration audits only the members its certificate
+    rejects."""
 
     @_SIGMA_BUILDS
     def test_build_sigma_equals_unpruned_audits(self, request, monkeypatch,
@@ -1071,15 +1072,27 @@ class TestPrunedAudit:
         assert [(name, d._mpf_) for name, d in got.results] == [
             (name, d._mpf_) for name, d in want.results]
 
-    def test_readme_build_walks_one_root_per_member(self, arcsine_200,
-                                                    monkeypatch):
+    def test_readme_build_finds_roots_one_sweep_past_each_enclosure(
+            self, arcsine_200, monkeypatch):
         #  the certificate accepts 22 of this build's 28 audit members (142
-        #  roots); the exact audits of the other 6 (27 roots) find one each
+        #  roots); the exact audits of the other 6 find all 27 of their
+        #  roots, each enclosed one with at most one sweep past the two
+        #  counts of its enclosure
         members = _recording(monkeypatch, "_worst_deviation")
-        walks = _recording(monkeypatch, "_root")
+        sweeps = _recording(monkeypatch, "_sturm_count")
+        root, found = op._root, []
+
+        def counting(J, k, x):
+            before = len(sweeps)
+            r = root(J, k, x)
+            found.append((x, len(sweeps) - before))
+            return r
+
+        monkeypatch.setattr(op, "_root", counting)
         build_sigma(SigmaBuildConfig(q=0.4, n_max=10, bits=2048), arcsine_200)
         assert len(members) == 6
-        assert len(walks) <= 6
+        assert len(found) == 27
+        assert all(used <= 1 for x, used in found if x is not None)
 
 
 class TestCountingMeasure:
