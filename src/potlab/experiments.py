@@ -93,6 +93,8 @@ class ExperimentConfig:
             raise ConfigError(f"leja_n must be >= 1, got {self.leja_n}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if not self.out_dir:
+            raise ConfigError("out_dir must not be empty")
         if self.experiment == "capacity_only" and LUNE_DEGREE * self.eps < 1:
             raise ConfigError(f"capacity_only needs {LUNE_DEGREE} * eps >= 1")
         if self.experiment == "prop1" or (self.experiment == "leja_only"

@@ -356,15 +356,12 @@ def _nearest(r, pts):
     return ds.index(d), d
 
 
-def _worst_deviation(rc, leja_points, n, J=None):
-    """max over the zeros of P_n, found as orthopoly_zeros finds them, of
-    the distance to the nearest of the first n Leja points.  J is
-    _jacobi(rc, n) if it is already built."""
-    ctx = rc.ctx
-    with ctx.workprec():
-        J = _jacobi(rc, n) if J is None else J
-        pts = [ctx.mpf(x) for x in leja_points[:n]]
-        return max(_nearest(r, pts)[1] for r in _zeros(J))
+def _worst_deviation(J, leja_points):
+    """max over the zeros of J_n, found as orthopoly_zeros finds them, of
+    the distance to the nearest of the first n Leja points; run under J's
+    precision."""
+    pts = [mpf(x) for x in leja_points[:J.n]]
+    return max(_nearest(r, pts)[1] for r in _zeros(J))
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +437,7 @@ def build_sigma(cfg, seq):
                             (x, eps2 * w) for x, w in nu), n, ctx)
                         J = _jacobi(rc, n)
                         if not _worst_within(J, ctx, seq, tgt):
-                            worst = max(worst, _worst_deviation(rc, seq, n, J))
+                            worst = max(worst, _worst_deviation(J, seq))
                     if worst <= tgt:
                         break
                     #  deviation is linear in cand: rescale with headroom
@@ -500,8 +497,8 @@ def _holds(J, ctx, centers, radius):
 
 
 def _worst_within(J, ctx, seq, tgt):
-    """Whether counts prove _worst_deviation(rc, seq, n) <= tgt, with J
-    = _jacobi(rc, n): _holds at r = tgt - 2 root_tol; run under ctx.
+    """Whether counts prove _worst_deviation(J, seq) <= tgt: _holds at
+    r = tgt - 2 root_tol; run under ctx.
 
     Then count(c - r) < k <= count(c + r) for the k-th sorted Leja point
     c; the k-th root's cell has count(lo) < k <= count(hi), so lo < c + r
@@ -543,22 +540,17 @@ def zero_stability_check(rc, seq, n, q):
                            max_deviation=worst, bound=bound, passed=passed)
 
 
-def default_stress_family(seq, n, ctx):
-    """The documented perturbation family: nothing, endpoint atoms, an atom
-    at each of the first n Leja points, and a 64-atom uniform grid of mass
-    one.
+def default_stress_family(ctx):
+    """The documented perturbation family: an atom at -1, one at +1 and a
+    64-atom uniform grid, each of mass one.
 
-    At degree n, zero, delta_leja_1..n and delta_-1 or delta_+1 when -1 or
-    +1 is among the first n points move no zero: sigma_n plus any of them
-    is an n-atom measure, whose P_n is prod (x - x_k) over the atoms."""
-    fam = [("zero", None),
-           ("delta_-1", ((ctx.mpf(-1), ctx.mpf(1)),)),
-           ("delta_+1", ((ctx.mpf(1), ctx.mpf(1)),))]
-    for k in range(n):
-        fam.append((f"delta_leja_{k + 1}",
-                    ((ctx.mpf(seq[k]), ctx.mpf(1)),)))
-    fam.append(("uniform_grid_64", _uniform_grid_64(ctx)))
-    return fam
+    An atom at one of sigma_n's own locations moves no zero of P_n:
+    sigma_n plus it is an n-atom measure, whose P_n is prod (x - x_k) over
+    the atoms.  So the family holds none but the endpoints, which are
+    atoms of sigma_n only when the Leja points start there."""
+    return [("delta_-1", ((ctx.mpf(-1), ctx.mpf(1)),)),
+            ("delta_+1", ((ctx.mpf(1), ctx.mpf(1)),)),
+            ("uniform_grid_64", _uniform_grid_64(ctx))]
 
 
 def _uniform_grid_64(ctx):
@@ -601,7 +593,7 @@ def epsilon_stress_test(m, seq, n, eps_next, q, family=None):
         bound = _stress_bound(seq, n, q, ctx)
         _require_support([x._mpf_ for x in m.locations[:n]], n)
         eps2, members = 2 * ctx.mpf(eps_next), []
-        for name, nu in (default_stress_family(seq, n, ctx) if family is None
+        for name, nu in (default_stress_family(ctx) if family is None
                          else family):
             nu = nu or ()  # None is the zero measure
             mass = mp.fsum(w for _, w in nu)
@@ -611,7 +603,8 @@ def epsilon_stress_test(m, seq, n, eps_next, q, family=None):
                                     ctx=ctx).atoms
             members.append((name, _stieltjes(m.atoms[:n] + added, n, ctx)))
         return StressReport(bound=bound, results=tuple(
-            (name, _worst_deviation(rc, seq, n)) for name, rc in members))
+            (name, _worst_deviation(_jacobi(rc, n), seq))
+            for name, rc in members))
 
 
 def _stress_bound(seq, n, q, ctx):

@@ -8,8 +8,7 @@ from mpmath import mp, mpf
 from potlab import (DegenerateGrid, DegenerateRegion, DiscreteMeasure,
                     PrecisionContext, TracingFailure, chebyshev_grid,
                     epsilon_stress_test)
-from potlab.orthopoly import (BreakdownError, RecurrenceCoeffs,
-                              _uniform_grid_64, orthopoly_zeros)
+from potlab.orthopoly import BreakdownError, RecurrenceCoeffs, _uniform_grid_64
 
 
 @pytest.fixture(autouse=True)
@@ -128,17 +127,6 @@ def stieltjes_recurrence_reference(m, n):
                 for x, pc, pp in zip(xs, p_cur, p_prev)]
             nu_prev = nu
     return RecurrenceCoeffs(a=tuple(a), b=tuple(b), ctx=ctx)
-
-
-def worst_deviation_reference(rc, leja_points, n, J=None):
-    """The stress audit's worst deviation with no root left out: every
-    zero of P_n through orthopoly_zeros, then the largest distance to the
-    nearest of the first n Leja points.  The audit's own root loop must
-    return the same value bit for bit.  J, a prebuilt J_n, is not read."""
-    roots = orthopoly_zeros(rc, n).roots
-    with rc.ctx.workprec():
-        pts = [rc.ctx.mpf(x) for x in leja_points[:n]]
-        return max(min(abs(r - p) for p in pts) for r in roots)
 
 
 def build_sigma_via_public_audit(cfg, seq):

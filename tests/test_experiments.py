@@ -828,6 +828,23 @@ class TestCli:
         assert f.read_text() == "kept\n"
         assert [p.name for p in tmp_path.iterdir()] == ["some_file"]
 
+    @pytest.mark.parametrize("argv, config", [
+        (["capacity", "--out", ""], None),
+        (["leja", "--config", "cfg.json"], {"out_dir": ""})],
+        ids=["flag", "config"])
+    def test_empty_out_exits_2(self, tmp_path, capsys, monkeypatch, argv,
+                               config):
+        #  refused before the run, which would end in os.makedirs("");
+        #  _refused passes an --out of its own, so the case runs here
+        monkeypatch.chdir(tmp_path)
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(config))
+        rc = cli_main(argv)
+        out, err = capsys.readouterr()
+        assert (rc, out) == (2, "")
+        assert err == f"{CONFIG}out_dir must not be empty\n"
+        assert {p.name for p in tmp_path.iterdir()} <= {"cfg.json"}
+
     test_no_leja_points_exits_2 = _refusal_test(
         ("leja", {"leja_n": 0}, CONFIG, "leja_n must be >= 1"))
     #  the trend checks compare consecutive entries, so n_list must

@@ -22,8 +22,7 @@ from potlab.orthopoly import enclosures_hold
 
 from conftest import (build_sigma_via_public_audit, exact_enclosures_hold,
                       exact_recurrence, mpf_fraction, orth_tol,
-                      stieltjes_recurrence_reference, sturm_count_reference,
-                      worst_deviation_reference)
+                      stieltjes_recurrence_reference, sturm_count_reference)
 
 CTX = PrecisionContext(256)
 
@@ -497,9 +496,10 @@ class TestZeros:
             assert len(calls) <= 3 * n, (n, len(calls))
 
     @pytest.mark.parametrize("n_max, bits, compared", [
+        (7, 768, range(1, 8)),
         (10, 2048, range(1, 11)),
         (13, 3380, (13,)),
-    ], ids=["readme_sigma", "n_max_13"])
+    ], ids=["bench_sigma", "readme_sigma", "n_max_13"])
     def test_newton_ladder_certifies_every_root(self, arcsine_200,
                                                 monkeypatch, n_max, bits,
                                                 compared):
@@ -533,7 +533,8 @@ class TestZeros:
         #  a step divides once, by P_n', at its precision: each ladder
         #  climbs to top and stops after one step there, unless the next
         #  step shows the point still more than stop = root_tol/16 off
-        #  (one root of P_6 of the bench sigma, 2^-384 off after one)
+        #  (one root of P_6 of the bench sigma, 2^-384 off after one);
+        #  test_newton_ladder_certifies_every_root checks the roots
         rc = stieltjes_recurrence(request.getfixturevalue(sigma), n_max)
         newton, div, ladders, active = op._newton, op.mpf_div, [], []
 
@@ -555,9 +556,7 @@ class TestZeros:
         monkeypatch.setattr(op, "_newton", recording)
         monkeypatch.setattr(op, "mpf_div", dividing)
         for n in range(1, n_max + 1):
-            zs = orthopoly_zeros(rc, n)
-            assert zs.fallbacks == 0, n
-            assert bits_of(zs.roots) == bits_of(bisect_zeros(rc, n)), n
+            assert orthopoly_zeros(rc, n).fallbacks == 0, n
         assert len(ladders) == n_max * (n_max + 1) // 2
         at_top = [[s for p, s in steps if p == top]
                   for top, _, steps in ladders]
@@ -874,9 +873,29 @@ class TestStressAudit:
         seq = _seq_of(sigma6)
         rep = epsilon_stress_test(sigma6, seq, 4, sigma6.weights[4], q=0.4)
         assert not rep.violations
-        names = [name for name, _ in rep.results]
-        assert "zero" in names and "uniform_grid_64" in names
-        assert "delta_-1" in names and "delta_+1" in names
+        assert [name for name, _ in rep.results] == [
+            "delta_-1", "delta_+1", "uniform_grid_64"]
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_default_members_move_a_zero_and_own_atoms_none(self, uniform_200,
+                                                            n):
+        #  the uniform-target Leja points do not start at +-1, so each
+        #  default member moves a zero by more than rounding; nothing, or
+        #  an atom at one of sigma_n's own locations, leaves an n-atom
+        #  measure whose zeros are its atoms
+        sigma = build_sigma(SigmaBuildConfig(q=0.35, n_max=6, bits=1024),
+                            uniform_200)
+        ctx = sigma.ctx
+        rep = epsilon_stress_test(sigma, uniform_200, n, sigma.weights[n],
+                                  q=0.35)
+        assert all(d > ctx.root_tol for _, d in rep.results), rep.results
+        own = [("zero", None)] + [(f"delta_leja_{k + 1}",
+                                   ((ctx.mpf(x), ctx.mpf(1)),))
+                                  for k, x in enumerate(uniform_200[:n])]
+        rep = epsilon_stress_test(sigma, uniform_200, n, sigma.weights[n],
+                                  q=0.35, family=own)
+        assert [name for name, _ in rep.results] == [name for name, _ in own]
+        assert all(d <= ctx.root_tol for _, d in rep.results), rep.results
 
     def test_oversized_eps_fails(self, sigma6):
         #  q^25 is far above the stability threshold for n = 4
@@ -988,19 +1007,9 @@ _SIGMA_BUILDS = pytest.mark.parametrize("q, n_max, bits, seq", [
 
 
 class TestPrunedAudit:
-    """The stress audit finds every root through the loop orthopoly_zeros
-    runs; worst_deviation_reference finds them through orthopoly_zeros
-    itself.  The calibration audits only the members its certificate
-    rejects."""
-
-    @_SIGMA_BUILDS
-    def test_build_sigma_equals_unpruned_audits(self, request, monkeypatch,
-                                                q, n_max, bits, seq):
-        seq = request.getfixturevalue(seq)
-        cfg = SigmaBuildConfig(q=q, n_max=n_max, bits=bits)
-        got = build_sigma(cfg, seq)
-        monkeypatch.setattr(op, "_worst_deviation", worst_deviation_reference)
-        assert _bits_of_sigma(got) == _bits_of_sigma(build_sigma(cfg, seq))
+    """The calibration prunes its audit: it audits only the members its
+    certificate rejects, with sigma bit for bit, and each audit finds
+    every root as orthopoly_zeros does."""
 
     @_SIGMA_BUILDS
     def test_build_sigma_equals_uncertified_calibration(
@@ -1022,13 +1031,6 @@ class TestPrunedAudit:
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
-    def test_random_measure_worst_equals_reference(self, data):
-        rc, pts, n = _random_audit_member(data)
-        assert op._worst_deviation(rc, pts, n)._mpf_ == \
-            worst_deviation_reference(rc, pts, n)._mpf_
-
-    @settings(max_examples=40, deadline=None)
-    @given(data=st.data())
     def test_certificate_accepts_only_worsts_within_tgt(self, data):
         #  tgt on a grid of root_tol/8 within 3 root_tol of the worst, on
         #  both sides: a root lies up to root_tol/2 beyond its count step,
@@ -1037,8 +1039,8 @@ class TestPrunedAudit:
         shift = data.draw(st.integers(0, 7))
         ctx = rc.ctx
         with ctx.workprec():
-            worst = op._worst_deviation(rc, pts, n)
-            J = op._jacobi(rc, n)
+            worst = op._worst_deviation(op._jacobi(rc, n), pts)
+            J = op._jacobi(rc, n)       # no enclosures yet, as in build_sigma
             for j in range(-24, 25):
                 tgt = worst + (8 * j + shift) * ctx.root_tol / 64
                 if op._worst_within(J, ctx, pts, tgt):
@@ -1048,22 +1050,23 @@ class TestPrunedAudit:
         #  a 2^-32 atom moves both zeros of P_2 by less than root_tol =
         #  2^-32: Newton's points rank their deviations (1.3e-11 and
         #  5.2e-11) the other way round from the roots (5.4e-11 and
-        #  1.1e-11), so the audit has to find both
+        #  1.1e-11), so the audit has to find both, as plain bisection
+        #  finds them
         ctx = PrecisionContext(64)
         with ctx.workprec():
             atoms = ((mpf(0), mpf(1) / 128), (mpf(-3) / 1024, mpf(1) / 128),
                      (mpf(1) / 1024, mpf(2) ** -32))
         rc = stieltjes_recurrence(DiscreteMeasure(atoms, ctx=ctx), 2)
         pts = [0.0, -3 / 1024]
-        assert op._worst_deviation(rc, pts, 2)._mpf_ == \
-            worst_deviation_reference(rc, pts, 2)._mpf_
+        roots = bisect_zeros(rc, 2)
+        with ctx.workprec():
+            want = max(min(abs(r - mpf(p)) for p in pts) for r in roots)
+            got = op._worst_deviation(op._jacobi(rc, 2), pts)
+        assert got._mpf_ == want._mpf_
 
     def test_nan_seeds_walk_every_root(self, sigma6, monkeypatch):
         seq = _seq_of(sigma6)
-        with monkeypatch.context() as mpatch:
-            mpatch.setattr(op, "_worst_deviation", worst_deviation_reference)
-            want = epsilon_stress_test(sigma6, seq, 4, sigma6.weights[4],
-                                       q=0.4)
+        want = epsilon_stress_test(sigma6, seq, 4, sigma6.weights[4], q=0.4)
         monkeypatch.setattr(op, "_seeds", lambda a, b, n: np.full(n, np.nan))
         walks = _recording(monkeypatch, "_root")
         got = epsilon_stress_test(sigma6, seq, 4, sigma6.weights[4], q=0.4)
