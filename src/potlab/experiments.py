@@ -240,22 +240,43 @@ def _badset_grid_count(grid, vdiff, n, p, eps):
     """Grid points with |vdiff(w, n)| >= eps, vdiff = -log|1 -+ w^-p| / n.
     Only rows (one radius each, angle 0 first) with |w|^-p at least
     1 - e^(-n eps), below e^(n eps) - 1, can hold one; they are taken
-    with a slack above the rounding of the computed w^-p and vdiff."""
+    with a slack above the rounding of the computed w^-p and vdiff.  The
+    radii grow down the rows, as _scan_grid builds them, so those rows
+    are the leading k, and vdiff reads the view grid[:k]."""
     floor = -math.expm1(-n * eps) - 1e-9 - 32 * p * np.finfo(float).eps
-    rows = grid[grid[:, 0].real ** -float(p) >= floor]
-    return int(np.sum(np.abs(vdiff(rows, n)) >= eps))
+    k = np.count_nonzero(grid[:, 0].real ** -float(p) >= floor)
+    return int(np.sum(np.abs(vdiff(grid[:k], n)) >= eps))
+
+
+def _neg_log_abs(t, n):
+    """-log|t| / n in one new float array, log 0 = -inf quietly."""
+    a = np.abs(t)
+    with np.errstate(divide="ignore"):
+        np.log(a, out=a)
+    np.negative(a, out=a)
+    a /= n
+    return a
 
 
 def _vdiff_circle(z, n):
-    """V^{mu_n}(z) - V^{lambda}(z) for mu_n = roots of unity, |z| >= 1."""
-    with np.errstate(divide="ignore"):
-        return -np.log(np.abs(1 - z ** (-float(n)))) / n
+    """V^{mu_n}(z) - V^{lambda}(z) for mu_n = roots of unity, |z| >= 1.
+
+    -log|1 - z ** -float(n)| / n bit for bit, with the 1 - z^-n formed in
+    the power's own buffer and z, a view of the scan grid, left unwritten.
+    The negative power stays one: z^-n underflows quietly to 0 where a
+    reciprocal of z^n would overflow with a warning.
+    """
+    t = z ** (-float(n))
+    np.subtract(1, t, out=t)
+    return _neg_log_abs(t, n)
 
 
 def _vdiff_segment_w(w, n):
-    """Same for Chebyshev-zero measures, in terms of w = phi(z), |w| >= 1."""
-    with np.errstate(divide="ignore"):
-        return -np.log(np.abs(1 + w ** (-2.0 * n))) / n
+    """Same for Chebyshev-zero measures, in terms of w = phi(z), |w| >= 1:
+    -log|1 + w ** (-2.0 * n)| / n bit for bit, formed as _vdiff_circle's."""
+    t = w ** (-2.0 * n)
+    np.add(1, t, out=t)
+    return _neg_log_abs(t, n)
 
 
 def _nth_roots(w, n):
@@ -280,8 +301,15 @@ def _sample_lune_preimage(n, s, rng):
 def _cheb_level_set(n, eps):
     """2^n |T_n| = |phi^n + phi^{-n}|, the zeros of T_n and e^{-n eps}."""
     def g(z):
+        """|phi^n + phi^-n| with one complex power: phi^-n is np.divide(1,
+        phi^n), written over phi.  For 3 <= n <= 99 numpy's power loop
+        forms phi ** -float(n) as exactly that quotient, so g equals
+        |phi ** n + phi ** -float(n)| bit for bit; at n <= 2 and n >= 100
+        it agrees up to float rounding."""
         p = phi_np(z)
-        return np.abs(p ** n + p ** (-float(n)))
+        pn = p ** n
+        pn += np.divide(1, pn, out=p)
+        return np.abs(pn)
 
     roots = np.cos((2 * np.arange(1, n + 1) - 1) * np.pi / (2 * n))
     return g, roots, math.exp(-n * eps)

@@ -39,11 +39,20 @@ def _huge_potential(z):
 
 
 def phi_np(z):
-    """Vectorized float64 phi with the same branch choice."""
+    """Vectorized float64 phi with the same branch choice.
+
+    Returns a new complex array of z's shape (0-d for a scalar) and never
+    writes z.  Only the entries with a computed |w| < 1, which rounding
+    leaves on the cut, are replaced by 1/w: np.divide of 1.0 by w, which
+    is never 0 as |w| >= 1 up to rounding.
+    """
     z = np.asarray(z, dtype=complex)
-    w = z + np.sqrt(z - 1) * np.sqrt(z + 1)
+    #  a 0-d z gives a numpy scalar here, which the divide cannot write
+    w = np.asarray(z + np.sqrt(z - 1) * np.sqrt(z + 1))
     flip = np.abs(w) < 1
-    return np.where(flip, np.divide(1.0, w, out=np.ones_like(w), where=w != 0), w)
+    if flip.any():
+        np.divide(1.0, w, out=w, where=flip)
+    return w
 
 
 def equilibrium_potential_segment(z):

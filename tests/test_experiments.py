@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -158,6 +159,16 @@ class TestVdiffFormulas:
             assert _vdiff_segment_w(w, n)[0] == pytest.approx(direct,
                                                               rel=1e-9)
 
+    @pytest.mark.parametrize("n", [1000, 5000, 100000])
+    def test_log_domain_at_large_n(self, n):
+        #  z^-n underflows to 0 quietly, where 1 / z^n would overflow
+        z = np.array([1.5, 3 + 4j, 1e10, -2])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for vdiff in (_vdiff_circle, _vdiff_segment_w):
+                assert np.all(vdiff(z, n) == 0)
+                assert np.all(vdiff(z.real[[0, 2, 3]], n) == 0)
+
     def test_lune_preimage_members_satisfy_inequality(self):
         rng = np.random.default_rng(0)
         for n in (8, 32):
@@ -165,6 +176,55 @@ class TestVdiffFormulas:
             d = _vdiff_circle(zs, n)
             assert np.all(np.abs(d) >= 0.1)
             assert np.all(np.abs(zs) >= 1)
+
+
+def _same_bits(got, want):
+    return (np.array_equal(got, want)
+            and np.array_equal(np.signbit(got), np.signbit(want)))
+
+
+class TestExponentForms:
+    """The level function and the two deviations against the expressions
+    with a second complex power that they replace.  numpy's integer-
+    exponent power loop forms p ** -float(n) as np.divide(1, p ** n) for
+    3 <= n <= 99; a numpy whose power loop changes fails here."""
+
+    @staticmethod
+    def _traced_points(n):
+        g, roots, level = _cheb_level_set(n, 0.1)
+        seen = []
+
+        def spy(z):
+            seen.append(np.array(z))
+            return g(z)
+
+        cap.trace_level_curve(spy, roots, level, 64)
+        return g, np.concatenate(seen)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 16, 32, 64, 99, 100, 128])
+    def test_level_function(self, n):
+        g, z = self._traced_points(n)
+        p = phi_np(z)
+        want = np.abs(p ** n + p ** (-float(n)))
+        got = g(z)
+        if 3 <= n <= 99:
+            assert _same_bits(got, want)
+        else:
+            #  ulps of the terms: next to a zero the sum cancels
+            assert np.all(np.abs(got - want) <= 4 * np.spacing(np.abs(p ** n)))
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 64, 128])
+    def test_deviations(self, n):
+        grid = _scan_grid(types.SimpleNamespace(rho=1.5))
+        _, z = self._traced_points(8)
+        for w in (grid, grid[:40], phi_np(z)):
+            before = w.copy()
+            with np.errstate(divide="ignore"):
+                assert _same_bits(_vdiff_segment_w(w, n),
+                                  -np.log(np.abs(1 + w ** (-2.0 * n))) / n)
+                assert _same_bits(_vdiff_circle(w, n),
+                                  -np.log(np.abs(1 - w ** (-float(n)))) / n)
+            assert _same_bits(w.view(float), before.view(float))
 
 
 class TestBadsetGridCount:

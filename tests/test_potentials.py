@@ -152,6 +152,38 @@ class TestPhi:
         assert abs(abs(phi_np(np.array([x]))[0]) - 1) <= 4e-16
         assert abs(abs(phi(x, CTX)) - 1) <= mpf(2) ** -240
 
+    @pytest.mark.parametrize("z", [0.5, 0.5 + 0.25j, np.array(-0.3),
+                                   np.array(1.0 + 0j)])
+    def test_phi_np_scalar_is_0d(self, z):
+        got = phi_np(z)
+        assert isinstance(got, np.ndarray) and got.shape == ()
+        assert got.dtype == complex
+        assert complex(got) == complex(phi_np(np.array([z]))[0])
+
+    def test_phi_np_flip_equals_full_divide(self):
+        #  the form that divided every entry and kept the |w| < 1 ones
+        def phi_where(z):
+            z = np.asarray(z, dtype=complex)
+            w = z + np.sqrt(z - 1) * np.sqrt(z + 1)
+            flip = np.abs(w) < 1
+            return np.where(flip, np.divide(1.0, w, out=np.ones_like(w),
+                                            where=w != 0), w)
+
+        x = np.concatenate([np.linspace(-1, 1, 4001),
+                            np.nextafter([-1.0, 1.0], 0.0)])
+        for z in (x + 0j, np.conj(x + 0j), x + 1e-300j, x - 1e-17j,
+                  x + 1e-9j, np.nextafter([-1.0, 1.0], [-2.0, 2.0]) + 0j,
+                  np.array([-1, 1, -1j, 1j, 2, -2, 1e-8j, 1 + 1e-12j])):
+            before = z.copy()
+            want, got = phi_where(z), phi_np(z)
+            assert np.array_equal(got.view(float), want.view(float))
+            assert np.array_equal(np.signbit(got.view(float)),
+                                  np.signbit(want.view(float)))
+            assert np.array_equal(z.view(float), before.view(float))
+        #  the cut does take the flip by rounding
+        w = x + np.sqrt(x - 1 + 0j) * np.sqrt(x + 1 + 0j)
+        assert np.count_nonzero(np.abs(w) < 1) > 100
+
 
 class TestChebyshevMonic:
     def test_degree_two_at_zero(self):
