@@ -6,8 +6,9 @@ of sigma = sum eps_n delta_{x_n}.  With a cascade that decays fast enough
 the degree-n polynomial keeps its zeros within q^(n^2) of the first n
 atoms, which is what makes the zero-counting measures follow the target.
 
-Everything here runs in a PrecisionContext (mpmath); weight ratios reach
-scales like q^300, far outside float64.
+The recurrences, zeros and audits run in a PrecisionContext (mpmath);
+weights reach scales like q^300, far outside float64, and build_sigma's
+float64 certificate (_lagrange_within) takes only ratios of them.
 
 Zeros
 -----
@@ -24,9 +25,7 @@ at c - R and c + R, follows from the enclosure of Newton's point x when
 c - R <= x - root_tol/4 and x + root_tol/4 <= c + R, and is not made.
 
 Each root is enclosed (_enclose), then found in its cell (_root), by
-orthopoly_zeros and the stress audit alike (_zeros); build_sigma needs
-only whether the audit's worst is <= tgt, which two counts per zero can
-prove (_worst_within).
+orthopoly_zeros and the stress audit alike (_zeros).
 
 Newton's point only narrows the bisection, so its steps climb a
 precision ladder: the precision about doubles per step from the seed's
@@ -53,8 +52,9 @@ Cascades
                the audit bound: every degree-n zero moves by at most
                min(q^(n^2), delta_n)/4.  sigma_n, the members and the
                bound are set once per degree; a candidate only rescales
-               the members' weights and audits those the counts do not
-               certify (see Zeros).  The constructive "pick eps_{n+1}
+               the members' weights and audits those that a float64
+               Lagrange-coordinate certificate does not accept
+               (build_sigma).  The constructive "pick eps_{n+1}
                small enough": the deviation is linear in eps_{n+1}, so a
                violation says how much to shrink.  Default.
 """
@@ -67,7 +67,8 @@ import numpy as np
 from mpmath import mp, mpf
 from mpmath.libmp import (fone, from_float, from_man_exp, fzero, mpf_abs,
                           mpf_add, mpf_div, mpf_le, mpf_mul, mpf_neg, mpf_sub,
-                          mpf_sum, round_nearest)
+                          mpf_sum, round_ceiling, round_floor, round_nearest,
+                          to_float)
 
 from .measures import DiscreteMeasure, separation
 from .precision import PrecisionContext, PrecisionTooLow
@@ -400,6 +401,63 @@ def precision_floor(q, n, cascade="stabilized"):
     return math.ceil(3 * span * lg) + 128
 
 
+def _lagrange_within(pts, eps, nu, eps2, r):
+    """Whether float64 bounds prove each zero of P_n(sigma_n + eps2 nu),
+    sigma_n = sum eps_i delta_{x_i} on the n float64 points pts, within r
+    of its x_i.
+
+    P_n = omega_n (1 + sum_j c_j/(x - x_j)), omega_n = prod (x - x_j), c_j
+    = y_j/omega_n'(x_j) and (E + G) y = -h, with E = diag(eps), G_ij =
+    eps2 sum_a w_a l_i(t_a) l_j(t_a), h_i = eps2 sum_a w_a omega_n(t_a)
+    l_i(t_a) over nu's atoms (t_a, w_a) and l_i the Lagrange basis
+    (Gautschi 2004, 2.4); an atom on an x_k only adds to eps_k and is
+    dropped.  If each kappa_i = sum_j |G_ij|/eps_i < 1/2, a Neumann series
+    gives |y_i| <= |h_i|/eps_i + 2 kappa_i max_k |h_k|/eps_k; then |c_i|/r
+    + sum_{j != i} |c_j|/(|x_i - x_j| - r) < 1 makes P_n change sign
+    across (x_i - r, x_i + r), and 2r below the separation makes these n
+    intervals disjoint, one zero each.  The weights enter as eps2/eps_i
+    and eps2/(eps_i r), rounded up from mpf; each numpy bound takes
+    Higham's (2002) gamma_k for its roundings and for t_a's to float64 (a
+    subnormal result errs by 2^-1075 at most, far inside it).  r <= 0, a
+    value that is not finite, or an atom within rounding of an x_j
+    declines.
+    """
+    def up(v):      # the raw mpf v >= 0 rounded up to float64, at any size
+        f = to_float(v, rnd=round_ceiling)
+        return f if f >= 2.0 ** -1022 else math.nextafter(f, 1)
+
+    x, n, u = np.array([float(p) for p in pts]), len(pts), 2.0 ** -53
+    if not r > 0 or any(from_float(v) != p._mpf_ for v, p in zip(x, pts)):
+        return False
+    own, e2, rr, ru = {p._mpf_ for p in pts}, eps2._mpf_, r._mpf_, up(r._mpf_)
+    t, w = np.array([(float(a), float(b)) for a, b in nu if a._mpf_ not in
+                     own], dtype=float).reshape(-1, 2).T
+    rho = np.array([up(mpf_div(e2, e._mpf_, 53, round_ceiling)) for e in eps])
+    rho_r = np.array([up(mpf_div(e2, mpf_mul(e._mpf_, rr, 53, round_floor),
+                                 53, round_ceiling)) for e in eps])
+    with np.errstate(all="ignore"):
+        dx = x[:, None] - x
+        np.fill_diagonal(dx, 1.0)
+        pd = dx.prod(axis=1)                    # omega_n'(x_i)
+        d = t[:, None] - x                      # t_a - x_j
+        eta = u + np.max((2 * u * np.abs(t)[:, None] + 2.0 ** -1074)
+                         / np.abs(d), initial=0)
+        theta = 8 * (n + 2) * eta               # relative, of l, omega_n, pd
+        inflate = 1 + 8 * theta + 8 * (n + len(t) + 16) * u
+        om = d.prod(axis=1)
+        lag = om[:, None] / (d * pd)            # l_i(t_a)
+        kappa = rho * ((w * np.abs(lag).sum(axis=1)) @ np.abs(lag)) * inflate
+        s = (w * om)[:, None] * lag             # the terms of h_i / eps2
+        h = rho_r * inflate * (np.abs(s.sum(axis=0)) + (4 * theta + 2 * (
+            len(t) + 16) * u) * np.abs(s).sum(axis=0))   # >= |h_i|/(eps_i r)
+        c = (h + 2 * kappa * h.max(initial=0)) / np.abs(pd) * inflate
+        gap = np.abs(dx) * (1 - 2 * u)
+        np.fill_diagonal(gap, np.inf)
+        total = (c + ru * (c / (gap - ru)).sum(axis=1)) * inflate
+        return bool(theta < 2.0 ** -10 and np.all(kappa < 0.5)
+                    and 2 * ru < gap.min() and np.all(total < 1))
+
+
 def build_sigma(cfg, seq):
     """Measure sum eps_n delta_{x_n} over the first n_max points of seq.
 
@@ -410,9 +468,15 @@ def build_sigma(cfg, seq):
     case).  sigma_n's atoms, these members' and tgt, half the audit bound,
     are built once per degree; a candidate scales the members' weights by
     2 cand and passes if worst <= tgt, else it is rescaled by tgt/worst/2.
-    worst is the max over the members _worst_within does not accept (0 if
-    none): the pass decision is the full audit's, and so is a failing max.
-    Tail sums are checked to stay below the preceding weight.
+
+    worst is the max of the exact audit (_worst_deviation) over the
+    members that _lagrange_within declines, 0 if none.  A member it
+    accepts has each zero of P_n of the exact measure, these mpf atoms and
+    weights, proved within r = tgt (1 - 2^-32) of its Leja point; at or
+    above precision_floor the audit's rounded recurrence puts its zeros
+    far closer than 2^-32 relative to those, so its worst is below tgt
+    too.  The pass decision is then the full audit's, and so is a
+    failing max.  Tail sums are checked to stay below the previous weight.
     """
     if len(seq) < cfg.n_max:
         raise ValueError(f"need {cfg.n_max} Leja points, have {len(seq)}")
@@ -429,15 +493,16 @@ def build_sigma(cfg, seq):
                 atoms = tuple(zip(pts, eps))
                 family = (((pts[n], 1),), grid)
                 tgt = _stress_bound(seq, n, cfg.q, ctx) / 2
+                r = tgt * (1 - mpf(2) ** -32)
                 cand = q ** (n * n) * eps[-1] * q
                 for _ in range(64):
                     eps2, worst = 2 * cand, 0
                     for nu in family:
-                        rc = _stieltjes(atoms + tuple(
-                            (x, eps2 * w) for x, w in nu), n, ctx)
-                        J = _jacobi(rc, n)
-                        if not _worst_within(J, ctx, seq, tgt):
-                            worst = max(worst, _worst_deviation(J, seq))
+                        if not _lagrange_within(pts[:n], eps, nu, eps2, r):
+                            rc = _stieltjes(atoms + tuple(
+                                (x, eps2 * w) for x, w in nu), n, ctx)
+                            worst = max(worst, _worst_deviation(
+                                _jacobi(rc, n), seq))
                     if worst <= tgt:
                         break
                     #  deviation is linear in cand: rescale with headroom
@@ -494,21 +559,6 @@ def _holds(J, ctx, centers, radius):
     return all(x is not None and lo <= x - J.delta and x + J.delta <= hi
                or _encloses(J, k, lo._mpf_, hi._mpf_)
                for k, ((lo, hi), x) in enumerate(zip(ends, J.points), 1))
-
-
-def _worst_within(J, ctx, seq, tgt):
-    """Whether counts prove _worst_deviation(J, seq) <= tgt: _holds at
-    r = tgt - 2 root_tol; run under ctx.
-
-    Then count(c - r) < k <= count(c + r) for the k-th sorted Leja point
-    c; the k-th root's cell has count(lo) < k <= count(hi), so lo < c + r
-    and hi > c - r by the monotone count, and hi - lo <= root_tol.  Its
-    midpoint, the root before its one rounding, is within r + root_tol/2
-    of c, and so is the root's rounded distance to the nearest Leja
-    point, up to roundings of 2^-bits relative, which the remaining
-    3 root_tol/2 cover.
-    """
-    return _holds(J, ctx, seq, tgt - 2 * ctx.root_tol)
 
 
 def zero_stability_check(rc, seq, n, q):

@@ -260,14 +260,15 @@ class TestBadsetGridCount:
     def test_rows_at_the_bound(self, eps):
         #  radii within 60 ulps and within 1e-8 of where |w|^-p equals
         #  1 - e^(-n eps): there rounding decides which points are bad,
-        #  and at eps = 1e-12 it does so over a relative width above 1e-9
+        #  and at eps = 1e-12 it does so over a relative width above 1e-9;
+        #  sorted, so they grow down the rows as _badset_grid_count assumes
         angles = np.exp(1j * (2 * np.pi * np.arange(256) / 256))
         for vdiff, mult in self.DEMOS:
             for n in self.NS:
                 r = (-math.expm1(-n * eps)) ** (-1 / (mult * n))
-                radii = np.concatenate([
+                radii = np.sort(np.concatenate([
                     r + np.spacing(r) * np.arange(-60, 61),
-                    r * (1 + np.linspace(-1e-8, 1e-8, 201))])
+                    r * (1 + np.linspace(-1e-8, 1e-8, 201))]))
                 grid = radii[radii > 1][:, None] * angles
                 full = int(np.sum(np.abs(vdiff(grid, n)) >= eps))
                 assert _badset_grid_count(grid, vdiff, n, mult * n,

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -978,10 +979,10 @@ def uniform_200():
 
 
 def _random_audit_member(data):
-    """(rc, Leja points, n) of a random audit member: dyadic atoms and
-    weights, as a sigma_n whose first n locations are the Leja points,
-    plus one small atom, as the audit adds; a weight near 2^(-bits/2)
-    moves the zeros by about root_tol, where the margins matter."""
+    """(m, n) for a random audit member m: dyadic atoms and weights, as a
+    sigma_n whose n locations are the Leja points, plus one small atom,
+    as the audit adds; a weight near 2^(-bits/2) moves the zeros by
+    about root_tol, where the margins matter."""
     ticks = data.draw(st.lists(st.integers(-1024, 1024), min_size=3,
                                max_size=12, unique=True))
     masses = data.draw(st.lists(st.integers(1, 128), min_size=len(ticks),
@@ -993,9 +994,18 @@ def _random_audit_member(data):
         atoms = [(mpf(t) / 1024, mpf(w) / 128)
                  for t, w in zip(ticks, masses)]
         atoms[-1] = (atoms[-1][0], mpf(2) ** -small)
-    n = len(ticks) - 1
-    rc = stieltjes_recurrence(DiscreteMeasure(tuple(atoms), ctx=ctx), n)
-    return rc, [t / 1024 for t in ticks[:n]], n
+    return DiscreteMeasure(tuple(atoms), ctx=ctx), len(ticks) - 1
+
+
+def _within(m, n, r, nu=None):
+    """op._lagrange_within for the audit member m of _random_audit_member,
+    sigma_n plus its last atom (or nu instead, at scale 1)."""
+    with m.ctx.workprec():
+        (t, w), sigma_n = m.atoms[-1], m.atoms[:n]
+        return op._lagrange_within([x for x, _ in sigma_n],
+                                   [e for _, e in sigma_n],
+                                   ((t, 1),) if nu is None else nu,
+                                   w if nu is None else mpf(1), mpf(r))
 
 
 _SIGMA_BUILDS = pytest.mark.parametrize("q, n_max, bits, seq", [
@@ -1006,19 +1016,121 @@ _SIGMA_BUILDS = pytest.mark.parametrize("q, n_max, bits, seq", [
 ], ids=["bench", "readme", "uniform", "q045"])
 
 
+class TestLagrangeCertificate:
+    """build_sigma's float64 certificate: each zero of the exact measure
+    within r of its centre, or a decline."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_accepts_only_exact_enclosures(self, data):
+        #  r on both sides of the audit's worst deviation: wherever the
+        #  certificate accepts, exact rational Sturm counts of the exact
+        #  recurrence enclose each zero within r of its centre
+        m, n = _random_audit_member(data)
+        pts = [float(x) for x in m.locations[:n]]
+        with m.ctx.workprec():
+            worst = op._worst_deviation(op._jacobi(
+                stieltjes_recurrence(m, n), n), pts)
+            r = worst * data.draw(st.sampled_from(
+                [0.5, 1 - 2.0 ** -20, 1 + 2.0 ** -20, 1.01, 2, 16]))
+        if _within(m, n, r):
+            a, b = exact_recurrence(m, n)
+            assert exact_enclosures_hold(a, b, n, pts, mpf_fraction(r))
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_declines_at_half_the_worst_deviation(self, data):
+        #  past 2 root_tol the audit's worst is within root_tol/2 of the
+        #  exact one, so more than half of it
+        m, n = _random_audit_member(data)
+        with m.ctx.workprec():
+            worst = op._worst_deviation(op._jacobi(
+                stieltjes_recurrence(m, n), n), m.locations[:n])
+            if worst > 2 * m.ctx.root_tol:
+                assert not _within(m, n, worst / 2)
+
+    def test_declines_where_the_other_points_push_a_zero_out(self):
+        #  the zero next to 0 lies 0.0282 from it, beyond every |c_i|
+        #  (0.0226 at most): only the terms c_j/(x - x_j), j != i, bound
+        #  it, with kappa 0.078 and 2r below the separation 1/16
+        ctx = PrecisionContext(128)
+        with ctx.workprec():
+            m = DiscreteMeasure(((mpf(-1) / 16, mpf(1) / 8),
+                                 (mpf(0), mpf(1) / 8),
+                                 (mpf(7) / 8, mpf(1) / 8),
+                                 (mpf(5) / 8, mpf(2) ** -11)), ctx=ctx)
+            worst = op._worst_deviation(op._jacobi(
+                stieltjes_recurrence(m, 3), 3), m.locations[:3])
+            r = worst * (1 - mpf(2) ** -20)
+        a, b = exact_recurrence(m, 3)
+        assert not exact_enclosures_hold(a, b, 3, [-1 / 16, 0.0, 7 / 8],
+                                         mpf_fraction(r))
+        assert not _within(m, 3, r)
+
+    def test_declines_quietly_near_an_atom_and_past_the_separation(self):
+        #  one float64 ulp, and one working-precision ulp, from x_2 = 1/4:
+        #  the float differences t - x_j cannot resolve them
+        ctx = PrecisionContext(256)
+        with ctx.workprec():
+            m = DiscreteMeasure(((mpf(-1) / 2, mpf(1) / 8),
+                                 (mpf(1) / 4, mpf(1) / 16),
+                                 (mpf(3) / 4, mpf(1) / 32),
+                                 (mpf(0), mpf(2) ** -200)), ctx=ctx)
+            near = [mpf(np.nextafter(0.25, 1)), mpf(1) / 4 + mpf(2) ** -250]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _within(m, 3, 2.0 ** -40)
+            for t in near:
+                assert not _within(m, 3, 2.0 ** -40,
+                                   ((t, mpf(2) ** -200),))
+            #  no atom, so the zeros are the points: only 2r < 1/2 counts
+            assert _within(m, 3, 0.25 * (1 - 2.0 ** -40), ())
+            assert not _within(m, 3, 0.25, ())
+            assert not _within(m, 3, 0, ())
+
+    @_SIGMA_BUILDS
+    def test_accepts_the_members_the_sturm_counts_accept(
+            self, request, monkeypatch, q, n_max, bits, seq):
+        #  as the two counts per zero at tgt - 2 root_tol did before it,
+        #  and build_sigma runs the recurrence of just the others
+        seq = request.getfixturevalue(seq)
+        calls = _recording(monkeypatch, "_lagrange_within")
+        recurrences = _recording(monkeypatch, "_stieltjes")
+        sigma = build_sigma(SigmaBuildConfig(q=q, n_max=n_max, bits=bits),
+                            seq)
+        monkeypatch.undo()
+        accepted = []
+        with sigma.ctx.workprec():
+            for pts, eps, nu, eps2, r in calls:
+                #  eps is build_sigma's list, which grows past degree n
+                n, eps = len(pts), eps[:len(pts)]
+                atoms = tuple(zip(pts, eps))
+                J = op._jacobi(op._stieltjes(atoms + tuple(
+                    (x, eps2 * w) for x, w in nu), n, sigma.ctx), n)
+                tgt = op._stress_bound(seq, n, q, sigma.ctx) / 2
+                counts = op._holds(J, sigma.ctx, seq,
+                                   tgt - 2 * sigma.ctx.root_tol)
+                assert op._lagrange_within(pts, eps, nu, eps2, r) == counts
+                accepted.append(counts)
+        want = {(0.4, 7): (14, 18), (0.4, 10): (22, 28), (0.35, 6): (12, 18),
+                (0.45, 6): (10, 14)}
+        assert (sum(accepted), len(accepted)) == want[q, n_max]
+        assert len(recurrences) == len(accepted) - sum(accepted)
+
+
 class TestPrunedAudit:
     """The calibration prunes its audit: it audits only the members its
-    certificate rejects, with sigma bit for bit, and each audit finds
+    certificate declines, with sigma bit for bit, and each audit finds
     every root as orthopoly_zeros does."""
 
     @_SIGMA_BUILDS
     def test_build_sigma_equals_uncertified_calibration(
             self, request, monkeypatch, q, n_max, bits, seq):
-        #  with the certificate refusing, every member is audited exactly
+        #  with the certificate declining, every member is audited exactly
         seq = request.getfixturevalue(seq)
         cfg = SigmaBuildConfig(q=q, n_max=n_max, bits=bits)
         got = build_sigma(cfg, seq)
-        monkeypatch.setattr(op, "_worst_within", lambda *args: False)
+        monkeypatch.setattr(op, "_lagrange_within", lambda *args: False)
         assert _bits_of_sigma(got) == _bits_of_sigma(build_sigma(cfg, seq))
 
     @_SIGMA_BUILDS
@@ -1029,22 +1141,16 @@ class TestPrunedAudit:
         assert _bits_of_sigma(build_sigma(cfg, seq)) == _bits_of_sigma(
             build_sigma_via_public_audit(cfg, seq))
 
-    @settings(max_examples=40, deadline=None)
-    @given(data=st.data())
-    def test_certificate_accepts_only_worsts_within_tgt(self, data):
-        #  tgt on a grid of root_tol/8 within 3 root_tol of the worst, on
-        #  both sides: a root lies up to root_tol/2 beyond its count step,
-        #  so a certificate without the slack accepts some tgt < worst
-        rc, pts, n = _random_audit_member(data)
-        shift = data.draw(st.integers(0, 7))
-        ctx = rc.ctx
-        with ctx.workprec():
-            worst = op._worst_deviation(op._jacobi(rc, n), pts)
-            J = op._jacobi(rc, n)       # no enclosures yet, as in build_sigma
-            for j in range(-24, 25):
-                tgt = worst + (8 * j + shift) * ctx.root_tol / 64
-                if op._worst_within(J, ctx, pts, tgt):
-                    assert worst <= tgt
+    @settings(max_examples=10, deadline=None)
+    @given(q=st.floats(0.05, 0.49), n_max=st.integers(2, 6),
+           target=st.sampled_from(["arcsine", "uniform", "blend:0.5"]))
+    def test_build_sigma_equals_public_audit_at_the_floor(self, q, n_max,
+                                                          target):
+        seq = generate(n_max, target=target_from_name(target))
+        cfg = SigmaBuildConfig(q=q, n_max=n_max,
+                               bits=precision_floor(q, n_max))
+        assert _bits_of_sigma(build_sigma(cfg, seq)) == _bits_of_sigma(
+            build_sigma_via_public_audit(cfg, seq))
 
     def test_deviations_below_root_tol_rank_by_the_roots(self):
         #  a 2^-32 atom moves both zeros of P_2 by less than root_tol =
@@ -1077,10 +1183,10 @@ class TestPrunedAudit:
 
     def test_readme_build_finds_roots_one_sweep_past_each_enclosure(
             self, arcsine_200, monkeypatch):
-        #  the certificate accepts 22 of this build's 28 audit members (142
-        #  roots); the exact audits of the other 6 find all 27 of their
-        #  roots, each enclosed one with at most one sweep past the two
-        #  counts of its enclosure
+        #  _lagrange_within accepts 22 of this build's 28 audit members
+        #  (142 roots); the exact audits of the other 6 find all 27 of
+        #  their roots, each enclosed one with at most one sweep past the
+        #  two counts of its enclosure
         members = _recording(monkeypatch, "_worst_deviation")
         sweeps = _recording(monkeypatch, "_sturm_count")
         root, found = op._root, []
