@@ -23,21 +23,15 @@ of the root leaves at most one cell end to count.  The same pair of
 counts certifies Proposition 1's bound (enclosures_hold); its k-th pair,
 at c - R and c + R, follows from the enclosure of Newton's point x when
 c - R <= x - root_tol/4 and x + root_tol/4 <= c + R, and is not made.
-
 Each root is enclosed (_enclose), then found in its cell (_root), by
 orthopoly_zeros and the stress audit alike (_zeros).
 
-Newton's point only narrows the bisection, so its steps climb a
-precision ladder: the precision about doubles per step from the seed's
-53 bits up to about bits/2 plus a guard, never above bits, and stops
-there once quadratic convergence puts the point within root_tol/16,
-fine enough for the enclosure.  The two counts that certify it run at
-the full precision; a point they reject sends its root to the full
-bisection.
-
-The Stieltjes recurrence, the Sturm counts and Newton's iteration run
-on raw mpf values (mpmath.libmp), with the roundings and association
-order of the mpf arithmetic they replace.
+Newton's point only steers the bisection, so it runs in fixed point on
+Python ints, on a precision ladder up to about bits/2 (_newton).  The
+Sturm counts that certify it, and the Stieltjes recurrence, run on raw
+mpf values (mpmath.libmp) with the roundings and association order of
+the mpf arithmetic they replace; a point the counts reject sends its
+root to the full bisection.
 
 Cascades
 --------
@@ -65,10 +59,9 @@ from types import SimpleNamespace
 
 import numpy as np
 from mpmath import mp, mpf
-from mpmath.libmp import (fone, from_float, from_man_exp, fzero, mpf_abs,
-                          mpf_add, mpf_div, mpf_le, mpf_mul, mpf_neg, mpf_sub,
-                          mpf_sum, round_ceiling, round_floor, round_nearest,
-                          to_float)
+from mpmath.libmp import (fone, from_float, from_man_exp, fzero, mpf_div,
+                          mpf_le, mpf_mul, mpf_neg, mpf_sub, mpf_sum,
+                          round_ceiling, round_floor, round_nearest, to_float)
 
 from .measures import DiscreteMeasure, separation
 from .precision import PrecisionContext, PrecisionTooLow
@@ -202,42 +195,38 @@ def _seeds(a, b, n):
                               + np.diag(off, -1))
 
 
-def _newton(a, b, n, seed, stop, bits):
-    """Newton's iteration for P_n from the float64 seed, with P_n and P_n'
-    run through the three-term recurrence on raw mpf values.
+def _step(J, x, f):
+    """Newton's step P_n(x)/P_n'(x), 0 where P_n' is, by J's recurrence
+    on the grid 2^-f: x, the step, P_n, P_n', a and b floored to it."""
+    sh, p0, p, d0, d = J.bits + J.guard - f, 0, 1 << f, 0, 0
+    for a, b in zip(J.ai, J.bi):
+        t, b = x - (a >> sh), b >> sh
+        p0, p, d0, d = p, t * p - b * p0 >> f, d, p + (t * d - b * d0 >> f)
+    return (p << f) // d if d else 0
 
-    The precision about doubles per step from the seed's 53 bits up to
-    top = bits/2 + 32, plus the bits of |seed| above 1, but at most bits;
-    it ends after a step s at top once |s| or the next step, which
-    quadratic convergence predicts from the one before, r, as |s|^3/r^2,
-    is at most stop.  The point only narrows the bisection, and stop =
-    root_tol/16 is absolute, so top needs bits/2 plus a guard for the 4
-    bits of stop and the rounding of P_n near the root, not all bits.
-    """
-    rnd = round_nearest
-    top = min(bits, bits // 2 + 32 + max(math.frexp(seed)[1], 0))
-    x, prec, r = from_float(seed), 53, fzero
-    for _ in range(bits.bit_length() + 2):
-        prec = min(2 * prec, top)
-        p0, p, d0, d = fzero, fone, fzero, fzero
-        for i in range(n):
-            t = mpf_sub(x, a[i], prec, rnd)
-            bi = b[i]
-            p0, p, d0, d = p, mpf_sub(
-                mpf_mul(t, p, prec, rnd), mpf_mul(bi, p0, prec, rnd),
-                prec, rnd), d, mpf_sub(
-                mpf_add(p, mpf_mul(t, d, prec, rnd), prec, rnd),
-                mpf_mul(bi, d0, prec, rnd), prec, rnd)
-        if d == fzero:
-            break
-        step = mpf_div(p, d, prec, rnd)
-        x, s = mpf_sub(x, step, prec, rnd), mpf_abs(step)
-        if prec == top and (mpf_le(s, stop) or mpf_le(
-                mpf_mul(mpf_mul(s, s, prec, rnd), s, prec, rnd),
-                mpf_mul(mpf_mul(r, r, prec, rnd), stop, prec, rnd))):
+
+def _newton(J, seed):
+    """Newton's point for a root of P_n from the float64 seed, a raw mpf
+    of top bits: the precision about doubles per step from 53 bits up to
+    top = bits/2 + 32, plus the bits of |seed| above 1, at most bits, with
+    a step at precision p on the grid 2^-(p + J.guard) (_step).  It ends
+    after a step s at top once |s| or the next step, which quadratic
+    convergence predicts from the one before, r, as |s|^3/r^2, is at most
+    stop = root_tol/16: absolute, so top needs bits/2 plus a guard for its
+    4 bits and the rounding of P_n near the root, not all bits."""
+    top = min(J.bits, J.bits // 2 + 32 + max(math.frexp(seed)[1], 0))
+    num, den = seed.as_integer_ratio()
+    prec, r, x = 53, 0, (num << J.guard + 53) // den
+    stop = _to_grid(J.delta, top + J.guard) >> 2
+    for _ in range(J.bits.bit_length() + 2):
+        up = min(prec, top - prec)          # the grid refines by up bits
+        prec, x, r = prec + up, x << up, r << up
+        step = _step(J, x, prec + J.guard)
+        x, s = x - step, abs(step)
+        if prec == top and (s <= stop or s ** 3 <= r * r * stop):
             break
         r = s
-    return x
+    return from_man_exp(x, -prec - J.guard, top, round_nearest)
 
 
 def _encloses(J, k, lo, hi):
@@ -255,9 +244,10 @@ def _to_grid(x, s):
 
 def _jacobi(rc, n):
     """J_n of the first n pairs of rc as _enclose and _root read it: raw
-    a and b, the enclosure radius delta, the float64 seeds, Newton's
-    certified points (None until enclosed), and on the grid 2^-s lo0 as
-    lo, then cells cells of width cell.  Run under rc.ctx."""
+    a and b, and as ai and bi on Newton's grid 2^-(bits + guard), the
+    enclosure radius delta, the float64 seeds, Newton's certified points
+    (None until enclosed), and on the grid 2^-s lo0 as lo, then cells
+    cells of width cell.  Run under rc.ctx."""
     if n < 1 or n > len(rc):
         raise ValueError(f"need 1 <= n <= {len(rc)}")
     ctx = rc.ctx
@@ -266,21 +256,26 @@ def _jacobi(rc, n):
     for k in range(1, n):
         if not b[k] > 0:
             raise BreakdownError(f"b[{k}] = {b[k]} is not positive")
-    r = max((mp.sqrt(b[k]) for k in range(1, n)), default=mpf(0))
-    lo0 = min(a) - 2 * r - 1
-    hi0 = max(a) + 2 * r + 1
+    r = mp.sqrt(max(b[1:n], default=mpf(0)))
+    lo0, hi0 = min(a) - 2 * r - 1, max(a) + 2 * r + 1
     tol = ctx.root_tol
     #  hi0 - lo0 = width 2^e, and h halvings bring it to root_tol = 2^te
     #  or below; on the grid 2^-s every cell end and midpoint is an integer
     e = min(lo0._mpf_[2], hi0._mpf_[2])
     width = _to_grid(hi0, -e) - _to_grid(lo0, -e)
     h = max(0, (width - 1).bit_length() - tol._mpf_[2] + e)
-    s = h + 1 - e
+    s, seeds = h + 1 - e, _seeds(a, b, n)
+    #  Newton's guard: 2n + 32 bits, plus the bits that |P_n'| < 1 at a
+    #  root costs fixed point, from the seeds (all where two coincide)
+    with np.errstate(all="ignore"):
+        lost = -np.log2(abs(seeds[:, None] - seeds) + np.eye(n)).sum(1).min()
+    guard = 2 * n + 32 + int(np.clip(np.nan_to_num(lost), 0, ctx.bits))
     return SimpleNamespace(
         a=[v._mpf_ for v in a], b=[v._mpf_ for v in b], n=n, bits=ctx.bits,
+        ai=[_to_grid(v, ctx.bits + guard) for v in a], guard=guard,
+        bi=[_to_grid(v, ctx.bits + guard) for v in b], s=s, seeds=seeds,
         tiny=from_man_exp(1, -4 * ctx.bits), delta=tol / 4, points=[None] * n,
-        seeds=_seeds(a, b, n), s=s, lo=_to_grid(lo0, s), cell=width << 1,
-        cells=1 << h)
+        lo=_to_grid(lo0, s), cell=width << 1, cells=1 << h)
 
 
 def _enclose(J, k):
@@ -289,8 +284,7 @@ def _enclose(J, k):
     seed = J.seeds[k - 1]
     if not math.isfinite(seed):
         return None
-    x = mp.make_mpf(_newton(J.a, J.b, J.n, float(seed), (J.delta / 4)._mpf_,
-                            J.bits))
+    x = mp.make_mpf(_newton(J, float(seed)))
     if _encloses(J, k, (x - J.delta)._mpf_, (x + J.delta)._mpf_):
         return x
     return None
@@ -401,37 +395,35 @@ def precision_floor(q, n, cascade="stabilized"):
     return math.ceil(3 * span * lg) + 128
 
 
-def _lagrange_within(pts, eps, nu, eps2, r):
+def _lagrange_within(x, eps, nu, eps2, r):
     """Whether float64 bounds prove each zero of P_n(sigma_n + eps2 nu),
-    sigma_n = sum eps_i delta_{x_i} on the n float64 points pts, within r
-    of its x_i.
+    sigma_n = sum eps_i delta_{x_i} on the n points of the float64 array
+    x, within r of its x_i; nu is (t, w), the float64 arrays of its atoms
+    off the x_i (an atom on an x_k only adds to eps_k).
 
     P_n = omega_n (1 + sum_j c_j/(x - x_j)), omega_n = prod (x - x_j), c_j
     = y_j/omega_n'(x_j) and (E + G) y = -h, with E = diag(eps), G_ij =
     eps2 sum_a w_a l_i(t_a) l_j(t_a), h_i = eps2 sum_a w_a omega_n(t_a)
     l_i(t_a) over nu's atoms (t_a, w_a) and l_i the Lagrange basis
-    (Gautschi 2004, 2.4); an atom on an x_k only adds to eps_k and is
-    dropped.  If each kappa_i = sum_j |G_ij|/eps_i < 1/2, a Neumann series
-    gives |y_i| <= |h_i|/eps_i + 2 kappa_i max_k |h_k|/eps_k; then |c_i|/r
-    + sum_{j != i} |c_j|/(|x_i - x_j| - r) < 1 makes P_n change sign
-    across (x_i - r, x_i + r), and 2r below the separation makes these n
-    intervals disjoint, one zero each.  The weights enter as eps2/eps_i
-    and eps2/(eps_i r), rounded up from mpf; each numpy bound takes
-    Higham's (2002) gamma_k for its roundings and for t_a's to float64 (a
-    subnormal result errs by 2^-1075 at most, far inside it).  r <= 0, a
-    value that is not finite, or an atom within rounding of an x_j
-    declines.
+    (Gautschi 2004, 2.4).  If each kappa_i = sum_j |G_ij|/eps_i < 1/2, a
+    Neumann series gives |y_i| <= |h_i|/eps_i + 2 kappa_i max_k |h_k|/eps_k;
+    then |c_i|/r + sum_{j != i} |c_j|/(|x_i - x_j| - r) < 1 makes P_n
+    change sign across (x_i - r, x_i + r), and 2r below the separation
+    makes these n intervals disjoint, one zero each.  The weights enter as
+    eps2/eps_i and eps2/(eps_i r), rounded up from mpf; each numpy bound
+    takes Higham's (2002) gamma_k for its roundings and for t_a's to
+    float64 (a subnormal result errs by 2^-1075 at most, far inside it).
+    r <= 0, a value that is not finite, or an atom within rounding of an
+    x_j declines.
     """
     def up(v):      # the raw mpf v >= 0 rounded up to float64, at any size
         f = to_float(v, rnd=round_ceiling)
         return f if f >= 2.0 ** -1022 else math.nextafter(f, 1)
 
-    x, n, u = np.array([float(p) for p in pts]), len(pts), 2.0 ** -53
-    if not r > 0 or any(from_float(v) != p._mpf_ for v, p in zip(x, pts)):
+    (t, w), n, u = nu, len(x), 2.0 ** -53
+    if not r > 0:
         return False
-    own, e2, rr, ru = {p._mpf_ for p in pts}, eps2._mpf_, r._mpf_, up(r._mpf_)
-    t, w = np.array([(float(a), float(b)) for a, b in nu if a._mpf_ not in
-                     own], dtype=float).reshape(-1, 2).T
+    e2, rr, ru = eps2._mpf_, r._mpf_, up(r._mpf_)
     rho = np.array([up(mpf_div(e2, e._mpf_, 53, round_ceiling)) for e in eps])
     rho_r = np.array([up(mpf_div(e2, mpf_mul(e._mpf_, rr, 53, round_floor),
                                  53, round_ceiling)) for e in eps])
@@ -465,9 +457,11 @@ def build_sigma(cfg, seq):
     stabilized cascade each eps_{n+1} is calibrated by the stress audit
     of epsilon_stress_test with an atom at the next Leja point (the
     realized continuation) and a 64-atom uniform grid (a spread-out worst
-    case).  sigma_n's atoms, these members' and tgt, half the audit bound,
-    are built once per degree; a candidate scales the members' weights by
-    2 cand and passes if worst <= tgt, else it is rescaled by tgt/worst/2.
+    case).  sigma_n's atoms, these members', tgt, half the audit bound,
+    and the float64 input of _lagrange_within are built once per degree
+    (the grid's floats once per build); a candidate scales the members'
+    weights by 2 cand and passes if worst <= tgt, else it is rescaled by
+    tgt/worst/2.
 
     worst is the max of the exact audit (_worst_deviation) over the
     members that _lagrange_within declines, 0 if none.  A member it
@@ -487,18 +481,24 @@ def build_sigma(cfg, seq):
         if cfg.cascade == "power":
             eps = [q ** ((k + 1) ** 2) for k in range(cfg.n_max)]
         else:
-            eps = [q]
-            grid = _uniform_grid_64(ctx)
+            eps, grid = [q], _uniform_grid_64(ctx)
+            flat = [(x._mpf_, float(x), float(w)) for x, w in grid]
             for n in range(1, cfg.n_max):
                 atoms = tuple(zip(pts, eps))
                 family = (((pts[n], 1),), grid)
+                xf = np.array([float(p) for p in pts[:n]])
+                ok = all(from_float(v) == p._mpf_ for v, p in zip(xf, pts))
+                own = {p._mpf_ for p in pts[:n]}
+                floats = [np.array([(t, w) for k, t, w in m if k not in own],
+                                   dtype=float).reshape(-1, 2).T for m in (
+                    [(pts[n]._mpf_, float(pts[n]), 1.0)], flat)]
                 tgt = _stress_bound(seq, n, cfg.q, ctx) / 2
                 r = tgt * (1 - mpf(2) ** -32)
                 cand = q ** (n * n) * eps[-1] * q
                 for _ in range(64):
                     eps2, worst = 2 * cand, 0
-                    for nu in family:
-                        if not _lagrange_within(pts[:n], eps, nu, eps2, r):
+                    for nu, tw in zip(family, floats):
+                        if not (ok and _lagrange_within(xf, eps, tw, eps2, r)):
                             rc = _stieltjes(atoms + tuple(
                                 (x, eps2 * w) for x, w in nu), n, ctx)
                             worst = max(worst, _worst_deviation(

@@ -317,6 +317,31 @@ class TestRawKernels:
             assert kind != "pivot" or rc.a[0] - x == 0
         assert got == want
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_gershgorin_radius_from_one_square_root(self, data):
+        #  _jacobi takes sqrt(max b_k), one correctly rounded and monotone
+        #  root, for the max of the n - 1 roots it replaced: lo0, hi0 and
+        #  the cell grid are those of the old expression
+        bits = data.draw(st.sampled_from([64, 65, 128, 1001, 2048]))
+        n = data.draw(st.integers(1, 8))
+        ctx = PrecisionContext(bits)
+        with ctx.workprec():
+            a = [mpf(data.draw(st.integers(-2 ** 20, 2 ** 20))) / 2 ** 20
+                 for _ in range(n)]
+            b = [mpf(data.draw(st.integers(1, 2 ** bits)))
+                 * mpf(2) ** data.draw(st.integers(-bits - 700, -bits + 8))
+                 for _ in range(n)]
+            J = op._jacobi(op.RecurrenceCoeffs(a=tuple(a), b=tuple(b),
+                                               ctx=ctx), n)
+            r = max((mp.sqrt(v) for v in b[1:]), default=mpf(0))
+            lo0, hi0 = min(a) - 2 * r - 1, max(a) + 2 * r + 1
+            e = min(lo0._mpf_[2], hi0._mpf_[2])
+            width = op._to_grid(hi0, -e) - op._to_grid(lo0, -e)
+            h = max(0, (width - 1).bit_length() - ctx.root_tol._mpf_[2] + e)
+        assert (J.s, J.lo, J.cell, J.cells) == (
+            h + 1 - e, op._to_grid(lo0, h + 1 - e), width << 1, 1 << h)
+
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("a2", ["-1", "0", "1"])
     def test_sturm_count_second_pivot_zero(self, n, a2):
@@ -531,31 +556,27 @@ class TestZeros:
         ("bench_sigma", 7, 1), ("readme_sigma", 10, 0)])
     def test_newton_stops_after_one_step_at_top(self, request, monkeypatch,
                                                 sigma, n_max, extra):
-        #  a step divides once, by P_n', at its precision: each ladder
-        #  climbs to top and stops after one step there, unless the next
-        #  step shows the point still more than stop = root_tol/16 off
-        #  (one root of P_6 of the bench sigma, 2^-384 off after one);
+        #  _step takes one Newton step on the grid 2^-(prec + guard): each
+        #  ladder climbs to top and stops after one step there, unless the
+        #  next step shows the point still more than stop = root_tol/16
+        #  off (one root of P_6 of the bench sigma, 2^-384 off after one);
         #  test_newton_ladder_certifies_every_root checks the roots
         rc = stieltjes_recurrence(request.getfixturevalue(sigma), n_max)
-        newton, div, ladders, active = op._newton, op.mpf_div, [], []
+        newton, step, ladders = op._newton, op._step, []
 
-        def recording(a, b, n, seed, stop, bits):
-            ladders.append((min(bits, bits // 2 + 32
-                                + max(math.frexp(seed)[1], 0)), stop, []))
-            active.append(ladders[-1][2])
-            try:
-                return newton(a, b, n, seed, stop, bits)
-            finally:
-                active.pop()
+        def recording(J, seed):
+            ladders.append((min(J.bits, J.bits // 2 + 32
+                                + max(math.frexp(seed)[1], 0)),
+                            mpf_fraction(J.delta) / 4, []))
+            return newton(J, seed)
 
-        def dividing(s, t, prec, rnd):
-            step = div(s, t, prec, rnd)
-            if active:
-                active[-1].append((prec, mpf_abs(step)))
-            return step
+        def stepping(J, x, f):
+            s = step(J, x, f)
+            ladders[-1][2].append((f - J.guard, Fraction(abs(s), 1 << f)))
+            return s
 
         monkeypatch.setattr(op, "_newton", recording)
-        monkeypatch.setattr(op, "mpf_div", dividing)
+        monkeypatch.setattr(op, "_step", stepping)
         for n in range(1, n_max + 1):
             assert orthopoly_zeros(rc, n).fallbacks == 0, n
         assert len(ladders) == n_max * (n_max + 1) // 2
@@ -563,8 +584,38 @@ class TestZeros:
                   for top, _, steps in ladders]
         assert all(steps[-1][0] == top for top, _, steps in ladders)
         assert sum(len(s) - 1 for s in at_top) == extra
-        assert all(not mpf_le(s, stop) for (_, stop, _), steps
-                   in zip(ladders, at_top) for s in steps[1:])
+        assert all(s > stop for (_, stop, _), steps in zip(ladders, at_top)
+                   for s in steps[1:])
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_integer_ladder_encloses_every_root(self, data):
+        #  a sigma-like cascade 2^-e, e from 0 up to min(600, bits/2), so
+        #  that some b_k fall below a low rung's grid, and atoms on a
+        #  lattice as fine as 2^-16, so that clusters shrink |P_n'| at a
+        #  root far below 1: every Newton point passes its enclosure and
+        #  holds at most top bits.  A cascade much wider than bits/2 can
+        #  give the rounded J_n two roots closer than root_tol, where one
+        #  seed serves both
+        bits = data.draw(st.sampled_from([64, 65, 128, 256, 768, 1001,
+                                          2048, 4096]))
+        n = data.draw(st.integers(1, 14))
+        ticks = data.draw(st.lists(st.integers(-1024, 1024), min_size=n,
+                                   max_size=n + 2, unique=True))
+        es = sorted(data.draw(st.lists(st.integers(0, min(600, bits // 2)),
+                                       min_size=len(ticks),
+                                       max_size=len(ticks))))
+        lattice = data.draw(st.sampled_from([2 ** 10, 2 ** 16]))
+        ctx = PrecisionContext(bits)
+        with ctx.workprec():
+            atoms = tuple((mpf(t) / lattice, mpf(2) ** -e)
+                          for t, e in zip(ticks, es))
+        zs = orthopoly_zeros(stieltjes_recurrence(
+            DiscreteMeasure(atoms, ctx=ctx), n), n)
+        assert zs.fallbacks == 0
+        for seed, x in zip(zs.jacobi.seeds, zs.jacobi.points):
+            assert x._mpf_[3] <= min(bits, bits // 2 + 32
+                                     + max(math.frexp(seed)[1], 0))
 
     def test_zero_evaluation_consistency(self, sigma6):
         #  P_n vanishes at the bisection roots to root-tolerance scale
@@ -997,15 +1048,25 @@ def _random_audit_member(data):
     return DiscreteMeasure(tuple(atoms), ctx=ctx), len(ticks) - 1
 
 
+def _floats(nu, own):
+    """(t, w), the float64 arrays of the atoms of nu off the raw mpf
+    locations own, as build_sigma hands them to op._lagrange_within."""
+    return np.array([(float(t), float(w)) for t, w in nu
+                     if t._mpf_ not in own], dtype=float).reshape(-1, 2).T
+
+
 def _within(m, n, r, nu=None):
     """op._lagrange_within for the audit member m of _random_audit_member,
     sigma_n plus its last atom (or nu instead, at scale 1)."""
     with m.ctx.workprec():
         (t, w), sigma_n = m.atoms[-1], m.atoms[:n]
-        return op._lagrange_within([x for x, _ in sigma_n],
-                                   [e for _, e in sigma_n],
-                                   ((t, 1),) if nu is None else nu,
-                                   w if nu is None else mpf(1), mpf(r))
+        x = np.array([float(x) for x, _ in sigma_n])
+        assert [mpf(v) for v in x] == [p for p, _ in sigma_n]
+        return op._lagrange_within(
+            x, [e for _, e in sigma_n],
+            _floats(((t, 1),) if nu is None else nu,
+                    {p._mpf_ for p, _ in sigma_n}),
+            w if nu is None else mpf(1), mpf(r))
 
 
 _SIGMA_BUILDS = pytest.mark.parametrize("q, n_max, bits, seq", [
@@ -1101,16 +1162,23 @@ class TestLagrangeCertificate:
         monkeypatch.undo()
         accepted = []
         with sigma.ctx.workprec():
-            for pts, eps, nu, eps2, r in calls:
-                #  eps is build_sigma's list, which grows past degree n
-                n, eps = len(pts), eps[:len(pts)]
+            for x, eps, (t, w), eps2, r in calls:
+                #  eps is build_sigma's list, which grows past degree n;
+                #  the members are an atom at the next Leja point and the
+                #  grid, which has more than one atom off sigma_n's points
+                n, eps, pts = len(x), eps[:len(x)], [mpf(v) for v in x]
+                nu = ((mpf(t[0]), 1),) if len(t) == 1 else \
+                    op._uniform_grid_64(sigma.ctx)
+                assert np.array_equal(_floats(nu, {p._mpf_ for p in pts}),
+                                      (t, w))
                 atoms = tuple(zip(pts, eps))
                 J = op._jacobi(op._stieltjes(atoms + tuple(
                     (x, eps2 * w) for x, w in nu), n, sigma.ctx), n)
                 tgt = op._stress_bound(seq, n, q, sigma.ctx) / 2
                 counts = op._holds(J, sigma.ctx, seq,
                                    tgt - 2 * sigma.ctx.root_tol)
-                assert op._lagrange_within(pts, eps, nu, eps2, r) == counts
+                assert op._lagrange_within(x, eps, (t, w), eps2,
+                                           r) == counts
                 accepted.append(counts)
         want = {(0.4, 7): (14, 18), (0.4, 10): (22, 28), (0.35, 6): (12, 18),
                 (0.45, 6): (10, 14)}
