@@ -114,7 +114,9 @@ def stieltjes_recurrence(m, n):
     Uses the discrete Stieltjes procedure: polynomials are carried as
     value vectors on the atoms and coefficients come from the inner
     products <p, q> = sum w_k p(x_k) q(x_k).  Needs at least n distinct
-    atom locations; raises BreakdownError otherwise.
+    atom locations; raises BreakdownError otherwise.  A gap of more than
+    bits binary orders between consecutive weights can lose an atom: J_n
+    then has a near-double root, a fallback or a refusal of orthopoly_zeros.
 
     The loop runs on raw mpf values with the calls, roundings and
     association order of mpf arithmetic and mp.fsum: (w p) p and ((w x)
@@ -311,9 +313,14 @@ def _root(J, k, x):
 
 def _zeros(J):
     """Every root of J_n, ascending: each enclosed, then found in its
-    cell, with J.points set to the enclosures; run under J's precision."""
+    cell, with J.points set to the enclosures; run under J's precision.
+    J_n's eigenvalues are simple, so two roots in one cell are refused."""
     J.points = [_enclose(J, k) for k in range(1, J.n + 1)]
-    return tuple(_root(J, k, x) for k, x in enumerate(J.points, 1))
+    roots = tuple(_root(J, k, x) for k, x in enumerate(J.points, 1))
+    if any(r == s for r, s in zip(roots, roots[1:])):
+        raise PrecisionTooLow(f"two roots of P_{J.n} share one bisection "
+                              f"cell at {J.bits} bits")
+    return roots
 
 
 def orthopoly_zeros(rc, n):
@@ -336,6 +343,7 @@ def orthopoly_zeros(rc, n):
     every bit of the root is that of the plain bisection, from at most
     one sweep inside (x - d, x + d).  A root whose enclosure fails is
     bisected with a sweep at every midpoint, counted in ZeroSet.fallbacks.
+    Two roots in one cell raise PrecisionTooLow.
     """
     with rc.ctx.workprec():
         J = _jacobi(rc, n)

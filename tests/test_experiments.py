@@ -575,6 +575,19 @@ class TestDeterminism:
             n_list=(4, 8))
         assert first == second
 
+    @pytest.mark.parametrize("runner, config, written", [
+        (run_stahl_segment, {"n_list": (8, 16)}, "summary.json"),
+        (run_leja_only, {"target": "uniform", "leja_n": 100, "plot": True},
+         "points.svg"),
+        (run_capacity_only, {}, "summary.json"),
+    ], ids=["stahl_segment", "leja_only", "capacity_only"])
+    def test_runner_byte_identical(self, runner, config, written, tmp_path):
+        experiment = runner.__name__.removeprefix("run_")
+        first, second = self._two_runs(runner, tmp_path,
+                                       experiment=experiment, **config)
+        assert written in first
+        assert first == second
+
 
 class TestPlots:
     def test_empty_scatter_is_valid_svg(self):

@@ -626,6 +626,30 @@ class TestZeros:
                 val = evaluate_monic(rc, 4, r)
                 assert abs(val) < mpf(2) ** (-sigma6.ctx.bits // 2 + 40)
 
+    @staticmethod
+    def _weight_gap_recurrence(bits):
+        #  weights 2^-e with a 142-bit gap between 2^-167 and 2^-309
+        ctx = PrecisionContext(bits)
+        with ctx.workprec():
+            atoms = tuple((mpf(t) / 1024, mpf(2) ** -e) for t, e in zip(
+                (-627, -799, -451, -907, -130, 270),
+                (81, 146, 167, 309, 422, 532)))
+        return stieltjes_recurrence(DiscreteMeasure(atoms, ctx=ctx), 6)
+
+    def test_two_roots_in_one_cell_are_refused(self):
+        #  at 128 bits the recurrence loses an atom and J_6's bisection
+        #  puts two roots in one cell, which simple eigenvalues cannot do
+        with pytest.raises(PrecisionTooLow, match="share one bisection"):
+            orthopoly_zeros(self._weight_gap_recurrence(128), 6)
+
+    def test_weight_gap_resolved_at_256_bits(self):
+        rc = self._weight_gap_recurrence(256)
+        for n in (5, 6):
+            zs = orthopoly_zeros(rc, n)
+            assert zs.fallbacks == 0
+            assert all(r < s for r, s in zip(zs.roots, zs.roots[1:]))
+            assert min(s - r for r, s in zip(zs.roots, zs.roots[1:])) > 0.1
+
 
 class TestGaussQuadrature:
     def test_two_atom_rule(self):
