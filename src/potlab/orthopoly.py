@@ -6,9 +6,10 @@ of sigma = sum eps_n delta_{x_n}.  With a cascade that decays fast enough
 the degree-n polynomial keeps its zeros within q^(n^2) of the first n
 atoms, which is what makes the zero-counting measures follow the target.
 
-The recurrences, zeros and audits run in a PrecisionContext (mpmath);
-weights reach scales like q^300, far outside float64, and build_sigma's
-float64 certificate (_lagrange_within) takes only ratios of them.
+The recurrences, zeros and audits run in a PrecisionContext (mpmath),
+which each public function enters once for the private helpers it calls;
+weights reach q^300, far outside float64, and build_sigma's float64
+certificate (_lagrange_within) takes only ratios of them.
 
 Zeros
 -----
@@ -24,7 +25,7 @@ counts certifies Proposition 1's bound (enclosures_hold); its k-th pair,
 at c - R and c + R, follows from the enclosure of Newton's point x when
 c - R <= x - root_tol/4 and x + root_tol/4 <= c + R, and is not made.
 Each root is enclosed (_enclose), then found in its cell (_root), by
-orthopoly_zeros and the stress audit alike (_zeros).
+orthopoly_zeros and the member audit alike (_zeros).
 
 Newton's point only steers the bisection, so it runs in fixed point on
 Python ints, on a precision ladder up to about bits/2 (_newton).  The
@@ -40,17 +41,17 @@ Cascades
                bound once n >= 3 (the perturbation of the degree-n zeros
                is of order eps_{n+1}/eps_n, which dwarfs q^(n^2)).
 ``stabilized`` eps_1 = q and eps_{n+1} chosen inside (0, q^(n^2) eps_n),
-               shrunk until it passes the stress audit
-               (epsilon_stress_test) with a two-member family, an atom at
-               the next Leja point and a 64-atom uniform grid, at half
+               shrunk until a two-member family, an atom at the next
+               Leja point and a 64-atom uniform grid, passes the member
+               audit of epsilon_stress_test (_worst_deviation) at half
                the audit bound: every degree-n zero moves by at most
                min(q^(n^2), delta_n)/4.  sigma_n, the members and the
                bound are set once per degree; a candidate only rescales
                the members' weights and audits those that a float64
-               Lagrange-coordinate certificate does not accept
-               (build_sigma).  The constructive "pick eps_{n+1}
-               small enough": the deviation is linear in eps_{n+1}, so a
-               violation says how much to shrink.  Default.
+               Lagrange-coordinate certificate declines (build_sigma).
+               The constructive "pick eps_{n+1} small enough": the
+               deviation is linear in eps_{n+1}, so a violation says how
+               much to shrink.  Default.
 """
 
 import math
@@ -359,12 +360,13 @@ def _nearest(r, pts):
     return ds.index(d), d
 
 
-def _worst_deviation(J, leja_points):
-    """max over the zeros of J_n, found as orthopoly_zeros finds them, of
-    the distance to the nearest of the first n Leja points; run under J's
-    precision."""
-    pts = [mpf(x) for x in leja_points[:J.n]]
-    return max(_nearest(r, pts)[1] for r in _zeros(J))
+def _worst_deviation(atoms, n, seq, ctx):
+    """The member audit: max over the zeros of P_n of the mpf atoms' measure,
+    found as orthopoly_zeros finds them, of the distance to the nearest of
+    the first n points of seq; run under ctx."""
+    pts = [mpf(x) for x in seq[:n]]
+    zeros = _zeros(_jacobi(_stieltjes(atoms, n, ctx), n))
+    return max(_nearest(r, pts)[1] for r in zeros)
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +464,7 @@ def build_sigma(cfg, seq):
     """Measure sum eps_n delta_{x_n} over the first n_max points of seq.
 
     The cascade depends on cfg.cascade (see module docstring).  For the
-    stabilized cascade each eps_{n+1} is calibrated by the stress audit
+    stabilized cascade each eps_{n+1} is calibrated by the member audit
     of epsilon_stress_test with an atom at the next Leja point (the
     realized continuation) and a 64-atom uniform grid (a spread-out worst
     case).  sigma_n's atoms, these members', tgt, half the audit bound,
@@ -471,7 +473,7 @@ def build_sigma(cfg, seq):
     weights by 2 cand and passes if worst <= tgt, else it is rescaled by
     tgt/worst/2.
 
-    worst is the max of the exact audit (_worst_deviation) over the
+    worst is the max of the member audit (_worst_deviation) over the
     members that _lagrange_within declines, 0 if none.  A member it
     accepts has each zero of P_n of the exact measure, these mpf atoms and
     weights, proved within r = tgt (1 - 2^-32) of its Leja point; at or
@@ -484,12 +486,12 @@ def build_sigma(cfg, seq):
         raise ValueError(f"need {cfg.n_max} Leja points, have {len(seq)}")
     ctx = PrecisionContext(cfg.bits)
     with ctx.workprec():
-        q = ctx.mpf(str(cfg.q))
-        pts = [ctx.mpf(x) for x in seq[:cfg.n_max]]
+        q = mpf(str(cfg.q))
+        pts = [mpf(x) for x in seq[:cfg.n_max]]
         if cfg.cascade == "power":
             eps = [q ** ((k + 1) ** 2) for k in range(cfg.n_max)]
         else:
-            eps, grid = [q], _uniform_grid_64(ctx)
+            eps, grid = [q], _uniform_grid_64()
             flat = [(x._mpf_, float(x), float(w)) for x, w in grid]
             for n in range(1, cfg.n_max):
                 atoms = tuple(zip(pts, eps))
@@ -500,17 +502,15 @@ def build_sigma(cfg, seq):
                 floats = [np.array([(t, w) for k, t, w in m if k not in own],
                                    dtype=float).reshape(-1, 2).T for m in (
                     [(pts[n]._mpf_, float(pts[n]), 1.0)], flat)]
-                tgt = _stress_bound(seq, n, cfg.q, ctx) / 2
+                tgt = _stress_bound(seq, n, cfg.q) / 2
                 r = tgt * (1 - mpf(2) ** -32)
                 cand = q ** (n * n) * eps[-1] * q
                 for _ in range(64):
                     eps2, worst = 2 * cand, 0
                     for nu, tw in zip(family, floats):
                         if not (ok and _lagrange_within(xf, eps, tw, eps2, r)):
-                            rc = _stieltjes(atoms + tuple(
-                                (x, eps2 * w) for x, w in nu), n, ctx)
-                            worst = max(worst, _worst_deviation(
-                                _jacobi(rc, n), seq))
+                            worst = max(worst, _worst_deviation(atoms + tuple(
+                                (x, eps2 * w) for x, w in nu), n, seq, ctx))
                     if worst <= tgt:
                         break
                     #  deviation is linear in cand: rescale with headroom
@@ -551,17 +551,17 @@ def enclosures_hold(rc, n, centers, radius):
     computed recurrence rc, of length n or more.
     """
     with rc.ctx.workprec():
-        return _holds(_jacobi(rc, n), rc.ctx, centers, radius)
+        return _holds(_jacobi(rc, n), centers, radius)
 
 
-def _holds(J, ctx, centers, radius):
+def _holds(J, centers, radius):
     """enclosures_hold on J, the _jacobi record of J_n, without the
-    counts J.points imply (see Zeros); run under ctx."""
+    counts J.points imply (see Zeros); run under J's precision."""
     if len(centers) < J.n:
         raise ValueError(f"need {J.n} centers, have {len(centers)}")
-    radius = ctx.mpf(radius)
+    radius = mpf(radius)
     ends = [(c - radius, c + radius)
-            for c in sorted(ctx.mpf(c) for c in centers[:J.n])]
+            for c in sorted(mpf(c) for c in centers[:J.n])]
     if any(not hi < lo for (_, hi), (lo, _) in zip(ends, ends[1:])):
         return False
     return all(x is not None and lo <= x - J.delta and x + J.delta <= hi
@@ -583,17 +583,16 @@ def zero_stability_check(rc, seq, n, q):
     if len(seq) < n:
         raise ValueError(f"need {n} Leja points, have {len(seq)}")
     zs = orthopoly_zeros(rc, n)
-    ctx = rc.ctx
-    with ctx.workprec():
-        pts = [ctx.mpf(x) for x in seq[:n]]
+    with rc.ctx.workprec():
+        pts = [mpf(x) for x in seq[:n]]
         pairs = [_nearest(r, pts) for r in zs.roots]
         worst = max(d for _, d in pairs)
         if len({j for j, _ in pairs}) < n:
             raise PairingFailure(
                 f"zeros of P_{n} do not pair bijectively with the Leja "
                 f"points (worst deviation {mp.nstr(worst, 8)})")
-        bound = ctx.mpf(str(q)) ** (n * n)
-        passed = _holds(zs.jacobi, ctx, seq, bound)
+        bound = mpf(str(q)) ** (n * n)
+        passed = _holds(zs.jacobi, seq, bound)
     return StabilityReport(n=n, zeros=zs, deviations=tuple(pairs),
                            max_deviation=worst, bound=bound, passed=passed)
 
@@ -606,15 +605,17 @@ def default_stress_family(ctx):
     sigma_n plus it is an n-atom measure, whose P_n is prod (x - x_k) over
     the atoms.  So the family holds none but the endpoints, which are
     atoms of sigma_n only when the Leja points start there."""
-    return [("delta_-1", ((ctx.mpf(-1), ctx.mpf(1)),)),
-            ("delta_+1", ((ctx.mpf(1), ctx.mpf(1)),)),
-            ("uniform_grid_64", _uniform_grid_64(ctx))]
+    with ctx.workprec():
+        return [("delta_-1", ((mpf(-1), mpf(1)),)),
+                ("delta_+1", ((mpf(1), mpf(1)),)),
+                ("uniform_grid_64", _uniform_grid_64())]
 
 
-def _uniform_grid_64(ctx):
-    """64 equally spaced atoms on [-1, 1], of mass 1/64 each."""
-    w = ctx.mpf(1) / 64
-    return tuple((ctx.mpf(-1) + ctx.mpf(2) * i / 63, w) for i in range(64))
+def _uniform_grid_64():
+    """64 equally spaced atoms on [-1, 1], of mass 1/64 each: 2i/63 rounded
+    once, then -1 rounded once; run under the caller's precision."""
+    w = mpf(1) / 64
+    return tuple((mpf(-1) + mpf(2) * i / 63, w) for i in range(64))
 
 
 @dataclass(frozen=True)
@@ -648,25 +649,24 @@ def epsilon_stress_test(m, seq, n, eps_next, q, family=None):
     """
     ctx = m.ctx
     with ctx.workprec():
-        bound = _stress_bound(seq, n, q, ctx)
+        bound = _stress_bound(seq, n, q)
         _require_support([x._mpf_ for x in m.locations[:n]], n)
-        eps2, members = 2 * ctx.mpf(eps_next), []
+        eps2, members = 2 * mpf(eps_next), []
         for name, nu in (default_stress_family(ctx) if family is None
                          else family):
             nu = nu or ()  # None is the zero measure
             mass = mp.fsum(w for _, w in nu)
             if mass > 1 + ctx.eps:
                 raise ValueError(f"family member {name} has mass {mass} > 1")
-            added = DiscreteMeasure(tuple((x, eps2 * w) for x, w in nu),
-                                    ctx=ctx).atoms
-            members.append((name, _stieltjes(m.atoms[:n] + added, n, ctx)))
+            members.append((name, DiscreteMeasure(tuple(
+                (x, eps2 * w) for x, w in nu), ctx=ctx).atoms))
         return StressReport(bound=bound, results=tuple(
-            (name, _worst_deviation(_jacobi(rc, n), seq))
-            for name, rc in members))
+            (name, _worst_deviation(m.atoms[:n] + added, n, seq, ctx))
+            for name, added in members))
 
 
-def _stress_bound(seq, n, q, ctx):
-    """The audit bound min(q^(n^2), delta_n)/2 at degree n; run under ctx."""
+def _stress_bound(seq, n, q):
+    """The audit bound min(q^(n^2), delta_n)/2 at degree n."""
     if len(seq) < n:
         raise ValueError(f"need {n} Leja points, have {len(seq)}")
-    return min(ctx.mpf(str(q)) ** (n * n), ctx.mpf(separation(seq[:n]))) / 2
+    return min(mpf(str(q)) ** (n * n), mpf(separation(seq[:n]))) / 2

@@ -145,7 +145,7 @@ def build_sigma_via_public_audit(cfg, seq):
         for n in range(1, cfg.n_max):
             sigma_n = DiscreteMeasure(tuple(zip(pts, eps)), ctx=ctx)
             family = [(f"delta_leja_{n + 1}", ((pts[n], mpf(1)),)),
-                      ("uniform_grid_64", _uniform_grid_64(ctx))]
+                      ("uniform_grid_64", _uniform_grid_64())]
             cand = q ** (n * n) * eps[-1] * q
             for _ in range(64):
                 rep = epsilon_stress_test(sigma_n, seq, n, cand, cfg.q,

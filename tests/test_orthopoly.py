@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import warnings
@@ -19,7 +20,7 @@ from potlab import (BreakdownError, DiscreteMeasure, ExperimentConfig,
                     verify_weighted_asymptotics, zero_stability_check)
 from potlab import orthopoly as op
 from potlab.experiments import run_prop1, target_from_name
-from potlab.orthopoly import enclosures_hold
+from potlab.orthopoly import default_stress_family, enclosures_hold
 
 from conftest import (build_sigma_via_public_audit, exact_enclosures_hold,
                       exact_recurrence, mpf_fraction, orth_tol,
@@ -727,6 +728,34 @@ class TestBuildSigma:
         for (x, _), p in zip(sigma6.atoms, arcsine_seq):
             assert float(x) == p
 
+    def test_readme_sigma_and_its_zeros_bit_for_bit(self):
+        #  the README sigma on the first 10 arcsine Leja points, pinned by
+        #  the SHA-256 of each weight's and each root of P_1..P_10's raw
+        #  (sign, mantissa, exponent, bit count); the float64 certificate
+        #  and the Newton seeds only choose shortcuts, so numpy moves none
+        seq = tuple(float.fromhex(x) for x in (
+            "-0x1.0000000000000p+0", "0x1.0000000000000p+0",
+            "0x1.66a3db46bb228p-16", "-0x1.279b6fd2ab2ccp-1",
+            "0x1.514135322c97ep-1", "-0x1.adb41bcb1f604p-1",
+            "0x1.bd722b2d5dd1dp-1", "0x1.38f710e34eeeep-2",
+            "-0x1.49684bb66ed8cp-2", "-0x1.e2cb8ac6bddf2p-1"))
+
+        def digest(values):
+            h = hashlib.sha256()
+            for v in values:
+                sign, man, exp, bc = v._mpf_
+                h.update(f"{sign} {int(man):x} {exp} {bc}\n".encode())
+            return h.hexdigest()
+
+        sigma = build_sigma(SigmaBuildConfig(q=0.4, n_max=10, bits=2048), seq)
+        rc = stieltjes_recurrence(sigma, 10)
+        assert [float(x) for x in sigma.locations] == list(seq)
+        assert digest(sigma.weights) == (
+            "97912dacc464e6b866ebe346d65bf3d90cf4a8a30fb14c6203fe34a11bca8900")
+        assert digest(r for n in range(1, 11)
+                      for r in orthopoly_zeros(rc, n).roots) == (
+            "d362651683b0621d051ef6ebdba95cda257a012ea8a9cf0ced23ba19a832a3b1")
+
     def test_zeros_agree_at_more_bits(self):
         #  precision adequacy: the prop1 benchmark sigma (q = 0.4, n_max = 7,
         #  200 arcsine Leja points on 4096 nodes) rebuilt at 1024 bits
@@ -889,7 +918,7 @@ class TestZeroStability:
             verdicts = set()
             for e in [*range(-ctx.bits // 2 - 8, 0, 9), 2]:
                 with ctx.workprec():
-                    got = op._holds(J, ctx, seq, mpf(2) ** e)
+                    got = op._holds(J, seq, mpf(2) ** e)
                 assert got == enclosures_hold(rc, n, seq, mpf(2) ** e), (n, e)
                 verdicts.add(got)
             assert verdicts == {True, False}, n
@@ -913,7 +942,7 @@ class TestZeroStability:
             d = max(abs(c - r) for c, r in zip(centers, zs.roots))
             radii = [J.delta / 16, J.delta, d / 2, d, d + J.delta,
                      2 * d + 4 * J.delta, mpf(1) / 64, mpf(1), mpf(4)]
-            got = [op._holds(J, ctx, centers, r) for r in radii]
+            got = [op._holds(J, centers, r) for r in radii]
         assert got == [enclosures_hold(rc, n, centers, r) for r in radii]
 
     def test_low_precision_fails_loudly(self, arcsine_seq):
@@ -972,6 +1001,25 @@ class TestStressAudit:
                                   q=0.35, family=own)
         assert [name for name, _ in rep.results] == [name for name, _ in own]
         assert all(d <= ctx.root_tol for _, d in rep.results), rep.results
+
+    def test_default_family_is_the_contexts_at_any_ambient_precision(self):
+        #  the family carries ctx's bits whatever precision its caller
+        #  runs under: the grid's quotients are not the caller's roundings
+        ctx = PrecisionContext(128)
+
+        def raw(family):
+            return [(name, [(x._mpf_, w._mpf_) for x, w in nu])
+                    for name, nu in family]
+
+        with ctx.workprec():
+            want = raw(default_stress_family(ctx))
+        for prec in (53, 320):
+            with mp.workprec(prec):
+                assert raw(default_stress_family(ctx)) == want, prec
+        assert [name for name, _ in want] == [
+            "delta_-1", "delta_+1", "uniform_grid_64"]
+        assert all(v[3] <= ctx.bits for _, nu in want for atom in nu
+                   for v in atom)
 
     def test_oversized_eps_fails(self, sigma6):
         #  q^25 is far above the stability threshold for n = 4
@@ -1114,8 +1162,7 @@ class TestLagrangeCertificate:
         m, n = _random_audit_member(data)
         pts = [float(x) for x in m.locations[:n]]
         with m.ctx.workprec():
-            worst = op._worst_deviation(op._jacobi(
-                stieltjes_recurrence(m, n), n), pts)
+            worst = op._worst_deviation(m.atoms, n, pts, m.ctx)
             r = worst * data.draw(st.sampled_from(
                 [0.5, 1 - 2.0 ** -20, 1 + 2.0 ** -20, 1.01, 2, 16]))
         if _within(m, n, r):
@@ -1129,8 +1176,7 @@ class TestLagrangeCertificate:
         #  exact one, so more than half of it
         m, n = _random_audit_member(data)
         with m.ctx.workprec():
-            worst = op._worst_deviation(op._jacobi(
-                stieltjes_recurrence(m, n), n), m.locations[:n])
+            worst = op._worst_deviation(m.atoms, n, m.locations[:n], m.ctx)
             if worst > 2 * m.ctx.root_tol:
                 assert not _within(m, n, worst / 2)
 
@@ -1144,8 +1190,7 @@ class TestLagrangeCertificate:
                                  (mpf(0), mpf(1) / 8),
                                  (mpf(7) / 8, mpf(1) / 8),
                                  (mpf(5) / 8, mpf(2) ** -11)), ctx=ctx)
-            worst = op._worst_deviation(op._jacobi(
-                stieltjes_recurrence(m, 3), 3), m.locations[:3])
+            worst = op._worst_deviation(m.atoms, 3, m.locations[:3], ctx)
             r = worst * (1 - mpf(2) ** -20)
         a, b = exact_recurrence(m, 3)
         assert not exact_enclosures_hold(a, b, 3, [-1 / 16, 0.0, 7 / 8],
@@ -1192,15 +1237,14 @@ class TestLagrangeCertificate:
                 #  grid, which has more than one atom off sigma_n's points
                 n, eps, pts = len(x), eps[:len(x)], [mpf(v) for v in x]
                 nu = ((mpf(t[0]), 1),) if len(t) == 1 else \
-                    op._uniform_grid_64(sigma.ctx)
+                    op._uniform_grid_64()
                 assert np.array_equal(_floats(nu, {p._mpf_ for p in pts}),
                                       (t, w))
                 atoms = tuple(zip(pts, eps))
                 J = op._jacobi(op._stieltjes(atoms + tuple(
                     (x, eps2 * w) for x, w in nu), n, sigma.ctx), n)
-                tgt = op._stress_bound(seq, n, q, sigma.ctx) / 2
-                counts = op._holds(J, sigma.ctx, seq,
-                                   tgt - 2 * sigma.ctx.root_tol)
+                tgt = op._stress_bound(seq, n, q) / 2
+                counts = op._holds(J, seq, tgt - 2 * sigma.ctx.root_tol)
                 assert op._lagrange_within(x, eps, (t, w), eps2,
                                            r) == counts
                 accepted.append(counts)
@@ -1254,12 +1298,12 @@ class TestPrunedAudit:
         with ctx.workprec():
             atoms = ((mpf(0), mpf(1) / 128), (mpf(-3) / 1024, mpf(1) / 128),
                      (mpf(1) / 1024, mpf(2) ** -32))
-        rc = stieltjes_recurrence(DiscreteMeasure(atoms, ctx=ctx), 2)
+        m = DiscreteMeasure(atoms, ctx=ctx)
         pts = [0.0, -3 / 1024]
-        roots = bisect_zeros(rc, 2)
+        roots = bisect_zeros(stieltjes_recurrence(m, 2), 2)
         with ctx.workprec():
             want = max(min(abs(r - mpf(p)) for p in pts) for r in roots)
-            got = op._worst_deviation(op._jacobi(rc, 2), pts)
+            got = op._worst_deviation(m.atoms, 2, pts, ctx)
         assert got._mpf_ == want._mpf_
 
     def test_nan_seeds_walk_every_root(self, sigma6, monkeypatch):
